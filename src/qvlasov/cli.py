@@ -1,10 +1,11 @@
 """Command-line front end: expand | evaluate | diagnose | verify.
 
-Configuration comes from flags plus an optional JSON config file (flags
-override the file).  All outputs are plot-ready CSV plus JSON sidecars that
-echo the full configuration, and every command is deterministic for a fixed
-configuration.  Exit codes: 0 success, 1 config error, 2 computation error,
-3 verification failure.
+Configuration comes from flags plus an optional JSON config file whose keys
+are the flag names with underscores; file values pass through the flag
+converters, and flags override the file.  All outputs are plot-ready CSV
+plus JSON sidecars that echo the full configuration, and every command is
+deterministic for a fixed configuration.  Exit codes: 0 success, 1 config
+error, 2 computation error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -32,24 +32,61 @@ class ConfigError(ValueError):
     """Invalid run configuration; message aggregates all problems."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed flags as a ConfigError (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _axis(text: str) -> tuple[float, float, int]:
+    try:
+        a, b, n = text.split(",")
+        return float(a), float(b), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a,b,n, got {text!r}") from None
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated numbers, got {text!r}") from None
+
+
+# Every command's namespace holds every setting, with its default declared
+# here once; the keys are also the accepted config-file keys.
+_DEFAULTS = {
+    "potential": "", "order": 2, "convention": "paper", "seed": "fd:z=1",
+    "hbar": None, "hbar_list": (),
+    "qrange": (DEFAULT_GRID.q_min, DEFAULT_GRID.q_max, DEFAULT_GRID.n_q),
+    "prange": (DEFAULT_GRID.p_min, DEFAULT_GRID.p_max, DEFAULT_GRID.n_p),
+    "out": Path("out"), "config": None, "no_normalize": False, "series": None,
+    "mode": "auto", "samples": 48, "j_max": None,
+}
+
+
 @dataclass
 class RunConfig:
+    """Checked settings of one run, with the potential and seed resolved."""
+
     command: str
-    potential_text: str = ""
-    potential: RingElem | None = None
-    order: int = 2
-    convention: str = "paper"
-    seed_spec: str = "fd:z=1"
-    seed: object = None
-    hbar: float | None = None
-    hbar_list: list[float] = field(default_factory=list)
-    grid: GridSpec = DEFAULT_GRID
-    out_dir: Path = Path("out")
-    series_file: Path | None = None
-    mode: str = "auto"
-    samples: int = 48
-    j_max: int | None = None
-    no_normalize: bool = False
+    potential_text: str
+    potential: RingElem | None
+    order: int
+    convention: str
+    seed_spec: str
+    seed: object
+    hbar: float | None
+    hbar_list: tuple[float, ...]
+    grid: GridSpec
+    out_dir: Path
+    series_file: Path | None
+    mode: str
+    samples: int
+    j_max: int | None
+    no_normalize: bool
 
     def provenance(self) -> dict:
         return {
@@ -64,136 +101,99 @@ class RunConfig:
         }
 
 
-def _parse_range(text: str, name: str, errors: list) -> tuple | None:
-    parts = text.split(",")
-    if len(parts) != 3:
-        errors.append(f"--{name} expects a,b,n")
-        return None
+def _file_flags(path: str) -> list[str]:
+    """The settings of a --config file as flags, so they take the flag converters.
+
+    A sidecar's grid object becomes --qrange/--prange and its command is
+    ignored.  Lists are joined with commas, true is a bare flag, and null,
+    false and [] keep the default.
+    """
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        errors.append(f"--{name}: could not parse {text!r}")
-        return None
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    data.pop("command", None)
+    flags = []
+    grid = data.pop("grid", None)
+    if grid is not None:
+        g = DEFAULT_GRID.to_json_dict()
+        if not isinstance(grid, dict) or not grid.keys() <= g.keys():
+            raise ConfigError(f"config grid must be an object with keys {sorted(g)}")
+        g.update(grid)
+        flags += [f"--{a}range={g[f'{a}_min']},{g[f'{a}_max']},{g[f'n_{a}']}"
+                  for a in "qp"]
+    for key, value in data.items():
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not None and value is not False and value != []:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    errors: list[str] = []
-    file_values = {}
+def build_config(argv: list[str]) -> RunConfig:
+    """Parse the command line and its --config file into a checked RunConfig.
+
+    The file's settings go before the command line's own flags and are
+    parsed with them, so flags win.  Malformed flags stop at the first one;
+    the remaining problems are reported together.
+    """
+    parser = make_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        try:
-            file_values = json.loads(Path(args.config).read_text())
-            if not isinstance(file_values, dict):
-                errors.append("config file must hold a JSON object")
-                file_values = {}
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    cfg = RunConfig(command=args.command)
-    cfg.potential_text = str(pick(args.potential, "potential", ""))
-    order = pick(args.order, "order", 2)
+        args = parser.parse_args(argv[:1] + _file_flags(args.config) + argv[1:])
+    errors: list[str] = []
+    if args.order < 0:
+        errors.append("--order must be nonnegative")
+    if args.hbar is not None and not args.hbar >= 0:
+        errors.append("--hbar must be nonnegative")
+    if not all(h >= 0 for h in args.hbar_list):
+        errors.append("--hbar-list values must be nonnegative")
+    if args.samples < 1:
+        errors.append("--samples must be at least 1")
+    grid = None
     try:
-        cfg.order = int(order)
-        if cfg.order < 0:
-            errors.append("--order must be nonnegative")
-    except (TypeError, ValueError):
-        errors.append(f"--order: bad value {order!r}")
-    cfg.convention = str(pick(args.convention, "convention", "paper"))
-    if cfg.convention not in CONVENTIONS:
-        errors.append(f"--convention must be one of {CONVENTIONS}")
-    cfg.seed_spec = str(pick(args.seed, "seed", "fd:z=1"))
-    hbar = pick(args.hbar, "hbar", None)
-    if hbar is not None:
-        try:
-            cfg.hbar = float(hbar)
-            if cfg.hbar < 0:
-                errors.append("--hbar must be nonnegative")
-        except (TypeError, ValueError):
-            errors.append(f"--hbar: bad value {hbar!r}")
-    hbar_list = pick(args.hbar_list, "hbar_list", None)
-    if hbar_list is not None:
-        if isinstance(hbar_list, str):
-            hbar_list = hbar_list.split(",")
-        try:
-            cfg.hbar_list = [float(v) for v in hbar_list]
-        except (TypeError, ValueError):
-            errors.append(f"--hbar-list: bad value {hbar_list!r}")
-    grid_kw = DEFAULT_GRID.to_json_dict()
-    if "grid" in file_values:
-        grid_kw.update(file_values["grid"])
-    for flag, name in ((args.qrange, "qrange"), (args.prange, "prange")):
-        if flag is None and name in file_values:
-            flag = file_values[name]
-        if flag is not None:
-            parsed = _parse_range(str(flag), name, errors)
-            if parsed:
-                axis = "q" if name == "qrange" else "p"
-                grid_kw[f"{axis}_min"], grid_kw[f"{axis}_max"] = parsed[0], parsed[1]
-                grid_kw[f"n_{axis}"] = parsed[2]
-    try:
-        cfg.grid = GridSpec.from_json_dict(grid_kw)
-    except (ValueError, KeyError) as exc:
+        grid = GridSpec(*args.qrange, *args.prange)
+    except ValueError as exc:
         errors.append(f"bad grid: {exc}")
-    cfg.out_dir = Path(pick(args.out, "out", "out"))
-    series_file = pick(getattr(args, "series", None), "series", None)
-    cfg.series_file = Path(series_file) if series_file else None
-    cfg.mode = pick(getattr(args, "mode", None), "mode", "auto")
-    if cfg.mode not in ("auto", "symbolic", "numeric"):
-        errors.append("--mode must be auto, symbolic or numeric")
-    samples = pick(getattr(args, "samples", None), "samples", 48)
-    try:
-        cfg.samples = int(samples)
-    except (TypeError, ValueError):
-        errors.append(f"--samples: bad value {samples!r}")
-    j_max = pick(getattr(args, "j_max", None), "j_max", None)
-    if j_max is not None:
-        try:
-            cfg.j_max = int(j_max)
-        except (TypeError, ValueError):
-            errors.append(f"--j-max: bad value {j_max!r}")
-    cfg.no_normalize = bool(pick(getattr(args, "no_normalize", None) or None,
-                                 "no_normalize", False))
-
-    needs_potential = cfg.series_file is None
-    if needs_potential and not cfg.potential_text:
+    if args.series is None and not args.potential:
         errors.append("--potential is required")
-    if cfg.potential_text:
+    potential = seed = None
+    if args.potential:
         try:
-            cfg.potential = resolve_potential(cfg.potential_text)
+            potential = resolve_potential(args.potential)
         except ParseError as exc:
             errors.append(f"potential: {exc}")
     if args.command in ("evaluate", "diagnose") or (
-            args.command == "verify" and cfg.mode != "symbolic"):
+            args.command == "verify" and args.mode != "symbolic"):
         try:
-            cfg.seed = parse_seed_spec(cfg.seed_spec)
+            seed = parse_seed_spec(args.seed)
         except (ValueError, BracketError, QuadratureError) as exc:
             errors.append(f"seed: {exc}")
-    if args.command == "evaluate" and cfg.hbar is None:
+    if args.command == "evaluate" and args.hbar is None:
         errors.append("evaluate needs --hbar")
-    if args.command == "diagnose" and cfg.hbar is None and not cfg.hbar_list:
+    if args.command == "diagnose" and args.hbar is None and not args.hbar_list:
         errors.append("diagnose needs --hbar or --hbar-list")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    return cfg
+    return RunConfig(
+        command=args.command, potential_text=args.potential, potential=potential,
+        order=args.order, convention=args.convention, seed_spec=args.seed,
+        seed=seed, hbar=args.hbar, hbar_list=args.hbar_list, grid=grid,
+        out_dir=args.out, series_file=args.series, mode=args.mode,
+        samples=args.samples, j_max=args.j_max, no_normalize=args.no_normalize)
 
 
 def _write_json(path: Path, data: dict) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
-
-
-def _load_or_build_series(cfg: RunConfig) -> WignerSeries:
-    if cfg.series_file is not None:
-        series = WignerSeries.from_json(cfg.series_file.read_text())
-        return series
-    return build_series(cfg.potential, cfg.order, cfg.convention)
 
 
 def _series_listing(series: WignerSeries) -> str:
@@ -224,7 +224,7 @@ def cmd_expand(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    series = _load_or_build_series(cfg)
+    series = build_series(cfg.potential, cfg.order, cfg.convention)
     field_ = eval_field(series, cfg.seed, cfg.hbar, cfg.grid,
                         normalize=not cfg.no_normalize, seed_spec=cfg.seed_spec,
                         series_meta={"order": series.order,
@@ -240,7 +240,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
-    series = _load_or_build_series(cfg)
+    series = build_series(cfg.potential, cfg.order, cfg.convention)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.hbar_list:
         rows = []
@@ -284,7 +284,12 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    series = _load_or_build_series(cfg)
+    if cfg.series_file is None:
+        series = build_series(cfg.potential, cfg.order, cfg.convention)
+    else:
+        series = WignerSeries.from_json(cfg.series_file.read_text())
+        cfg.potential_text = str(series.potential)
+        cfg.order, cfg.convention = series.order, series.convention
     mode = cfg.mode
     if mode == "auto":
         mode = "numeric" if series.potential.has_trig() else "symbolic"
@@ -292,8 +297,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         report = residual_symbolic(series)
     else:
         hbars = cfg.hbar_list or [0.05, 0.0707, 0.1, 0.141, 0.2]
-        if cfg.seed is None:
-            cfg.seed = parse_seed_spec(cfg.seed_spec)
         report = residual_numeric(series, cfg.seed, hbars,
                                   samples=cfg.samples,
                                   j_max=cfg.j_max or series.order + 1)
@@ -324,7 +327,7 @@ _COMMANDS = {
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qvlasov",
         description="Semiclassical expansion of the stationary quantum "
                     "Vlasov equation: build, evaluate, diagnose, verify.")
@@ -335,50 +338,42 @@ def make_parser() -> argparse.ArgumentParser:
             ("diagnose", "marginals, spikiness bound and negativity report"),
             ("verify", "residual-order check of a built expansion")):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(**_DEFAULTS)
         cmd.add_argument("--potential", help="expression in q, or preset name")
-        cmd.add_argument("--order", type=int, default=None,
+        cmd.add_argument("--order", type=int,
                          help="truncation order L (keeps powers through hbar^(2L))")
-        cmd.add_argument("--convention", choices=CONVENTIONS, default=None)
-        cmd.add_argument("--seed", default=None,
-                         help="mb | fd:z=<r> | be:z=<r> | fd:chi=<r>")
-        cmd.add_argument("--hbar", type=float, default=None)
-        cmd.add_argument("--hbar-list", dest="hbar_list", default=None,
+        cmd.add_argument("--convention", choices=CONVENTIONS)
+        cmd.add_argument("--seed", help="mb | fd:z=<r> | be:z=<r> | fd:chi=<r>")
+        cmd.add_argument("--hbar", type=float)
+        cmd.add_argument("--hbar-list", type=_float_list,
                          help="comma-separated hbar values")
-        cmd.add_argument("--qrange", default=None, help="a,b,n for the q grid")
-        cmd.add_argument("--prange", default=None, help="a,b,n for the p grid")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--config", default=None, help="JSON config file")
+        cmd.add_argument("--qrange", type=_axis, help="a,b,n for the q grid")
+        cmd.add_argument("--prange", type=_axis, help="a,b,n for the p grid")
+        cmd.add_argument("--out", type=Path, help="output directory")
+        cmd.add_argument("--config", help="JSON config file (flags override it)")
         if name == "evaluate":
-            cmd.add_argument("--no-normalize", action="store_true", default=None)
+            cmd.add_argument("--no-normalize", action="store_true")
         if name == "verify":
-            cmd.add_argument("--series", default=None,
+            cmd.add_argument("--series", type=Path,
                              help="series JSON produced by expand")
-            cmd.add_argument("--mode", choices=("auto", "symbolic", "numeric"),
-                             default=None)
-            cmd.add_argument("--samples", type=int, default=None)
-            cmd.add_argument("--j-max", dest="j_max", type=int, default=None)
+            cmd.add_argument("--mode", choices=("auto", "symbolic", "numeric"))
+            cmd.add_argument("--samples", type=int)
+            cmd.add_argument("--j-max", type=int)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    for attr in ("no_normalize", "series", "mode", "samples", "j_max"):
-        if not hasattr(args, attr):
-            setattr(args, attr, None)
     try:
-        cfg = build_config(args)
+        cfg = build_config(sys.argv[1:] if argv is None else list(argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[cfg.command](cfg)
     except (RingError, ParseError, SeedDomainError, QuadratureError,
             BracketError, NormalizationError, diag.DegenerateFieldError,
-            TermBudgetError, SymbolicResidualError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            TermBudgetError, SymbolicResidualError, OSError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

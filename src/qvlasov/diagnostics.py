@@ -21,14 +21,9 @@ class DegenerateFieldError(RuntimeError):
     """Field integrates to a non-positive value; marginals are undefined."""
 
 
-def _double_integral(field: WignerField, values: np.ndarray) -> float:
-    return float(np.trapezoid(np.trapezoid(values, field.p_axis(), axis=1),
-                              field.q_axis()))
-
-
 def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum marginal densities, each integrating to one."""
-    total = _double_integral(field, field.values)
+    total = field.grid.integral(field.values)
     if not np.isfinite(total) or total <= 0:
         raise DegenerateFieldError(f"field integral {total!r} is not positive")
     p_q = np.trapezoid(field.values, field.p_axis(), axis=1) / total
@@ -42,10 +37,10 @@ def q_functional(field: WignerField):
     Q is invariant under rescaling of the field, so it applies to
     unnormalized fields as well.  The verdict is None when hbar = 0.
     """
-    total = _double_integral(field, field.values)
+    total = field.grid.integral(field.values)
     if not np.isfinite(total) or total <= 0:
         raise DegenerateFieldError(f"field integral {total!r} is not positive")
-    second = _double_integral(field, field.values**2)
+    second = field.grid.integral(field.values**2)
     q_value = second / total**2
     bound = 2.0 * np.pi * field.hbar * q_value
     verdict = bool(bound <= 1.0) if field.hbar > 0 else None
@@ -122,7 +117,7 @@ def diagnose(field: WignerField) -> DiagnosticsReport:
     p_q, p_p = marginals(field)
     q_value, bound, verdict = q_functional(field)
     neg = negativity_report(field.values, (field.q_axis(), field.p_axis()))
-    norm_residual = field.grid_integral() - 1.0 if field.normalized else 0.0
+    norm_residual = field.grid.integral(field.values) - 1.0 if field.normalized else 0.0
     return DiagnosticsReport(
         q=field.q_axis(), p=field.p_axis(), p_q=p_q, p_p=p_p,
         q_value=q_value, bound_2pi_hbar_q=bound, uncertainty_ok=verdict,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ring import RingElem
 from .series import WignerSeries
 
 
@@ -43,6 +42,11 @@ class GridSpec:
 
     def p_axis(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.n_p)
+
+    def integral(self, values: np.ndarray) -> float:
+        """Double trapezoid integral of values sampled on this grid."""
+        return float(np.trapezoid(np.trapezoid(values, self.p_axis(), axis=1),
+                                  self.q_axis()))
 
     def to_json_dict(self) -> dict:
         return {"q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
@@ -117,11 +121,6 @@ class WignerField:
     def p_axis(self) -> np.ndarray:
         return self.grid.p_axis()
 
-    def grid_integral(self, values: np.ndarray | None = None) -> float:
-        vals = self.values if values is None else values
-        return float(np.trapezoid(np.trapezoid(vals, self.p_axis(), axis=1),
-                                  self.q_axis()))
-
 
 def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
                normalize: bool = True, seed_spec: str = "",
@@ -134,7 +133,7 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     v_q = series.potential.evaluate(q)
     h = 0.5 * p[None, :] ** 2 + v_q[:, None]
     values = _series_eval(series, seed, hbar, q[:, None], h)
-    norm = float(np.trapezoid(np.trapezoid(values, p, axis=1), q))
+    norm = grid.integral(values)
     if normalize:
         if not np.isfinite(norm) or norm <= 0:
             raise NormalizationError(

@@ -60,12 +60,6 @@ class Coefficient:
     def is_one(self) -> bool:
         return self._terms == {0: Fraction(1)}
 
-    def is_rational(self) -> bool:
-        return set(self._terms) <= {0}
-
-    def rational_part(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
-
     def is_negative(self) -> bool:
         """Canonical sign: the sign of the coefficient of the highest pi power."""
         if not self._terms:
@@ -409,9 +403,6 @@ class RingElem:
             if total.ndim == 0:
                 total = 0.0
         return total
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def __str__(self):
         if not self._terms:

@@ -82,11 +82,6 @@ class SeedDistribution:
         self._polys: list[tuple[Fraction, ...]] = [(Fraction(0), Fraction(1)), _P1[kind]]
         self._float_polys: dict[int, np.ndarray] = {}
 
-    def spec_string(self) -> str:
-        if self.kind == "mb" and self.z == 1.0:
-            return "mb"
-        return f"{self.kind}:z={self.z!r}"
-
     def derivative_polynomial(self, j: int) -> tuple[Fraction, ...]:
         """Exact coefficients of P_j, with f0^(j) = P_j(f0)."""
         if j < 0:
@@ -144,10 +139,6 @@ class CombinedSeed:
 
     def __init__(self, components):
         self.components = [(float(w), seed) for w, seed in components]
-
-    def spec_string(self) -> str:
-        inner = " + ".join(f"{w!r}*{s.spec_string()}" for w, s in self.components)
-        return f"combo({inner})"
 
     def f0(self, H):
         return sum(w * s.f0(H) for w, s in self.components)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .parser import parse_potential
-from .ring import Coefficient, RingElem
+from .ring import RingElem
 
 CONVENTIONS = ("paper", "uniform")
 
@@ -60,9 +60,6 @@ class SeriesTerm:
     def max_deriv_order(self) -> int:
         return max((j for _, j in self._cells), default=0)
 
-    def max_h_power(self) -> int:
-        return max((m for m, _ in self._cells), default=0)
-
     def term_count(self) -> int:
         return sum(c.term_count() for c in self._cells.values())
 
@@ -73,13 +70,8 @@ class SeriesTerm:
 
     def __add__(self, other):
         cells = dict(self._cells)
-        for mj, c in other._cells.items():
-            total = cells.get(mj)
-            total = c if total is None else total + c
-            if total.is_zero():
-                cells.pop(mj, None)
-            else:
-                cells[mj] = total
+        for (m, j), c in other._cells.items():
+            _cell_add(cells, m, j, c)
         return SeriesTerm(cells)
 
     def __neg__(self):
@@ -102,12 +94,6 @@ class SeriesTerm:
                 _cell_add(cells, m - 1, j, c.scale(m))
             _cell_add(cells, m, j + 1, c)
         return SeriesTerm(cells)
-
-    def d_dh_power(self, n: int) -> "SeriesTerm":
-        out = self
-        for _ in range(n):
-            out = out.d_dh()
-        return out
 
     def d_dx(self) -> "SeriesTerm":
         return SeriesTerm({mj: c.ddx() for mj, c in self._cells.items()})
@@ -269,14 +255,24 @@ class WignerSeries:
 
     @classmethod
     def from_json_dict(cls, data) -> "WignerSeries":
-        terms = tuple(SeriesTerm.from_json(t) for t in data["terms"])
-        return cls(
-            potential=parse_potential(data["potential"]),
-            order=int(data["order"]),
-            convention=data["convention"],
-            x_ref=Fraction(data["x_ref"]),
-            terms=terms,
-        )
+        """Inverse of to_json_dict; ValueError on a malformed document or one
+        whose order or convention does not fit its terms."""
+        try:
+            series = cls(
+                potential=parse_potential(data["potential"]),
+                order=int(data["order"]),
+                convention=data["convention"],
+                x_ref=Fraction(data["x_ref"]),
+                terms=tuple(SeriesTerm.from_json(t) for t in data["terms"]),
+            )
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed series document: {exc!r}") from None
+        if series.order != len(series.terms) - 1:
+            raise ValueError(f"series order {series.order} does not match its "
+                             f"{len(series.terms)} terms")
+        if series.convention not in CONVENTIONS:
+            raise ValueError(f"unknown convention {series.convention!r}")
+        return series
 
     @classmethod
     def from_json(cls, text: str) -> "WignerSeries":

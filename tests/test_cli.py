@@ -194,3 +194,78 @@ def test_preset_names_resolve(tmp_path):
     for name in ("quartic", "harmonic", "modulated"):
         assert run(["expand", "--potential", name, "--order", "1",
                     "--out", str(tmp_path / name)]) == 0
+
+
+EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
+            "--qrange=-3,3,21", "--prange=-3,3,21"]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["evaluate", "--order", "x"], None, "--order"),
+    (EVALUATE + ["--bogus"], None, "unrecognized"),
+    ([], None, "required"),
+    (EVALUATE, {"grid": 5}, "grid"),
+    (EVALUATE, {"no_normalize": "false"}, "--no-normalize"),
+    (EVALUATE, {"order": 2.7}, "--order"),
+    (EVALUATE, {"order": True}, "--order"),
+    (EVALUATE, {"j-max": 7}, "j-max"),
+    (EVALUATE, {"mode": "numeric"}, "--mode"),
+    (["diagnose", "--potential", "goldstone", "--hbar-list", "0.1,-1"], None,
+     "--hbar-list"),
+    (["verify", "--potential", "goldstone", "--samples", "0"], None, "--samples"),
+], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
+        "flag-given-a-string", "order-float", "order-bool", "unknown-key",
+        "flag-of-another-command", "negative-hbar-list", "zero-samples"])
+def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "config.json"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["evaluate", "--potential=-q^2/2 + q^4/4", "--order", "3",
+      "--seed", "fd:z=0.9", "--hbar", "0.0707"], ("field.csv", "field.json")),
+    (["diagnose", "--potential", "goldstone", "--order", "3", "--seed", "mb",
+      "--hbar-list", "0.1,0.1414,0.3"], ("qsweep.csv", "qsweep.json")),
+], ids=["evaluate", "diagnose-sweep"])
+def test_sidecar_config_round_trips(tmp_path, argv, outputs):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(argv + ["--qrange=-3,3.5,31", "--prange=-3,3,29",
+                       "--out", str(first)]) == 0
+    sidecar = json.loads((first / outputs[1]).read_text())
+    (tmp_path / "config.json").write_text(json.dumps(sidecar["config"]))
+    assert run([argv[0], "--config", str(tmp_path / "config.json"),
+                "--out", str(second)]) == 0
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("order", 5, "order 5"), ("convention", "bogus", "convention"),
+    ("terms", 5, "malformed"), ("potential", 3, "malformed")])
+def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message):
+    out = tmp_path / "expand"
+    assert run(["expand", "--potential", "goldstone", "--order", "2",
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "series.json").read_text())
+    doc[key] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    assert run(["verify", "--series", str(edited), "--out", str(tmp_path / "v")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_series_provenance_describes_loaded_series(tmp_path):
+    out = tmp_path / "expand"
+    assert run(["expand", "--potential", "goldstone", "--order", "3",
+                "--convention", "uniform", "--out", str(out)]) == 0
+    series = json.loads((out / "series.json").read_text())
+    assert run(["verify", "--series", str(out / "series.json"),
+                "--out", str(tmp_path / "v")]) == 0
+    config = json.loads((tmp_path / "v" / "residual.json").read_text())["config"]
+    assert (config["potential"], config["order"], config["convention"]) == \
+        (series["potential"], 3, "uniform")

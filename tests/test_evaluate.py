@@ -71,7 +71,7 @@ def test_field_symmetric_in_p(goldstone_l5):
 
 def test_normalization_residual(goldstone_l5):
     field = eval_field(goldstone_l5, FD, 0.6, SMALL_GRID)
-    assert abs(field.grid_integral() - 1.0) <= 1e-9
+    assert abs(field.grid.integral(field.values) - 1.0) <= 1e-9
 
 
 def test_classical_field_positive(goldstone_l5):
