@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,12 +152,14 @@ def build_config(argv: list[str]) -> RunConfig:
     errors: list[str] = []
     if args.order < 0:
         errors.append("--order must be nonnegative")
-    if args.hbar is not None and not args.hbar >= 0:
-        errors.append("--hbar must be nonnegative")
-    if not all(h >= 0 for h in args.hbar_list):
-        errors.append("--hbar-list values must be nonnegative")
+    if args.hbar is not None and not (math.isfinite(args.hbar) and args.hbar >= 0):
+        errors.append("--hbar must be finite and nonnegative")
+    if not all(math.isfinite(h) and h >= 0 for h in args.hbar_list):
+        errors.append("--hbar-list values must be finite and nonnegative")
     if args.samples < 1:
         errors.append("--samples must be at least 1")
+    if args.j_max is not None and args.j_max < 1:
+        errors.append("--j-max must be at least 1")
     grid = None
     try:
         grid = GridSpec(*args.qrange, *args.prange)
@@ -299,7 +302,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         hbars = cfg.hbar_list or [0.05, 0.0707, 0.1, 0.141, 0.2]
         report = residual_numeric(series, cfg.seed, hbars,
                                   samples=cfg.samples,
-                                  j_max=cfg.j_max or series.order + 1)
+                                  j_max=cfg.j_max)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     doc = report.to_json_dict()
     doc["config"] = cfg.provenance()

@@ -9,6 +9,7 @@ Horner's rule to limit cancellation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ class GridSpec:
     n_p: int
 
     def __post_init__(self):
+        bounds = (self.q_min, self.q_max, self.p_min, self.p_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError("grid bounds must be finite")
         if not (self.q_min < self.q_max and self.p_min < self.p_max):
             raise ValueError("grid bounds must satisfy min < max")
         if self.n_q < 2 or self.n_p < 2:

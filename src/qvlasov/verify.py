@@ -6,8 +6,9 @@ must vanish through the truncation order, with the first surviving power
 telling the achieved order.  For polynomial potentials the source sum is
 finite and the residual can be formed exactly, with the squared quantum
 scale treated as a formal bookkeeping power.  For trig potentials the sum
-is truncated at a configurable depth and the residual is evaluated
-numerically with a concrete seed, fitting the log-log scaling slope.
+is truncated at a configurable depth and, with a concrete seed, the
+residual is formed in floats at sample points from the exactly built
+terms, fitting the log-log scaling slope.
 
 The source sum here is coded directly from the transformed equation, on
 purpose not sharing the series engine's recursion routine.
@@ -126,14 +127,82 @@ def _sample_points(samples, rng_seed: int = 20230817):
     return np.asarray(xs, dtype=float), np.asarray(hs, dtype=float)
 
 
+def _add_cell(cells: dict, mj: tuple[int, int], values) -> None:
+    cells[mj] = cells[mj] + values if mj in cells else values
+
+
+def _float_d_dh(cells: dict) -> dict:
+    """Energy derivative of float cells, same index algebra as SeriesTerm.d_dh."""
+    out: dict = {}
+    for (m, j), c in cells.items():
+        if m > 0:
+            _add_cell(out, (m - 1, j), m * c)
+        _add_cell(out, (m, j + 1), c)
+    return out
+
+
+def residual_samples(series: WignerSeries, seed, xs, hs,
+                     j_cap: int) -> tuple[dict[int, np.ndarray], dict[int, int]]:
+    """Residual R_s sampled at (xs, hs) per formal power s, and its census.
+
+    The same sum as residual_powers, formed in floats: each cell c_{m,j} of
+    the exact terms, V and V^(2j+1) are evaluated once at xs, the energy
+    derivatives and (H - V)^k factors act on float cells, and each cell is
+    weighted by f0^(j)(hs) at the end.  The census maps 2s to the number of
+    (m, j) cells summed at that power.
+    """
+    xs = np.asarray(xs, dtype=float)
+    hs = np.asarray(hs, dtype=float)
+    order = series.order
+    v_derivs = potential_derivatives(series.potential, 2 * j_cap + 1)
+    factors = {j: (-0.5) ** j * v_derivs[2 * j + 1].evaluate(xs)
+               for j in range(1, j_cap + 1) if not v_derivs[2 * j + 1].is_zero()}
+    neg_v = -series.potential.evaluate(xs)
+    neg_v_pow = [1.0]
+    for _ in range(j_cap):
+        neg_v_pow.append(neg_v_pow[-1] * neg_v)
+    sources: dict[int, dict] = {s: {} for s in range(order + j_cap + 1)}
+    for l, term in enumerate(series.terms):
+        dh = [{mj: c.evaluate(xs) for mj, c in term.cells()}]
+        for j, factor in factors.items():
+            while len(dh) <= 2 * j + 1:
+                dh.append(_float_d_dh(dh[-1]))
+            part: dict = {}
+            for k in range(j + 1):
+                power = j - k
+                weight = float(recursion_weight(j, k))
+                for (m, jj), c in dh[2 * j - k + 1].items():
+                    for i in range(power + 1):
+                        _add_cell(part, (m + i, jj), (weight * math.comb(power, i))
+                                  * neg_v_pow[power - i] * c)
+            for mj, c in part.items():
+                _add_cell(sources[l + j], mj, factor * c)
+    f0_derivs: dict[int, np.ndarray] = {}
+    samples, census = {}, {}
+    for s, cells in sources.items():
+        d_dx = series.terms[s].d_dx() if s <= order else SeriesTerm.zero()
+        count = len(d_dx.cells()) + len(cells)
+        if not count:
+            continue
+        total = np.zeros_like(xs) + d_dx.evaluate(seed, xs, hs)
+        for (m, j), c in cells.items():
+            if j not in f0_derivs:
+                f0_derivs[j] = seed.f0_deriv(j, hs)
+            total = total - c * hs**m * f0_derivs[j]
+        samples[s] = total
+        census[2 * s] = count
+    return samples, census
+
+
 def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
                      j_max: int | None = None) -> ResidualReport:
     """Scaling fit of the truncated residual at sample points.
 
-    x-derivatives are exact per term and H-derivatives use the exact energy
-    derivation operator, so no finite differencing enters; only the final
-    evaluation is floating point.  The fitted log-log slope should be close
-    to the claimed order 2L + 2.
+    The series terms, their x-derivatives and the potential's derivatives
+    are exact; the source sum is formed in floats at the sample points by
+    residual_samples, so no finite differencing enters.  The fitted log-log
+    slope should be close to the claimed order 2L + 2.  The term census
+    counts the float (m, j) cells summed at each power.
     """
     hbars = [float(h) for h in hbar_list]
     if len(hbars) < 4 or min(hbars) <= 0:
@@ -146,16 +215,13 @@ def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
         raise ValueError("j_max must be at least order + 1")
     claimed = 2 * series.order + 2
     xs, hs = _sample_points(samples)
-    surviving = residual_powers(series, j_max)
-    sampled = {s: np.asarray(r.evaluate(seed, xs, hs), dtype=float)
-               for s, r in surviving.items()}
+    sampled, census = residual_samples(series, seed, xs, hs, j_max)
     maxima = []
     for hbar in hbars:
         total = np.zeros_like(xs)
         for s, vals in sorted(sampled.items()):
             total = total + hbar ** (2 * s) * vals
         maxima.append(float(np.abs(total).max()))
-    census = {2 * s: r.term_count() for s, r in sorted(surviving.items())}
     # residuals at the roundoff floor cannot contradict the claimed order;
     # the fit is ill-conditioned there, so it is reported but not fatal
     floor = any(m < 1e-14 * max(maxima + [1e-300]) or m == 0.0 for m in maxima)

@@ -5,7 +5,6 @@ lines.  Criterion 8 runs its stated configuration verbatim and is expected
 to fail; see the analysis in its docstring.
 """
 
-import json
 import time
 from fractions import Fraction
 
@@ -18,8 +17,7 @@ from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.ring import RingElem
 from qvlasov.seeds import CombinedSeed, SeedDistribution, chi_from_z
-from qvlasov.series import (SeriesTerm, WignerSeries, build_series,
-                            closed_form_f1)
+from qvlasov.series import SeriesTerm, WignerSeries, build_series
 from qvlasov.verify import residual_numeric, residual_symbolic
 
 from conftest import random_ring_elem

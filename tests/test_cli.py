@@ -213,9 +213,20 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (["diagnose", "--potential", "goldstone", "--hbar-list", "0.1,-1"], None,
      "--hbar-list"),
     (["verify", "--potential", "goldstone", "--samples", "0"], None, "--samples"),
+    (["verify", "--potential", "modulated", "--j-max", "0"], None, "--j-max"),
+    (["verify", "--potential", "modulated", "--j-max", "-3"], None, "--j-max"),
+    (["evaluate", "--potential", "goldstone", "--hbar", "inf"], None, "--hbar"),
+    (["diagnose", "--potential", "goldstone", "--hbar-list", "0.1,inf"], None,
+     "--hbar-list"),
+    (EVALUATE + ["--prange=-3,inf,11"], None, "finite"),
+    (EVALUATE + ["--qrange=-inf,3,11"], None, "finite"),
+    (EVALUATE[:5], {"grid": {"p_max": float("inf")}}, "finite"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
-        "flag-of-another-command", "negative-hbar-list", "zero-samples"])
+        "flag-of-another-command", "negative-hbar-list", "zero-samples",
+        "zero-j-max", "negative-j-max", "infinite-hbar", "infinite-hbar-list",
+        "infinite-p-bound", "infinite-q-bound",
+        "infinite-grid-in-file"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if config is not None:

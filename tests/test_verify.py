@@ -1,14 +1,14 @@
 """Residual oracles: exact order extraction and numeric scaling fits."""
 
-import numpy as np
 import pytest
 
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import SeedDistribution
 from qvlasov.series import SeriesTerm, WignerSeries, build_series
-from qvlasov.verify import (SymbolicResidualError, residual_numeric,
-                            residual_powers, residual_symbolic,
+from qvlasov.verify import (SymbolicResidualError, _sample_points,
+                            residual_numeric, residual_powers,
+                            residual_samples, residual_symbolic,
                             wigner_maxwell_check)
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
@@ -99,6 +99,46 @@ def test_numeric_convention_independent_verdict():
         report = residual_numeric(series, FD, HBARS, j_max=4)
         assert report.claimed_order == 4
         assert report.passed, convention
+
+
+@pytest.mark.parametrize("potential, order", [
+    (GOLDSTONE, 3), (resolve_potential("modulated:a=1/2"), 1)],
+    ids=["goldstone-L3", "modulated-L1"])
+@pytest.mark.parametrize("convention", ["paper", "uniform"])
+def test_float_residual_matches_exact_powers(potential, order, convention):
+    # the float residual samples each power as the exact residual would; the
+    # powers that cancel exactly cancel to roundoff of the d/dx f_s they hold
+    series = build_series(potential, order, convention)
+    j_cap = order + 3
+    xs, hs = _sample_points(48)
+    samples, census = residual_samples(series, FD, xs, hs, j_cap)
+    exact = residual_powers(series, j_cap)
+    assert set(exact) <= set(samples)
+    assert set(census) == {2 * s for s in samples}
+    for s, values in samples.items():
+        if s in exact:
+            reference = exact[s].evaluate(FD, xs, hs)
+            scale = abs(reference).max()
+        else:
+            reference = 0.0
+            scale = abs(series.terms[s].d_dx().evaluate(FD, xs, hs)).max()
+        assert abs(values - reference).max() <= 1e-12 * scale, s
+
+
+def test_numeric_detects_sign_flip_in_highest_term():
+    # a 1e-3 scaling of this cell is not caught in this hbar window; a sign
+    # flip leaves an hbar^6 residual (fitted slope about 6.84 < 7.5)
+    series = build_series(GOLDSTONE, 3, "paper")
+    terms = list(series.terms)
+    cells = dict(terms[3].cells())
+    cells[(0, 6)] = -cells[(0, 6)]
+    terms[3] = SeriesTerm(cells)
+    broken = WignerSeries(potential=series.potential, order=series.order,
+                          convention=series.convention, x_ref=series.x_ref,
+                          terms=tuple(terms))
+    report = residual_numeric(broken, FD, HBARS)
+    assert report.slope == pytest.approx(6.84, abs=0.05)
+    assert report.passed is False
 
 
 def test_residual_powers_start_above_truncation():
