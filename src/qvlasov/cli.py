@@ -26,7 +26,7 @@ from .ring import RingElem, RingError
 from .seeds import (BracketError, QuadratureError, SeedDomainError,
                     parse_seed_spec)
 from .series import CONVENTIONS, TermBudgetError, WignerSeries, build_series
-from .verify import SymbolicResidualError, residual_numeric, residual_symbolic
+from .verify import residual_numeric, residual_symbolic
 
 
 class ConfigError(ValueError):
@@ -179,6 +179,10 @@ def build_config(argv: list[str]) -> RunConfig:
             seed = parse_seed_spec(args.seed)
         except (ValueError, BracketError, QuadratureError) as exc:
             errors.append(f"seed: {exc}")
+    if args.command == "verify" and args.series is None and potential is not None:
+        problem = _verify_mode(potential, args.order, args.mode, args.j_max)[1]
+        if problem:
+            errors.append(problem)
     if args.command == "evaluate" and args.hbar is None:
         errors.append("evaluate needs --hbar")
     if args.command == "diagnose" and args.hbar is None and not args.hbar_list:
@@ -191,6 +195,19 @@ def build_config(argv: list[str]) -> RunConfig:
         seed=seed, hbar=args.hbar, hbar_list=args.hbar_list, grid=grid,
         out_dir=args.out, series_file=args.series, mode=args.mode,
         samples=args.samples, j_max=args.j_max, no_normalize=args.no_normalize)
+
+
+def _verify_mode(potential: RingElem, order: int, mode: str,
+                 j_max: int | None) -> tuple[str, str | None]:
+    """The residual mode verify runs for this potential, and the config
+    mistake in --mode or --j-max, if any."""
+    if mode == "auto":
+        mode = "numeric" if potential.has_trig() else "symbolic"
+    if mode == "symbolic" and potential.has_trig():
+        return mode, "--mode symbolic needs a polynomial potential"
+    if mode == "numeric" and j_max is not None and j_max < order + 1:
+        return mode, f"--j-max must be at least order + 1 = {order + 1}"
+    return mode, None
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -293,9 +310,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         series = WignerSeries.from_json(cfg.series_file.read_text())
         cfg.potential_text = str(series.potential)
         cfg.order, cfg.convention = series.order, series.convention
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "numeric" if series.potential.has_trig() else "symbolic"
+    mode, problem = _verify_mode(series.potential, series.order, cfg.mode,
+                                 cfg.j_max)
+    if problem:
+        raise ConfigError(problem)
     if mode == "symbolic":
         report = residual_symbolic(series)
     else:
@@ -368,15 +386,13 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         cfg = build_config(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[cfg.command](cfg)
     except (RingError, ParseError, SeedDomainError, QuadratureError,
             BracketError, NormalizationError, diag.DegenerateFieldError,
-            TermBudgetError, SymbolicResidualError, OSError, KeyError,
-            ValueError) as exc:
+            TermBudgetError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,9 @@ Grammar (q is the position variable):
 
 Numbers are unsigned integers or decimal literals (parsed exactly as
 rationals); fractions are written with "/". Division is only defined by
-nonzero invertible constants, and trig arguments must reduce to a constant
-times q.
+nonzero invertible constants, trig arguments must reduce to a constant
+times q, and an exponent may not exceed MAX_POWER nor raise the x-degree
+past it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import re
 from fractions import Fraction
 
 from .ring import Coefficient, Monomial, RingElem, RingError
+
+
+# Largest exponent, and largest x-degree a power may reach, so parsing work
+# stays bounded: (q+1)^64 parses in about 0.1 s.
+MAX_POWER = 64
 
 
 class ParseError(ValueError):
@@ -127,7 +133,13 @@ class _Parser:
             if tok[0] != "num" or tok[1].denominator != 1:
                 raise ParseError("syntax error: exponent must be a nonnegative integer",
                                  tok[2])
-            base = base ** int(tok[1])
+            n = int(tok[1])
+            if n > MAX_POWER:
+                raise ParseError(f"exponent {n} exceeds {MAX_POWER}", tok[2])
+            if n * base.x_degree() > MAX_POWER:
+                raise ParseError(f"power of x-degree {n * base.x_degree()} "
+                                 f"exceeds {MAX_POWER}", tok[2])
+            base = base ** n
         return base
 
     def base(self) -> RingElem:

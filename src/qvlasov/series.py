@@ -160,20 +160,22 @@ def potential_derivatives(potential: RingElem, up_to: int) -> list[RingElem]:
 
 
 def recursion_rhs(potential: RingElem, terms, l: int,
-                  v_derivs: list[RingElem] | None = None) -> SeriesTerm:
-    """Exact x-derivative of the order-l term, from orders 0..l-1.
+                  v_derivs: list[RingElem] | None = None,
+                  j_cap: int | None = None) -> SeriesTerm:
+    """Exact x-derivative of the order-l term, from the lower orders in terms.
 
-    Implements the source sum over j = 1..l of
-    (-1/2)^j V^(2j+1) sum_k w(j,k) (H-V)^(j-k) d^(2j-k+1)/dH^(2j-k+1) f_{l-j}.
+    Implements the source sum over j of
+    (-1/2)^j V^(2j+1) sum_k w(j,k) (H-V)^(j-k) d^(2j-k+1)/dH^(2j-k+1) f_{l-j},
+    with j from max(1, l - len(terms) + 1) to min(l, j_cap): orders missing
+    from terms count as zero, and j_cap (default l) truncates the sum.
     """
     if l < 1:
         raise ValueError("recursion starts at order 1")
-    if len(terms) < l:
-        raise ValueError(f"need terms 0..{l - 1} to form the order-{l} source")
+    j_top = l if j_cap is None else min(l, j_cap)
     if v_derivs is None:
-        v_derivs = potential_derivatives(potential, 2 * l + 1)
+        v_derivs = potential_derivatives(potential, 2 * j_top + 1)
     total = SeriesTerm.zero()
-    for j in range(1, l + 1):
+    for j in range(max(1, l - len(terms) + 1), j_top + 1):
         odd_deriv = v_derivs[2 * j + 1]
         if odd_deriv.is_zero():
             continue

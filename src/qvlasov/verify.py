@@ -1,31 +1,32 @@
-"""Independent correctness oracles for built expansions.
+"""Correctness oracles for built expansions.
 
 The stationary equation in position/energy variables provides a residual
 functional: the x-derivative of the truncated solution minus the source sum
 must vanish through the truncation order, with the first surviving power
 telling the achieved order.  For polynomial potentials the source sum is
-finite and the residual can be formed exactly, with the squared quantum
-scale treated as a formal bookkeeping power.  For trig potentials the sum
-is truncated at a configurable depth and, with a concrete seed, the
-residual is formed in floats at sample points from the exactly built
-terms, fitting the log-log scaling slope.
+finite and the residual is formed exactly, with the squared quantum scale
+treated as a formal bookkeeping power.  For trig potentials the sum is
+truncated at a configurable depth and, with a concrete seed, the residual
+is formed in floats at sample points from the exactly built terms, fitting
+the log-log scaling slope.
 
-The source sum here is coded directly from the transformed equation, on
-purpose not sharing the series engine's recursion routine.
+The exact residual takes its source sum from the series engine
+(series.recursion_rhs), so it checks the quadratures and the closed-form
+first correction, not the recursion itself; the float residual codes the
+transformed equation pointwise.  The change from (x, p) to (x, H) variables
+is checked on its own by tests/test_moyal.py.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .ring import RingElem
 from .series import (SeriesTerm, WignerSeries, potential_derivatives,
-                     recursion_weight)
+                     recursion_rhs, recursion_weight)
 
 
 class SymbolicResidualError(ValueError):
@@ -46,53 +47,27 @@ class ResidualReport:
     passed: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "claimed_order": self.claimed_order,
-            "observed_order": self.observed_order,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "hbar_values": list(self.hbar_values),
-            "max_residuals": list(self.max_residuals),
-            "term_census": {str(k): v for k, v in self.term_census.items()},
-            "roundoff_floor": self.roundoff_floor,
-            "passed": self.passed,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
+        doc = asdict(self)
+        doc["term_census"] = {str(k): v for k, v in self.term_census.items()}
+        return doc
 
 
 def residual_powers(series: WignerSeries, j_cap: int) -> dict[int, SeriesTerm]:
     """Residual terms R_s by formal power, residual = sum_s hbar^(2s) R_s.
 
-    R_s collects d/dx of f_s (when s <= truncation order) minus every source
-    contribution with total power s = l + j, for j up to j_cap.
+    R_s is d/dx of f_s (zero above the truncation order) minus the engine's
+    source sum of power s, recursion_rhs truncated at j_cap.
     """
     terms = series.terms
-    order = series.order
     v_derivs = potential_derivatives(series.potential, 2 * j_cap + 1)
     residual: dict[int, SeriesTerm] = {}
-    for s in range(order + j_cap + 1):
-        if s <= order:
-            residual[s] = terms[s].d_dx()
-        else:
-            residual[s] = SeriesTerm.zero()
-    for l in range(order + 1):
-        dh = [terms[l]]
-        for j in range(1, j_cap + 1):
-            odd_deriv = v_derivs[2 * j + 1]
-            if odd_deriv.is_zero():
-                continue
-            while len(dh) <= 2 * j + 1:
-                dh.append(dh[-1].d_dh())
-            source = SeriesTerm.zero()
-            for k in range(j + 1):
-                piece = dh[2 * j - k + 1].mul_h_minus_v(series.potential, j - k)
-                source = source + piece.scale(recursion_weight(j, k))
-            source = source.scale_ring(odd_deriv).scale(Fraction(-1, 2) ** j)
-            residual[l + j] = residual[l + j] - source
-    return {s: r for s, r in residual.items() if not r.is_zero()}
+    for s in range(series.order + j_cap + 1):
+        r = terms[s].d_dx() if s <= series.order else SeriesTerm.zero()
+        if s > 0:
+            r = r - recursion_rhs(series.potential, terms, s, v_derivs, j_cap)
+        if not r.is_zero():
+            residual[s] = r
+    return residual
 
 
 def residual_symbolic(series: WignerSeries) -> ResidualReport:
@@ -127,70 +102,53 @@ def _sample_points(samples, rng_seed: int = 20230817):
     return np.asarray(xs, dtype=float), np.asarray(hs, dtype=float)
 
 
-def _add_cell(cells: dict, mj: tuple[int, int], values) -> None:
-    cells[mj] = cells[mj] + values if mj in cells else values
-
-
-def _float_d_dh(cells: dict) -> dict:
-    """Energy derivative of float cells, same index algebra as SeriesTerm.d_dh."""
-    out: dict = {}
-    for (m, j), c in cells.items():
-        if m > 0:
-            _add_cell(out, (m - 1, j), m * c)
-        _add_cell(out, (m, j + 1), c)
-    return out
-
-
 def residual_samples(series: WignerSeries, seed, xs, hs,
                      j_cap: int) -> tuple[dict[int, np.ndarray], dict[int, int]]:
     """Residual R_s sampled at (xs, hs) per formal power s, and its census.
 
-    The same sum as residual_powers, formed in floats: each cell c_{m,j} of
-    the exact terms, V and V^(2j+1) are evaluated once at xs, the energy
-    derivatives and (H - V)^k factors act on float cells, and each cell is
-    weighted by f0^(j)(hs) at the end.  The census maps 2s to the number of
-    (m, j) cells summed at that power.
+    The transformed equation evaluated pointwise in floats.  The energy
+    derivatives d^r f_l/dH^r (r <= 2 j_cap + 1) come from the Leibniz rule on
+    each exact cell c_{m,j}(x) H^m f0^(j)(H); the source of power s is
+    sum_j (-1/2)^j V^(2j+1) sum_k w(j,k) (H-V)^(j-k) d^(2j-k+1)f_{s-j}/dH^(2j-k+1)
+    with H - V a float, and d/dx f_s goes through SeriesTerm.evaluate.  The
+    census maps 2s to the number of exact cells sampled at that power: those
+    of d/dx f_s and those of each lower order entering its source.
     """
     xs = np.asarray(xs, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    order = series.order
+    terms, order = series.terms, series.order
     v_derivs = potential_derivatives(series.potential, 2 * j_cap + 1)
     factors = {j: (-0.5) ** j * v_derivs[2 * j + 1].evaluate(xs)
                for j in range(1, j_cap + 1) if not v_derivs[2 * j + 1].is_zero()}
-    neg_v = -series.potential.evaluate(xs)
-    neg_v_pow = [1.0]
-    for _ in range(j_cap):
-        neg_v_pow.append(neg_v_pow[-1] * neg_v)
-    sources: dict[int, dict] = {s: {} for s in range(order + j_cap + 1)}
-    for l, term in enumerate(series.terms):
-        dh = [{mj: c.evaluate(xs) for mj, c in term.cells()}]
-        for j, factor in factors.items():
-            while len(dh) <= 2 * j + 1:
-                dh.append(_float_d_dh(dh[-1]))
-            part: dict = {}
-            for k in range(j + 1):
-                power = j - k
-                weight = float(recursion_weight(j, k))
-                for (m, jj), c in dh[2 * j - k + 1].items():
-                    for i in range(power + 1):
-                        _add_cell(part, (m + i, jj), (weight * math.comb(power, i))
-                                  * neg_v_pow[power - i] * c)
-            for mj, c in part.items():
-                _add_cell(sources[l + j], mj, factor * c)
-    f0_derivs: dict[int, np.ndarray] = {}
+    r_max = 2 * max(factors, default=0) + 1
+    h_minus_v = hs - series.potential.evaluate(xs)
+    f0 = [seed.f0_deriv(n, hs) for n in range(series.max_deriv_order() + r_max + 1)]
+    dh = []     # dh[l][r] = d^r f_l/dH^r at the samples
+    for term in terms:
+        rows = [np.zeros_like(xs) for _ in range(r_max + 1)]
+        for (m, j), c in term.cells():
+            c_x = c.evaluate(xs)
+            for r in range(r_max + 1):
+                for i in range(min(r, m) + 1):
+                    rows[r] = rows[r] + (math.comb(r, i) * math.perm(m, i)) \
+                        * c_x * hs ** (m - i) * f0[j + r - i]
+        dh.append(rows)
     samples, census = {}, {}
-    for s, cells in sources.items():
-        d_dx = series.terms[s].d_dx() if s <= order else SeriesTerm.zero()
-        count = len(d_dx.cells()) + len(cells)
-        if not count:
-            continue
+    for s in range(order + j_cap + 1):
+        d_dx = terms[s].d_dx() if s <= order else SeriesTerm.zero()
         total = np.zeros_like(xs) + d_dx.evaluate(seed, xs, hs)
-        for (m, j), c in cells.items():
-            if j not in f0_derivs:
-                f0_derivs[j] = seed.f0_deriv(j, hs)
-            total = total - c * hs**m * f0_derivs[j]
-        samples[s] = total
-        census[2 * s] = count
+        count = len(d_dx.cells())
+        for j, factor in factors.items():
+            if not 0 <= s - j <= order:
+                continue
+            lower = dh[s - j]
+            source = sum(float(recursion_weight(j, k)) * h_minus_v ** (j - k)
+                         * lower[2 * j - k + 1] for k in range(j + 1))
+            total = total - factor * source
+            count += len(terms[s - j].cells())
+        if count:
+            samples[s] = total
+            census[2 * s] = count
     return samples, census
 
 
@@ -202,7 +160,7 @@ def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
     are exact; the source sum is formed in floats at the sample points by
     residual_samples, so no finite differencing enters.  The fitted log-log
     slope should be close to the claimed order 2L + 2.  The term census
-    counts the float (m, j) cells summed at each power.
+    counts the exact cells sampled at each power.
     """
     hbars = [float(h) for h in hbar_list]
     if len(hbars) < 4 or min(hbars) <= 0:

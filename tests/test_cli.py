@@ -221,14 +221,24 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (EVALUATE + ["--prange=-3,inf,11"], None, "finite"),
     (EVALUATE + ["--qrange=-inf,3,11"], None, "finite"),
     (EVALUATE[:5], {"grid": {"p_max": float("inf")}}, "finite"),
+    (["verify", "--potential", "modulated", "--order", "3", "--j-max", "2"], None,
+     "--j-max"),
+    (["verify", "--potential", "modulated", "--mode", "symbolic"], None,
+     "--mode symbolic"),
+    (["verify", "--series", "series.json", "--j-max", "2"], None, "--j-max"),
+    (["expand", "--potential", "(q+1)^65"], None, "exponent 65"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
         "flag-of-another-command", "negative-hbar-list", "zero-samples",
         "zero-j-max", "negative-j-max", "infinite-hbar", "infinite-hbar-list",
         "infinite-p-bound", "infinite-q-bound",
-        "infinite-grid-in-file"])
+        "infinite-grid-in-file", "j-max-below-order", "symbolic-trig",
+        "series-j-max-below-order", "exponent-over-cap"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
+    if "series.json" in argv:
+        assert run(["expand", "--potential", "modulated", "--order", "2",
+                    "--out", "."]) == 0
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv = argv + ["--config", "config.json"]

@@ -74,11 +74,20 @@ def test_division_by_pi_constant():
     ("q @ 2", "syntax error"),
     ("exp(q)", "syntax error"),
     ("q^(1/2)", "syntax error"),
+    ("q^65", "exponent 65 exceeds 64"),
+    ("(sin(q) + 1)^65", "exponent 65 exceeds 64"),
+    ("(q^2 + 1)^33", "x-degree 66 exceeds 64"),
+    ("((q + 1)^8)^9", "x-degree 72 exceeds 64"),
 ])
 def test_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_potential(text)
     assert fragment in str(err.value)
+
+
+def test_powers_at_the_cap_parse():
+    assert parse_potential("((q + 1)^8)^8") == parse_potential("(q + 1)^64")
+    assert parse_potential("cos(q)^64").x_degree() == 0
 
 
 def test_error_carries_position():

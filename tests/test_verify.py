@@ -125,6 +125,17 @@ def test_float_residual_matches_exact_powers(potential, order, convention):
         assert abs(values - reference).max() <= 1e-12 * scale, s
 
 
+def test_numeric_census_counts_sampled_cells():
+    # goldstone: V^(3) = 6q keeps j = 1 and V^(5) = 0 drops j = 2.  f_0 has
+    # one cell (0,0); the closed-form f_1 has three, (0,2), (1,3) and (0,3),
+    # all x-dependent, so d/dx f_1 keeps three.  Power 2 samples d/dx f_1 (3)
+    # and f_0 through j = 1 (1); power 4 samples f_1 through j = 1 (3);
+    # power 6 would take f_1 through j = 2 only, so it is absent.
+    series = build_series(GOLDSTONE, 1, "paper")
+    xs, hs = _sample_points(8)
+    assert residual_samples(series, FD, xs, hs, 2)[1] == {2: 4, 4: 3}
+
+
 def test_numeric_detects_sign_flip_in_highest_term():
     # a 1e-3 scaling of this cell is not caught in this hbar window; a sign
     # flip leaves an hbar^6 residual (fitted slope about 6.84 < 7.5)
