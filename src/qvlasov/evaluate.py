@@ -16,6 +16,9 @@ import numpy as np
 
 from .series import WignerSeries
 
+# Most points a grid may hold (2001 x 2001), which bounds a field's arrays.
+MAX_GRID_POINTS = 2001 * 2001
+
 
 class NormalizationError(RuntimeError):
     """Grid integral of the field is non-positive or not finite."""
@@ -40,6 +43,9 @@ class GridSpec:
             raise ValueError("grid bounds must satisfy min < max")
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError("grids need at least 2 points per axis")
+        if self.n_q * self.n_p > MAX_GRID_POINTS:
+            raise ValueError(f"a {self.n_q}x{self.n_p} grid exceeds "
+                             f"{MAX_GRID_POINTS} points")
 
     def q_axis(self) -> np.ndarray:
         return np.linspace(self.q_min, self.q_max, self.n_q)

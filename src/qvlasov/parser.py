@@ -10,8 +10,8 @@ Grammar (q is the position variable):
 Numbers are unsigned integers or decimal literals (parsed exactly as
 rationals); fractions are written with "/". Division is only defined by
 nonzero invertible constants, trig arguments must reduce to a constant
-times q, and an exponent may not exceed MAX_POWER nor raise the x-degree
-past it.
+times q, an exponent may not exceed MAX_POWER nor raise the x-degree past
+it, and no product may form more than MAX_PRODUCT_PAIRS monomial pairs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from .ring import Coefficient, Monomial, RingElem, RingError
 
 
 # Largest exponent, and largest x-degree a power may reach, so parsing work
-# stays bounded: (q+1)^64 parses in about 0.1 s.
+# stays bounded: (q+1)^64 parses in about 0.01 s.
 MAX_POWER = 64
+# Most monomial pairs one product (in "*" or "^") may form; 64 by 64 terms.
+MAX_PRODUCT_PAIRS = 4096
 
 
 class ParseError(ValueError):
@@ -110,7 +112,7 @@ class _Parser:
             op, _, at = self.advance()
             rhs = self.factor()
             if op == "*":
-                result = result * rhs
+                result = _product(result, rhs, at)
             else:
                 if not rhs.is_constant():
                     raise ParseError("division by non-constant", at)
@@ -139,7 +141,9 @@ class _Parser:
             if n * base.x_degree() > MAX_POWER:
                 raise ParseError(f"power of x-degree {n * base.x_degree()} "
                                  f"exceeds {MAX_POWER}", tok[2])
-            base = base ** n
+            base, factor = RingElem.one(), base
+            for _ in range(n):
+                base = _product(base, factor, tok[2])
         return base
 
     def base(self) -> RingElem:
@@ -161,6 +165,14 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError("syntax error: unexpected token", at)
+
+
+def _product(a: RingElem, b: RingElem, at: int) -> RingElem:
+    pairs = a.term_count() * b.term_count()
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ParseError(f"product of {pairs} monomial pairs exceeds "
+                         f"{MAX_PRODUCT_PAIRS}", at)
+    return a * b
 
 
 def _trig_of(kind: str, arg: RingElem, at: int) -> RingElem:

@@ -11,8 +11,8 @@ equality instead of within a float tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,18 +30,28 @@ def _as_fraction(value) -> Fraction:
 
 
 class Coefficient:
-    """Exact constant: finitely many terms r * pi^e with rational r, integer e."""
+    """Exact constant: finitely many terms r * pi^e with rational r, integer e.
 
-    __slots__ = ("_terms",)
+    Stored as a tuple of (e, numerator, denominator) sorted by e, in lowest
+    terms with positive denominators and no zero terms, so equal values have
+    equal tuples.  Sums and products with a single-term operand, the only
+    kind build_series forms, use integer arithmetic on that tuple.
+    """
+
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for e, r in terms.items():
-                r = _as_fraction(r)
-                if r:
-                    clean[int(e)] = r
-        self._terms = clean
+        self._terms = _canonical({int(e): _as_fraction(r)
+                                  for e, r in (terms or {}).items()})
+        self._hash = None
+
+    @classmethod
+    def _of(cls, terms: tuple) -> "Coefficient":
+        """Trusted constructor: terms is already canonical."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self._hash = None
+        return self
 
     @classmethod
     def rational(cls, value) -> "Coefficient":
@@ -52,19 +62,17 @@ class Coefficient:
         return cls({exponent: _as_fraction(value)})
 
     def items(self):
-        return sorted(self._terms.items())
+        return [(e, Fraction(n, d)) for e, n, d in self._terms]
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {0: Fraction(1)}
+        return self._terms == ((0, 1, 1),)
 
     def is_negative(self) -> bool:
         """Canonical sign: the sign of the coefficient of the highest pi power."""
-        if not self._terms:
-            return False
-        return self._terms[max(self._terms)] < 0
+        return bool(self._terms) and self._terms[-1][1] < 0
 
     def __bool__(self):
         return bool(self._terms)
@@ -77,19 +85,29 @@ class Coefficient:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:
+            self._hash = hash(self._terms)
+        return self._hash
 
     def __add__(self, other):
         other = _coerce(other)
-        terms = dict(self._terms)
-        for e, r in other._terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + r
-        return Coefficient(terms)
+        a, b = self._terms, other._terms
+        if len(a) == 1 == len(b) and a[0][0] == b[0][0]:
+            (e, n1, d1), (_, n2, d2) = a[0], b[0]
+            n, d = n1 * d2 + n2 * d1, d1 * d2
+            if not n:
+                return ZERO
+            g = math.gcd(n, d)
+            return Coefficient._of(((e, n // g, d // g),))
+        terms = dict(self.items())
+        for e, r in other.items():
+            terms[e] = terms.get(e, 0) + r
+        return Coefficient._of(_canonical(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient({e: -r for e, r in self._terms.items()})
+        return Coefficient._of(tuple((e, -n, d) for e, n, d in self._terms))
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -99,12 +117,18 @@ class Coefficient:
 
     def __mul__(self, other):
         other = _coerce(other)
-        terms: dict[int, Fraction] = {}
-        for e1, r1 in self._terms.items():
-            for e2, r2 in other._terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, Fraction(0)) + r1 * r2
-        return Coefficient(terms)
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # shifting every term by one pi power keeps the order by e
+            ((e2, n2, d2),) = b
+            out = []
+            for e1, n1, d1 in a:
+                g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+                out.append((e1 + e2, (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
+            return Coefficient._of(tuple(out))
+        return sum((self * Coefficient._of((t,)) for t in b), ZERO)
 
     __rmul__ = __mul__
 
@@ -117,24 +141,25 @@ class Coefficient:
                 "constant is not invertible in the coefficient ring "
                 f"(multi-term pi sum: {self.as_text()})"
             )
-        ((e, r),) = self._terms.items()
-        return Coefficient({-e: 1 / r})
+        ((e, n, d),) = self._terms
+        return Coefficient._of(((-e, d, n) if n > 0 else (-e, -d, -n),))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
 
     def __float__(self):
-        return float(sum(float(r) * math.pi**e for e, r in self.items()))
+        # n / d is float(Fraction(n, d)): integer true division, rounded once
+        return float(sum(n / d * math.pi**e for e, n, d in self._terms))
 
     def sort_key(self):
-        return tuple((e, r.numerator, r.denominator) for e, r in self.items())
+        return self._terms
 
     def as_text(self, parenthesize: bool = False) -> str:
         """Render as an expression the potential grammar accepts."""
         if not self._terms:
             return "0"
         parts = []
-        for e, r in sorted(self._terms.items(), reverse=True):
+        for e, r in reversed(self.items()):
             body = _pi_term_text(e, abs(r))
             if not parts:
                 parts.append(body if r > 0 else "-" + body)
@@ -156,10 +181,17 @@ class Coefficient:
         return f"Coefficient({self.as_text()})"
 
 
+def _canonical(terms: dict) -> tuple:
+    """Canonical term tuple of a {pi power: Fraction} dict."""
+    return tuple((e, r.numerator, r.denominator) for e, r in sorted(terms.items()) if r)
+
+
 def _coerce(value) -> Coefficient:
     if isinstance(value, Coefficient):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
+        return Coefficient._of(((0, int(value), 1),) if value else ())
+    if isinstance(value, Fraction):
         return Coefficient.rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Coefficient")
 
@@ -181,8 +213,7 @@ HALF = Coefficient.rational(Fraction(1, 2))
 _TRIG_RANK = {None: 0, "cos": 1, "sin": 2}
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Basis monomial x^n, x^n*sin(k*x) or x^n*cos(k*x), in canonical form."""
 
     xpow: int
@@ -211,12 +242,19 @@ def _accumulate(terms: dict, xpow: int, trig: str | None, k: Coefficient | None,
             k = -k
             if trig == "sin":
                 coeff = -coeff
-    mono = Monomial(xpow, trig, k)
-    total = terms.get(mono, ZERO) + coeff
-    if total.is_zero():
-        terms.pop(mono, None)
-    else:
+    _add_term(terms, Monomial(xpow, trig, k), coeff)
+
+
+def _add_term(terms: dict, mono: Monomial, coeff: Coefficient) -> None:
+    total = terms.get(mono)
+    if total is None:
+        terms[mono] = coeff
+        return
+    total = total + coeff
+    if total._terms:
         terms[mono] = total
+    else:
+        del terms[mono]
 
 
 class RingElem:
@@ -226,6 +264,13 @@ class RingElem:
 
     def __init__(self, terms: dict[Monomial, Coefficient] | None = None):
         self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, terms: dict) -> "RingElem":
+        """Trusted constructor: terms has no zero coefficients."""
+        self = object.__new__(cls)
+        self._terms = terms
+        return self
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -294,15 +339,11 @@ class RingElem:
     def __add__(self, other):
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            total = terms.get(m, ZERO) + c
-            if total.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = total
-        return RingElem(terms)
+            _add_term(terms, m, c)
+        return RingElem._of(terms)
 
     def __neg__(self):
-        return RingElem({m: -c for m, c in self._terms.items()})
+        return RingElem._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -311,7 +352,8 @@ class RingElem:
         factor = _coerce(factor)
         if factor.is_zero():
             return RingElem()
-        return RingElem({m: c * factor for m, c in self._terms.items()})
+        # Q[pi, 1/pi] has no zero divisors, so no product vanishes
+        return RingElem._of({m: c * factor for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Coefficient)):
@@ -320,17 +362,9 @@ class RingElem:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 _mul_terms(terms, m1, m2, c1 * c2)
-        return RingElem(terms)
+        return RingElem._of(terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise RingError("negative powers are outside the ring")
-        out = RingElem.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def ddx(self) -> "RingElem":
         """Exact derivative with respect to x."""
@@ -342,7 +376,7 @@ class RingElem:
                 _accumulate(terms, m.xpow, "cos", m.wavenumber, c * m.wavenumber)
             elif m.trig == "cos":
                 _accumulate(terms, m.xpow, "sin", m.wavenumber, -(c * m.wavenumber))
-        return RingElem(terms)
+        return RingElem._of(terms)
 
     def integrate(self) -> "RingElem":
         """Exact antiderivative F with ddx(F) = self, anchored so F(0) = 0."""
@@ -352,7 +386,7 @@ class RingElem:
                 _accumulate(terms, m.xpow + 1, None, None, c / (m.xpow + 1))
             else:
                 _integrate_trig(terms, m.xpow, m.trig, m.wavenumber, c)
-        result = RingElem(terms)
+        result = RingElem._of(terms)
         at_zero = result.eval_exact(Fraction(0))
         if not at_zero.is_zero():
             result = result - RingElem.constant(at_zero)
@@ -473,16 +507,19 @@ def _mul_terms(terms: dict, m1: Monomial, m2: Monomial, coeff: Coefficient) -> N
 
 def _integrate_trig(terms: dict, n: int, trig: str, k: Coefficient,
                     coeff: Coefficient) -> None:
-    """Integration-by-parts recursion for x^n sin(kx) and x^n cos(kx)."""
+    """Integration by parts for x^n sin(kx) and x^n cos(kx), one x power a step:
+    the integral of x^n sin(kx) is -x^n cos(kx)/k + n/k times that of
+    x^(n-1) cos(kx), and of x^n cos(kx) it is x^n sin(kx)/k - n/k times that of
+    x^(n-1) sin(kx)."""
     inv_k = k.inverse()
-    if trig == "sin":
-        _accumulate(terms, n, "cos", k, -(coeff * inv_k))
-        if n > 0:
-            _integrate_trig(terms, n - 1, "cos", k, coeff * inv_k * n)
-    else:
-        _accumulate(terms, n, "sin", k, coeff * inv_k)
-        if n > 0:
-            _integrate_trig(terms, n - 1, "sin", k, -(coeff * inv_k * n))
+    for i in range(n, -1, -1):
+        out = coeff * inv_k
+        if trig == "sin":
+            trig, out = "cos", -out
+        else:
+            trig = "sin"
+        _add_term(terms, Monomial(i, trig, k), out)     # k is already canonical
+        coeff = out * -i
 
 
 def _term_text(m: Monomial, coeff: Coefficient) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .parser import parse_potential
 from .ring import RingElem
@@ -100,17 +100,8 @@ class SeriesTerm:
 
     def mul_h_minus_v(self, potential: RingElem, power: int) -> "SeriesTerm":
         """Multiply by (H - V(x))^power via exact binomial expansion."""
-        if power == 0:
-            return self
-        neg_v_pow = [RingElem.one()]
-        for _ in range(power):
-            neg_v_pow.append(neg_v_pow[-1] * (-potential))
         cells: dict[tuple[int, int], RingElem] = {}
-        for (m, j), c in self._cells.items():
-            for i in range(power + 1):
-                binom = Fraction(factorial(power),
-                                 factorial(i) * factorial(power - i))
-                _cell_add(cells, m + i, j, (c * neg_v_pow[power - i]).scale(binom))
+        _add_h_minus_v_product(cells, self, _neg_powers(potential, power), power, 1)
         return SeriesTerm(cells)
 
     def evaluate(self, seed, x, h):
@@ -146,6 +137,26 @@ def _cell_add(cells: dict, m: int, j: int, c: RingElem) -> None:
         cells[(m, j)] = total
 
 
+def _neg_powers(potential: RingElem, power: int) -> list[RingElem]:
+    """[(-V)^0, ..., (-V)^power]."""
+    out = [RingElem.one()]
+    for _ in range(power):
+        out.append(out[-1] * -potential)
+    return out
+
+
+def _add_h_minus_v_product(cells: dict, t: SeriesTerm, neg_v_pow: list[RingElem],
+                           power: int, factor) -> None:
+    """Add factor * (H - V)^power * t to cells, with neg_v_pow[i] = (-V)^i.
+
+    The binomial and the scalar factor scale the small powers of V, so each
+    large product is formed in one pass."""
+    for i in range(power + 1):
+        v_part = neg_v_pow[power - i].scale(factor * comb(power, i))
+        for (m, j), c in t._cells.items():
+            _cell_add(cells, m + i, j, c * v_part)
+
+
 def recursion_weight(j: int, k: int) -> Fraction:
     """Exact weight 1 / (2^(2k) k! (2j - 2k + 1)!) of the (j, k) source term."""
     return Fraction(1, 2 ** (2 * k) * factorial(k) * factorial(2 * j - 2 * k + 1))
@@ -161,34 +172,44 @@ def potential_derivatives(potential: RingElem, up_to: int) -> list[RingElem]:
 
 def recursion_rhs(potential: RingElem, terms, l: int,
                   v_derivs: list[RingElem] | None = None,
-                  j_cap: int | None = None) -> SeriesTerm:
+                  j_cap: int | None = None, chains: dict | None = None,
+                  budget: int | None = None) -> SeriesTerm:
     """Exact x-derivative of the order-l term, from the lower orders in terms.
 
     Implements the source sum over j of
     (-1/2)^j V^(2j+1) sum_k w(j,k) (H-V)^(j-k) d^(2j-k+1)/dH^(2j-k+1) f_{l-j},
     with j from max(1, l - len(terms) + 1) to min(l, j_cap): orders missing
     from terms count as zero, and j_cap (default l) truncates the sum.
+    chains maps i to the d/dH chain [f_i, d/dH f_i, ...] of terms[i]; it is
+    extended here, so calls on the same terms may share one dict.  A source
+    that grows past budget monomials raises TermBudgetError.
     """
     if l < 1:
         raise ValueError("recursion starts at order 1")
     j_top = l if j_cap is None else min(l, j_cap)
     if v_derivs is None:
         v_derivs = potential_derivatives(potential, 2 * j_top + 1)
-    total = SeriesTerm.zero()
+    if chains is None:
+        chains = {}
+    neg_v_pow = _neg_powers(potential, j_top)
+    total: dict[tuple[int, int], RingElem] = {}
     for j in range(max(1, l - len(terms) + 1), j_top + 1):
         odd_deriv = v_derivs[2 * j + 1]
         if odd_deriv.is_zero():
             continue
-        lower = terms[l - j]
-        dh = [lower]
-        for _ in range(2 * j + 1):
+        dh = chains.setdefault(l - j, [terms[l - j]])
+        while len(dh) < 2 * j + 2:
             dh.append(dh[-1].d_dh())
-        part = SeriesTerm.zero()
+        part: dict[tuple[int, int], RingElem] = {}
         for k in range(j + 1):
-            contribution = dh[2 * j - k + 1].mul_h_minus_v(potential, j - k)
-            part = part + contribution.scale(recursion_weight(j, k))
-        total = total + part.scale_ring(odd_deriv).scale(Fraction(-1, 2) ** j)
-    return total
+            _add_h_minus_v_product(part, dh[2 * j - k + 1], neg_v_pow, j - k,
+                                   recursion_weight(j, k) * Fraction(-1, 2) ** j)
+        for (m, jj), c in part.items():
+            _cell_add(total, m, jj, c * odd_deriv)
+        if budget is not None and sum(c.term_count() for c in total.values()) > budget:
+            raise TermBudgetError(f"order-{l} source exceeded the remaining budget "
+                                  f"of {budget} monomials")
+    return SeriesTerm(total)
 
 
 def integrate_term(t: SeriesTerm, convention: str = "paper",
@@ -298,12 +319,14 @@ def build_series(potential: RingElem, order: int, convention: str = "paper",
     x_ref = Fraction(x_ref)
     v_derivs = potential_derivatives(potential, 2 * order + 1)
     terms = [SeriesTerm.unit()]
+    chains: dict[int, list[SeriesTerm]] = {}
     count = terms[0].term_count()
     for l in range(1, order + 1):
         if convention == "paper" and l == 1:
             f_l = closed_form_f1(potential)
         else:
-            source = recursion_rhs(potential, terms, l, v_derivs)
+            source = recursion_rhs(potential, terms, l, v_derivs, chains=chains,
+                                   budget=term_budget - count)
             f_l = integrate_term(source, convention, x_ref)
         if f_l.max_deriv_order() > 3 * l:
             raise AssertionError(

@@ -227,13 +227,16 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
      "--mode symbolic"),
     (["verify", "--series", "series.json", "--j-max", "2"], None, "--j-max"),
     (["expand", "--potential", "(q+1)^65"], None, "exponent 65"),
+    (["expand", "--potential", "((sin(q)+cos(2*q))^64)^2"], None, "monomial pairs"),
+    (EVALUATE + ["--qrange=-3,3,200001"], None, "exceeds 4004001 points"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
         "flag-of-another-command", "negative-hbar-list", "zero-samples",
         "zero-j-max", "negative-j-max", "infinite-hbar", "infinite-hbar-list",
         "infinite-p-bound", "infinite-q-bound",
         "infinite-grid-in-file", "j-max-below-order", "symbolic-trig",
-        "series-j-max-below-order", "exponent-over-cap"])
+        "series-j-max-below-order", "exponent-over-cap", "product-over-cap",
+        "grid-over-cap"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if "series.json" in argv:

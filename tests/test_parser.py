@@ -78,6 +78,10 @@ def test_division_by_pi_constant():
     ("(sin(q) + 1)^65", "exponent 65 exceeds 64"),
     ("(q^2 + 1)^33", "x-degree 66 exceeds 64"),
     ("((q + 1)^8)^9", "x-degree 72 exceeds 64"),
+    ("((sin(q) + cos(2*q))^64)^2", "16641 monomial pairs exceeds 4096"),
+    ("(sin(q) + cos(3*q))^32 * (sin(q) + cos(3*q))^32",
+     "9025 monomial pairs exceeds 4096"),
+    ("(q + 1)^64 * (q + 1)^64", "4225 monomial pairs exceeds 4096"),
 ])
 def test_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -88,6 +92,8 @@ def test_errors(text, fragment):
 def test_powers_at_the_cap_parse():
     assert parse_potential("((q + 1)^8)^8") == parse_potential("(q + 1)^64")
     assert parse_potential("cos(q)^64").x_degree() == 0
+    # its last product forms 128 x 2 pairs, far below MAX_PRODUCT_PAIRS
+    assert parse_potential("(sin(q) + cos(2*q))^64").term_count() == 129
 
 
 def test_error_carries_position():

@@ -234,6 +234,76 @@ def test_print_parse_identity(e):
     assert parse_potential(str(e)) == e
 
 
+# ------------------------------------------- Coefficient fast paths vs dicts
+
+_ratio = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 24))
+_single = st.builds(lambda e, r: {e: r}, st.integers(-3, 3), _ratio)
+_multi = st.dictionaries(st.integers(-3, 3), _ratio, min_size=2, max_size=3)
+pi_sums = st.one_of(_single, _multi)
+
+
+def _dict_add(a, b):
+    out = dict(a)
+    for e, r in b.items():
+        out[e] = out.get(e, 0) + r
+    return {e: r for e, r in out.items() if r}
+
+
+def _dict_mul(a, b):
+    out = {}
+    for e1, r1 in a.items():
+        for e2, r2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + r1 * r2
+    return {e: r for e, r in out.items() if r}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pi_sums, pi_sums)
+def test_fast_coefficient_algebra_matches_dict_algebra(a, b):
+    ca, cb = Coefficient(a), Coefficient(b)
+    assert dict(ca.items()) == a
+    assert dict((ca + cb).items()) == _dict_add(a, b)
+    assert dict((ca - cb).items()) == _dict_add(a, {e: -r for e, r in b.items()})
+    assert dict((ca * cb).items()) == _dict_mul(a, b)
+    assert dict((-ca).items()) == {e: -r for e, r in a.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(pi_sums)
+def test_sum_with_negation_is_canonical_zero(a):
+    c = Coefficient(a)
+    for zero in (c + (-c), (-c) + c, c - c):
+        assert zero.is_zero() and not zero and zero.items() == []
+        assert zero == Coefficient() and hash(zero) == hash(Coefficient())
+
+
+@settings(max_examples=100, deadline=None)
+@given(pi_sums, pi_sums)
+def test_equal_values_hash_equal(a, b):
+    ca, cb = Coefficient(a), Coefficient(b)
+    before = hash(ca), hash(cb)
+    pairs = [(ca + cb, Coefficient(_dict_add(a, b))),
+             (ca * cb, Coefficient(_dict_mul(a, b)))]
+    if len(a) == 1:
+        ((e, r),) = a.items()
+        pairs.append((ca.inverse(), Coefficient({-e: 1 / r})))
+    for fast, general in pairs:
+        assert fast == general and hash(fast) == hash(general)
+    assert (hash(ca), hash(cb)) == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(pi_sums, pi_sums)
+def test_monomials_from_either_form_share_a_key(a, b):
+    fast, general = Coefficient(a) * Coefficient(b), Coefficient(_dict_mul(a, b))
+    table = {Monomial(3, "sin", fast): "hit"}
+    assert table[Monomial(3, "sin", general)] == "hit"
+    one = Coefficient.rational(1)
+    total = RingElem({Monomial(1, "cos", fast): one}) \
+        + RingElem({Monomial(1, "cos", general): -one})
+    assert total.is_zero()
+
+
 # ------------------------------------------------------------- serialization
 
 def test_ring_json_roundtrip(rng):

@@ -1,12 +1,16 @@
 """Series engine: recursion, quadrature conventions, closed forms."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
+import qvlasov.series as series_module
 from qvlasov.ring import RingElem
 from qvlasov.series import (SeriesTerm, TermBudgetError, WignerSeries,
                             build_series, closed_form_f1, integrate_term,
@@ -207,6 +211,20 @@ def test_term_budget_enforced():
         build_series(GOLDSTONE, 3, "paper", term_budget=10)
 
 
+def test_term_budget_stops_inside_the_order_source(monkeypatch):
+    # order 5's source passes 1,900 monomials at its first j, so a budget
+    # 1,000 above the series through order 4 stops it before integration
+    v = resolve_potential("modulated:a=1/2")
+    budget = build_series(v, 4).term_count() + 1000
+    integrated = []
+    integrate = series_module.integrate_term
+    monkeypatch.setattr(series_module, "integrate_term",
+                        lambda t, *args: integrated.append(t) or integrate(t, *args))
+    with pytest.raises(TermBudgetError, match="order-5 source"):
+        build_series(v, 5, term_budget=budget)
+    assert len(integrated) == 3     # orders 2-4; order 1 is the closed form
+
+
 def test_build_series_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_series(GOLDSTONE, -1)
@@ -252,3 +270,17 @@ def test_series_json_is_deterministic():
     a = build_series(GOLDSTONE, 3, "paper").to_json()
     b = build_series(GOLDSTONE, 3, "paper").to_json()
     assert a == b
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "series_digests.json").read_text())
+
+
+def test_series_bytes_match_golden_digests():
+    # SHA-256 of WignerSeries.to_json(), recorded before the exact core was
+    # optimised: goldstone, quartic and harmonic at L <= 5 and modulated:a=1/2
+    # at L <= 3, both conventions
+    assert len(GOLDEN) == 2 * (3 * 6 + 4)
+    for key, digest in GOLDEN.items():
+        spec, order, convention = key.split()
+        series = build_series(resolve_potential(spec), int(order[2:]), convention)
+        assert hashlib.sha256(series.to_json().encode()).hexdigest() == digest, key
