@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import diagnostics as diag
 from .evaluate import (DEFAULT_GRID, GridSpec, NormalizationError, eval_field,
-                       write_field_csv, write_field_sidecar)
+                       order_grids, write_field_csv, write_field_sidecar)
 from .parser import ParseError
 from .potentials import resolve_potential
 from .ring import RingElem, RingError
@@ -264,9 +264,10 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.hbar_list:
         rows = []
+        orders = order_grids(series, cfg.seed, cfg.grid)
         for hbar in cfg.hbar_list:
             field_ = eval_field(series, cfg.seed, hbar, cfg.grid,
-                                seed_spec=cfg.seed_spec)
+                                seed_spec=cfg.seed_spec, orders=orders)
             q_value, bound, verdict = diag.q_functional(field_)
             rows.append((hbar, q_value, bound, verdict))
         sweep_path = cfg.out_dir / "qsweep.csv"

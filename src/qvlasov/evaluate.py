@@ -1,9 +1,11 @@
 """Numeric evaluation of an expansion on phase-space grids.
 
-Point and grid evaluation share one vectorized code path, so grid values are
-bit-identical to pointwise calls.  Cells are grouped by seed-derivative
-order; for each order the accumulated polynomial in H is evaluated by
-Horner's rule to limit cancellation.
+A field is sum_l hbar^(2l) F_l, where the per-order fields F_l do not depend
+on hbar.  Point and grid evaluation form the F_l by one routine and weight
+them by one helper, so grid values are bit-identical to pointwise calls.
+Cells are grouped by seed-derivative order; each derivative is formed once
+per block of points, and each order's polynomial in H multiplying it is
+evaluated by Horner's rule to limit cancellation.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeds import seed_derivatives
 from .series import WignerSeries
 
 # Most points a grid may hold (2001 x 2001), which bounds a field's arrays.
@@ -71,31 +74,73 @@ class GridSpec:
 DEFAULT_GRID = GridSpec(-4.0, 4.0, 401, -4.0, 4.0, 401)
 
 
-def _grouped_cells(series: WignerSeries, hbar: float):
-    """Collapse all orders into per-(j, m) lists of (hbar^(2l), ring elem)."""
-    groups: dict[int, dict[int, list]] = {}
+# Points per block of the per-order fill: a block's derivative table and
+# temporaries stay small, while numpy's per-call overhead stays amortised.
+BLOCK_POINTS = 1 << 13
+
+
+def _cells_by_j(series: WignerSeries, q):
+    """{j: [(l, [c_{l,m,j}(q) or None for m = 0..max m])]} over the series' cells."""
+    by_j: dict[int, list] = {}
     for l, term in enumerate(series.terms):
-        weight = hbar ** (2 * l)
-        if l > 0 and weight == 0.0:
-            continue
+        polys: dict[int, dict] = {}
         for (m, j), c in term.cells():
-            groups.setdefault(j, {}).setdefault(m, []).append((weight, c))
-    return groups
+            polys.setdefault(j, {})[m] = c.evaluate(q)
+        for j, by_m in polys.items():
+            by_j.setdefault(j, []).append(
+                (l, [by_m.get(m) for m in range(max(by_m) + 1)]))
+    return by_j
 
 
-def _series_eval(series: WignerSeries, seed, hbar: float, q, h):
-    """Sum over orders of hbar^(2l) f_l at position q and energy h."""
-    groups = _grouped_cells(series, hbar)
-    total = np.zeros(np.broadcast(np.asarray(q, float), np.asarray(h, float)).shape)
-    for j in sorted(groups):
-        by_power = groups[j]
-        val = 0.0
-        for m in range(max(by_power), -1, -1):
-            coeff = 0.0
-            for weight, c in by_power.get(m, ()):
-                coeff = coeff + weight * c.evaluate(q)
-            val = val * h + coeff
-        total = total + val * seed.f0_deriv(j, h)
+def _block_orders(n_orders: int, by_j, rows, seed, h) -> np.ndarray:
+    """F_0..F_{n_orders-1}, F_l = sum_(m,j) c_{l,m,j} H^m f0^(j)(H), at the
+    energies h of one block; rows selects the block from by_j's coefficients.
+
+    Each seed derivative is formed once and goes into every order that uses
+    it; the polynomial in H of each (l, j) is summed by Horner's rule.
+    """
+    out = np.zeros((n_orders,) + h.shape)
+    table = seed_derivatives(seed, h, max(by_j))
+    for j, d in enumerate(table):
+        for l, coeffs in by_j.get(j, ()):
+            val = coeffs[-1][rows]
+            for c in coeffs[-2::-1]:
+                val = val * h
+                if c is not None:
+                    val = val + c[rows]
+            out[l] += val * d
+    return out
+
+
+def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
+    """(rows, F_0..F_L on those grid rows) for successive blocks of rows; the
+    cell coefficients are evaluated once on the q axis."""
+    q = grid.q_axis()[:, None]
+    h = 0.5 * grid.p_axis()[None, :] ** 2 + series.potential.evaluate(q)
+    by_j = _cells_by_j(series, q)
+    step = max(1, BLOCK_POINTS // grid.n_p)
+    for start in range(0, grid.n_q, step):
+        rows = slice(start, start + step)
+        yield rows, _block_orders(len(series.terms), by_j, rows, seed, h[rows])
+
+
+def order_grids(series: WignerSeries, seed, grid: GridSpec) -> np.ndarray:
+    """Per-order fields F_0..F_L on the grid, stacked; a field at any hbar is
+    sum_l hbar^(2l) F_l, so one set serves a whole hbar sweep."""
+    out = np.empty((len(series.terms), grid.n_q, grid.n_p))
+    for rows, block in _grid_blocks(series, seed, grid):
+        out[:, rows] = block
+    return out
+
+
+def _weighted_sum(orders, hbar: float):
+    """sum_l hbar^(2l) F_l; zero weights are skipped, so hbar = 0 gives F_0
+    exactly even where a higher order is not finite."""
+    total = orders[0] * 1.0
+    for l in range(1, len(orders)):
+        weight = hbar ** (2 * l)
+        if weight != 0.0:
+            total += weight * orders[l]
     return total
 
 
@@ -103,9 +148,17 @@ def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     """Wigner-function values at arrays of phase-space points (elementwise)."""
     if hbar < 0:
         raise ValueError("hbar must be nonnegative")
-    q = np.asarray(q, dtype=float)
-    h = 0.5 * np.asarray(p, dtype=float) ** 2 + series.potential.evaluate(q)
-    return _series_eval(series, seed, hbar, q, h)
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    shape = q.shape
+    q, p = q.ravel(), p.ravel()
+    h = 0.5 * p ** 2 + series.potential.evaluate(q)
+    values = np.empty(q.size)
+    for start in range(0, q.size, BLOCK_POINTS):
+        rows = slice(start, start + BLOCK_POINTS)
+        block = _block_orders(len(series.terms), _cells_by_j(series, q[rows]),
+                              slice(None), seed, h[rows])
+        values[rows] = _weighted_sum(block, hbar)
+    return values.reshape(shape)
 
 
 def eval_point(series: WignerSeries, seed, hbar: float, q: float, p: float) -> float:
@@ -134,15 +187,21 @@ class WignerField:
 
 def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
                normalize: bool = True, seed_spec: str = "",
-               series_meta: dict | None = None) -> WignerField:
-    """Dense evaluation on the grid, optionally normalized to unit integral."""
+               series_meta: dict | None = None, orders=None) -> WignerField:
+    """Dense evaluation on the grid, optionally normalized to unit integral.
+
+    ``orders`` takes the grid's order_grids(series, seed, grid) when the
+    caller already has them (an hbar sweep).  Without them the field is
+    summed block by block, so only one block's F_l are held at a time.
+    """
     if hbar < 0:
         raise ValueError("hbar must be nonnegative")
-    q = grid.q_axis()
-    p = grid.p_axis()
-    v_q = series.potential.evaluate(q)
-    h = 0.5 * p[None, :] ** 2 + v_q[:, None]
-    values = _series_eval(series, seed, hbar, q[:, None], h)
+    if orders is None:
+        values = np.empty((grid.n_q, grid.n_p))
+        for rows, block in _grid_blocks(series, seed, grid):
+            values[rows] = _weighted_sum(block, hbar)
+    else:
+        values = _weighted_sum(orders, hbar)
     norm = grid.integral(values)
     if normalize:
         if not np.isfinite(norm) or norm <= 0:
@@ -156,15 +215,11 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
 
 def write_field_csv(field: WignerField, path) -> None:
     """Row-major q,p,f rows with round-trip float formatting."""
-    q = field.q_axis()
-    p = field.p_axis()
+    p_cols = [f",{v!r}," for v in field.p_axis().tolist()]
     with open(path, "w") as fh:
         fh.write("q,p,f\n")
-        for i in range(field.grid.n_q):
-            qi = repr(float(q[i]))
-            row = field.values[i]
-            for k in range(field.grid.n_p):
-                fh.write(f"{qi},{float(p[k])!r},{float(row[k])!r}\n")
+        for qi, row in zip(map(repr, field.q_axis().tolist()), field.values):
+            fh.write("".join([f"{qi}{pk}{v!r}\n" for pk, v in zip(p_cols, row.tolist())]))
 
 
 def field_sidecar_dict(field: WignerField, provenance: dict | None = None) -> dict:

@@ -9,7 +9,15 @@ the j-th derivative is a polynomial P_j(f0) with exact rational coefficients:
     Bose-Einstein:      g' = -g(1 + g)
 
 with the fugacity folded into the energy through mu = ln z.  The polynomials
-are generated once by P_{j+1} = P_j' * P_1 and cached.
+are generated once per seed by P_{j+1} = P_j' * P_1 and cached on it.
+
+Fermi-Dirac derivatives are evaluated at g <= 1/2 only, through the
+reflection f0^(j)(t) = (-1)^(j+1) f0^(j)(-t) (j >= 1, t = H - mu): there the
+alternating P_j cancel far less.  Near t = 0 they still lose up to 12
+digits at j = 30, so the high orders are summed over the poles of f0
+there instead.  Only numpy is imported; the calibration's Fermi-Dirac
+integral is a composite Gauss-Legendre rule and its root solve is plain
+Python.
 """
 
 from __future__ import annotations
@@ -19,9 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import expit
 
 _KINDS = ("mb", "fd", "be")
 
@@ -34,10 +39,6 @@ _P1 = {
 
 class SeedDomainError(ValueError):
     """Energy argument outside the seed's domain (Bose-Einstein pole)."""
-
-
-class DerivativeOrderError(ValueError):
-    """Requested derivative order exceeds the configured cache limit."""
 
 
 def _poly_derivative(coeffs):
@@ -54,6 +55,54 @@ def _poly_multiply(a, b):
     return tuple(out)
 
 
+def _logistic(x):
+    """1 / (1 + exp(-x)) elementwise; where exp overflows the value is its limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _plain(value):
+    """A float for scalar input, the array otherwise."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+# Fermi-Dirac orders from _POLE_ORDER up are summed over the poles where
+# |t| <= _POLE_RADIUS: there the alternating P_j(g) lose up to 12 digits
+# (j = 30), while the pole sums keep relative-to-maximum errors near 1e-15.
+# Beyond the radius Horner's rule at g <= 1/2 is the more accurate of the two.
+_POLE_ORDER = 12
+_POLE_RADIUS = 4.0
+
+
+def _pole_count(j: int) -> int:
+    """Poles k = 0..n-1 that carry f0^(j) to 1e-17 of the leading pole's term."""
+    return max(2, math.ceil((10.0 ** (17.0 / j) - 1.0) / 2.0))
+
+
+def _fd_pole_derivatives(t, j_max: int) -> list:
+    """[f0^(j)(t) for _POLE_ORDER <= j <= j_max] of the Fermi-Dirac seed.
+
+    From the Mittag-Leffler expansion 1/(1 + e^t) = 1/2 - sum_k 1/(t - a_k),
+    a_k = i pi (2k + 1) over all integers k taken in conjugate pairs:
+    f0^(j)(t) = (-1)^(j+1) 2 j! Re sum_{k>=0} (t - a_k)^-(j+1).  The terms
+    do not cancel near t = 0; each order multiplies each pole's power once.
+    """
+    if j_max < _POLE_ORDER:
+        return []
+    inv = [1.0 / (t - 1j * math.pi * (2 * k + 1)) for k in range(_pole_count(_POLE_ORDER))]
+    powers = [w ** (_POLE_ORDER + 1) for w in inv]
+    out = []
+    for j in range(_POLE_ORDER, j_max + 1):
+        n = _pole_count(j)
+        if j > _POLE_ORDER:
+            powers = [p * w for p, w in zip(powers[:n], inv)]
+        total = powers[n - 1]
+        for p in powers[n - 2::-1]:
+            total = total + p
+        out.append((-1.0) ** (j + 1) * 2.0 * math.factorial(j) * total.real)
+    return out
+
+
 class SeedDistribution:
     """Energy-only distribution f0(H) with exact higher derivatives.
 
@@ -63,12 +112,9 @@ class SeedDistribution:
         Maxwell-Boltzmann, Fermi-Dirac or Bose-Einstein.
     z : float
         Fugacity (> 0; Bose-Einstein additionally requires z < 1).
-    max_order : int, optional
-        If given, f0_deriv raises for orders beyond it instead of extending
-        the polynomial cache on demand.
     """
 
-    def __init__(self, kind: str, z: float = 1.0, max_order: int | None = None):
+    def __init__(self, kind: str, z: float = 1.0):
         if kind not in _KINDS:
             raise ValueError(f"unknown seed kind {kind!r}; expected one of {_KINDS}")
         if not (z > 0):
@@ -78,7 +124,6 @@ class SeedDistribution:
         self.kind = kind
         self.z = float(z)
         self.mu = math.log(z)
-        self.max_order = max_order
         self._polys: list[tuple[Fraction, ...]] = [(Fraction(0), Fraction(1)), _P1[kind]]
         self._float_polys: dict[int, np.ndarray] = {}
 
@@ -86,9 +131,6 @@ class SeedDistribution:
         """Exact coefficients of P_j, with f0^(j) = P_j(f0)."""
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
-        if self.max_order is not None and j > self.max_order:
-            raise DerivativeOrderError(
-                f"order {j} exceeds cache limit {self.max_order}")
         while len(self._polys) <= j:
             self._polys.append(
                 _poly_multiply(_poly_derivative(self._polys[-1]), self._polys[1]))
@@ -101,37 +143,70 @@ class SeedDistribution:
             self._float_polys[j] = arr
         return arr
 
+    def _value(self, t):
+        """f0 at t = H - mu."""
+        if self.kind == "mb":
+            return np.exp(-t)
+        if self.kind == "fd":
+            return _logistic(-t)
+        if np.any(t <= 0):
+            raise SeedDomainError("Bose-Einstein pole: requires exp(H)/z > 1")
+        return 1.0 / np.expm1(t)
+
+    def _derivatives(self, t, j_lo: int, j_hi: int) -> list:
+        """[f0^(j)(t) for j_lo <= j <= j_hi] (j_lo >= 1, t = H - mu) from
+        P_j(g) by Horner's rule.  Fermi-Dirac takes g at -|t|, flips the even
+        orders where t < 0, and from _POLE_ORDER up takes the pole sums
+        where |t| <= _POLE_RADIUS."""
+        shape = np.shape(t)
+        t = np.atleast_1d(t)
+        if self.kind == "fd":
+            g, sign = _logistic(-np.abs(t)), np.where(t < 0, -1.0, 1.0)
+            near = np.abs(t) <= _POLE_RADIUS
+            poles = _fd_pole_derivatives(t[near], j_hi)
+        else:
+            g, sign = self._value(t), None
+        out = []
+        for j in range(j_lo, j_hi + 1):
+            coeffs = self._float_poly(j)
+            val = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                val = val * g + c
+            if sign is not None:
+                if j % 2 == 0:
+                    val = val * sign
+                if j >= _POLE_ORDER:
+                    val[near] = poles[j - _POLE_ORDER]
+            out.append(_plain(val.reshape(shape)))
+        return out
+
     def f0(self, H):
         """Seed value; numpy-transparent in H."""
-        t = np.asarray(H, dtype=float) - self.mu
-        if self.kind == "mb":
-            g = np.exp(-t)
-        elif self.kind == "fd":
-            g = expit(-t)
-        else:
-            if np.any(t <= 0):
-                raise SeedDomainError(
-                    "Bose-Einstein pole: requires exp(H)/z > 1")
-            g = 1.0 / np.expm1(t)
-        if g.ndim == 0:
-            return float(g)
-        return g
+        return _plain(self._value(np.asarray(H, dtype=float) - self.mu))
 
     def f0_deriv(self, j: int, H):
         """j-th H-derivative of f0, exact-to-roundoff; numpy-transparent."""
-        g = self.f0(H)
         if j == 0:
-            return g
-        coeffs = self._float_poly(j)
-        val = 0.0
-        for c in coeffs[::-1]:
-            val = val * g + c
-        if np.ndim(val) == 0:
-            return float(val)
-        return val
+            return self.f0(H)
+        return self._derivatives(np.asarray(H, dtype=float) - self.mu, j, j)[0]
+
+    def derivative_table(self, H, j_max: int) -> list:
+        """[f0, f0', ..., f0^(j_max)] at H, each entry bit-identical to
+        f0_deriv(j, H); t = H - mu and g are computed once."""
+        t = np.asarray(H, dtype=float) - self.mu
+        return [_plain(self._value(t))] + self._derivatives(t, 1, j_max)
 
     def __repr__(self):
         return f"SeedDistribution({self.kind!r}, z={self.z!r})"
+
+
+def seed_derivatives(seed, H, j_max: int) -> list:
+    """[f0, ..., f0^(j_max)] at H: the seed's derivative_table if it has one,
+    else one f0_deriv call per order (custom seeds, CombinedSeed)."""
+    table = getattr(seed, "derivative_table", None)
+    if table is not None:
+        return table(H, j_max)
+    return [seed.f0_deriv(j, H) for j in range(j_max + 1)]
 
 
 class CombinedSeed:
@@ -148,31 +223,63 @@ class CombinedSeed:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The Fermi-Dirac quadrature missed its requested tolerance."""
+
+
+# Gauss-Legendre nodes per panel of the Fermi-Dirac integral.
+_GL_NODES = 64
+
+
+def _fermi_integral(nu: float, mu: float, rule) -> tuple[float, float]:
+    """int_0^inf s^(nu-1) / (exp(s - mu) + 1) ds and an error estimate.
+
+    With s = u^2 the integrand 2 u^(2 nu - 1) / (exp(u^2 - mu) + 1) is
+    smooth for nu >= 1/2.  The panels are split at the Fermi edge
+    sqrt(mu) +- 1 and end where u^2 - mu = 60.  The value is the composite
+    rule on every panel halved; the estimate is its distance from the rule
+    on the whole panels.
+    """
+    nodes, weights = rule
+    edge = math.sqrt(max(mu, 0.0))
+    cuts = sorted({0.0, max(edge - 1.0, 0.0), edge + 1.0,
+                   math.sqrt(max(mu, 0.0) + 60.0)})
+
+    def composite(cuts):
+        a = np.array(cuts[:-1])[:, None]
+        half = 0.5 * (np.array(cuts[1:])[:, None] - a)
+        u = a + half * (nodes + 1.0)
+        values = 2.0 * u ** (2.0 * nu - 1.0) * _logistic(mu - u * u)
+        return float(np.sum(half * weights * values))
+
+    coarse = composite(cuts)
+    fine = composite(sorted(cuts + [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]))
+    return fine, abs(fine - coarse)
+
+
+def _gauss_legendre():
+    return np.polynomial.legendre.leggauss(_GL_NODES)
 
 
 def polylog_neg(nu: float, z: float, tol: float = 1e-10) -> float:
-    """Li_nu(-z) for nu > 0, z > 0, from its Fermi integral representation.
+    """Li_nu(-z) for nu >= 1/2, z > 0, from its Fermi integral representation.
 
-    Computed by adaptive quadrature of s^(nu-1) / (exp(s)/z + 1) over
-    (0, inf), divided by -Gamma(nu); absolute error at most tol.
+    -1/Gamma(nu) times the Fermi-Dirac integral of _fermi_integral; raises
+    QuadratureError when the error estimate exceeds tol relative to the value.
     """
-    if not (nu > 0):
-        raise ValueError("polylog order nu must be positive")
+    if not (nu >= 0.5):
+        raise ValueError("polylog order nu must be at least 1/2")
     if not (z > 0):
         raise ValueError("z must be positive")
-    mu = math.log(z)
+    return -_fermi_checked(nu, math.log(z), _gauss_legendre(), tol) / math.gamma(nu)
 
-    def integrand(s):
-        return s ** (nu - 1.0) * expit(mu - s)
 
-    value, err = quad(integrand, 0.0, np.inf, epsabs=tol * 1e-3, epsrel=1e-12,
-                      limit=300)
-    gamma_nu = math.gamma(nu)
-    if not np.isfinite(value) or err / gamma_nu > tol:
+def _fermi_checked(nu: float, mu: float, rule, tol: float = 1e-10) -> float:
+    value, err = _fermi_integral(nu, mu, rule)
+    if not math.isfinite(value) or err > tol * abs(value):
         raise QuadratureError(
-            f"polylog quadrature nonconvergent (error estimate {err:.2e})")
-    return -value / gamma_nu
+            f"Fermi-Dirac quadrature nonconvergent at mu = {mu!r} "
+            f"(error estimate {err:.2e} on {value!r})")
+    return value
 
 
 class BracketError(RuntimeError):
@@ -181,33 +288,71 @@ class BracketError(RuntimeError):
 
 _CHI_FACTOR = 3.0 * math.sqrt(math.pi) / 4.0
 
+# Bound on the root solve's steps; chi from 1e-6 to 80 needs 8 to 41
+# evaluations of chi(mu), bracketing included.
+_MAX_ROOT_STEPS = 200
+
+
+def _chi_from_mu(mu: float, rule) -> float:
+    # -Li_{3/2}(-z) = F(3/2, mu) / Gamma(3/2)
+    return (_CHI_FACTOR * _fermi_checked(1.5, mu, rule) / math.gamma(1.5)) ** (2.0 / 3.0)
+
 
 def chi_from_z(z: float) -> float:
     """Degeneracy parameter (Fermi over thermodynamic temperature) from fugacity."""
     if not (z > 0):
         raise ValueError("z must be positive")
-    return (-_CHI_FACTOR * polylog_neg(1.5, z)) ** (2.0 / 3.0)
+    return _chi_from_mu(math.log(z), _gauss_legendre())
 
 
 def z_from_chi(chi: float) -> float:
-    """Fugacity from the degeneracy parameter, by bracketed root-finding."""
+    """Fugacity from the degeneracy parameter.
+
+    chi increases with mu = ln z, so the root is bracketed by doubling and
+    then narrowed by false position with the Illinois step, down to a
+    bracket of a few ulps of mu.
+    """
     if not (chi > 0):
         raise ValueError("chi must be positive")
+    rule = _gauss_legendre()
 
-    def f(u):
-        return chi_from_z(math.exp(u)) - chi
+    def f(mu):
+        return _chi_from_mu(mu, rule) - chi
 
     lo, hi = -5.0, 5.0
-    while f(hi) < 0:
+    f_hi = f(hi)
+    while f_hi < 0:
         hi *= 2.0
         if hi > 700.0:
             raise BracketError(f"no fugacity bracket found for chi = {chi}")
-    while f(lo) > 0:
+        f_hi = f(hi)
+    f_lo = f(lo)
+    while f_lo > 0:
         lo *= 2.0
         if lo < -700.0:
             raise BracketError(f"no fugacity bracket found for chi = {chi}")
-    u = brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    return math.exp(u)
+        f_lo = f(lo)
+    kept = 0    # which end the last step moved: -1 lo, +1 hi
+    for _ in range(_MAX_ROOT_STEPS):
+        mu = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+        if not lo < mu < hi or hi - lo <= 4e-16 * max(abs(lo), abs(hi)):
+            break
+        f_mu = f(mu)
+        if f_mu == 0.0:
+            break
+        if f_mu < 0:
+            lo, f_lo = mu, f_mu
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi = mu, f_mu
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+    return math.exp(mu)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,10 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .ring import RingElem
+from .seeds import seed_derivatives
 from .series import (SeriesTerm, WignerSeries, potential_derivatives,
                      recursion_rhs, recursion_weight)
 
@@ -96,7 +98,7 @@ def residual_symbolic(series: WignerSeries) -> ResidualReport:
 
 def _sample_points(samples, rng_seed: int = 20230817):
     if isinstance(samples, int):
-        rng = np.random.default_rng(rng_seed)
+        rng = default_rng(rng_seed)
         xs = rng.uniform(-2.0, 2.0, samples)
         hs = rng.uniform(-1.0, 3.0, samples)
         return xs, hs
@@ -124,7 +126,7 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
                for j in range(1, j_cap + 1) if not v_derivs[2 * j + 1].is_zero()}
     r_max = 2 * max(factors, default=0) + 1
     h_minus_v = hs - series.potential.evaluate(xs)
-    f0 = [seed.f0_deriv(n, hs) for n in range(series.max_deriv_order() + r_max + 1)]
+    f0 = seed_derivatives(seed, hs, series.max_deriv_order() + r_max)
     dh = []     # dh[l][r] = d^r f_l/dH^r at the samples
     for term in terms:
         rows = [np.zeros_like(xs) for _ in range(r_max + 1)]
@@ -237,7 +239,7 @@ def wigner_maxwell_check(potential: RingElem | None = None, n_points: int = 50,
         from .potentials import resolve_potential
         potential = resolve_potential("goldstone")
     f1 = closed_form_f1(potential)
-    rng = np.random.default_rng(7)
+    rng = default_rng(7)
     xs = rng.uniform(-2.0, 2.0, n_points)
     hs = rng.uniform(-1.0, 3.0, n_points)
     lhs = np.zeros_like(xs)

@@ -1,6 +1,10 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +297,13 @@ def test_verify_series_provenance_describes_loaded_series(tmp_path):
     config = json.loads((tmp_path / "v" / "residual.json").read_text())["config"]
     assert (config["potential"], config["order"], config["convention"]) == \
         (series["potential"], 3, "uniform")
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, qvlasov.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

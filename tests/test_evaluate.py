@@ -1,13 +1,15 @@
 """Phase-space evaluation: classical limit, symmetry, normalization."""
 
+import mpmath
 import numpy as np
 import pytest
 
-from qvlasov.evaluate import (GridSpec, NormalizationError, eval_field,
-                              eval_point, write_field_csv)
+from qvlasov.evaluate import (BLOCK_POINTS, GridSpec, NormalizationError,
+                              eval_field, eval_point, eval_points, order_grids,
+                              write_field_csv)
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
-from qvlasov.seeds import SeedDistribution
+from qvlasov.seeds import CombinedSeed, SeedDistribution
 from qvlasov.series import build_series
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
@@ -147,6 +149,104 @@ def test_field_csv_format(goldstone_l2, tmp_path):
     q0, p0, f0 = lines[1].split(",")
     assert float(q0) == -1.0 and float(p0) == -1.0
     assert float(f0) == field.values[0, 0]
+
+
+def test_sweep_from_order_grids_is_bit_identical(goldstone_l5):
+    orders = order_grids(goldstone_l5, FD, SMALL_GRID)
+    assert orders.shape == (6, 61, 61)
+    for hbar in (0.0, 0.1, 0.3, 0.6, 0.9):
+        plain = eval_field(goldstone_l5, FD, hbar, SMALL_GRID)
+        shared = eval_field(goldstone_l5, FD, hbar, SMALL_GRID, orders=orders)
+        assert np.array_equal(plain.values, shared.values)
+        assert plain.norm_constant == shared.norm_constant
+
+
+def test_blocked_grid_matches_pointwise(goldstone_l5):
+    # more points than one block, in both the grid and the point path
+    grid = GridSpec(-3.0, 3.0, 203, -3.0, 3.0, 101)
+    assert grid.n_q * grid.n_p > BLOCK_POINTS
+    field = eval_field(goldstone_l5, FD, 0.6, grid, normalize=False)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    assert np.array_equal(eval_points(goldstone_l5, FD, 0.6, qq, pp), field.values)
+    for i, k in ((0, 0), (80, 50), (81, 7), (202, 100)):
+        assert eval_point(goldstone_l5, FD, 0.6, qq[i, k], pp[i, k]) == field.values[i, k]
+
+
+def test_seed_without_derivative_table_gives_same_field(goldstone_l5):
+    # custom seeds need only f0/f0_deriv; the table's entries equal f0_deriv
+    class PlainSeed:
+        def f0(self, H):
+            return FD.f0(H)
+
+        def f0_deriv(self, j, H):
+            return FD.f0_deriv(j, H)
+
+    plain = eval_field(goldstone_l5, PlainSeed(), 0.6, SMALL_GRID)
+    assert np.array_equal(plain.values, eval_field(goldstone_l5, FD, 0.6, SMALL_GRID).values)
+    combo = CombinedSeed([(1.0, FD)])
+    assert eval_point(goldstone_l5, combo, 0.6, 0.3, -0.4) == \
+        eval_point(goldstone_l5, FD, 0.6, 0.3, -0.4)
+
+
+def _mp_polynomial(elem, x):
+    # polynomial ring elements only: sum of rational * pi^e * x^n
+    total = mpmath.mpf(0)
+    for mono, coeff in elem.items():
+        assert mono.trig is None
+        c = mpmath.fsum(mpmath.mpf(r.numerator) / r.denominator * mpmath.pi ** e
+                        for e, r in coeff.items())
+        total += c * x ** mono.xpow
+    return total
+
+
+def test_degenerate_fd_field_matches_mpmath(goldstone_l5, rng):
+    # fd:chi=10 puts mu near 9.9, so most of the grid sits below it, where the
+    # unreflected P_j(g) of orders up to 15 lost up to 8 digits (2.9e-8 of
+    # the field's maximum on 48 points of the 401 x 401 grid)
+    from qvlasov.seeds import parse_seed_spec
+
+    seed = parse_seed_spec("fd:chi=10")
+    hbar = 0.3
+    q = rng.uniform(-4.0, 4.0, 24)
+    p = rng.uniform(-4.0, 4.0, 24)
+    got = eval_points(goldstone_l5, seed, hbar, q, p)
+    ref = []
+    with mpmath.workdps(50):
+        for qi, pi in zip(q, p):
+            x, pm = mpmath.mpf(float(qi)), mpmath.mpf(float(pi))
+            h = pm * pm / 2 + _mp_polynomial(goldstone_l5.potential, x)
+            g = 1 / (1 + mpmath.exp(h - mpmath.log(mpmath.mpf(seed.z))))
+            derivs = [mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                                      for c in seed.derivative_polynomial(j)][::-1], g)
+                      for j in range(goldstone_l5.max_deriv_order() + 1)]
+            ref.append(mpmath.fsum(
+                mpmath.mpf(hbar) ** (2 * l) * _mp_polynomial(c, x) * h ** m * derivs[j]
+                for l, term in enumerate(goldstone_l5.terms)
+                for (m, j), c in term.cells()))
+        scale = max(abs(r) for r in ref)
+        err = max(abs(mpmath.mpf(float(v)) - r) for v, r in zip(got, ref))
+    assert float(err / scale) < 1e-12
+
+
+def _per_row_csv(field, path):
+    # the writer as it was before it formatted whole rows at once
+    q = field.q_axis()
+    p = field.p_axis()
+    with open(path, "w") as fh:
+        fh.write("q,p,f\n")
+        for i in range(field.grid.n_q):
+            qi = repr(float(q[i]))
+            row = field.values[i]
+            for k in range(field.grid.n_p):
+                fh.write(f"{qi},{float(p[k])!r},{float(row[k])!r}\n")
+
+
+def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
+    field = eval_field(goldstone_l5, FD, 0.6, GridSpec(-4.0, 4.0, 41, -3.5, 2.5, 37))
+    field.values[0, :3] = [-0.0, 1e-300, 1.0 / 3.0]
+    write_field_csv(field, tmp_path / "new.csv")
+    _per_row_csv(field, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_modulated_potential_field(rng):

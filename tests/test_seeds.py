@@ -4,12 +4,13 @@ import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from qvlasov.seeds import (CombinedSeed, DerivativeOrderError,
-                           SeedDistribution, SeedDomainError, chi_from_z,
-                           parse_seed_spec, polylog_neg, z_from_chi)
+from qvlasov.seeds import (CombinedSeed, SeedDistribution, SeedDomainError,
+                           chi_from_z, parse_seed_spec, polylog_neg,
+                           seed_derivatives, z_from_chi)
 
 getcontext().prec = 60
 
@@ -114,11 +115,59 @@ def test_be_pole_raises():
         seed.f0_deriv(2, -1.0)
 
 
-def test_order_cache_limit():
-    seed = SeedDistribution("fd", max_order=4)
-    seed.f0_deriv(4, 0.0)
-    with pytest.raises(DerivativeOrderError):
-        seed.f0_deriv(5, 0.0)
+@pytest.mark.parametrize("kind,z,h_lo", [("mb", 1.3, -12.0), ("fd", 1.0, -12.0),
+                                         ("fd", 20.0, -12.0), ("be", 0.5, -0.6)])
+def test_derivative_table_equals_f0_deriv_bitwise(kind, z, h_lo):
+    seed = SeedDistribution(kind, z=z)
+    hs = np.linspace(h_lo, 12.0, 301)
+    table = seed.derivative_table(hs, 30)
+    assert len(table) == 31
+    for j, column in enumerate(table):
+        assert np.array_equal(column, seed.f0_deriv(j, hs)), j
+    scalar = seed.derivative_table(-0.5, 30)
+    assert all(type(v) is float for v in scalar)
+    assert scalar == [seed.f0_deriv(j, -0.5) for j in range(31)]
+
+
+def test_fd_derivatives_match_mpmath():
+    # error over t in [-12, 12] relative to max|f0^(j)| there, because the
+    # even orders vanish at t = 0.  Horner's rule alone (reflected) reached
+    # 1.0e-10 at j = 15, 6.6e-8 at j = 22 and 4.3e-4 at j = 30 on these
+    # points; the pole sums take over from order 12.
+    seed = SeedDistribution("fd", z=1.0)
+    ts = np.linspace(-12.0, 12.0, 161)
+    with mpmath.workdps(60):
+        gs = [1 / (1 + mpmath.exp(mpmath.mpf(float(t)))) for t in ts]
+        for j in range(31):
+            poly = [mpmath.mpf(c.numerator) / c.denominator
+                    for c in seed.derivative_polynomial(j)]
+            ref = [mpmath.polyval(poly[::-1], g) for g in gs]
+            scale = max(abs(r) for r in ref)
+            err = max(abs(mpmath.mpf(float(v)) - r)
+                      for v, r in zip(seed.f0_deriv(j, ts), ref))
+            assert float(err / scale) <= (2e-11 if j < 12 else 4e-14), j
+
+
+def test_fd_reflection_symmetry():
+    # Horner's rule runs at g <= 1/2 on both sides; the pole sums (order 12
+    # up, |t| <= 4) are excluded
+    seed = SeedDistribution("fd", z=1.0)
+    ts = np.linspace(0.25, 10.0, 40)
+    for j in range(1, 31):
+        pts = ts if j < 12 else ts[ts > 4.0]
+        assert np.array_equal(seed.f0_deriv(j, -pts),
+                              (-1.0) ** (j + 1) * seed.f0_deriv(j, pts)), j
+
+
+def test_seed_derivatives_falls_back_to_f0_deriv():
+    combo = CombinedSeed([(2.0, SeedDistribution("fd")), (0.5, SeedDistribution("mb"))])
+    hs = np.linspace(-2.0, 2.0, 9)
+    table = seed_derivatives(combo, hs, 6)
+    for j in range(7):
+        assert np.array_equal(table[j], combo.f0_deriv(j, hs))
+    seed = SeedDistribution("fd", z=2.0)
+    assert all(np.array_equal(a, b) for a, b in zip(seed_derivatives(seed, hs, 6),
+                                                    seed.derivative_table(hs, 6)))
 
 
 def test_bad_parameters():
@@ -156,9 +205,24 @@ def test_polylog_order_one_closed_form():
     assert polylog_neg(1.0, 1.0) == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
+def test_polylog_and_fugacity_match_mpmath():
+    worst_li = worst_mu = 0.0
+    with mpmath.workdps(40):
+        for z in np.logspace(-8.0, 20.0, 29):
+            ref = mpmath.re(mpmath.polylog(1.5, -mpmath.mpf(float(z))))
+            worst_li = max(worst_li, float(abs(polylog_neg(1.5, z) - ref) / abs(ref)))
+            chi = float((-3 * mpmath.sqrt(mpmath.pi) / 4 * ref) ** (mpmath.mpf(2) / 3))
+            mu = math.log(z_from_chi(chi))
+            worst_mu = max(worst_mu, abs(mu - math.log(z)) / max(1.0, abs(math.log(z))))
+    assert worst_li < 1e-14
+    assert worst_mu < 1e-14
+
+
 def test_polylog_rejects_bad_arguments():
     with pytest.raises(ValueError):
         polylog_neg(0.0, 1.0)
+    with pytest.raises(ValueError):
+        polylog_neg(0.25, 1.0)
     with pytest.raises(ValueError):
         polylog_neg(1.5, -1.0)
 

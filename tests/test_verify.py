@@ -1,5 +1,6 @@
 """Residual oracles: exact order extraction and numeric scaling fits."""
 
+import numpy as np
 import pytest
 
 from qvlasov.parser import parse_potential
@@ -123,6 +124,24 @@ def test_float_residual_matches_exact_powers(potential, order, convention):
             reference = 0.0
             scale = abs(series.terms[s].d_dx().evaluate(FD, xs, hs)).max()
         assert abs(values - reference).max() <= 1e-12 * scale, s
+
+
+def test_residual_samples_take_custom_seeds():
+    # a seed with only f0/f0_deriv gets the per-order loop, whose values
+    # equal the derivative table's entries
+    class PlainSeed:
+        def f0(self, H):
+            return FD.f0(H)
+
+        def f0_deriv(self, j, H):
+            return FD.f0_deriv(j, H)
+
+    series = build_series(resolve_potential("modulated:a=1/2"), 2, "paper")
+    xs, hs = _sample_points(16)
+    table, census = residual_samples(series, FD, xs, hs, 4)
+    plain, plain_census = residual_samples(series, PlainSeed(), xs, hs, 4)
+    assert census == plain_census
+    assert all(np.array_equal(table[s], plain[s]) for s in table)
 
 
 def test_numeric_census_counts_sampled_cells():
