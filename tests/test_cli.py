@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,22 @@ def test_evaluate_classical_field_positive(tmp_path):
                 "--out", str(out)]) == 0
     sidecar = json.loads((out / "field.json").read_text())
     assert sidecar["min_f"] > 0
+
+
+FIELD_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "field_digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(FIELD_GOLDEN))
+def test_evaluate_csv_matches_golden_digest(tmp_path, key):
+    # SHA-256 of field.csv, recorded before the integer group layout of the
+    # exact core, so the float evaluation of its elements keeps its bits
+    potential, order = key.split()
+    assert run(["evaluate", "--potential", potential, "--order", order,
+                "--seed", "fd:z=1", "--hbar", "0.3", "--qrange=-4,4,41",
+                "--prange=-4,4,41", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "field.csv").read_bytes()).hexdigest()
+    assert digest == FIELD_GOLDEN[key]
 
 
 def test_evaluate_is_deterministic(tmp_path):

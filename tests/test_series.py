@@ -278,9 +278,12 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "series_digests.json").rea
 def test_series_bytes_match_golden_digests():
     # SHA-256 of WignerSeries.to_json(), recorded before the exact core was
     # optimised: goldstone, quartic and harmonic at L <= 5 and modulated:a=1/2
-    # at L <= 3, both conventions
-    assert len(GOLDEN) == 2 * (3 * 6 + 4)
+    # at L <= 3, both conventions; recorded before the integer group layout:
+    # modulated:a=1/2 at L = 4..6 (paper) and 4..5 (uniform), and two
+    # potentials whose pi powers mix inside one (trig, k) group, both
+    # conventions
+    assert len(GOLDEN) == 2 * (3 * 6 + 4) + 5 + 2 * 2
     for key, digest in GOLDEN.items():
-        spec, order, convention = key.split()
+        spec, order, convention = key.rsplit(" ", 2)
         series = build_series(resolve_potential(spec), int(order[2:]), convention)
         assert hashlib.sha256(series.to_json().encode()).hexdigest() == digest, key
