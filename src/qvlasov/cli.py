@@ -25,7 +25,8 @@ from .potentials import resolve_potential
 from .ring import RingElem, RingError
 from .seeds import (BracketError, QuadratureError, SeedDomainError,
                     parse_seed_spec)
-from .series import CONVENTIONS, TermBudgetError, WignerSeries, build_series
+from .series import (CONVENTIONS, MAX_ORDER, OrderError, TermBudgetError,
+                     WignerSeries, build_series)
 from .verify import residual_numeric, residual_symbolic
 
 
@@ -150,16 +151,16 @@ def build_config(argv: list[str]) -> RunConfig:
     if args.config:
         args = parser.parse_args(argv[:1] + _file_flags(args.config) + argv[1:])
     errors: list[str] = []
-    if args.order < 0:
-        errors.append("--order must be nonnegative")
+    if not 0 <= args.order <= MAX_ORDER:
+        errors.append(f"--order must be between 0 and {MAX_ORDER}")
     if args.hbar is not None and not (math.isfinite(args.hbar) and args.hbar >= 0):
         errors.append("--hbar must be finite and nonnegative")
     if not all(math.isfinite(h) and h >= 0 for h in args.hbar_list):
         errors.append("--hbar-list values must be finite and nonnegative")
     if args.samples < 1:
         errors.append("--samples must be at least 1")
-    if args.j_max is not None and args.j_max < 1:
-        errors.append("--j-max must be at least 1")
+    if args.j_max is not None and not 1 <= args.j_max <= MAX_ORDER + 1:
+        errors.append(f"--j-max must be between 1 and {MAX_ORDER + 1}")
     grid = None
     try:
         grid = GridSpec(*args.qrange, *args.prange)
@@ -308,7 +309,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.series_file is None:
         series = build_series(cfg.potential, cfg.order, cfg.convention)
     else:
-        series = WignerSeries.from_json(cfg.series_file.read_text())
+        try:
+            series = WignerSeries.from_json(cfg.series_file.read_text())
+        except OrderError as exc:
+            raise ConfigError(f"series: {exc}") from None
         cfg.potential_text = str(series.potential)
         cfg.order, cfg.convention = series.order, series.convention
     mode, problem = _verify_mode(series.potential, series.order, cfg.mode,

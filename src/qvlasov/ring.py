@@ -6,12 +6,23 @@ rational multiples of integer powers of pi.  The ring is closed under
 addition, multiplication, d/dx and antidifferentiation, and every operation
 is exact, so expansion coefficients built on top of it can be compared for
 equality instead of within a float tolerance.
+
+Internally an element is a set of integer polynomial groups, one per
+(trig, k, s), in the manner of FLINT's fmpq_poly: a tuple of Python ints
+over one positive denominator, kept primitive.  A group holds
+sum_n c[n]/d * pi^(s + omega*n) * x^n * trig(k*x), where omega is the pi
+power shared by all wavenumbers of the element (0 when it has none, or
+when their powers differ).  With omega equal to the wavenumbers' pi power,
+the x-powers of one antiderivative land in one group, and products of
+groups are plain integer convolutions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -34,8 +45,7 @@ class Coefficient:
 
     Stored as a tuple of (e, numerator, denominator) sorted by e, in lowest
     terms with positive denominators and no zero terms, so equal values have
-    equal tuples.  Sums and products with a single-term operand, the only
-    kind build_series forms, use integer arithmetic on that tuple.
+    equal tuples.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -90,17 +100,8 @@ class Coefficient:
         return self._hash
 
     def __add__(self, other):
-        other = _coerce(other)
-        a, b = self._terms, other._terms
-        if len(a) == 1 == len(b) and a[0][0] == b[0][0]:
-            (e, n1, d1), (_, n2, d2) = a[0], b[0]
-            n, d = n1 * d2 + n2 * d1, d1 * d2
-            if not n:
-                return ZERO
-            g = math.gcd(n, d)
-            return Coefficient._of(((e, n // g, d // g),))
         terms = dict(self.items())
-        for e, r in other.items():
+        for e, r in _coerce(other).items():
             terms[e] = terms.get(e, 0) + r
         return Coefficient._of(_canonical(terms))
 
@@ -116,19 +117,12 @@ class Coefficient:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b = self._terms, other._terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # shifting every term by one pi power keeps the order by e
-            ((e2, n2, d2),) = b
-            out = []
-            for e1, n1, d1 in a:
-                g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
-                out.append((e1 + e2, (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
-            return Coefficient._of(tuple(out))
-        return sum((self * Coefficient._of((t,)) for t in b), ZERO)
+        terms: dict[int, Fraction] = {}
+        right = _coerce(other).items()
+        for e1, r1 in self.items():
+            for e2, r2 in right:
+                terms[e1 + e2] = terms.get(e1 + e2, 0) + r1 * r2
+        return Coefficient._of(_canonical(terms))
 
     __rmul__ = __mul__
 
@@ -206,9 +200,7 @@ def _pi_term_text(e: int, r: Fraction) -> str:
     return f"{r}/{pi_text}"
 
 
-ZERO = Coefficient()
 ONE = Coefficient.rational(1)
-HALF = Coefficient.rational(Fraction(1, 2))
 
 _TRIG_RANK = {None: 0, "cos": 1, "sin": 2}
 
@@ -228,49 +220,146 @@ class Monomial(NamedTuple):
         return self.xpow == 0 and self.trig is None
 
 
-def _accumulate(terms: dict, xpow: int, trig: str | None, k: Coefficient | None,
-                coeff: Coefficient) -> None:
-    """Add coeff * x^xpow * trig(k x) to terms, canonicalizing trig sign."""
-    if coeff.is_zero():
-        return
-    if trig is not None:
-        if k is None or k.is_zero():
-            if trig == "sin":
-                return  # sin(0) = 0
-            trig, k = None, None  # cos(0) = 1
-        elif k.is_negative():
-            k = -k
-            if trig == "sin":
-                coeff = -coeff
-    _add_term(terms, Monomial(xpow, trig, k), coeff)
+# ------------------------------------------------------------ group kernels
+#
+# A group is (c, d): a tuple of ints c, c[-1] != 0, over a denominator d > 0
+# with gcd(d, *c) == 1.  Kernels collect "parts" (int sequences over their
+# own denominators) per output key and reduce each key once.
+
+def _reduce(c: list, d: int):
+    """The primitive group of c/d, or None when it is zero."""
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        return None
+    g = math.gcd(d, *c)
+    if g != 1:
+        return tuple([v // g for v in c]), d // g
+    return tuple(c), d
 
 
-def _add_term(terms: dict, mono: Monomial, coeff: Coefficient) -> None:
-    total = terms.get(mono)
-    if total is None:
-        terms[mono] = coeff
-        return
-    total = total + coeff
-    if total._terms:
-        terms[mono] = total
+def _combine(parts: list):
+    """The primitive group of a sum of (ints, denominator) parts, or None."""
+    if len(parts) == 1:
+        c, d = parts[0]
+        return _reduce(list(c), d)
+    if len(parts) == 2:     # most sums: one list pass, no lcm
+        (a, da), (b, db) = parts
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _reduce([fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)],
+                       da * fa)
+    dens = {d for _, d in parts}
+    den = dens.pop() if len(dens) == 1 else math.lcm(*dens)
+    rows = [c if d == den else [den // d * v for v in c] for c, d in parts]
+    return _reduce([sum(col) for col in zip_longest(*rows, fillvalue=0)], den)
+
+
+def _collect(acc: dict) -> dict:
+    """Groups from {key: parts}, zero sums dropped."""
+    out = {}
+    for key, parts in acc.items():
+        group = _combine(parts)
+        if group is not None:
+            out[key] = group
+    return out
+
+
+def _convolve(a, b) -> list:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def _omega_of(wavenumbers) -> int:
+    """The pi power shared by all wavenumbers; 0 if none or mixed."""
+    omega = None
+    for k in wavenumbers:
+        if k is None:
+            continue
+        terms = k._terms
+        if len(terms) != 1 or (omega is not None and terms[0][0] != omega):
+            return 0
+        omega = terms[0][0]
+    return omega or 0
+
+
+def _group_omega(groups) -> int:
+    return _omega_of(k for _, k, _ in groups)
+
+
+def _entries_to_groups(entries, omega: int) -> dict:
+    """Groups at omega from (trig, k, n, e, numerator, denominator) entries,
+    each one the term numerator/denominator * pi^e * x^n * trig(k x)."""
+    acc: dict = {}
+    for t, k, n, e, num, den in entries:
+        acc.setdefault((t, k, e - omega * n), []).append(((0,) * n + (num,), den))
+    return _collect(acc)
+
+
+def _regroup(groups: dict, old: int, new: int) -> dict:
+    """The same value's groups under another omega."""
+    if old == new:
+        return groups
+    return _entries_to_groups(((t, k, n, s + old * n, v, d)
+                               for (t, k, s), (c, d) in groups.items()
+                               for n, v in enumerate(c) if v), new)
+
+
+def _canonical_trig(trig, k, sign: int):
+    """(trig, k, sign) with k > 0, or None when the term vanishes."""
+    if k is None or not k._terms:
+        return None if trig == "sin" else (None, None, sign)
+    if k.is_negative():
+        return (trig, -k, -sign if trig == "sin" else sign)
+    return (trig, k, sign)
+
+
+@lru_cache(maxsize=65536)
+def _trig_product(t1: str, k1: Coefficient, t2: str, k2: Coefficient) -> tuple:
+    """trig1(k1 x) * trig2(k2 x) as (trig, k, sign) terms, each times 1/2."""
+    diff, total = k1 - k2, k1 + k2
+    if t1 == "sin" and t2 == "sin":
+        terms = (("cos", diff, 1), ("cos", total, -1))
+    elif t1 == "cos" and t2 == "cos":
+        terms = (("cos", diff, 1), ("cos", total, 1))
+    elif t1 == "sin":
+        terms = (("sin", total, 1), ("sin", diff, 1))
     else:
-        del terms[mono]
+        terms = (("sin", total, 1), ("sin", diff, -1))
+    return tuple(filter(None, (_canonical_trig(*t) for t in terms)))
 
 
 class RingElem:
-    """Finite sum of canonical monomials with Coefficient weights."""
+    """Finite sum of canonical monomials with Coefficient weights, stored as
+    primitive integer groups keyed by (trig, k, s) (see the module notes)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_groups", "_omega", "_hash", "_count", "_floats")
 
     def __init__(self, terms: dict[Monomial, Coefficient] | None = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+        self._set(*_monomial_groups((terms or {}).items()))
+
+    def _set(self, groups: dict, omega: int) -> None:
+        self._groups = groups
+        self._omega = omega
+        self._hash = self._count = self._floats = None
 
     @classmethod
-    def _of(cls, terms: dict) -> "RingElem":
-        """Trusted constructor: terms has no zero coefficients."""
+    def _of(cls, groups: dict, omega: int) -> "RingElem":
+        """Trusted constructor: canonical groups and their omega."""
         self = object.__new__(cls)
-        self._terms = terms
+        self._set(groups, omega)
         return self
+
+    @classmethod
+    def _checked(cls, groups: dict, omega: int) -> "RingElem":
+        """Groups at omega, moved to the omega of their wavenumbers."""
+        actual = _group_omega(groups)
+        return cls._of(_regroup(groups, omega, actual), actual)
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -290,123 +379,234 @@ class RingElem:
 
     @classmethod
     def trig(cls, kind: str, wavenumber, xpow: int = 0, coeff=1) -> "RingElem":
-        terms: dict[Monomial, Coefficient] = {}
-        _accumulate(terms, xpow, kind, _coerce(wavenumber), _coerce(coeff))
-        return cls(terms)
+        return cls({Monomial(xpow, kind, _coerce(wavenumber)): _coerce(coeff)})
+
+    def _monomial_terms(self) -> dict:
+        """{(trig, k, n): {pi power: (numerator, denominator)}} of the value."""
+        out: dict = {}
+        w = self._omega
+        for (t, k, s), (c, d) in self._groups.items():
+            for n, v in enumerate(c):
+                if v:
+                    out.setdefault((t, k, n), {})[s + w * n] = (v, d)
+        return out
 
     def items(self):
-        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
+        out = []
+        for (t, k, n), terms in self._monomial_terms().items():
+            reduced = []
+            for e in sorted(terms):
+                v, d = terms[e]
+                g = math.gcd(v, d)
+                reduced.append((e, v // g, d // g))
+            out.append((Monomial(n, t, k), Coefficient._of(tuple(reduced))))
+        out.sort(key=lambda mc: mc[0].sort_key())
+        return out
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._groups
 
     def has_trig(self) -> bool:
-        return any(m.trig is not None for m in self._terms)
+        return any(t is not None for t, _, _ in self._groups)
 
     def is_constant(self) -> bool:
-        return all(m.is_constant() for m in self._terms)
+        return all(t is None and len(c) == 1
+                   for (t, _, _), (c, _) in self._groups.items())
 
     def constant_value(self) -> Coefficient:
         """The value of a constant element (raises if x-dependent)."""
         if not self.is_constant():
             raise RingError("element is not a constant")
-        return self._terms.get(Monomial(0), ZERO)
+        return Coefficient({s: Fraction(c[0], d)
+                            for (_, _, s), (c, d) in self._groups.items()})
 
     def x_degree(self) -> int:
-        return max((m.xpow for m in self._terms), default=0)
+        return max((len(c) - 1 for c, _ in self._groups.values()), default=0)
 
     def is_even_in_x(self) -> bool:
         """True when the element is an even function of x."""
-        for m in self._terms:
-            odd = m.xpow % 2 == 1
-            if m.trig == "sin":
-                odd = not odd
-            if odd:
+        for (t, _, _), (c, _) in self._groups.items():
+            odd = 0 if t == "sin" else 1
+            if any(c[odd::2]):
                 return False
         return True
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._groups)
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self._terms == other._terms
+        return self._groups == other._groups
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._groups.items()))
+        return self._hash
+
+    def _common(self, other: "RingElem"):
+        """Both operands' groups under one omega, and that omega."""
+        w = self._omega
+        if other._omega == w:
+            return self._groups, other._groups, w
+        w = _group_omega(list(self._groups) + list(other._groups))
+        return (_regroup(self._groups, self._omega, w),
+                _regroup(other._groups, other._omega, w), w)
 
     def __add__(self, other):
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            _add_term(terms, m, c)
-        return RingElem._of(terms)
+        if not other._groups:
+            return self
+        if not self._groups:
+            return other
+        ga, gb, w = self._common(other)
+        groups = dict(ga)
+        recheck = w != self._omega or w != other._omega
+        for key, group in gb.items():
+            mine = groups.get(key)
+            if mine is None:
+                groups[key] = group
+                continue
+            total = _combine([mine, group])
+            if total is None:
+                del groups[key]
+                recheck = recheck or key[0] is not None
+            else:
+                groups[key] = total
+        if recheck:
+            return RingElem._checked(groups, w)
+        return RingElem._of(groups, w)
 
     def __neg__(self):
-        return RingElem._of({m: -c for m, c in self._terms.items()})
+        return RingElem._of({key: (tuple(-v for v in c), d)
+                             for key, (c, d) in self._groups.items()}, self._omega)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor) -> "RingElem":
         factor = _coerce(factor)
-        if factor.is_zero():
+        if not factor:
             return RingElem()
-        # Q[pi, 1/pi] has no zero divisors, so no product vanishes
-        return RingElem._of({m: c * factor for m, c in self._terms.items()})
+        acc: dict = {}
+        for e, p, q in factor._terms:
+            for (t, k, s), (c, d) in self._groups.items():
+                acc.setdefault((t, k, s + e), []).append(([p * v for v in c], d * q))
+        # Q[pi, 1/pi] has no zero divisors, so every (trig, k) keeps a nonzero
+        # group and omega is unchanged
+        return RingElem._of(_collect(acc), self._omega)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Coefficient)):
             return self.scale(other)
-        terms: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                _mul_terms(terms, m1, m2, c1 * c2)
-        return RingElem._of(terms)
+        if not self._groups or not other._groups:
+            return RingElem()
+        ga, gb, w = self._common(other)
+        acc: dict = {}
+        for (t1, k1, s1), (c1, d1) in ga.items():
+            for (t2, k2, s2), (c2, d2) in gb.items():
+                s, c, d = s1 + s2, _convolve(c1, c2), d1 * d2
+                if t1 is None:
+                    acc.setdefault((t2, k2, s), []).append((c, d))
+                elif t2 is None:
+                    acc.setdefault((t1, k1, s), []).append((c, d))
+                else:
+                    for t, k, sign in _trig_product(t1, k1, t2, k2):
+                        acc.setdefault((t, k, s), []).append(
+                            (c if sign > 0 else [-v for v in c], 2 * d))
+        return RingElem._checked(_collect(acc), w)
 
     __rmul__ = __mul__
 
     def ddx(self) -> "RingElem":
         """Exact derivative with respect to x."""
-        terms: dict[Monomial, Coefficient] = {}
-        for m, c in self._terms.items():
-            if m.xpow > 0:
-                _accumulate(terms, m.xpow - 1, m.trig, m.wavenumber, c * m.xpow)
-            if m.trig == "sin":
-                _accumulate(terms, m.xpow, "cos", m.wavenumber, c * m.wavenumber)
-            elif m.trig == "cos":
-                _accumulate(terms, m.xpow, "sin", m.wavenumber, -(c * m.wavenumber))
-        return RingElem._of(terms)
+        w = self._omega
+        acc: dict = {}
+        for (t, k, s), (c, d) in self._groups.items():
+            if len(c) > 1:
+                acc.setdefault((t, k, s + w), []).append(
+                    ([n * c[n] for n in range(1, len(c))], d))
+            if t is not None:
+                t2, sign = ("cos", 1) if t == "sin" else ("sin", -1)
+                for e, p, q in k._terms:
+                    acc.setdefault((t2, k, s + e), []).append(
+                        ([sign * p * v for v in c], d * q))
+        # (P' + kQ) cos + (Q' - kP) sin vanishes only with P = Q = 0, so
+        # every wavenumber survives and omega is unchanged
+        return RingElem._of(_collect(acc), w)
 
     def integrate(self) -> "RingElem":
-        """Exact antiderivative F with ddx(F) = self, anchored so F(0) = 0."""
-        terms: dict[Monomial, Coefficient] = {}
-        for m, c in self._terms.items():
-            if m.trig is None:
-                _accumulate(terms, m.xpow + 1, None, None, c / (m.xpow + 1))
-            else:
-                _integrate_trig(terms, m.xpow, m.trig, m.wavenumber, c)
-        result = RingElem._of(terms)
-        at_zero = result.eval_exact(Fraction(0))
-        if not at_zero.is_zero():
-            result = result - RingElem.constant(at_zero)
-        return result
+        """Exact antiderivative F with ddx(F) = self, anchored so F(0) = 0.
+
+        x^n integrates term by term; a trig group P(x) trig(kx) uses
+        int P sin kx = -cos kx sum_i (-1)^i P^(2i)/k^(2i+1)
+                       + sin kx sum_i (-1)^i P^(2i+1)/k^(2i+2)
+        and int P cos kx = sin kx sum_i (-1)^i P^(2i)/k^(2i+1)
+                           + cos kx sum_i (-1)^i P^(2i+1)/k^(2i+2),
+        over the common denominator d * p^(deg P + 1) for k = p/q * pi^e.
+        """
+        w = self._omega
+        acc: dict = {}
+        for (t, k, s), (c, d) in self._groups.items():
+            if t is None:
+                den = math.lcm(*range(1, len(c) + 1))
+                acc.setdefault((None, None, s - w), []).append(
+                    ([0] + [v * (den // (n + 1)) for n, v in enumerate(c)], d * den))
+                continue
+            if len(k._terms) != 1:
+                k.inverse()     # raises: 1/k leaves the coefficient ring
+            ((e, p, q),) = k._terms
+            deg = len(c) - 1
+            den = d * p ** (deg + 1)
+            deriv = list(c)
+            for j in range(deg + 1):
+                # P^(j) / k^(j+1), with (-1)^(j//2) and the trig it multiplies
+                sign = -1 if (j // 2) % 2 else 1
+                if j % 2:
+                    target = t
+                elif t == "sin":
+                    target, sign = "cos", -sign
+                else:
+                    target = "sin"
+                f = sign * q ** (j + 1) * p ** (deg - j)
+                key = s + w * j - e * (j + 1)
+                acc.setdefault((target, k, key), []).append(([f * v for v in deriv], den))
+                if target == "cos":     # anchor F(0) = 0: minus the value at 0
+                    acc.setdefault((None, None, key), []).append(((-f * deriv[0],), den))
+                deriv = [m * deriv[m] for m in range(1, len(deriv))]
+        return RingElem._of(_collect(acc), w)
 
     def eval_exact(self, x0: Fraction) -> Coefficient:
         """Exact value at a rational point; trig terms only allowed at x0 = 0."""
         x0 = _as_fraction(x0)
-        total = ZERO
-        for m, c in self._terms.items():
-            if m.trig is not None and x0 != 0:
+        terms: dict[int, Fraction] = {}
+        w = self._omega
+        for (t, _, s), (c, d) in self._groups.items():
+            if t is not None and x0 != 0:
                 raise RingError("exact evaluation of trig terms requires x = 0")
-            if m.trig == "sin":
+            if t == "sin":
                 continue  # sin(0) = 0
-            if x0 == 0:
-                if m.xpow == 0:
-                    total = total + c
-            else:
-                total = total + c * (x0**m.xpow)
-        return total
+            for n, v in enumerate(c[:1] if x0 == 0 else c):
+                if v:
+                    terms[s + w * n] = terms.get(s + w * n, 0) + Fraction(v, d) * x0**n
+        return Coefficient._of(_canonical(terms))
+
+    def _float_groups(self) -> tuple:
+        """(trig, float k, float coefficients from the top x power down) per
+        (trig, k), sorted by trig rank and k; formed once per element."""
+        if self._floats is None:
+            polys: dict = {}
+            for (t, k, n), terms in self._monomial_terms().items():
+                # float(Coefficient): its pi terms summed in increasing power
+                polys.setdefault((t, k), {})[n] = 0.0 + float(
+                    sum(v / d * math.pi**e for e, (v, d) in sorted(terms.items())))
+            out = []
+            for t, k in sorted(polys, key=lambda tk: (_TRIG_RANK[tk[0]],
+                                                      tk[1].sort_key() if tk[1] else ())):
+                poly = polys[(t, k)]
+                coeffs = [poly.get(n, 0.0) for n in range(max(poly), -1, -1)]
+                out.append((t, float(k) if k is not None else None, coeffs))
+            self._floats = tuple(out)
+        return self._floats
 
     def evaluate(self, x):
         """Numeric value at x (scalar or numpy array), pi at double precision.
@@ -415,31 +615,24 @@ class RingElem:
         evaluated by Horner's rule in a fixed order, so results are
         deterministic and identical for scalar and array inputs.
         """
-        groups: dict = {}
-        for m, c in self._terms.items():
-            key = (m.trig, m.wavenumber.sort_key() if m.wavenumber else ())
-            poly = groups.setdefault(key, [{}, m.wavenumber])[0]
-            poly[m.xpow] = poly.get(m.xpow, 0.0) + float(c)
         total = 0.0
-        for key in sorted(groups, key=lambda t: (_TRIG_RANK[t[0]], t[1])):
-            poly, k = groups[key]
+        for trig, k, coeffs in self._float_groups():
             val = 0.0
-            for n in range(max(poly), -1, -1):
-                val = val * x + poly.get(n, 0.0)
-            trig = key[0]
+            for c in coeffs:
+                val = val * x + c
             if trig == "sin":
-                val = val * np.sin(float(k) * x)
+                val = val * np.sin(k * x)
             elif trig == "cos":
-                val = val * np.cos(float(k) * x)
+                val = val * np.cos(k * x)
             total = total + val
-        if not groups:
+        if not self._groups:
             total = np.zeros_like(np.asarray(x, dtype=float))
             if total.ndim == 0:
                 total = 0.0
         return total
 
     def __str__(self):
-        if not self._terms:
+        if not self._groups:
             return "0"
         parts = []
         for m, c in self.items():
@@ -468,58 +661,48 @@ class RingElem:
 
     @classmethod
     def from_json(cls, data) -> "RingElem":
-        terms: dict[Monomial, Coefficient] = {}
+        pairs = []
         for rec in data:
             k = Coefficient.from_json(rec["wavenumber"]) if rec["wavenumber"] else None
-            _accumulate(terms, int(rec["xpow"]), rec["trig"], k,
-                        Coefficient.from_json(rec["coefficient"]))
-        return cls(terms)
+            pairs.append((Monomial(int(rec["xpow"]), rec["trig"], k),
+                          Coefficient.from_json(rec["coefficient"])))
+        return cls._of(*_monomial_groups(pairs))
 
     def term_count(self) -> int:
-        return len(self._terms)
+        """Number of monomials x^n trig(kx) with a nonzero coefficient."""
+        if self._count is None:
+            if len({(t, k) for t, k, _ in self._groups}) == len(self._groups):
+                self._count = sum(len(c) - c.count(0) for c, _ in self._groups.values())
+            else:
+                self._count = len(self._monomial_terms())
+        return self._count
 
 
-def _mul_terms(terms: dict, m1: Monomial, m2: Monomial, coeff: Coefficient) -> None:
-    xpow = m1.xpow + m2.xpow
-    t1, t2 = m1.trig, m2.trig
-    if t1 is None and t2 is None:
-        _accumulate(terms, xpow, None, None, coeff)
-    elif t2 is None:
-        _accumulate(terms, xpow, t1, m1.wavenumber, coeff)
-    elif t1 is None:
-        _accumulate(terms, xpow, t2, m2.wavenumber, coeff)
-    else:
-        k1, k2 = m1.wavenumber, m2.wavenumber
-        half = coeff * HALF
-        if t1 == "sin" and t2 == "sin":
-            _accumulate(terms, xpow, "cos", k1 - k2, half)
-            _accumulate(terms, xpow, "cos", k1 + k2, -half)
-        elif t1 == "cos" and t2 == "cos":
-            _accumulate(terms, xpow, "cos", k1 - k2, half)
-            _accumulate(terms, xpow, "cos", k1 + k2, half)
-        elif t1 == "sin":  # sin * cos
-            _accumulate(terms, xpow, "sin", k1 + k2, half)
-            _accumulate(terms, xpow, "sin", k1 - k2, half)
-        else:  # cos * sin
-            _accumulate(terms, xpow, "sin", k1 + k2, half)
-            _accumulate(terms, xpow, "sin", k1 - k2, -half)
-
-
-def _integrate_trig(terms: dict, n: int, trig: str, k: Coefficient,
-                    coeff: Coefficient) -> None:
-    """Integration by parts for x^n sin(kx) and x^n cos(kx), one x power a step:
-    the integral of x^n sin(kx) is -x^n cos(kx)/k + n/k times that of
-    x^(n-1) cos(kx), and of x^n cos(kx) it is x^n sin(kx)/k - n/k times that of
-    x^(n-1) sin(kx)."""
-    inv_k = k.inverse()
-    for i in range(n, -1, -1):
-        out = coeff * inv_k
-        if trig == "sin":
-            trig, out = "cos", -out
+def _monomial_groups(pairs) -> tuple[dict, int]:
+    """Groups and omega of a sum of (Monomial, coefficient) pairs, with trig
+    signs canonicalised: sin(0) = 0, cos(0) = 1 and k > 0."""
+    terms: dict = {}
+    for m, coeff in pairs:
+        coeff = _coerce(coeff)
+        t, k = m.trig, m.wavenumber
+        if t is None:
+            k = None
         else:
-            trig = "sin"
-        _add_term(terms, Monomial(i, trig, k), out)     # k is already canonical
-        coeff = out * -i
+            canon = _canonical_trig(t, k, 1)
+            if canon is None:
+                continue
+            t, k, sign = canon
+            if sign < 0:
+                coeff = -coeff
+        if m.xpow < 0:
+            raise RingError(f"negative x power {m.xpow}")
+        key = (t, k, m.xpow)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    terms = {key: c for key, c in terms.items() if c}
+    omega = _omega_of(k for _, k, _ in terms)
+    return _entries_to_groups(((t, k, n, e, num, den)
+                               for (t, k, n), c in terms.items()
+                               for e, num, den in c._terms), omega), omega
 
 
 def _term_text(m: Monomial, coeff: Coefficient) -> str:

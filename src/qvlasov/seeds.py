@@ -235,14 +235,19 @@ def _fermi_integral(nu: float, mu: float, rule) -> tuple[float, float]:
 
     With s = u^2 the integrand 2 u^(2 nu - 1) / (exp(u^2 - mu) + 1) is
     smooth for nu >= 1/2.  The panels are split at the Fermi edge
-    sqrt(mu) +- 1 and end where u^2 - mu = 60.  The value is the composite
-    rule on every panel halved; the estimate is its distance from the rule
-    on the whole panels.
+    sqrt(mu) +- 1 and end where u^2 - mu = 60.  From mu = 8 the edge, of
+    width about 1/(2 sqrt(mu)) in u, is also cut at s = mu - 40, mu - 8 and
+    mu + 8, which keeps the estimate below 1e-15 up to mu = 640; below
+    mu = 8 the four panels already do.  The value is the composite rule on
+    every panel halved; the estimate is its distance from the rule on the
+    whole panels.
     """
     nodes, weights = rule
     edge = math.sqrt(max(mu, 0.0))
-    cuts = sorted({0.0, max(edge - 1.0, 0.0), edge + 1.0,
-                   math.sqrt(max(mu, 0.0) + 60.0)})
+    cuts = {0.0, max(edge - 1.0, 0.0), edge + 1.0, math.sqrt(max(mu, 0.0) + 60.0)}
+    if mu > 8.0:
+        cuts.update(math.sqrt(s) for s in (mu - 40.0, mu - 8.0, mu + 8.0) if s > 0.0)
+    cuts = sorted(cuts)
 
     def composite(cuts):
         a = np.array(cuts[:-1])[:, None]
@@ -288,8 +293,9 @@ class BracketError(RuntimeError):
 
 _CHI_FACTOR = 3.0 * math.sqrt(math.pi) / 4.0
 
-# Bound on the root solve's steps; chi from 1e-6 to 80 needs 8 to 41
-# evaluations of chi(mu), bracketing included.
+# Bound on the root solve's steps; chi from 1e-6 to 630 needs 8 to 41
+# evaluations of chi(mu), bracketing included.  The bracket stops at
+# mu = 640, so chi of about 640 and above has none.
 _MAX_ROOT_STEPS = 200
 
 

@@ -26,9 +26,19 @@ from .ring import RingElem
 
 CONVENTIONS = ("paper", "uniform")
 
+# Largest truncation order.  Goldstone L=30 builds in about 3.5 s, and the
+# seed derivatives of such a series (order 3L = 90, plus 2 j + 1 more for a
+# residual truncated at j) stay inside the float range of j!, which ends at
+# 170.
+MAX_ORDER = 30
+
 
 class TermBudgetError(RuntimeError):
     """Series construction exceeded the configured monomial budget."""
+
+
+class OrderError(ValueError):
+    """A series order, or a cell's derivative order, beyond the supported range."""
 
 
 class SeriesTerm:
@@ -278,12 +288,19 @@ class WignerSeries:
 
     @classmethod
     def from_json_dict(cls, data) -> "WignerSeries":
-        """Inverse of to_json_dict; ValueError on a malformed document or one
-        whose order or convention does not fit its terms."""
+        """Inverse of to_json_dict.  OrderError when the order exceeds
+        MAX_ORDER or a cell's derivative order exceeds 3 * order; ValueError
+        on any other malformed document, or one whose order or convention
+        does not fit its terms."""
         try:
+            potential = parse_potential(data["potential"])
+            order = int(data["order"])
+            if order > MAX_ORDER:
+                raise OrderError(f"series order {order} exceeds {MAX_ORDER}")
+            _check_cells(data["terms"], order, (2 * potential.x_degree() + 1) * order)
             series = cls(
-                potential=parse_potential(data["potential"]),
-                order=int(data["order"]),
+                potential=potential,
+                order=order,
                 convention=data["convention"],
                 x_ref=Fraction(data["x_ref"]),
                 terms=tuple(SeriesTerm.from_json(t) for t in data["terms"]),
@@ -302,6 +319,27 @@ class WignerSeries:
         return cls.from_json_dict(json.loads(text))
 
 
+def _check_cells(terms, order: int, max_xpow: int) -> None:
+    """Bounds on a series document's cells, checked before any is built.
+
+    A derivative order beyond 3 * order is an OrderError.  An x power beyond
+    max_xpow is a ValueError: the order-l source multiplies f_{l-j} by
+    (H - V)^(j-k) and an odd derivative of V, and the quadrature adds one
+    power, at most D (j + 1) + 1 <= (2 D + 1) j in all for D = deg V, so no
+    built series passes (2 D + 1) * order.
+    """
+    for term in terms:
+        for rec in term:
+            j = int(rec["j"])
+            if not 0 <= j <= 3 * order:
+                raise OrderError(f"series cell of derivative order {j} is "
+                                 f"outside 0..{3 * order} (3 * order)")
+            for mono in rec["ring"]:
+                if not 0 <= int(mono["xpow"]) <= max_xpow:
+                    raise ValueError(f"series cell x power {mono['xpow']} is "
+                                     f"outside 0..{max_xpow}")
+
+
 def build_series(potential: RingElem, order: int, convention: str = "paper",
                  x_ref: Fraction = Fraction(0),
                  term_budget: int = 10**6) -> WignerSeries:
@@ -314,6 +352,8 @@ def build_series(potential: RingElem, order: int, convention: str = "paper",
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > MAX_ORDER:
+        raise OrderError(f"order {order} exceeds {MAX_ORDER}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     x_ref = Fraction(x_ref)

@@ -33,19 +33,38 @@ def random_coefficient(rng) -> Coefficient:
     return total
 
 
-def random_ring_elem(rng, max_terms: int = 5, max_xpow: int = 4) -> RingElem:
+# wavenumber families by their shared pi power: 0, 1, -1, none at all, and
+# mixed powers; elements drawn from one family have that omega (or 0)
+WAVENUMBER_FAMILIES = (
+    WAVENUMBERS[:3],
+    [Coefficient.pi_power(1, 1), Coefficient.pi_power(1, 2),
+     Coefficient.pi_power(1, Fraction(1, 2))],
+    [Coefficient.pi_power(-1, 3), Coefficient.pi_power(-1, 1)],
+    [],
+    WAVENUMBERS,
+)
+
+
+def random_ring_elem(rng, max_terms: int = 5, max_xpow: int = 4,
+                     wavenumbers=WAVENUMBERS) -> RingElem:
     elem = RingElem.zero()
     for _ in range(int(rng.integers(1, max_terms + 1))):
         xpow = int(rng.integers(0, max_xpow + 1))
-        trig = rng.choice([None, "sin", "cos"])
+        trig = rng.choice([None, "sin", "cos"]) if wavenumbers else None
         if trig is None:
             part = RingElem({}) + RingElem.x(xpow).scale(random_coefficient(rng))
         else:
-            k = WAVENUMBERS[int(rng.integers(0, len(WAVENUMBERS)))]
+            k = wavenumbers[int(rng.integers(0, len(wavenumbers)))]
             part = RingElem.trig(trig, k, xpow=xpow,
                                  coeff=random_coefficient(rng))
         elem = elem + part
     return elem
+
+
+def random_family_elem(rng, max_terms: int = 5, max_xpow: int = 4) -> RingElem:
+    """A random element whose wavenumbers come from one random family."""
+    family = WAVENUMBER_FAMILIES[int(rng.integers(0, len(WAVENUMBER_FAMILIES)))]
+    return random_ring_elem(rng, max_terms, max_xpow, wavenumbers=family)
 
 
 @pytest.fixture

@@ -250,6 +250,9 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (["expand", "--potential", "(q+1)^65"], None, "exponent 65"),
     (["expand", "--potential", "((sin(q)+cos(2*q))^64)^2"], None, "monomial pairs"),
     (EVALUATE + ["--qrange=-3,3,200001"], None, "exceeds 4004001 points"),
+    (["expand", "--potential", "goldstone", "--order", "31"], None, "--order"),
+    (["verify", "--potential", "modulated", "--order", "1", "--j-max", "32"], None,
+     "--j-max"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
         "flag-of-another-command", "negative-hbar-list", "zero-samples",
@@ -257,7 +260,7 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
         "infinite-p-bound", "infinite-q-bound",
         "infinite-grid-in-file", "j-max-below-order", "symbolic-trig",
         "series-j-max-below-order", "exponent-over-cap", "product-over-cap",
-        "grid-over-cap"])
+        "grid-over-cap", "order-over-cap", "j-max-over-cap"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if "series.json" in argv:
@@ -302,6 +305,30 @@ def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message)
     edited.write_text(json.dumps(doc))
     assert run(["verify", "--series", str(edited), "--out", str(tmp_path / "v")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _cell_at_j_200(doc):
+    doc["terms"][2][0]["j"] = 200
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(order=31), "series order 31 exceeds 30"),
+    (_cell_at_j_200, "derivative order 200"),
+], ids=["order-over-cap", "cell-j-over-3-order"])
+def test_verify_series_beyond_order_cap_exits_one(tmp_path, capsys, edit, message):
+    # a cell at j = 200 used to end in an OverflowError traceback from the
+    # fd seed's j! in float
+    out = tmp_path / "expand"
+    assert run(["expand", "--potential", "goldstone", "--order", "2",
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "series.json").read_text())
+    edit(doc)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    assert run(["verify", "--series", str(edited), "--seed", "fd:z=1",
+                "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_verify_series_provenance_describes_loaded_series(tmp_path):

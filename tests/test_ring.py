@@ -234,7 +234,7 @@ def test_print_parse_identity(e):
     assert parse_potential(str(e)) == e
 
 
-# ------------------------------------------- Coefficient fast paths vs dicts
+# ---------------------------------------------- Coefficient algebra vs dicts
 
 _ratio = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 24))
 _single = st.builds(lambda e, r: {e: r}, st.integers(-3, 3), _ratio)

@@ -1,0 +1,283 @@
+"""Integer group kernels of the ring against a plain per-monomial oracle.
+
+The oracle is a dict {(n, trig, k): {e: Fraction}} for the sum of
+r * pi^e * x^n * trig(k x), with k a sorted tuple of (pi power, Fraction)
+pairs whose highest term is positive.  Its arithmetic is written out here
+term by term, independent of the ring's group layout.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from qvlasov.ring import Coefficient, Monomial, RingElem, RingError
+
+from conftest import WAVENUMBER_FAMILIES, random_coefficient, random_family_elem
+
+ROUNDS = 150
+
+
+# ------------------------------------------------------------------ oracle
+
+def _pi_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for e, r in b.items():
+        out[e] = out.get(e, 0) + sign * r
+    return {e: r for e, r in out.items() if r}
+
+
+def _pi_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, r1 in a.items():
+        for e2, r2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + r1 * r2
+    return {e: r for e, r in out.items() if r}
+
+
+def _add_term(out: dict, n: int, trig, k: dict | None, c: dict) -> None:
+    """Add c * x^n * trig(k x) to out with sin(0) = 0, cos(0) = 1, k > 0."""
+    if trig is not None:
+        if not k:
+            if trig == "sin":
+                return
+            trig, k = None, None
+        elif k[max(k)] < 0:
+            k = {e: -r for e, r in k.items()}
+            if trig == "sin":
+                c = {e: -r for e, r in c.items()}
+    key = (n, trig, None if k is None else tuple(sorted(k.items())))
+    total = _pi_add(out.get(key, {}), c)
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def o_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for (n, trig, k), c in b.items():
+        _add_term(out, n, trig, None if k is None else dict(k), c)
+    return out
+
+
+def o_neg(a: dict) -> dict:
+    return {key: {e: -r for e, r in c.items()} for key, c in a.items()}
+
+
+def o_scale(a: dict, f: dict) -> dict:
+    out: dict = {}
+    for (n, trig, k), c in a.items():
+        _add_term(out, n, trig, None if k is None else dict(k), _pi_mul(c, f))
+    return out
+
+
+def o_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (n1, t1, k1), c1 in a.items():
+        for (n2, t2, k2), c2 in b.items():
+            n, c = n1 + n2, _pi_mul(c1, c2)
+            if t1 is None or t2 is None:
+                trig, k = (t2, k2) if t1 is None else (t1, k1)
+                _add_term(out, n, trig, None if k is None else dict(k), c)
+                continue
+            half = {e: r / 2 for e, r in c.items()}
+            neg = {e: -r for e, r in half.items()}
+            diff, total = _pi_add(dict(k1), dict(k2), -1), _pi_add(dict(k1), dict(k2))
+            if t1 == "sin" and t2 == "sin":
+                terms = [("cos", diff, half), ("cos", total, neg)]
+            elif t1 == "cos" and t2 == "cos":
+                terms = [("cos", diff, half), ("cos", total, half)]
+            elif t1 == "sin":
+                terms = [("sin", total, half), ("sin", diff, half)]
+            else:
+                terms = [("sin", total, half), ("sin", diff, neg)]
+            for trig, k, part in terms:
+                _add_term(out, n, trig, k, part)
+    return out
+
+
+def o_ddx(a: dict) -> dict:
+    out: dict = {}
+    for (n, trig, k), c in a.items():
+        kd = None if k is None else dict(k)
+        if n:
+            _add_term(out, n - 1, trig, kd, {e: n * r for e, r in c.items()})
+        if trig == "sin":
+            _add_term(out, n, "cos", kd, _pi_mul(c, kd))
+        elif trig == "cos":
+            _add_term(out, n, "sin", kd, {e: -r for e, r in _pi_mul(c, kd).items()})
+    return out
+
+
+def o_at_zero(a: dict) -> dict:
+    total: dict = {}
+    for (n, trig, _), c in a.items():
+        if n == 0 and trig != "sin":
+            total = _pi_add(total, c)
+    return total
+
+
+def o_integrate(a: dict) -> dict:
+    """Integration by parts, one x power at a time, then F(0) = 0."""
+    out: dict = {}
+    for (n, trig, k), c in a.items():
+        if trig is None:
+            _add_term(out, n + 1, None, None, {e: r / (n + 1) for e, r in c.items()})
+            continue
+        ((ek, rk),) = k
+        inv_k = {-ek: 1 / rk}
+        kd = dict(k)
+        for i in range(n, -1, -1):
+            c = _pi_mul(c, inv_k)
+            if trig == "sin":
+                trig, c = "cos", {e: -r for e, r in c.items()}
+            else:
+                trig = "sin"
+            _add_term(out, i, trig, kd, c)
+            c = {e: -i * r for e, r in c.items()}
+    _add_term(out, 0, None, None, {e: -r for e, r in o_at_zero(out).items()})
+    return out
+
+
+# ------------------------------------------------------------------ checks
+
+def oracle(elem: RingElem) -> dict:
+    return {(m.xpow, m.trig, None if m.wavenumber is None
+             else tuple(m.wavenumber.items())): dict(c.items())
+            for m, c in elem.items()}
+
+
+def from_oracle(terms: dict) -> RingElem:
+    return RingElem({Monomial(n, trig, None if k is None else Coefficient(dict(k))):
+                     Coefficient(c) for (n, trig, k), c in terms.items()})
+
+
+def expected_omega(terms: dict) -> int:
+    powers = {tuple(e for e, _ in k) for _, _, k in terms if k is not None}
+    if len(powers) == 1 and len(next(iter(powers))) == 1:
+        return next(iter(powers))[0]
+    return 0
+
+
+def check(elem: RingElem, terms: dict) -> None:
+    """elem has the oracle's value, canonical groups and the right omega,
+    and equals (with an equal hash) the element built from the oracle."""
+    assert oracle(elem) == terms
+    assert elem._omega == expected_omega(terms)
+    for (trig, k, s), (c, d) in elem._groups.items():
+        assert d > 0 and c and c[-1] != 0, (trig, k, s)
+        assert math.gcd(d, *c) == 1, (trig, k, s)
+    rebuilt = from_oracle(terms)
+    assert elem == rebuilt and hash(elem) == hash(rebuilt)
+    assert elem.term_count() == len(terms)
+
+
+def pairs(rng, rounds=ROUNDS):
+    for _ in range(rounds):
+        yield random_family_elem(rng), random_family_elem(rng)
+
+
+# ------------------------------------------------------------------ kernels
+
+def test_constructor_round_trips_plain_terms(rng):
+    for _ in range(ROUNDS):
+        family = WAVENUMBER_FAMILIES[int(rng.integers(0, len(WAVENUMBER_FAMILIES)))]
+        terms: dict = {}
+        for _ in range(int(rng.integers(1, 6))):
+            trig = rng.choice([None, "sin", "cos"]) if family else None
+            k = None
+            if trig is not None:
+                k = dict(family[int(rng.integers(0, len(family)))].items())
+            _add_term(terms, int(rng.integers(0, 5)), trig, k,
+                      dict(random_coefficient(rng).items()))
+        check(from_oracle(terms), terms)
+
+
+def test_sum_difference_and_negation_match_oracle(rng):
+    for a, b in pairs(rng):
+        ta, tb = oracle(a), oracle(b)
+        check(a + b, o_add(ta, tb))
+        check(a - b, o_add(ta, o_neg(tb)))
+        check(-a, o_neg(ta))
+        assert (a - a).is_zero() and (a - a)._omega == 0
+
+
+def test_scale_matches_oracle(rng):
+    for _ in range(ROUNDS):
+        a, f = random_family_elem(rng), random_coefficient(rng)
+        check(a.scale(f), o_scale(oracle(a), dict(f.items())))
+        check(a * Fraction(-3, 4), o_scale(oracle(a), {0: Fraction(-3, 4)}))
+
+
+def test_product_matches_oracle(rng):
+    for a, b in pairs(rng):
+        check(a * b, o_mul(oracle(a), oracle(b)))
+
+
+def test_ddx_matches_oracle(rng):
+    for _ in range(ROUNDS):
+        a = random_family_elem(rng)
+        check(a.ddx(), o_ddx(oracle(a)))
+
+
+def test_integrate_matches_oracle(rng):
+    for _ in range(ROUNDS):
+        a = random_family_elem(rng)
+        f = a.integrate()
+        check(f, o_integrate(oracle(a)))
+        assert f.ddx() == a
+        assert f.eval_exact(Fraction(0)).is_zero()
+
+
+def test_eval_exact_at_zero_matches_oracle(rng):
+    for _ in range(ROUNDS):
+        a = random_family_elem(rng)
+        assert dict(a.eval_exact(Fraction(0)).items()) == o_at_zero(oracle(a))
+
+
+def test_high_degree_trig_integral_matches_oracle():
+    # long groups put every sign of the closed form to work
+    for k in (Coefficient.pi_power(1, 2), Coefficient.rational(Fraction(3, 2)),
+              Coefficient.pi_power(-1, 3)):
+        for kind in ("sin", "cos"):
+            a = sum((RingElem.trig(kind, k, xpow=n, coeff=Fraction(n + 1, 3))
+                     for n in range(9)), RingElem.zero())
+            check(a.integrate(), o_integrate(oracle(a)))
+
+
+def test_integrate_rejects_multi_term_wavenumber():
+    with pytest.raises(RingError):
+        RingElem.trig("cos", Coefficient({0: 1, 1: 1})).integrate()
+
+
+# ------------------------------------------------- equal values, equal groups
+
+def test_equal_values_by_different_routes_have_equal_groups(rng):
+    for _ in range(ROUNDS // 3):
+        a, b, c = (random_family_elem(rng, max_terms=3) for _ in range(3))
+        routes = [a * (b + c), a * b + a * c, (c + b) * a,
+                  from_oracle(o_mul(oracle(a), o_add(oracle(b), oracle(c))))]
+        for route in routes[1:]:
+            assert route._groups == routes[0]._groups
+            assert route._omega == routes[0]._omega
+            assert hash(route) == hash(routes[0])
+        back = (a + b) - b
+        assert back._groups == a._groups and hash(back) == hash(a)
+
+
+def test_cancellation_moves_omega():
+    poly = RingElem.x(3).scale(Coefficient.pi_power(2, 5)) + RingElem.x(1)
+    two_pi = Coefficient.pi_power(1, 2)
+    ripple = RingElem.trig("cos", two_pi, xpow=2)
+    mixed = ripple + RingElem.trig("sin", 1)
+    assert ripple._omega == 1 and mixed._omega == 0 and poly._omega == 0
+    for total, rest in ((poly + ripple - ripple, poly),
+                        (mixed - RingElem.trig("sin", 1), ripple),
+                        (poly * ripple - ripple * poly + poly, poly)):
+        assert total._omega == rest._omega
+        assert total._groups == rest._groups and hash(total) == hash(rest)
+    # sin^2 + cos^2 = 1 leaves only the omega-0 constant
+    s, c = RingElem.trig("sin", two_pi), RingElem.trig("cos", two_pi)
+    one = s * s + c * c
+    assert one == RingElem.one() and one._omega == 0

@@ -249,6 +249,23 @@ def test_fugacity_roundtrip():
         assert z_from_chi(chi_from_z(z)) == pytest.approx(z, rel=1e-6)
 
 
+@pytest.mark.parametrize("chi", [90.0, 100.0, 200.0])
+def test_z_from_chi_degenerate_matches_mpmath(chi):
+    # above chi of about 80 the error estimate used to reject the quadrature
+    z = z_from_chi(chi)
+    assert parse_seed_spec(f"fd:chi={chi:g}").z == z
+    with mpmath.workdps(40):
+        ref = mpmath.re(mpmath.polylog(1.5, -mpmath.mpf(z)))
+        target = -4 / (3 * mpmath.sqrt(mpmath.pi)) * mpmath.mpf(chi) ** 1.5
+        assert float(abs(ref - target) / abs(target)) < 1e-14
+
+
+def test_z_from_chi_below_edge_cuts_is_unchanged():
+    # the extra panel cuts start at mu = 8, so calibrations below keep their bits
+    assert z_from_chi(1.0).hex() == "0x1.f521108ebdddap-1"
+    assert z_from_chi(8.0).hex() == "0x1.4f47fe5fe8dfbp+11"
+
+
 def test_z_from_chi_rejects_nonpositive():
     with pytest.raises(ValueError):
         z_from_chi(0.0)

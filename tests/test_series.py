@@ -12,9 +12,9 @@ from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 import qvlasov.series as series_module
 from qvlasov.ring import RingElem
-from qvlasov.series import (SeriesTerm, TermBudgetError, WignerSeries,
-                            build_series, closed_form_f1, integrate_term,
-                            recursion_rhs)
+from qvlasov.series import (MAX_ORDER, OrderError, SeriesTerm, TermBudgetError,
+                            WignerSeries, build_series, closed_form_f1,
+                            integrate_term, recursion_rhs)
 
 from conftest import random_ring_elem
 
@@ -230,6 +230,49 @@ def test_build_series_rejects_bad_arguments():
         build_series(GOLDSTONE, -1)
     with pytest.raises(ValueError):
         build_series(GOLDSTONE, 1, "mixed")
+    with pytest.raises(OrderError, match="order 31 exceeds 30"):
+        build_series(GOLDSTONE, MAX_ORDER + 1)
+
+
+def _set_cell(l, key, value):
+    def edit(doc):
+        doc["terms"][l][0][key] = value
+    return edit
+
+
+def _set_xpow(value):
+    def edit(doc):
+        doc["terms"][2][0]["ring"][0]["xpow"] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda doc: doc.update(order=MAX_ORDER + 1), OrderError, "exceeds 30"),
+    (_set_cell(2, "j", 200), OrderError, "derivative order 200"),
+    (_set_cell(1, "j", 7), OrderError, "derivative order 7"),
+    (_set_cell(1, "j", -1), OrderError, "derivative order -1"),
+    (_set_xpow(10**9), ValueError, "x power 1000000000"),
+    (_set_xpow(19), ValueError, "x power 19 is outside 0..18"),
+    (_set_xpow(-1), ValueError, "x power -1"),
+], ids=["order-over-cap", "j-200", "j-over-3-order", "negative-j",
+        "huge-xpow", "xpow-over-bound", "negative-xpow"])
+def test_series_document_out_of_bounds_rejected(edit, error, message):
+    # goldstone L=2: x-degree at most (2 deg V + 1) * order = 18, j <= 6
+    doc = json.loads(build_series(GOLDSTONE, 2).to_json())
+    WignerSeries.from_json_dict(json.loads(json.dumps(doc)))
+    edit(doc)
+    with pytest.raises(error, match=message):
+        WignerSeries.from_json_dict(doc)
+
+
+def test_built_series_stay_inside_document_bounds():
+    for text, order in (("goldstone", 10), ("modulated:a=1/2", 5), ("q^6 - q", 5),
+                        ("sin(q) + q^4/4 + cos(2*q)*q", 3)):
+        series = build_series(resolve_potential(text), order)
+        degree = 2 * series.potential.x_degree() + 1
+        for l, term in enumerate(series.terms):
+            assert term.max_deriv_order() <= 3 * l
+            assert all(c.x_degree() <= degree * l for _, c in term.cells())
 
 
 # ------------------------------------------------------- linearity of terms
