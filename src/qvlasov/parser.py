@@ -10,8 +10,9 @@ Grammar (q is the position variable):
 Numbers are unsigned integers or decimal literals (parsed exactly as
 rationals); fractions are written with "/". Division is only defined by
 nonzero invertible constants, trig arguments must reduce to a constant
-times q, an exponent may not exceed MAX_POWER nor raise the x-degree past
-it, and no product may form more than MAX_PRODUCT_PAIRS monomial pairs.
+times q, an exponent may not exceed MAX_POWER, no power or product may raise
+the x-degree past it, and no product may form more than MAX_PRODUCT_PAIRS
+monomial pairs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fractions import Fraction
 from .ring import Coefficient, Monomial, RingElem, RingError
 
 
-# Largest exponent, and largest x-degree a power may reach, so parsing work
-# stays bounded: (q+1)^64 parses in about 0.01 s.
+# Largest exponent, and largest x-degree a power or product may reach, so
+# parsing work stays bounded: (q+1)^64 parses in about 0.01 s.
 MAX_POWER = 64
 # Most monomial pairs one product (in "*" or "^") may form; 64 by 64 terms.
 MAX_PRODUCT_PAIRS = 4096
@@ -172,6 +173,9 @@ def _product(a: RingElem, b: RingElem, at: int) -> RingElem:
     if pairs > MAX_PRODUCT_PAIRS:
         raise ParseError(f"product of {pairs} monomial pairs exceeds "
                          f"{MAX_PRODUCT_PAIRS}", at)
+    degree = a.x_degree() + b.x_degree()
+    if degree > MAX_POWER:
+        raise ParseError(f"product of x-degree {degree} exceeds {MAX_POWER}", at)
     return a * b
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -100,10 +99,15 @@ class Coefficient:
         return self._hash
 
     def __add__(self, other):
-        terms = dict(self.items())
-        for e, r in _coerce(other).items():
-            terms[e] = terms.get(e, 0) + r
-        return Coefficient._of(_canonical(terms))
+        terms = {e: (n, d) for e, n, d in self._terms}
+        for e, n, d in _coerce(other)._terms:
+            if e in terms:
+                n0, d0 = terms[e]
+                n, d = n0 * d + n * d0, d0 * d
+                g = math.gcd(n, d)
+                n, d = n // g, d // g
+            terms[e] = (n, d)
+        return Coefficient._of(tuple((e, n, d) for e, (n, d) in sorted(terms.items()) if n))
 
     __radd__ = __add__
 
@@ -239,20 +243,16 @@ def _reduce(c: list, d: int):
 
 
 def _combine(parts: list):
-    """The primitive group of a sum of (ints, denominator) parts, or None."""
-    if len(parts) == 1:
-        c, d = parts[0]
-        return _reduce(list(c), d)
-    if len(parts) == 2:     # most sums: one list pass, no lcm
-        (a, da), (b, db) = parts
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-        return _reduce([fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)],
-                       da * fa)
-    dens = {d for _, d in parts}
-    den = dens.pop() if len(dens) == 1 else math.lcm(*dens)
-    rows = [c if d == den else [den // d * v for v in c] for c, d in parts]
-    return _reduce([sum(col) for col in zip_longest(*rows, fillvalue=0)], den)
+    """The primitive group of a sum of (ints, denominator) parts, or None.
+
+    Parts are added one at a time over the running lcm of denominators."""
+    c, d = parts[0]
+    for b, db in parts[1:]:
+        g = math.gcd(d, db)
+        fa, fb = db // g, d // g
+        c = [fa * x + fb * y for x, y in zip_longest(c, b, fillvalue=0)]
+        d *= fa
+    return _reduce(list(c), d)
 
 
 def _collect(acc: dict) -> dict:
@@ -319,10 +319,9 @@ def _canonical_trig(trig, k, sign: int):
     return (trig, k, sign)
 
 
-@lru_cache(maxsize=65536)
-def _trig_product(t1: str, k1: Coefficient, t2: str, k2: Coefficient) -> tuple:
-    """trig1(k1 x) * trig2(k2 x) as (trig, k, sign) terms, each times 1/2."""
-    diff, total = k1 - k2, k1 + k2
+def _trig_product(t1: str, t2: str, total: Coefficient, diff: Coefficient) -> tuple:
+    """trig1(k1 x) * trig2(k2 x) as (trig, k, sign) terms, each times 1/2,
+    from total = k1 + k2 and diff = k1 - k2."""
     if t1 == "sin" and t2 == "sin":
         terms = (("cos", diff, 1), ("cos", total, -1))
     elif t1 == "cos" and t2 == "cos":
@@ -332,6 +331,15 @@ def _trig_product(t1: str, k1: Coefficient, t2: str, k2: Coefficient) -> tuple:
     else:
         terms = (("sin", total, 1), ("sin", diff, -1))
     return tuple(filter(None, (_canonical_trig(*t) for t in terms)))
+
+
+def _by_wavenumber(groups: dict) -> dict:
+    """{k: [(trig, s, ints, denominator)]} of a group dict, k None for the
+    polynomial groups."""
+    out: dict = {}
+    for (t, k, s), (c, d) in groups.items():
+        out.setdefault(k, []).append((t, s, c, d))
+    return out
 
 
 class RingElem:
@@ -501,18 +509,23 @@ class RingElem:
         if not self._groups or not other._groups:
             return RingElem()
         ga, gb, w = self._common(other)
+        right = _by_wavenumber(gb).items()
         acc: dict = {}
-        for (t1, k1, s1), (c1, d1) in ga.items():
-            for (t2, k2, s2), (c2, d2) in gb.items():
-                s, c, d = s1 + s2, _convolve(c1, c2), d1 * d2
-                if t1 is None:
-                    acc.setdefault((t2, k2, s), []).append((c, d))
-                elif t2 is None:
-                    acc.setdefault((t1, k1, s), []).append((c, d))
-                else:
-                    for t, k, sign in _trig_product(t1, k1, t2, k2):
-                        acc.setdefault((t, k, s), []).append(
-                            (c if sign > 0 else [-v for v in c], 2 * d))
+        for k1, left in _by_wavenumber(ga).items():
+            for k2, groups in right:
+                # k1 +- k2 once for the up to four trig pairs of k1 and k2
+                waves = None if k1 is None or k2 is None else (k1 + k2, k1 - k2)
+                for t1, s1, c1, d1 in left:
+                    for t2, s2, c2, d2 in groups:
+                        s, c, d = s1 + s2, _convolve(c1, c2), d1 * d2
+                        if t1 is None:
+                            acc.setdefault((t2, k2, s), []).append((c, d))
+                        elif t2 is None:
+                            acc.setdefault((t1, k1, s), []).append((c, d))
+                        else:
+                            for t, k, sign in _trig_product(t1, t2, *waves):
+                                acc.setdefault((t, k, s), []).append(
+                                    (c if sign > 0 else [-v for v in c], 2 * d))
         return RingElem._checked(_collect(acc), w)
 
     __rmul__ = __mul__
@@ -557,6 +570,7 @@ class RingElem:
             ((e, p, q),) = k._terms
             deg = len(c) - 1
             den = d * p ** (deg + 1)
+            sums: dict = {}     # this group's share of each output group
             deriv = list(c)
             for j in range(deg + 1):
                 # P^(j) / k^(j+1), with (-1)^(j//2) and the trig it multiplies
@@ -569,10 +583,14 @@ class RingElem:
                     target = "sin"
                 f = sign * q ** (j + 1) * p ** (deg - j)
                 key = s + w * j - e * (j + 1)
-                acc.setdefault((target, k, key), []).append(([f * v for v in deriv], den))
+                total = sums.setdefault((target, k, key), [0] * len(deriv))
+                for n, v in enumerate(deriv):
+                    total[n] += f * v
                 if target == "cos":     # anchor F(0) = 0: minus the value at 0
-                    acc.setdefault((None, None, key), []).append(((-f * deriv[0],), den))
+                    sums.setdefault((None, None, key), [0])[0] -= f * deriv[0]
                 deriv = [m * deriv[m] for m in range(1, len(deriv))]
+            for key, total in sums.items():
+                acc.setdefault(key, []).append((total, den))
         return RingElem._of(_collect(acc), w)
 
     def eval_exact(self, x0: Fraction) -> Coefficient:

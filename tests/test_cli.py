@@ -253,6 +253,7 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (["expand", "--potential", "goldstone", "--order", "31"], None, "--order"),
     (["verify", "--potential", "modulated", "--order", "1", "--j-max", "32"], None,
      "--j-max"),
+    (["expand"], {"potential": "q^40*q^40"}, "x-degree 80 exceeds 64"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
         "flag-of-another-command", "negative-hbar-list", "zero-samples",
@@ -260,7 +261,8 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
         "infinite-p-bound", "infinite-q-bound",
         "infinite-grid-in-file", "j-max-below-order", "symbolic-trig",
         "series-j-max-below-order", "exponent-over-cap", "product-over-cap",
-        "grid-over-cap", "order-over-cap", "j-max-over-cap"])
+        "grid-over-cap", "order-over-cap", "j-max-over-cap",
+        "product-degree-over-cap-in-file"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if "series.json" in argv:

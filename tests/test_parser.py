@@ -82,6 +82,9 @@ def test_division_by_pi_constant():
     ("(sin(q) + cos(3*q))^32 * (sin(q) + cos(3*q))^32",
      "9025 monomial pairs exceeds 4096"),
     ("(q + 1)^64 * (q + 1)^64", "4225 monomial pairs exceeds 4096"),
+    ("q^64 * q", "product of x-degree 65 exceeds 64"),
+    ("q^40 * (1 + q^40)", "product of x-degree 80 exceeds 64"),
+    ("q^64" + " * q^64" * 50, "product of x-degree 128 exceeds 64"),
 ])
 def test_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -91,6 +94,7 @@ def test_errors(text, fragment):
 
 def test_powers_at_the_cap_parse():
     assert parse_potential("((q + 1)^8)^8") == parse_potential("(q + 1)^64")
+    assert parse_potential("q^32 * (q + 1)^32").x_degree() == 64
     assert parse_potential("cos(q)^64").x_degree() == 0
     # its last product forms 128 x 2 pairs, far below MAX_PRODUCT_PAIRS
     assert parse_potential("(sin(q) + cos(2*q))^64").term_count() == 129
