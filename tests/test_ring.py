@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qvlasov.parser import parse_potential
 from qvlasov.ring import Coefficient, Monomial, RingElem, RingError
 
-from conftest import WAVENUMBERS, random_ring_elem
+from conftest import WAVENUMBERS, random_family_elem, random_ring_elem
 
 
 def frac(n, d=1):
@@ -307,9 +307,12 @@ def test_monomials_from_either_form_share_a_key(a, b):
 # ------------------------------------------------------------- serialization
 
 def test_ring_json_roundtrip(rng):
-    for _ in range(50):
-        e = random_ring_elem(rng)
+    # half the elements from one wavenumber family, so negative and mixed pi
+    # powers reach the wavenumbers' text and JSON too
+    for i in range(100):
+        e = random_family_elem(rng) if i % 2 else random_ring_elem(rng)
         assert RingElem.from_json(e.to_json()) == e
+        assert parse_potential(str(e)) == e
 
 
 def test_monomial_canonical_fields():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qvlasov.cli import _series_listing
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 import qvlasov.series as series_module
@@ -309,6 +310,15 @@ def test_series_json_roundtrip_is_exact():
         assert back.to_json() == doc
 
 
+def test_series_cells_text_roundtrip():
+    # every cell's listing text parses back to the cell: pi powers mix in the
+    # modulated cells' coefficients and wavenumbers
+    series = build_series(resolve_potential("modulated:a=1/2"), 3, "paper")
+    cells = [c for term in series.terms for _, c in term.cells()]
+    assert len(cells) == 31
+    assert all(parse_potential(str(c)) == c for c in cells)
+
+
 def test_series_json_is_deterministic():
     a = build_series(GOLDSTONE, 3, "paper").to_json()
     b = build_series(GOLDSTONE, 3, "paper").to_json()
@@ -316,6 +326,9 @@ def test_series_json_is_deterministic():
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "series_digests.json").read_text())
+# SHA-256 of cli._series_listing (series.txt, RingElem.__str__) for the same keys
+GOLDEN_LISTING = json.loads(
+    (Path(__file__).parent / "data" / "listing_digests.json").read_text())
 
 
 def test_series_bytes_match_golden_digests():
@@ -324,9 +337,13 @@ def test_series_bytes_match_golden_digests():
     # at L <= 3, both conventions; recorded before the integer group layout:
     # modulated:a=1/2 at L = 4..6 (paper) and 4..5 (uniform), and two
     # potentials whose pi powers mix inside one (trig, k) group, both
-    # conventions
+    # conventions.  The listing digests were recorded for the same keys before
+    # the ring's writers moved onto its monomial table.
     assert len(GOLDEN) == 2 * (3 * 6 + 4) + 5 + 2 * 2
+    assert GOLDEN_LISTING.keys() == GOLDEN.keys()
     for key, digest in GOLDEN.items():
         spec, order, convention = key.rsplit(" ", 2)
         series = build_series(resolve_potential(spec), int(order[2:]), convention)
         assert hashlib.sha256(series.to_json().encode()).hexdigest() == digest, key
+        listing = _series_listing(series)
+        assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_LISTING[key], key
