@@ -14,14 +14,16 @@ sum_n c[n]/d * pi^(s + omega*n) * x^n * trig(k*x), where omega is the pi
 power shared by all wavenumbers of the element (0 when it has none, or
 when their powers differ).  With omega equal to the wavenumbers' pi power,
 the x-powers of one antiderivative land in one group, and products of
-groups are plain integer convolutions.
+groups are plain integer convolutions.  Every read-out (items(), the JSON
+form, the text and the floats of evaluate) comes from one table of monomial
+rows, formed from the groups in one pass (RingElem._monomials).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -146,30 +148,14 @@ class Coefficient:
         return self * _coerce(other).inverse()
 
     def __float__(self):
-        # n / d is float(Fraction(n, d)): integer true division, rounded once
-        return float(sum(n / d * math.pi**e for e, n, d in self._terms))
-
-    def sort_key(self):
-        return self._terms
+        return _terms_float(self._terms)
 
     def as_text(self, parenthesize: bool = False) -> str:
         """Render as an expression the potential grammar accepts."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, r in reversed(self.items()):
-            body = _pi_term_text(e, abs(r))
-            if not parts:
-                parts.append(body if r > 0 else "-" + body)
-            else:
-                parts.append((" + " if r > 0 else " - ") + body)
-        text = "".join(parts)
-        if parenthesize and len(self._terms) > 1:
-            return "(" + text + ")"
-        return text
+        return _terms_text(self._terms, parenthesize)
 
     def to_json(self):
-        return [[e, str(r)] for e, r in self.items()]
+        return _terms_json(self._terms)
 
     @classmethod
     def from_json(cls, data) -> "Coefficient":
@@ -194,19 +180,53 @@ def _coerce(value) -> Coefficient:
     raise TypeError(f"cannot coerce {type(value).__name__} to Coefficient")
 
 
-def _pi_term_text(e: int, r: Fraction) -> str:
-    # r assumed positive; sign handled by the caller
-    if e == 0:
-        return str(r)
-    pi_text = "pi" if abs(e) == 1 else f"pi^{abs(e)}"
-    if e > 0:
-        return pi_text if r == 1 else f"{r}*{pi_text}"
-    return f"{r}/{pi_text}"
+def _terms_float(terms: tuple) -> float:
+    """sum n/d * pi^e in increasing e; n / d is float(Fraction(n, d)), rounded once."""
+    return float(sum(n / d * math.pi**e for e, n, d in terms))
+
+
+def _terms_json(terms: tuple) -> list:
+    """[[e, "n/d"], ...], each ratio as str(Fraction(n, d)) writes it."""
+    return [[e, str(n) if d == 1 else f"{n}/{d}"] for e, n, d in terms]
+
+
+def _terms_text(terms: tuple, parenthesize: bool = False) -> str:
+    """The terms as an expression the potential grammar accepts, highest pi
+    power first; in parentheses when asked and there is more than one."""
+    parts = []
+    for e, n, d in reversed(terms):
+        body = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        if e:
+            pi_text = "pi" if abs(e) == 1 else f"pi^{abs(e)}"
+            if e < 0:
+                body = f"{body}/{pi_text}"
+            else:
+                body = pi_text if body == "1" else f"{body}*{pi_text}"
+        parts.append((n < 0, body))
+    text = _signed_sum(parts)
+    return f"({text})" if parenthesize and len(terms) > 1 else text
+
+
+def _signed_sum(parts) -> str:
+    """(negative, magnitude text) pairs joined as a - b + c; "0" for none."""
+    text = ""
+    for negative, body in parts:
+        if text:
+            text += (" - " if negative else " + ") + body
+        else:
+            text = "-" + body if negative else body
+    return text or "0"
 
 
 ONE = Coefficient.rational(1)
 
 _TRIG_RANK = {None: 0, "cos": 1, "sin": 2}
+
+# Highest x power an element can be built with.  Groups are dense in x, so
+# x^n holds n + 1 ints; series documents the CLI accepts stay within
+# (2 * parser.MAX_POWER + 1) * series.MAX_ORDER = 3870.  Products, derivatives
+# and antiderivatives are not capped here.
+MAX_X_POWER = 4096
 
 
 class Monomial(NamedTuple):
@@ -215,13 +235,6 @@ class Monomial(NamedTuple):
     xpow: int
     trig: str | None = None
     wavenumber: Coefficient | None = None
-
-    def sort_key(self):
-        k = self.wavenumber.sort_key() if self.wavenumber is not None else ()
-        return (_TRIG_RANK[self.trig], k, self.xpow)
-
-    def is_constant(self) -> bool:
-        return self.xpow == 0 and self.trig is None
 
 
 # ------------------------------------------------------------ group kernels
@@ -333,6 +346,12 @@ def _trig_product(t1: str, t2: str, total: Coefficient, diff: Coefficient) -> tu
     return tuple(filter(None, (_canonical_trig(*t) for t in terms)))
 
 
+def _group_order(item) -> tuple:
+    """Listing order of a (trig, k, s) group: trig rank, k's terms, s."""
+    (t, k, s), _ = item
+    return (_TRIG_RANK[t], () if k is None else k._terms, s)
+
+
 def _by_wavenumber(groups: dict) -> dict:
     """{k: [(trig, s, ints, denominator)]} of a group dict, k None for the
     polynomial groups."""
@@ -389,27 +408,27 @@ class RingElem:
     def trig(cls, kind: str, wavenumber, xpow: int = 0, coeff=1) -> "RingElem":
         return cls({Monomial(xpow, kind, _coerce(wavenumber)): _coerce(coeff)})
 
-    def _monomial_terms(self) -> dict:
-        """{(trig, k, n): {pi power: (numerator, denominator)}} of the value."""
-        out: dict = {}
+    def _monomials(self) -> tuple:
+        """(trig, k, n, terms) rows, terms the canonical term tuple of the
+        coefficient of x^n trig(k x), in listing order: trig rank, k, n.
+        The one place that orders, reduces and groups monomials, for every
+        reader; formed per call, since each reader runs about once per
+        element.  Groups come in (trig rank, k, s) order, so each row's pi
+        powers e = s + omega * n come in increasing order."""
         w = self._omega
-        for (t, k, s), (c, d) in self._groups.items():
+        waves: dict = {}
+        for (t, k, s), (c, d) in sorted(self._groups.items(), key=_group_order):
+            rows = waves.setdefault((t, k), {})
             for n, v in enumerate(c):
                 if v:
-                    out.setdefault((t, k, n), {})[s + w * n] = (v, d)
-        return out
+                    g = math.gcd(v, d)
+                    rows.setdefault(n, []).append((s + w * n, v // g, d // g))
+        return tuple((t, k, n, tuple(rows[n]))
+                     for (t, k), rows in waves.items() for n in sorted(rows))
 
     def items(self):
-        out = []
-        for (t, k, n), terms in self._monomial_terms().items():
-            reduced = []
-            for e in sorted(terms):
-                v, d = terms[e]
-                g = math.gcd(v, d)
-                reduced.append((e, v // g, d // g))
-            out.append((Monomial(n, t, k), Coefficient._of(tuple(reduced))))
-        out.sort(key=lambda mc: mc[0].sort_key())
-        return out
+        return [(Monomial(n, t, k), Coefficient._of(terms))
+                for t, k, n, terms in self._monomials()]
 
     def is_zero(self) -> bool:
         return not self._groups
@@ -612,17 +631,11 @@ class RingElem:
         """(trig, float k, float coefficients from the top x power down) per
         (trig, k), sorted by trig rank and k; formed once per element."""
         if self._floats is None:
-            polys: dict = {}
-            for (t, k, n), terms in self._monomial_terms().items():
-                # float(Coefficient): its pi terms summed in increasing power
-                polys.setdefault((t, k), {})[n] = 0.0 + float(
-                    sum(v / d * math.pi**e for e, (v, d) in sorted(terms.items())))
             out = []
-            for t, k in sorted(polys, key=lambda tk: (_TRIG_RANK[tk[0]],
-                                                      tk[1].sort_key() if tk[1] else ())):
-                poly = polys[(t, k)]
+            for (t, k), rows in groupby(self._monomials(), key=lambda row: row[:2]):
+                poly = {n: _terms_float(terms) for _, _, n, terms in rows}
                 coeffs = [poly.get(n, 0.0) for n in range(max(poly), -1, -1)]
-                out.append((t, float(k) if k is not None else None, coeffs))
+                out.append((t, None if k is None else float(k), coeffs))
             self._floats = tuple(out)
         return self._floats
 
@@ -650,32 +663,17 @@ class RingElem:
         return total
 
     def __str__(self):
-        if not self._groups:
-            return "0"
-        parts = []
-        for m, c in self.items():
-            negative = c.is_negative()
-            mag = -c if negative else c
-            body = _term_text(m, mag)
-            if not parts:
-                parts.append("-" + body if negative else body)
-            else:
-                parts.append((" - " if negative else " + ") + body)
-        return "".join(parts)
+        return _signed_sum(_monomial_text(*row) for row in self._monomials())
 
     def __repr__(self):
         return f"RingElem({self})"
 
     def to_json(self):
-        out = []
-        for m, c in self.items():
-            out.append({
-                "xpow": m.xpow,
-                "trig": m.trig,
-                "wavenumber": m.wavenumber.to_json() if m.wavenumber else None,
-                "coefficient": c.to_json(),
-            })
-        return out
+        return [{"xpow": n,
+                 "trig": t,
+                 "wavenumber": None if k is None else _terms_json(k._terms),
+                 "coefficient": _terms_json(terms)}
+                for t, k, n, terms in self._monomials()]
 
     @classmethod
     def from_json(cls, data) -> "RingElem":
@@ -692,7 +690,7 @@ class RingElem:
             if len({(t, k) for t, k, _ in self._groups}) == len(self._groups):
                 self._count = sum(len(c) - c.count(0) for c, _ in self._groups.values())
             else:
-                self._count = len(self._monomial_terms())
+                self._count = len(self._monomials())
         return self._count
 
 
@@ -712,8 +710,8 @@ def _monomial_groups(pairs) -> tuple[dict, int]:
             t, k, sign = canon
             if sign < 0:
                 coeff = -coeff
-        if m.xpow < 0:
-            raise RingError(f"negative x power {m.xpow}")
+        if not 0 <= m.xpow <= MAX_X_POWER:
+            raise RingError(f"x power {m.xpow} outside 0..MAX_X_POWER = {MAX_X_POWER}")
         key = (t, k, m.xpow)
         terms[key] = terms[key] + coeff if key in terms else coeff
     terms = {key: c for key, c in terms.items() if c}
@@ -723,18 +721,16 @@ def _monomial_groups(pairs) -> tuple[dict, int]:
                                for e, num, den in c._terms), omega), omega
 
 
-def _term_text(m: Monomial, coeff: Coefficient) -> str:
-    parts = []
-    if not coeff.is_one():
-        parts.append(coeff.as_text(parenthesize=True))
-    if m.xpow == 1:
-        parts.append("q")
-    elif m.xpow > 1:
-        parts.append(f"q^{m.xpow}")
-    if m.trig is not None:
-        k = m.wavenumber
-        arg = "q" if k.is_one() else f"{k.as_text(parenthesize=True)}*q"
-        parts.append(f"{m.trig}({arg})")
-    if not parts:
-        return "1"
-    return "*".join(parts)
+def _monomial_text(t, k, n: int, terms: tuple) -> tuple:
+    """(negative, |coefficient| * q^n * trig(k*q)) of one row; the sign is
+    that of the highest pi power, as in Coefficient.is_negative."""
+    negative = terms[-1][1] < 0
+    if negative:
+        terms = tuple((e, -v, d) for e, v, d in terms)
+    parts = [] if terms == ((0, 1, 1),) else [_terms_text(terms, parenthesize=True)]
+    if n:
+        parts.append("q" if n == 1 else f"q^{n}")
+    if t is not None:
+        arg = "q" if k.is_one() else f"{_terms_text(k._terms, parenthesize=True)}*q"
+        parts.append(f"{t}({arg})")
+    return negative, "*".join(parts) or "1"

@@ -1,6 +1,6 @@
 """Seed (classical-limit) energy distributions and degeneracy calibration.
 
-A seed supplies f0(H) and exact arbitrary-order H-derivatives.  All three
+A seed supplies f0(H) and exact H-derivatives up to MAX_DERIV_ORDER.  All three
 built-in families satisfy a one-step closure g' = G(g) with polynomial G, so
 the j-th derivative is a polynomial P_j(f0) with exact rational coefficients:
 
@@ -29,6 +29,11 @@ from fractions import Fraction
 import numpy as np
 
 _KINDS = ("mb", "fd", "be")
+
+# Highest derivative order of the built-in seeds: the Fermi-Dirac and
+# Bose-Einstein P_160 have integer coefficients beyond the float range.
+# One bound for all kinds, so a seed spec does not change what orders work.
+MAX_DERIV_ORDER = 159
 
 _P1 = {
     "mb": (Fraction(0), Fraction(-1)),             # -u
@@ -158,6 +163,9 @@ class SeedDistribution:
         P_j(g) by Horner's rule.  Fermi-Dirac takes g at -|t|, flips the even
         orders where t < 0, and from _POLE_ORDER up takes the pole sums
         where |t| <= _POLE_RADIUS."""
+        if j_hi > MAX_DERIV_ORDER:
+            raise ValueError(f"derivative order {j_hi} exceeds "
+                             f"seeds.MAX_DERIV_ORDER = {MAX_DERIV_ORDER}")
         shape = np.shape(t)
         t = np.atleast_1d(t)
         if self.kind == "fd":

@@ -28,8 +28,8 @@ CONVENTIONS = ("paper", "uniform")
 
 # Largest truncation order.  Goldstone L=30 builds in about 3.5 s, and the
 # seed derivatives of such a series (order 3L = 90, plus 2 j + 1 more for a
-# residual truncated at j) stay inside the float range of j!, which ends at
-# 170.
+# residual truncated at j <= L + 1, so at most 153) stay within
+# seeds.MAX_DERIV_ORDER = 159.
 MAX_ORDER = 30
 
 

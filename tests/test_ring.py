@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvlasov.parser import parse_potential
-from qvlasov.ring import Coefficient, Monomial, RingElem, RingError
+from qvlasov.parser import MAX_POWER, parse_potential
+from qvlasov.ring import MAX_X_POWER, Coefficient, Monomial, RingElem, RingError
+from qvlasov.series import MAX_ORDER
 
 from conftest import WAVENUMBERS, random_family_elem, random_ring_elem
 
@@ -313,6 +314,27 @@ def test_ring_json_roundtrip(rng):
         e = random_family_elem(rng) if i % 2 else random_ring_elem(rng)
         assert RingElem.from_json(e.to_json()) == e
         assert parse_potential(str(e)) == e
+
+
+def test_x_power_cap_at_every_constructor():
+    # groups are dense in x: the cap is checked before any group is built
+    with pytest.raises(RingError, match="MAX_X_POWER"):
+        RingElem.x(10**9)
+    big = MAX_X_POWER + 1
+    for build in (lambda: RingElem.x(big),
+                  lambda: RingElem.trig("cos", 2, xpow=big),
+                  lambda: RingElem({Monomial(big): Coefficient.rational(3)}),
+                  lambda: RingElem.from_json([{"xpow": big, "trig": None,
+                                               "wavenumber": None,
+                                               "coefficient": [[0, "1"]]}])):
+        with pytest.raises(RingError, match="MAX_X_POWER"):
+            build()
+    assert RingElem.x(MAX_X_POWER).x_degree() == MAX_X_POWER
+
+
+def test_x_power_cap_admits_every_series_document():
+    # WignerSeries.from_json_dict allows x powers up to (2 deg V + 1) * order
+    assert (2 * MAX_POWER + 1) * MAX_ORDER == 3870 <= MAX_X_POWER
 
 
 def test_monomial_canonical_fields():

@@ -8,9 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qvlasov.seeds import (CombinedSeed, SeedDistribution, SeedDomainError,
-                           chi_from_z, parse_seed_spec, polylog_neg,
-                           seed_derivatives, z_from_chi)
+from qvlasov.seeds import (MAX_DERIV_ORDER, CombinedSeed, SeedDistribution,
+                           SeedDomainError, chi_from_z, parse_seed_spec,
+                           polylog_neg, seed_derivatives, z_from_chi)
+from qvlasov.series import MAX_ORDER
 
 getcontext().prec = 60
 
@@ -168,6 +169,28 @@ def test_seed_derivatives_falls_back_to_f0_deriv():
     seed = SeedDistribution("fd", z=2.0)
     assert all(np.array_equal(a, b) for a, b in zip(seed_derivatives(seed, hs, 6),
                                                     seed.derivative_table(hs, 6)))
+
+
+@pytest.mark.parametrize("kind,z", [("mb", 1.0), ("fd", 1.0), ("fd", 1e3), ("be", 0.5)])
+@pytest.mark.parametrize("j,ok", [(MAX_DERIV_ORDER, True), (MAX_DERIV_ORDER + 1, False)])
+def test_derivative_order_limit(kind, z, j, ok):
+    # fd and be overflow the float range at P_160; mb shares the limit
+    seed = SeedDistribution(kind, z=z)
+    hs = np.array([0.5, 2.0, 5.0, 20.0])
+    if ok:
+        table = seed.derivative_table(hs, j)
+        assert np.all(np.isfinite(table[-1]))
+        assert seed.f0_deriv(j, 2.0) == table[-1][1]
+        return
+    for call in (lambda: seed.derivative_table(hs, j), lambda: seed.f0_deriv(j, 2.0)):
+        with pytest.raises(ValueError, match="MAX_DERIV_ORDER"):
+            call()
+
+
+def test_cli_derivative_orders_within_limit():
+    # a series of order L needs f0^(3L); the numeric residual truncated at
+    # j <= L + 1 needs 2 j + 1 more
+    assert 3 * MAX_ORDER + 2 * (MAX_ORDER + 1) + 1 == 153 <= MAX_DERIV_ORDER
 
 
 def test_bad_parameters():
