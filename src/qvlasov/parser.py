@@ -153,7 +153,7 @@ class _Parser:
         if kind == "num":
             return RingElem.constant(value)
         if kind == "pi":
-            return RingElem({Monomial(0): Coefficient.pi_power(1)})
+            return RingElem.constant(Coefficient.pi_power(1))
         if kind == "q":
             return RingElem.x()
         if kind in ("sin", "cos"):
@@ -182,7 +182,7 @@ def _product(a: RingElem, b: RingElem, at: int) -> RingElem:
 def _trig_of(kind: str, arg: RingElem, at: int) -> RingElem:
     """Build sin/cos of an argument that must be linear in q with no constant."""
     if arg.is_zero():
-        wavenumber = Coefficient()
+        wavenumber = 0
     else:
         terms = dict(arg.items())
         linear = Monomial(1)

@@ -17,6 +17,10 @@ the x-powers of one antiderivative land in one group, and products of
 groups are plain integer convolutions.  Every read-out (items(), the JSON
 form, the text and the floats of evaluate) comes from one table of monomial
 rows, formed from the groups in one pass (RingElem._monomials).
+
+Every constant inside the module, the wavenumber k of a group key included,
+is a canonical term tuple ((e, numerator, denominator), ...) of sum n/d pi^e.
+Coefficient wraps such a tuple only where a value enters or leaves the ring.
 """
 
 from __future__ import annotations
@@ -46,22 +50,21 @@ class Coefficient:
 
     Stored as a tuple of (e, numerator, denominator) sorted by e, in lowest
     terms with positive denominators and no zero terms, so equal values have
-    equal tuples.
+    equal tuples.  It is the value the ring takes in and reads out, and has
+    no arithmetic of its own: constants compute as RingElem.constant elements.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         self._terms = _canonical({int(e): _as_fraction(r)
                                   for e, r in (terms or {}).items()})
-        self._hash = None
 
     @classmethod
     def _of(cls, terms: tuple) -> "Coefficient":
         """Trusted constructor: terms is already canonical."""
         self = object.__new__(cls)
         self._terms = terms
-        self._hash = None
         return self
 
     @classmethod
@@ -79,7 +82,7 @@ class Coefficient:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == ((0, 1, 1),)
+        return self._terms == _ONE
 
     def is_negative(self) -> bool:
         """Canonical sign: the sign of the coefficient of the highest pi power."""
@@ -92,60 +95,16 @@ class Coefficient:
         if isinstance(other, Coefficient):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == Coefficient.rational(other)._terms
+            return self._terms == _terms_of(other)
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._terms)
-        return self._hash
-
-    def __add__(self, other):
-        terms = {e: (n, d) for e, n, d in self._terms}
-        for e, n, d in _coerce(other)._terms:
-            if e in terms:
-                n0, d0 = terms[e]
-                n, d = n0 * d + n * d0, d0 * d
-                g = math.gcd(n, d)
-                n, d = n // g, d // g
-            terms[e] = (n, d)
-        return Coefficient._of(tuple((e, n, d) for e, (n, d) in sorted(terms.items()) if n))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Coefficient._of(tuple((e, -n, d) for e, n, d in self._terms))
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        terms: dict[int, Fraction] = {}
-        right = _coerce(other).items()
-        for e1, r1 in self.items():
-            for e2, r2 in right:
-                terms[e1 + e2] = terms.get(e1 + e2, 0) + r1 * r2
-        return Coefficient._of(_canonical(terms))
-
-    __rmul__ = __mul__
+        return hash(self._terms)
 
     def inverse(self) -> "Coefficient":
         """Exact reciprocal; defined only for single-term values r*pi^e."""
-        if not self._terms:
-            raise RingError("division by zero constant")
-        if len(self._terms) > 1:
-            raise RingError(
-                "constant is not invertible in the coefficient ring "
-                f"(multi-term pi sum: {self.as_text()})"
-            )
-        ((e, n, d),) = self._terms
+        e, n, d = _single_term(self._terms)
         return Coefficient._of(((-e, d, n) if n > 0 else (-e, -d, -n),))
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
 
     def __float__(self):
         return _terms_float(self._terms)
@@ -159,10 +118,15 @@ class Coefficient:
 
     @classmethod
     def from_json(cls, data) -> "Coefficient":
-        return cls({int(e): Fraction(r) for e, r in data})
+        return cls._of(_terms_from_json(data))
 
     def __repr__(self):
         return f"Coefficient({self.as_text()})"
+
+
+# ------------------------------------------------------------ term tuples
+
+_ONE = ((0, 1, 1),)     # the term tuple of 1
 
 
 def _canonical(terms: dict) -> tuple:
@@ -170,19 +134,57 @@ def _canonical(terms: dict) -> tuple:
     return tuple((e, r.numerator, r.denominator) for e, r in sorted(terms.items()) if r)
 
 
-def _coerce(value) -> Coefficient:
+def _terms_of(value) -> tuple:
+    """The canonical term tuple of an int, Fraction or Coefficient."""
     if isinstance(value, Coefficient):
-        return value
+        return value._terms
     if isinstance(value, int):
-        return Coefficient._of(((0, int(value), 1),) if value else ())
+        return ((0, int(value), 1),) if value else ()
     if isinstance(value, Fraction):
-        return Coefficient.rational(value)
+        return ((0, value.numerator, value.denominator),) if value else ()
     raise TypeError(f"cannot coerce {type(value).__name__} to Coefficient")
 
 
+def _terms_from_json(data) -> tuple:
+    """The term tuple of a [[e, "n/d"], ...] list."""
+    return _canonical({int(e): Fraction(r) for e, r in data})
+
+
+def _add_terms(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """The term tuple of a + sign * b, for sign +1 or -1."""
+    terms = {e: (n, d) for e, n, d in a}
+    for e, n, d in b:
+        n *= sign
+        if e in terms:
+            n0, d0 = terms[e]
+            n, d = n0 * d + n * d0, d0 * d
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+        terms[e] = (n, d)
+    return tuple((e, n, d) for e, (n, d) in sorted(terms.items()) if n)
+
+
+def _single_term(terms: tuple) -> tuple:
+    """The one (e, n, d) of a single-term value r*pi^e, the only values with
+    an inverse in Q[pi, 1/pi]; RingError for any other."""
+    if not terms:
+        raise RingError("division by zero constant")
+    if len(terms) > 1:
+        raise RingError("constant is not invertible in the coefficient ring "
+                        f"(multi-term pi sum: {_terms_text(terms)})")
+    return terms[0]
+
+
 def _terms_float(terms: tuple) -> float:
-    """sum n/d * pi^e in increasing e; n / d is float(Fraction(n, d)), rounded once."""
-    return float(sum(n / d * math.pi**e for e, n, d in terms))
+    """sum n/d * pi^e in increasing e; n / d is float(Fraction(n, d)), rounded
+    once.  RingError when the value, or a term of it, is beyond the float range."""
+    try:
+        value = float(sum(n / d * math.pi**e for e, n, d in terms))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RingError(f"coefficient {_terms_text(terms)} is beyond the float range")
+    return value
 
 
 def _terms_json(terms: tuple) -> list:
@@ -218,14 +220,12 @@ def _signed_sum(parts) -> str:
     return text or "0"
 
 
-ONE = Coefficient.rational(1)
-
 _TRIG_RANK = {None: 0, "cos": 1, "sin": 2}
 
-# Highest x power an element can be built with.  Groups are dense in x, so
-# x^n holds n + 1 ints; series documents the CLI accepts stay within
-# (2 * parser.MAX_POWER + 1) * series.MAX_ORDER = 3870.  Products, derivatives
-# and antiderivatives are not capped here.
+# Highest x power an element can hold.  Groups are dense in x, so x^n holds
+# n + 1 ints; series documents the CLI accepts stay within
+# (2 * parser.MAX_POWER + 1) * series.MAX_ORDER = 3870.  Constructor entries
+# are checked before any group is allocated, kernel results as they are reduced.
 MAX_X_POWER = 4096
 
 
@@ -244,11 +244,14 @@ class Monomial(NamedTuple):
 # own denominators) per output key and reduce each key once.
 
 def _reduce(c: list, d: int):
-    """The primitive group of c/d, or None when it is zero."""
+    """The primitive group of c/d, or None when it is zero.  RingError when
+    its x power passes MAX_X_POWER."""
     while c and not c[-1]:
         c.pop()
     if not c:
         return None
+    if len(c) > MAX_X_POWER + 1:
+        raise RingError(f"x power {len(c) - 1} exceeds MAX_X_POWER = {MAX_X_POWER}")
     g = math.gcd(d, *c)
     if g != 1:
         return tuple([v // g for v in c]), d // g
@@ -294,10 +297,9 @@ def _omega_of(wavenumbers) -> int:
     for k in wavenumbers:
         if k is None:
             continue
-        terms = k._terms
-        if len(terms) != 1 or (omega is not None and terms[0][0] != omega):
+        if len(k) != 1 or (omega is not None and k[0][0] != omega):
             return 0
-        omega = terms[0][0]
+        omega = k[0][0]
     return omega or 0
 
 
@@ -325,14 +327,14 @@ def _regroup(groups: dict, old: int, new: int) -> dict:
 
 def _canonical_trig(trig, k, sign: int):
     """(trig, k, sign) with k > 0, or None when the term vanishes."""
-    if k is None or not k._terms:
+    if not k:
         return None if trig == "sin" else (None, None, sign)
-    if k.is_negative():
-        return (trig, -k, -sign if trig == "sin" else sign)
+    if k[-1][1] < 0:
+        return (trig, _add_terms((), k, -1), -sign if trig == "sin" else sign)
     return (trig, k, sign)
 
 
-def _trig_product(t1: str, t2: str, total: Coefficient, diff: Coefficient) -> tuple:
+def _trig_product(t1: str, t2: str, total: tuple, diff: tuple) -> tuple:
     """trig1(k1 x) * trig2(k2 x) as (trig, k, sign) terms, each times 1/2,
     from total = k1 + k2 and diff = k1 - k2."""
     if t1 == "sin" and t2 == "sin":
@@ -349,7 +351,7 @@ def _trig_product(t1: str, t2: str, total: Coefficient, diff: Coefficient) -> tu
 def _group_order(item) -> tuple:
     """Listing order of a (trig, k, s) group: trig rank, k's terms, s."""
     (t, k, s), _ = item
-    return (_TRIG_RANK[t], () if k is None else k._terms, s)
+    return (_TRIG_RANK[t], () if k is None else k, s)
 
 
 def _by_wavenumber(groups: dict) -> dict:
@@ -362,13 +364,16 @@ def _by_wavenumber(groups: dict) -> dict:
 
 
 class RingElem:
-    """Finite sum of canonical monomials with Coefficient weights, stored as
-    primitive integer groups keyed by (trig, k, s) (see the module notes)."""
+    """Finite sum of canonical monomials with Q[pi, 1/pi] weights, stored as
+    primitive integer groups keyed by (trig, k, s), k a term tuple (see the
+    module notes)."""
 
     __slots__ = ("_groups", "_omega", "_hash", "_count", "_floats")
 
     def __init__(self, terms: dict[Monomial, Coefficient] | None = None):
-        self._set(*_monomial_groups((terms or {}).items()))
+        self._set(*_monomial_groups(
+            (m.xpow, m.trig, None if m.wavenumber is None else _terms_of(m.wavenumber),
+             _terms_of(c)) for m, c in (terms or {}).items()))
 
     def _set(self, groups: dict, omega: int) -> None:
         self._groups = groups
@@ -394,19 +399,20 @@ class RingElem:
 
     @classmethod
     def one(cls) -> "RingElem":
-        return cls({Monomial(0): ONE})
+        return cls._of(*_monomial_groups([(0, None, None, _ONE)]))
 
     @classmethod
     def constant(cls, value) -> "RingElem":
-        return cls({Monomial(0): _coerce(value)})
+        return cls._of(*_monomial_groups([(0, None, None, _terms_of(value))]))
 
     @classmethod
     def x(cls, power: int = 1) -> "RingElem":
-        return cls({Monomial(power): ONE})
+        return cls._of(*_monomial_groups([(power, None, None, _ONE)]))
 
     @classmethod
     def trig(cls, kind: str, wavenumber, xpow: int = 0, coeff=1) -> "RingElem":
-        return cls({Monomial(xpow, kind, _coerce(wavenumber)): _coerce(coeff)})
+        return cls._of(*_monomial_groups(
+            [(xpow, kind, _terms_of(wavenumber), _terms_of(coeff))]))
 
     def _monomials(self) -> tuple:
         """(trig, k, n, terms) rows, terms the canonical term tuple of the
@@ -427,7 +433,8 @@ class RingElem:
                      for (t, k), rows in waves.items() for n in sorted(rows))
 
     def items(self):
-        return [(Monomial(n, t, k), Coefficient._of(terms))
+        return [(Monomial(n, t, None if k is None else Coefficient._of(k)),
+                 Coefficient._of(terms))
                 for t, k, n, terms in self._monomials()]
 
     def is_zero(self) -> bool:
@@ -444,8 +451,9 @@ class RingElem:
         """The value of a constant element (raises if x-dependent)."""
         if not self.is_constant():
             raise RingError("element is not a constant")
-        return Coefficient({s: Fraction(c[0], d)
-                            for (_, _, s), (c, d) in self._groups.items()})
+        # a primitive one-entry group (c0,) over d has gcd(c0, d) = 1
+        return Coefficient._of(tuple(sorted((s, c[0], d) for (_, _, s), (c, d)
+                                            in self._groups.items())))
 
     def x_degree(self) -> int:
         return max((len(c) - 1 for c, _ in self._groups.values()), default=0)
@@ -511,11 +519,11 @@ class RingElem:
         return self + (-other)
 
     def scale(self, factor) -> "RingElem":
-        factor = _coerce(factor)
+        factor = _terms_of(factor)
         if not factor:
             return RingElem()
         acc: dict = {}
-        for e, p, q in factor._terms:
+        for e, p, q in factor:
             for (t, k, s), (c, d) in self._groups.items():
                 acc.setdefault((t, k, s + e), []).append(([p * v for v in c], d * q))
         # Q[pi, 1/pi] has no zero divisors, so every (trig, k) keeps a nonzero
@@ -533,7 +541,8 @@ class RingElem:
         for k1, left in _by_wavenumber(ga).items():
             for k2, groups in right:
                 # k1 +- k2 once for the up to four trig pairs of k1 and k2
-                waves = None if k1 is None or k2 is None else (k1 + k2, k1 - k2)
+                waves = None if k1 is None or k2 is None else (
+                    _add_terms(k1, k2), _add_terms(k1, k2, -1))
                 for t1, s1, c1, d1 in left:
                     for t2, s2, c2, d2 in groups:
                         s, c, d = s1 + s2, _convolve(c1, c2), d1 * d2
@@ -559,7 +568,7 @@ class RingElem:
                     ([n * c[n] for n in range(1, len(c))], d))
             if t is not None:
                 t2, sign = ("cos", 1) if t == "sin" else ("sin", -1)
-                for e, p, q in k._terms:
+                for e, p, q in k:
                     acc.setdefault((t2, k, s + e), []).append(
                         ([sign * p * v for v in c], d * q))
         # (P' + kQ) cos + (Q' - kP) sin vanishes only with P = Q = 0, so
@@ -584,9 +593,7 @@ class RingElem:
                 acc.setdefault((None, None, s - w), []).append(
                     ([0] + [v * (den // (n + 1)) for n, v in enumerate(c)], d * den))
                 continue
-            if len(k._terms) != 1:
-                k.inverse()     # raises: 1/k leaves the coefficient ring
-            ((e, p, q),) = k._terms
+            e, p, q = _single_term(k)     # 1/k must stay in Q[pi, 1/pi]
             deg = len(c) - 1
             den = d * p ** (deg + 1)
             sums: dict = {}     # this group's share of each output group
@@ -635,7 +642,7 @@ class RingElem:
             for (t, k), rows in groupby(self._monomials(), key=lambda row: row[:2]):
                 poly = {n: _terms_float(terms) for _, _, n, terms in rows}
                 coeffs = [poly.get(n, 0.0) for n in range(max(poly), -1, -1)]
-                out.append((t, None if k is None else float(k), coeffs))
+                out.append((t, None if k is None else _terms_float(k), coeffs))
             self._floats = tuple(out)
         return self._floats
 
@@ -671,54 +678,54 @@ class RingElem:
     def to_json(self):
         return [{"xpow": n,
                  "trig": t,
-                 "wavenumber": None if k is None else _terms_json(k._terms),
+                 "wavenumber": None if k is None else _terms_json(k),
                  "coefficient": _terms_json(terms)}
                 for t, k, n, terms in self._monomials()]
 
     @classmethod
     def from_json(cls, data) -> "RingElem":
-        pairs = []
-        for rec in data:
-            k = Coefficient.from_json(rec["wavenumber"]) if rec["wavenumber"] else None
-            pairs.append((Monomial(int(rec["xpow"]), rec["trig"], k),
-                          Coefficient.from_json(rec["coefficient"])))
-        return cls._of(*_monomial_groups(pairs))
+        return cls._of(*_monomial_groups(
+            (int(rec["xpow"]), rec["trig"],
+             _terms_from_json(rec["wavenumber"]) if rec["wavenumber"] else None,
+             _terms_from_json(rec["coefficient"])) for rec in data))
 
     def term_count(self) -> int:
         """Number of monomials x^n trig(kx) with a nonzero coefficient."""
         if self._count is None:
-            if len({(t, k) for t, k, _ in self._groups}) == len(self._groups):
-                self._count = sum(len(c) - c.count(0) for c, _ in self._groups.values())
-            else:
-                self._count = len(self._monomials())
+            self._count = len({(t, k, n) for (t, k, _), (c, _) in self._groups.items()
+                               for n, v in enumerate(c) if v})
         return self._count
 
 
-def _monomial_groups(pairs) -> tuple[dict, int]:
-    """Groups and omega of a sum of (Monomial, coefficient) pairs, with trig
-    signs canonicalised: sin(0) = 0, cos(0) = 1 and k > 0."""
-    terms: dict = {}
-    for m, coeff in pairs:
-        coeff = _coerce(coeff)
-        t, k = m.trig, m.wavenumber
+def _monomial_groups(entries) -> tuple[dict, int]:
+    """Groups and omega of a sum of (x power, trig, k, coefficient) entries,
+    k and the coefficient as term tuples, with trig signs canonicalised:
+    sin(0) = 0, cos(0) = 1 and k > 0.  The one path from inputs to groups,
+    behind RingElem(...), its classmethods and from_json; each entry's x
+    power is checked before any group is allocated."""
+    rows = []
+    for n, t, k, terms in entries:
+        if not 0 <= n <= MAX_X_POWER:
+            raise RingError(f"x power {n} outside 0..MAX_X_POWER = {MAX_X_POWER}")
+        sign = 1
         if t is None:
             k = None
+        elif t not in _TRIG_RANK:
+            raise RingError(f"unknown trig function {t!r}: expected sin or cos")
         else:
             canon = _canonical_trig(t, k, 1)
             if canon is None:
                 continue
             t, k, sign = canon
-            if sign < 0:
-                coeff = -coeff
-        if not 0 <= m.xpow <= MAX_X_POWER:
-            raise RingError(f"x power {m.xpow} outside 0..MAX_X_POWER = {MAX_X_POWER}")
-        key = (t, k, m.xpow)
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    terms = {key: c for key, c in terms.items() if c}
-    omega = _omega_of(k for _, k, _ in terms)
-    return _entries_to_groups(((t, k, n, e, num, den)
-                               for (t, k, n), c in terms.items()
-                               for e, num, den in c._terms), omega), omega
+        if terms:
+            rows.append((t, k, n, sign, terms))
+    # omega of the entries; sums that cancel on one (trig, k) can move it
+    omega = _omega_of(k for _, k, _, _, _ in rows)
+    groups = _entries_to_groups(((t, k, n, e, sign * v, d)
+                                 for t, k, n, sign, terms in rows
+                                 for e, v, d in terms), omega)
+    actual = _group_omega(groups)
+    return _regroup(groups, omega, actual), actual
 
 
 def _monomial_text(t, k, n: int, terms: tuple) -> tuple:
@@ -727,10 +734,10 @@ def _monomial_text(t, k, n: int, terms: tuple) -> tuple:
     negative = terms[-1][1] < 0
     if negative:
         terms = tuple((e, -v, d) for e, v, d in terms)
-    parts = [] if terms == ((0, 1, 1),) else [_terms_text(terms, parenthesize=True)]
+    parts = [] if terms == _ONE else [_terms_text(terms, parenthesize=True)]
     if n:
         parts.append("q" if n == 1 else f"q^{n}")
     if t is not None:
-        arg = "q" if k.is_one() else f"{_terms_text(k._terms, parenthesize=True)}*q"
+        arg = "q" if k == _ONE else f"{_terms_text(k, parenthesize=True)}*q"
         parts.append(f"{t}({arg})")
     return negative, "*".join(parts) or "1"

@@ -8,10 +8,11 @@ order is obtained by a single quadrature in x.  Terms are kept
 seed-independent: a SeriesTerm maps (H-power m, derivative order j) to an
 exact ring element c_{m,j}(x), meaning sum c_{m,j}(x) * H^m * f0^(j)(H).
 
-Each order is only defined up to adding an arbitrary function of H; the
-"paper" convention uses the closed form for the first correction and plain
-antiderivatives above, while the "uniform" convention pins every correction
-to vanish identically at a reference point x_ref.
+Each order is only defined up to adding an arbitrary function of H.  Every
+quadrature is anchored to vanish at x = 0; the "paper" convention uses the
+closed form for the first correction and these antiderivatives above, while
+the "uniform" convention integrates every correction, so all of them vanish
+identically at x = 0.
 """
 
 from __future__ import annotations
@@ -60,9 +61,6 @@ class SeriesTerm:
 
     def cells(self):
         return sorted(self._cells.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
-    def cell(self, m: int, j: int) -> RingElem:
-        return self._cells.get((m, j), RingElem.zero())
 
     def is_zero(self) -> bool:
         return not self._cells
@@ -222,25 +220,13 @@ def recursion_rhs(potential: RingElem, terms, l: int,
     return SeriesTerm(total)
 
 
-def integrate_term(t: SeriesTerm, convention: str = "paper",
-                   x_ref: Fraction = Fraction(0)) -> SeriesTerm:
-    """Quadrature in x of a source term, fixing the additive function of H.
-
-    Under "paper" the plain antiderivative is kept; under "uniform" the value
-    at x_ref is subtracted cell-wise so the result vanishes there identically.
-    """
+def integrate_term(t: SeriesTerm, convention: str = "paper") -> SeriesTerm:
+    """Quadrature in x of a source term, cell by cell.  Each antiderivative
+    is anchored at x = 0 (RingElem.integrate), which fixes the additive
+    function of H the same way under either convention."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    cells: dict[tuple[int, int], RingElem] = {}
-    for (m, j), c in t.cells():
-        anti = c.integrate()
-        if convention == "uniform":
-            at_ref = anti.eval_exact(x_ref)
-            if not at_ref.is_zero():
-                anti = anti - RingElem.constant(at_ref)
-        if not anti.is_zero():
-            cells[(m, j)] = anti
-    return SeriesTerm(cells)
+    return SeriesTerm({mj: c.integrate() for mj, c in t.cells()})
 
 
 def closed_form_f1(potential: RingElem) -> SeriesTerm:
@@ -265,7 +251,6 @@ class WignerSeries:
     potential: RingElem
     order: int
     convention: str
-    x_ref: Fraction
     terms: tuple[SeriesTerm, ...]
 
     def max_deriv_order(self) -> int:
@@ -279,7 +264,7 @@ class WignerSeries:
             "potential": str(self.potential),
             "order": self.order,
             "convention": self.convention,
-            "x_ref": str(self.x_ref),
+            "x_ref": "0",   # every quadrature is anchored at x = 0
             "terms": [t.to_json() for t in self.terms],
         }
 
@@ -290,9 +275,12 @@ class WignerSeries:
     def from_json_dict(cls, data) -> "WignerSeries":
         """Inverse of to_json_dict.  OrderError when the order exceeds
         MAX_ORDER or a cell's derivative order exceeds 3 * order; ValueError
-        on any other malformed document, or one whose order or convention
-        does not fit its terms."""
+        on any other malformed document (a zero denominator, an x_ref other
+        than 0), or one whose order or convention does not fit its terms."""
         try:
+            if Fraction(data["x_ref"]) != 0:
+                raise ValueError(f"malformed series document: x_ref "
+                                 f"{data['x_ref']!r} is not 0")
             potential = parse_potential(data["potential"])
             order = int(data["order"])
             if order > MAX_ORDER:
@@ -302,10 +290,9 @@ class WignerSeries:
                 potential=potential,
                 order=order,
                 convention=data["convention"],
-                x_ref=Fraction(data["x_ref"]),
                 terms=tuple(SeriesTerm.from_json(t) for t in data["terms"]),
             )
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed series document: {exc!r}") from None
         if series.order != len(series.terms) - 1:
             raise ValueError(f"series order {series.order} does not match its "
@@ -341,14 +328,13 @@ def _check_cells(terms, order: int, max_xpow: int) -> None:
 
 
 def build_series(potential: RingElem, order: int, convention: str = "paper",
-                 x_ref: Fraction = Fraction(0),
                  term_budget: int = 10**6) -> WignerSeries:
     """Build expansion terms f_0..f_order for a potential.
 
     The zeroth term is the abstract seed.  Under "paper" the first correction
-    uses the closed form and higher orders integrate the recursion source
-    as-is; under "uniform" every correction is integrated and pinned to
-    vanish at x_ref.  Deterministic and seed-independent.
+    uses the closed form and higher orders integrate the recursion source;
+    under "uniform" every correction is integrated.  Each quadrature vanishes
+    at x = 0.  Deterministic and seed-independent.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -356,7 +342,6 @@ def build_series(potential: RingElem, order: int, convention: str = "paper",
         raise OrderError(f"order {order} exceeds {MAX_ORDER}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    x_ref = Fraction(x_ref)
     v_derivs = potential_derivatives(potential, 2 * order + 1)
     terms = [SeriesTerm.unit()]
     chains: dict[int, list[SeriesTerm]] = {}
@@ -367,7 +352,7 @@ def build_series(potential: RingElem, order: int, convention: str = "paper",
         else:
             source = recursion_rhs(potential, terms, l, v_derivs, chains=chains,
                                    budget=term_budget - count)
-            f_l = integrate_term(source, convention, x_ref)
+            f_l = integrate_term(source, convention)
         if f_l.max_deriv_order() > 3 * l:
             raise AssertionError(
                 f"order-{l} term has derivative order {f_l.max_deriv_order()} > {3 * l}")
@@ -377,4 +362,4 @@ def build_series(potential: RingElem, order: int, convention: str = "paper",
                 f"series exceeded {term_budget} monomials at order {l}")
         terms.append(f_l)
     return WignerSeries(potential=potential, order=order, convention=convention,
-                        x_ref=x_ref, terms=tuple(terms))
+                        terms=tuple(terms))

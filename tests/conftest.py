@@ -26,11 +26,11 @@ def random_fraction(rng) -> Fraction:
 
 
 def random_coefficient(rng) -> Coefficient:
-    total = Coefficient()
+    terms: dict = {}
     for _ in range(int(rng.integers(1, 3))):
-        total = total + Coefficient.pi_power(int(rng.integers(-1, 3)),
-                                             random_fraction(rng))
-    return total
+        e = int(rng.integers(-1, 3))
+        terms[e] = terms.get(e, 0) + random_fraction(rng)
+    return Coefficient(terms)
 
 
 # wavenumber families by their shared pi power: 0, 1, -1, none at all, and

@@ -294,19 +294,49 @@ def test_sidecar_config_round_trips(tmp_path, argv, outputs):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+FIRST_MONOMIAL = "terms.1.0.ring.0."   # of f_1's first cell
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("order", 5, "order 5"), ("convention", "bogus", "convention"),
-    ("terms", 5, "malformed"), ("potential", 3, "malformed")])
+    ("terms", 5, "malformed"), ("potential", 3, "malformed"),
+    ("x_ref", "1/0", "malformed"),
+    (FIRST_MONOMIAL + "coefficient", [[0, "1/0"]], "malformed"),
+    (FIRST_MONOMIAL + "wavenumber", [[0, "1/0"]], "malformed"),
+    (FIRST_MONOMIAL + "trig", "tan", "unknown trig function 'tan'")])
 def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message):
+    # key is a dotted path into the document; list indices are numbers
     out = tmp_path / "expand"
     assert run(["expand", "--potential", "goldstone", "--order", "2",
                 "--out", str(out)]) == 0
     doc = json.loads((out / "series.json").read_text())
-    doc[key] = value
+    *path, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+    target = doc
+    for k in path:
+        target = target[k]
+    target[last] = value
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(doc))
     assert run(["verify", "--series", str(edited), "--out", str(tmp_path / "v")]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+# q^2 * pi^64 * ... * pi^64, 12 factors: pi^768 has no float value
+PI_768 = "q^2" + "*pi^64" * 12
+
+
+@pytest.mark.parametrize("potential, message", [
+    ("cos(pi^64*q)", "pi^640 is beyond the float range"),
+    (PI_768, "coefficient pi^768 is beyond the float range"),
+], ids=["trig-wavenumber-power", "pi-power-product"])
+def test_float_overflow_exits_two(tmp_path, capsys, potential, message):
+    # these used to end in an OverflowError traceback
+    assert run(["evaluate", "--potential", potential, "--order", "6",
+                "--hbar", "0.1", "--qrange=-1,1,5", "--prange=-1,1,5",
+                "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def _cell_at_j_200(doc):

@@ -113,7 +113,7 @@ def test_series_term_injection_is_additive(goldstone_l2):
     acc = 0.0
     for l, term in enumerate(goldstone_l2.terms):
         single = WignerSeries(potential=goldstone_l2.potential, order=0,
-                              convention="paper", x_ref=goldstone_l2.x_ref,
+                              convention="paper",
                               terms=(term,))
         acc += hbar ** (2 * l) * eval_point(single, FD, 0.0, q, p)
     assert total == pytest.approx(acc, rel=1e-13)

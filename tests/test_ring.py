@@ -19,24 +19,32 @@ def frac(n, d=1):
 
 
 # ---------------------------------------------------------------- Coefficient
+#
+# Coefficient carries a constant in and out of the ring; constants compute
+# as RingElem.constant elements.
 
 def test_coefficient_zero_is_empty():
     assert Coefficient.rational(0).is_zero()
-    assert (Coefficient.rational(2) - Coefficient.rational(2)).is_zero()
+    two = RingElem.constant(2)
+    assert (two - two).is_zero() and (two - two).constant_value().is_zero()
 
 
 def test_coefficient_arithmetic():
     two_pi = Coefficient.pi_power(1, 2)
-    assert two_pi * two_pi == Coefficient.pi_power(2, 4)
+    square = RingElem.constant(two_pi) * RingElem.constant(two_pi)
+    assert square.constant_value() == Coefficient.pi_power(2, 4)
     assert float(two_pi) == pytest.approx(2 * np.pi)
     assert two_pi.inverse() == Coefficient.pi_power(-1, frac(1, 2))
-    assert (two_pi * two_pi.inverse()).is_one()
+    assert RingElem.constant(two_pi).scale(two_pi.inverse()).constant_value().is_one()
 
 
 def test_coefficient_inverse_rejects_multi_term():
-    mixed = Coefficient.rational(1) + Coefficient.pi_power(1)
-    with pytest.raises(RingError):
+    mixed = (RingElem.one() + RingElem.constant(Coefficient.pi_power(1))).constant_value()
+    assert mixed == Coefficient({0: 1, 1: 1})
+    with pytest.raises(RingError, match="multi-term"):
         mixed.inverse()
+    with pytest.raises(RingError, match="division by zero"):
+        Coefficient().inverse()
 
 
 def test_coefficient_sign_and_text():
@@ -115,10 +123,10 @@ def test_integrate_x_cos_general_wavenumber():
     k = Coefficient.pi_power(1, 2)
     e = RingElem.trig("cos", k, xpow=1)
     f = e.integrate()
-    inv_k = k.inverse()
+    inv_k, inv_k2 = k.inverse(), Coefficient.pi_power(-2, frac(1, 4))
     expected = (RingElem.trig("sin", k, xpow=1, coeff=inv_k)
-                + RingElem.trig("cos", k, coeff=inv_k * inv_k)
-                - RingElem.constant(inv_k * inv_k))
+                + RingElem.trig("cos", k, coeff=inv_k2)
+                - RingElem.constant(inv_k2))
     assert f == expected
     assert f.ddx() == e
 
@@ -235,7 +243,7 @@ def test_print_parse_identity(e):
     assert parse_potential(str(e)) == e
 
 
-# ---------------------------------------------- Coefficient algebra vs dicts
+# ------------------------------------------ constant algebra vs dicts
 
 _ratio = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 24))
 _single = st.builds(lambda e, r: {e: r}, st.integers(-3, 3), _ratio)
@@ -250,6 +258,10 @@ def _dict_add(a, b):
     return {e: r for e, r in out.items() if r}
 
 
+def _dict_neg(a):
+    return {e: -r for e, r in a.items()}
+
+
 def _dict_mul(a, b):
     out = {}
     for e1, r1 in a.items():
@@ -258,51 +270,107 @@ def _dict_mul(a, b):
     return {e: r for e, r in out.items() if r}
 
 
+def _const(terms: dict) -> RingElem:
+    return RingElem.constant(Coefficient(terms))
+
+
+def _value(elem: RingElem) -> dict:
+    return dict(elem.constant_value().items())
+
+
 @settings(max_examples=100, deadline=None)
 @given(pi_sums, pi_sums)
 def test_fast_coefficient_algebra_matches_dict_algebra(a, b):
-    ca, cb = Coefficient(a), Coefficient(b)
-    assert dict(ca.items()) == a
-    assert dict((ca + cb).items()) == _dict_add(a, b)
-    assert dict((ca - cb).items()) == _dict_add(a, {e: -r for e, r in b.items()})
-    assert dict((ca * cb).items()) == _dict_mul(a, b)
-    assert dict((-ca).items()) == {e: -r for e, r in a.items()}
+    ca, cb = _const(a), _const(b)
+    assert _value(ca) == a
+    assert _value(ca + cb) == _dict_add(a, b)
+    assert _value(ca - cb) == _dict_add(a, _dict_neg(b))
+    assert _value(ca * cb) == _dict_mul(a, b)
+    assert _value(ca.scale(Coefficient(b))) == _dict_mul(a, b)
+    assert _value(-ca) == _dict_neg(a)
 
 
 @settings(max_examples=50, deadline=None)
 @given(pi_sums)
 def test_sum_with_negation_is_canonical_zero(a):
-    c = Coefficient(a)
+    c = _const(a)
     for zero in (c + (-c), (-c) + c, c - c):
         assert zero.is_zero() and not zero and zero.items() == []
-        assert zero == Coefficient() and hash(zero) == hash(Coefficient())
+        assert zero == RingElem.zero() and hash(zero) == hash(RingElem.zero())
+        value = zero.constant_value()
+        assert value == Coefficient() and hash(value) == hash(Coefficient())
 
 
 @settings(max_examples=100, deadline=None)
 @given(pi_sums, pi_sums)
 def test_equal_values_hash_equal(a, b):
-    ca, cb = Coefficient(a), Coefficient(b)
+    ca, cb = _const(a), _const(b)
     before = hash(ca), hash(cb)
-    pairs = [(ca + cb, Coefficient(_dict_add(a, b))),
-             (ca * cb, Coefficient(_dict_mul(a, b)))]
+    pairs = [(ca + cb, _const(_dict_add(a, b))),
+             (ca * cb, _const(_dict_mul(a, b)))]
     if len(a) == 1:
         ((e, r),) = a.items()
-        pairs.append((ca.inverse(), Coefficient({-e: 1 / r})))
+        pairs.append((RingElem.constant(Coefficient(a).inverse()), _const({-e: 1 / r})))
     for fast, general in pairs:
         assert fast == general and hash(fast) == hash(general)
+        value, expected = fast.constant_value(), general.constant_value()
+        assert value == expected and hash(value) == hash(expected)
     assert (hash(ca), hash(cb)) == before
+
+
+def _trig_oracle(terms) -> dict:
+    """{(trig, k items): coefficient} of a sum of (trig, k dict, c) terms
+    c * trig(k x), canonical as the ring keeps it: sin(0) = 0, cos(0) = 1,
+    and k with a positive coefficient on its highest pi power."""
+    out: dict = {}
+    for trig, k, c in terms:
+        if not k:
+            if trig == "sin":
+                continue
+            trig, key = None, None
+        else:
+            if k[max(k)] < 0:
+                k, c = _dict_neg(k), -c if trig == "sin" else c
+            key = tuple(sorted(k.items()))
+        out[(trig, key)] = out.get((trig, key), 0) + c
+    return {key: Coefficient.rational(c) for key, c in out.items() if c}
+
+
+def _trig_product(a, b):
+    """cos(a x) cos(b x) + sin(a x) cos(b x) in the ring, and as the oracle
+    gives it: (cos((a-b) x) + cos((a+b) x) + sin((a+b) x) + sin((a-b) x)) / 2."""
+    ka, kb = Coefficient(a), Coefficient(b)
+    prod = (RingElem.trig("cos", ka) + RingElem.trig("sin", ka)) * RingElem.trig("cos", kb)
+    total, diff = _dict_add(a, b), _dict_add(a, _dict_neg(b))
+    half = Fraction(1, 2)
+    return prod, _trig_oracle([("cos", diff, half), ("cos", total, half),
+                               ("sin", total, half), ("sin", diff, half)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pi_sums, pi_sums)
+def test_trig_product_wavenumbers_match_dict_algebra(a, b):
+    # k1 + k2 and k1 - k2 of a product are formed on the wavenumbers' term
+    # tuples; a zero sum or difference leaves a polynomial (or no) term
+    for left, right in ((a, b), (a, a), (a, _dict_neg(a))):
+        prod, expected = _trig_product(left, right)
+        got = {(m.trig, None if m.wavenumber is None else tuple(m.wavenumber.items())): c
+               for m, c in prod.items()}
+        assert all(m.xpow == 0 for m, _ in prod.items())
+        assert got == expected
 
 
 @settings(max_examples=50, deadline=None)
 @given(pi_sums, pi_sums)
 def test_monomials_from_either_form_share_a_key(a, b):
-    fast, general = Coefficient(a) * Coefficient(b), Coefficient(_dict_mul(a, b))
-    table = {Monomial(3, "sin", fast): "hit"}
-    assert table[Monomial(3, "sin", general)] == "hit"
-    one = Coefficient.rational(1)
-    total = RingElem({Monomial(1, "cos", fast): one}) \
-        + RingElem({Monomial(1, "cos", general): -one})
-    assert total.is_zero()
+    # a wavenumber formed by a product and the same value built from the
+    # dict oracle give one Monomial key, and their terms cancel
+    prod, expected = _trig_product(a, b)
+    general = {Monomial(0, trig, None if k is None else Coefficient(dict(k))): c
+               for (trig, k), c in expected.items()}
+    table = {m: "hit" for m, _ in prod.items()}
+    assert all(table[m] == "hit" for m in general)
+    assert (prod - RingElem(general)).is_zero()
 
 
 # ------------------------------------------------------------- serialization
@@ -317,19 +385,49 @@ def test_ring_json_roundtrip(rng):
 
 
 def test_x_power_cap_at_every_constructor():
-    # groups are dense in x: the cap is checked before any group is built
+    # groups are dense in x: the cap is checked before any group is built,
+    # and on every kernel result, so no element holds a power its own JSON
+    # cannot bring back
     with pytest.raises(RingError, match="MAX_X_POWER"):
         RingElem.x(10**9)
     big = MAX_X_POWER + 1
+    top = RingElem.x(MAX_X_POWER)
     for build in (lambda: RingElem.x(big),
+                  lambda: RingElem.x(-1),
                   lambda: RingElem.trig("cos", 2, xpow=big),
                   lambda: RingElem({Monomial(big): Coefficient.rational(3)}),
                   lambda: RingElem.from_json([{"xpow": big, "trig": None,
                                                "wavenumber": None,
-                                               "coefficient": [[0, "1"]]}])):
+                                               "coefficient": [[0, "1"]]}]),
+                  lambda: top * top,
+                  lambda: top.integrate()):
         with pytest.raises(RingError, match="MAX_X_POWER"):
             build()
-    assert RingElem.x(MAX_X_POWER).x_degree() == MAX_X_POWER
+    assert top.x_degree() == MAX_X_POWER
+    assert RingElem.from_json(top.to_json()) == top
+
+
+def test_unknown_trig_rejected():
+    # a trig name other than sin or cos used to be kept, or with no
+    # wavenumber read as cos(0) = 1
+    for build in (lambda: RingElem.trig("tan", 1),
+                  lambda: RingElem({Monomial(0, "tan", Coefficient.rational(1)): 1}),
+                  lambda: RingElem.from_json([{"xpow": 1, "trig": "tan",
+                                               "wavenumber": None,
+                                               "coefficient": [[0, "1"]]}])):
+        with pytest.raises(RingError, match="unknown trig function 'tan'"):
+            build()
+
+
+def test_float_readout_beyond_range_names_the_coefficient():
+    with pytest.raises(RingError, match=r"coefficient 3\*pi\^700 is beyond the float"):
+        RingElem.x(2).scale(Coefficient.pi_power(700, 3)).evaluate(0.5)
+    with pytest.raises(RingError, match=r"pi\^640"):
+        float(Coefficient.pi_power(640))
+    with pytest.raises(RingError, match="beyond the float range"):
+        float(Coefficient.pi_power(1, 10**308))     # 1e308 * pi rounds to inf
+    with pytest.raises(RingError, match="beyond the float range"):
+        RingElem.trig("cos", Coefficient.pi_power(640)).evaluate(0.5)
 
 
 def test_x_power_cap_admits_every_series_document():

@@ -119,7 +119,7 @@ def test_integrate_term_roundtrip(rng):
 
 def test_integrate_term_uniform_vanishes_at_reference():
     source = recursion_rhs(GOLDSTONE, [SeriesTerm.unit()], 1)
-    f1 = integrate_term(source, "uniform", Fraction(0))
+    f1 = integrate_term(source, "uniform")
     for _, c in f1.cells():
         assert c.eval_exact(Fraction(0)).is_zero()
 
@@ -255,8 +255,9 @@ def _set_xpow(value):
     (_set_xpow(10**9), ValueError, "x power 1000000000"),
     (_set_xpow(19), ValueError, "x power 19 is outside 0..18"),
     (_set_xpow(-1), ValueError, "x power -1"),
+    (lambda doc: doc.update(x_ref="1/2"), ValueError, "x_ref '1/2' is not 0"),
 ], ids=["order-over-cap", "j-200", "j-over-3-order", "negative-j",
-        "huge-xpow", "xpow-over-bound", "negative-xpow"])
+        "huge-xpow", "xpow-over-bound", "negative-xpow", "x-ref-not-zero"])
 def test_series_document_out_of_bounds_rejected(edit, error, message):
     # goldstone L=2: x-degree at most (2 deg V + 1) * order = 18, j <= 6
     doc = json.loads(build_series(GOLDSTONE, 2).to_json())
@@ -305,7 +306,6 @@ def test_series_json_roundtrip_is_exact():
         assert back.potential == series.potential
         assert back.order == series.order
         assert back.convention == series.convention
-        assert back.x_ref == series.x_ref
         assert all(a == b for a, b in zip(back.terms, series.terms))
         assert back.to_json() == doc
 

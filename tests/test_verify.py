@@ -62,7 +62,7 @@ def test_tampered_series_detected():
     cells[(0, 2)] = cells[(0, 2)].scale(2)  # corrupt one coefficient
     broken_terms[1] = SeriesTerm(cells)
     broken = WignerSeries(potential=series.potential, order=series.order,
-                          convention=series.convention, x_ref=series.x_ref,
+                          convention=series.convention,
                           terms=tuple(broken_terms))
     report = residual_symbolic(broken)
     assert not report.passed
@@ -164,7 +164,7 @@ def test_numeric_detects_sign_flip_in_highest_term():
     cells[(0, 6)] = -cells[(0, 6)]
     terms[3] = SeriesTerm(cells)
     broken = WignerSeries(potential=series.potential, order=series.order,
-                          convention=series.convention, x_ref=series.x_ref,
+                          convention=series.convention,
                           terms=tuple(terms))
     report = residual_numeric(broken, FD, HBARS)
     assert report.slope == pytest.approx(6.84, abs=0.05)
