@@ -5,7 +5,8 @@ on hbar.  Point and grid evaluation form the F_l by one routine and weight
 them by one helper, so grid values are bit-identical to pointwise calls.
 Cells are grouped by seed-derivative order; each derivative is formed once
 per block of points, and each order's polynomial in H multiplying it is
-evaluated by Horner's rule to limit cancellation.
+evaluated by Horner's rule to limit cancellation.  The same routine gives
+the H-derivatives of any series terms at points (term_derivatives).
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ DEFAULT_GRID = GridSpec(-4.0, 4.0, 401, -4.0, 4.0, 401)
 BLOCK_POINTS = 1 << 13
 
 
-def _cells_by_j(series: WignerSeries, q):
-    """{j: [(l, [c_{l,m,j}(q) or None for m = 0..max m])]} over the series' cells."""
+def _cells_by_j(terms, q):
+    """{j: [(l, [c_{l,m,j}(q) or None for m = 0..max m])]} over the cells of terms."""
     by_j: dict[int, list] = {}
-    for l, term in enumerate(series.terms):
+    for l, term in enumerate(terms):
         polys: dict[int, dict] = {}
         for (m, j), c in term.cells():
             polys.setdefault(j, {})[m] = c.evaluate(q)
@@ -92,24 +93,40 @@ def _cells_by_j(series: WignerSeries, q):
     return by_j
 
 
-def _block_orders(n_orders: int, by_j, rows, seed, h) -> np.ndarray:
-    """F_0..F_{n_orders-1}, F_l = sum_(m,j) c_{l,m,j} H^m f0^(j)(H), at the
-    energies h of one block; rows selects the block from by_j's coefficients.
+def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndarray:
+    """out[l, r] = d^r F_l/dH^r for l < n_orders and r <= r_max, with
+    F_l = sum_(m,j) c_{l,m,j} H^m f0^(j)(H), at the energies h of one block;
+    rows selects the block from by_j's coefficients.
 
-    Each seed derivative is formed once and goes into every order that uses
-    it; the polynomial in H of each (l, j) is summed by Horner's rule.
+    One seed-derivative table serves the block.  By the Leibniz rule
+    d^r/dH^r [P f0^(j)] = sum_i C(r,i) P^(i) f0^(j+r-i), so each derivative
+    goes into every order that uses it; each P^(i) is summed by Horner's rule.
     """
-    out = np.zeros((n_orders,) + h.shape)
-    table = seed_derivatives(seed, h, max(by_j))
-    for j, d in enumerate(table):
-        for l, coeffs in by_j.get(j, ()):
-            val = coeffs[-1][rows]
-            for c in coeffs[-2::-1]:
-                val = val * h
-                if c is not None:
-                    val = val + c[rows]
-            out[l] += val * d
+    out = np.zeros((n_orders, r_max + 1) + h.shape)
+    table = seed_derivatives(seed, h, max(by_j, default=0) + r_max)
+    for j in sorted(by_j):
+        for l, coeffs in by_j[j]:
+            coeffs = [None if c is None else c[rows] for c in coeffs]
+            for i in range(min(r_max, len(coeffs) - 1) + 1):
+                if i:   # the coefficients of P^(i) from those of P^(i-1)
+                    coeffs = [None if c is None else m * c
+                              for m, c in enumerate(coeffs[1:], 1)]
+                val = coeffs[-1]
+                for c in coeffs[-2::-1]:
+                    val = val * h
+                    if c is not None:
+                        val = val + c
+                for r in range(i, r_max + 1):
+                    w = math.comb(r, i)
+                    out[l, r] += (val if w == 1 else w * val) * table[j + r - i]
     return out
+
+
+def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
+    """out[l, r] = d^r f/dH^r for f = terms[l] and r <= r_max at the points
+    (x, h), x broadcastable to h; one seed-derivative table serves them all."""
+    by_j = _cells_by_j(terms, np.asarray(x, dtype=float))
+    return _block_orders(len(terms), by_j, ..., seed, np.asarray(h, dtype=float), r_max)
 
 
 def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
@@ -117,11 +134,11 @@ def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
     cell coefficients are evaluated once on the q axis."""
     q = grid.q_axis()[:, None]
     h = 0.5 * grid.p_axis()[None, :] ** 2 + series.potential.evaluate(q)
-    by_j = _cells_by_j(series, q)
+    by_j = _cells_by_j(series.terms, q)
     step = max(1, BLOCK_POINTS // grid.n_p)
     for start in range(0, grid.n_q, step):
         rows = slice(start, start + step)
-        yield rows, _block_orders(len(series.terms), by_j, rows, seed, h[rows])
+        yield rows, _block_orders(len(series.terms), by_j, rows, seed, h[rows])[:, 0]
 
 
 def order_grids(series: WignerSeries, seed, grid: GridSpec) -> np.ndarray:
@@ -155,9 +172,8 @@ def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     values = np.empty(q.size)
     for start in range(0, q.size, BLOCK_POINTS):
         rows = slice(start, start + BLOCK_POINTS)
-        block = _block_orders(len(series.terms), _cells_by_j(series, q[rows]),
-                              slice(None), seed, h[rows])
-        values[rows] = _weighted_sum(block, hbar)
+        block = term_derivatives(series.terms, seed, q[rows], h[rows])
+        values[rows] = _weighted_sum(block[:, 0], hbar)
     return values.reshape(shape)
 
 

@@ -2,7 +2,7 @@
 
 A seed supplies f0(H) and exact H-derivatives up to MAX_DERIV_ORDER.  All three
 built-in families satisfy a one-step closure g' = G(g) with polynomial G, so
-the j-th derivative is a polynomial P_j(f0) with exact rational coefficients:
+the j-th derivative is a polynomial P_j(f0) with integer coefficients:
 
     Maxwell-Boltzmann:  g' = -g
     Fermi-Dirac:        g' = -g(1 - g)
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,9 +35,9 @@ _KINDS = ("mb", "fd", "be")
 MAX_DERIV_ORDER = 159
 
 _P1 = {
-    "mb": (Fraction(0), Fraction(-1)),             # -u
-    "fd": (Fraction(0), Fraction(-1), Fraction(1)),   # -u(1-u)
-    "be": (Fraction(0), Fraction(-1), Fraction(-1)),  # -u(1+u)
+    "mb": (0, -1),         # -u
+    "fd": (0, -1, 1),      # -u(1-u)
+    "be": (0, -1, -1),     # -u(1+u)
 }
 
 
@@ -51,7 +50,7 @@ def _poly_derivative(coeffs):
 
 
 def _poly_multiply(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -122,18 +121,18 @@ class SeedDistribution:
     def __init__(self, kind: str, z: float = 1.0):
         if kind not in _KINDS:
             raise ValueError(f"unknown seed kind {kind!r}; expected one of {_KINDS}")
-        if not (z > 0):
-            raise ValueError("fugacity z must be positive")
+        if not (0 < z < math.inf):
+            raise ValueError("fugacity z must be positive and finite")
         if kind == "be" and not (z < 1):
             raise ValueError("Bose-Einstein seed requires z < 1")
         self.kind = kind
         self.z = float(z)
         self.mu = math.log(z)
-        self._polys: list[tuple[Fraction, ...]] = [(Fraction(0), Fraction(1)), _P1[kind]]
+        self._polys: list[tuple[int, ...]] = [(0, 1), _P1[kind]]
         self._float_polys: dict[int, np.ndarray] = {}
 
-    def derivative_polynomial(self, j: int) -> tuple[Fraction, ...]:
-        """Exact coefficients of P_j, with f0^(j) = P_j(f0)."""
+    def derivative_polynomial(self, j: int) -> tuple[int, ...]:
+        """Integer coefficients of P_j, with f0^(j) = P_j(f0)."""
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
         while len(self._polys) <= j:
@@ -158,24 +157,25 @@ class SeedDistribution:
             raise SeedDomainError("Bose-Einstein pole: requires exp(H)/z > 1")
         return 1.0 / np.expm1(t)
 
-    def _derivatives(self, t, j_lo: int, j_hi: int) -> list:
-        """[f0^(j)(t) for j_lo <= j <= j_hi] (j_lo >= 1, t = H - mu) from
-        P_j(g) by Horner's rule.  Fermi-Dirac takes g at -|t|, flips the even
-        orders where t < 0, and from _POLE_ORDER up takes the pole sums
-        where |t| <= _POLE_RADIUS."""
-        if j_hi > MAX_DERIV_ORDER:
-            raise ValueError(f"derivative order {j_hi} exceeds "
-                             f"seeds.MAX_DERIV_ORDER = {MAX_DERIV_ORDER}")
-        shape = np.shape(t)
+    def derivative_table(self, H, j_max: int) -> list:
+        """[f0, f0', ..., f0^(j_max)] at H, with t = H - mu and g computed once
+        and f0^(j) = P_j(g) by Horner's rule.  Fermi-Dirac takes g at -|t|,
+        flips the even orders where t < 0, and from _POLE_ORDER up takes the
+        pole sums where |t| <= _POLE_RADIUS."""
+        if not 0 <= j_max <= MAX_DERIV_ORDER:
+            raise ValueError(f"derivative order {j_max} is outside "
+                             f"0..seeds.MAX_DERIV_ORDER = {MAX_DERIV_ORDER}")
+        t = np.asarray(H, dtype=float) - self.mu
+        out = [_plain(self._value(t))]
+        shape = t.shape
         t = np.atleast_1d(t)
         if self.kind == "fd":
             g, sign = _logistic(-np.abs(t)), np.where(t < 0, -1.0, 1.0)
             near = np.abs(t) <= _POLE_RADIUS
-            poles = _fd_pole_derivatives(t[near], j_hi)
+            poles = _fd_pole_derivatives(t[near], j_max)
         else:
             g, sign = self._value(t), None
-        out = []
-        for j in range(j_lo, j_hi + 1):
+        for j in range(1, j_max + 1):
             coeffs = self._float_poly(j)
             val = coeffs[-1]
             for c in coeffs[-2::-1]:
@@ -194,15 +194,7 @@ class SeedDistribution:
 
     def f0_deriv(self, j: int, H):
         """j-th H-derivative of f0, exact-to-roundoff; numpy-transparent."""
-        if j == 0:
-            return self.f0(H)
-        return self._derivatives(np.asarray(H, dtype=float) - self.mu, j, j)[0]
-
-    def derivative_table(self, H, j_max: int) -> list:
-        """[f0, f0', ..., f0^(j_max)] at H, each entry bit-identical to
-        f0_deriv(j, H); t = H - mu and g are computed once."""
-        t = np.asarray(H, dtype=float) - self.mu
-        return [_plain(self._value(t))] + self._derivatives(t, 1, j_max)
+        return self.derivative_table(H, j)[j]
 
     def __repr__(self):
         return f"SeedDistribution({self.kind!r}, z={self.z!r})"

@@ -25,10 +25,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
+from .evaluate import term_derivatives
+from .potentials import resolve_potential
 from .ring import RingElem
-from .seeds import seed_derivatives
-from .series import (SeriesTerm, WignerSeries, potential_derivatives,
-                     recursion_rhs, recursion_weight)
+from .seeds import SeedDistribution
+from .series import (SeriesTerm, WignerSeries, closed_form_f1,
+                     potential_derivatives, recursion_rhs, recursion_weight)
 
 
 class SymbolicResidualError(ValueError):
@@ -111,12 +113,13 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
     """Residual R_s sampled at (xs, hs) per formal power s, and its census.
 
     The transformed equation evaluated pointwise in floats.  The energy
-    derivatives d^r f_l/dH^r (r <= 2 j_cap + 1) come from the Leibniz rule on
-    each exact cell c_{m,j}(x) H^m f0^(j)(H); the source of power s is
+    derivatives d^r f_l/dH^r (r <= 2 j_cap + 1) and d/dx f_s come from one
+    evaluate.term_derivatives read-out of the exact terms and their exact
+    x-derivatives; the source of power s is
     sum_j (-1/2)^j V^(2j+1) sum_k w(j,k) (H-V)^(j-k) d^(2j-k+1)f_{s-j}/dH^(2j-k+1)
-    with H - V a float, and d/dx f_s goes through SeriesTerm.evaluate.  The
-    census maps 2s to the number of exact cells sampled at that power: those
-    of d/dx f_s and those of each lower order entering its source.
+    with H - V a float.  The census maps 2s to the number of exact cells
+    sampled at that power: those of d/dx f_s and those of each lower order
+    entering its source.
     """
     xs = np.asarray(xs, dtype=float)
     hs = np.asarray(hs, dtype=float)
@@ -126,26 +129,16 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
                for j in range(1, j_cap + 1) if not v_derivs[2 * j + 1].is_zero()}
     r_max = 2 * max(factors, default=0) + 1
     h_minus_v = hs - series.potential.evaluate(xs)
-    f0 = seed_derivatives(seed, hs, series.max_deriv_order() + r_max)
-    dh = []     # dh[l][r] = d^r f_l/dH^r at the samples
-    for term in terms:
-        rows = [np.zeros_like(xs) for _ in range(r_max + 1)]
-        for (m, j), c in term.cells():
-            c_x = c.evaluate(xs)
-            for r in range(r_max + 1):
-                for i in range(min(r, m) + 1):
-                    rows[r] = rows[r] + (math.comb(r, i) * math.perm(m, i)) \
-                        * c_x * hs ** (m - i) * f0[j + r - i]
-        dh.append(rows)
+    slopes = [t.d_dx() for t in terms]
+    values = term_derivatives(list(terms) + slopes, seed, xs, hs, r_max)
     samples, census = {}, {}
     for s in range(order + j_cap + 1):
-        d_dx = terms[s].d_dx() if s <= order else SeriesTerm.zero()
-        total = np.zeros_like(xs) + d_dx.evaluate(seed, xs, hs)
-        count = len(d_dx.cells())
+        total = values[order + 1 + s, 0] if s <= order else np.zeros_like(xs)
+        count = len(slopes[s].cells()) if s <= order else 0
         for j, factor in factors.items():
             if not 0 <= s - j <= order:
                 continue
-            lower = dh[s - j]
+            lower = values[s - j]   # lower[r] = d^r f_{s-j}/dH^r
             source = sum(float(recursion_weight(j, k)) * h_minus_v ** (j - k)
                          * lower[2 * j - k + 1] for k in range(j + 1))
             total = total - factor * source
@@ -229,24 +222,20 @@ def wigner_maxwell_check(potential: RingElem | None = None, n_points: int = 50,
                          rtol: float = 1e-10, flip_sign: bool = False) -> bool:
     """Cross-check the closed-form first correction against direct substitution.
 
-    Substitutes exponential-seed derivatives f0^(j) = (-1)^j exp(-H) into the
-    closed form built by the series engine and compares with the independent
-    direct expression at random points.
+    Reads the closed form built by the series engine with the exponential
+    seed, whose derivatives are f0^(j) = (-1)^j exp(-H), and compares it with
+    the independent direct expression at random points; flip_sign negates
+    the closed form's value.
     """
-    from .series import closed_form_f1
-
     if potential is None:
-        from .potentials import resolve_potential
         potential = resolve_potential("goldstone")
     f1 = closed_form_f1(potential)
     rng = default_rng(7)
     xs = rng.uniform(-2.0, 2.0, n_points)
     hs = rng.uniform(-1.0, 3.0, n_points)
-    lhs = np.zeros_like(xs)
-    sign = -1.0 if flip_sign else 1.0
-    for (m, j), c in f1.cells():
-        deriv = sign * (-1.0) ** j * np.exp(-hs)
-        lhs = lhs + c.evaluate(xs) * hs**m * deriv
+    lhs = term_derivatives([f1], SeedDistribution("mb"), xs, hs)[0, 0]
+    if flip_sign:
+        lhs = -lhs
     rhs = first_correction_direct(potential, xs, hs)
     scale = np.maximum(np.abs(rhs), 1e-30)
     return bool(np.all(np.abs(lhs - rhs) <= rtol * scale))

@@ -6,7 +6,7 @@ import pytest
 
 from qvlasov.evaluate import (BLOCK_POINTS, GridSpec, NormalizationError,
                               eval_field, eval_point, eval_points, order_grids,
-                              write_field_csv)
+                              term_derivatives, write_field_csv)
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import CombinedSeed, SeedDistribution
@@ -247,6 +247,25 @@ def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
     write_field_csv(field, tmp_path / "new.csv")
     _per_row_csv(field, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("spec, order", [("goldstone", 4), ("modulated:a=1/2", 2)])
+@pytest.mark.parametrize("seed", [SeedDistribution("mb"), FD], ids=["mb", "fd"])
+def test_term_derivatives_match_exact_dh_chain(spec, order, seed, rng):
+    # the Leibniz read-out of d^r f_l/dH^r equals the plain read-out of the
+    # exact d/dH chain of f_l, for every order and r <= 7
+    series = build_series(resolve_potential(spec), order, "paper")
+    xs = rng.uniform(-2.0, 2.0, 24)
+    hs = rng.uniform(-1.0, 3.0, 24)
+    derivs = term_derivatives(series.terms, seed, xs, hs, 7)
+    assert derivs.shape == (order + 1, 8, 24)
+    for l, term in enumerate(series.terms):
+        chain = [term]
+        while len(chain) < 8:
+            chain.append(chain[-1].d_dh())
+        reference = term_derivatives(chain, seed, xs, hs)[:, 0]
+        scale = np.abs(reference).max()
+        assert np.abs(derivs[l] - reference).max() <= 1e-12 * scale, l
 
 
 def test_modulated_potential_field(rng):

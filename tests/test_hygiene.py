@@ -38,6 +38,32 @@ def unused_imports(path: Path) -> list:
             for name, line in sorted(imported.items()) if name not in used]
 
 
+# The only modules that may read seed derivatives: the rest of the package
+# turns series terms into floats through evaluate.term_derivatives.
+SEED_READERS = {"seeds.py", "evaluate.py"}
+SEED_NAMES = {"f0_deriv", "derivative_table", "seed_derivatives"}
+
+
+def seed_reads(path: Path) -> list:
+    """'file:line: name' for each use of a seed-derivative name in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in SEED_NAMES:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return found
+
+
 def test_no_unused_imports():
     assert SOURCES
     assert [line for path in SOURCES for line in unused_imports(path)] == []
@@ -46,3 +72,10 @@ def test_no_unused_imports():
 def test_public_names_resolve():
     missing = [name for name in qvlasov.__all__ if not hasattr(qvlasov, name)]
     assert missing == []
+
+
+def test_seed_derivatives_read_in_one_place():
+    modules = sorted((ROOT / "src" / "qvlasov").glob("*.py"))
+    assert {path.name for path in modules} >= SEED_READERS
+    assert [line for path in modules if path.name not in SEED_READERS
+            for line in seed_reads(path)] == []

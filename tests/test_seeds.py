@@ -200,6 +200,8 @@ def test_bad_parameters():
         SeedDistribution("be", z=1.5)
     with pytest.raises(ValueError):
         SeedDistribution("gauss")
+    with pytest.raises(ValueError, match="finite"):
+        SeedDistribution("fd", z=math.inf)
 
 
 def test_combined_seed_is_linear():

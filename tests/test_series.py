@@ -96,7 +96,7 @@ def test_rhs_zero_for_quadratic_potential():
     for l in range(1, 5):
         source = recursion_rhs(v, terms, l)
         assert source.is_zero()
-        terms.append(integrate_term(source, "uniform"))
+        terms.append(integrate_term(source))
 
 
 def test_rhs_zero_for_zero_potential():
@@ -113,13 +113,12 @@ def test_rhs_order_one_is_ddx_of_closed_form():
 
 def test_integrate_term_roundtrip(rng):
     t = SeriesTerm({(0, 2): random_ring_elem(rng), (1, 4): random_ring_elem(rng)})
-    for convention in ("paper", "uniform"):
-        assert integrate_term(t, convention).d_dx() == t
+    assert integrate_term(t).d_dx() == t
 
 
 def test_integrate_term_uniform_vanishes_at_reference():
     source = recursion_rhs(GOLDSTONE, [SeriesTerm.unit()], 1)
-    f1 = integrate_term(source, "uniform")
+    f1 = integrate_term(source)
     for _, c in f1.cells():
         assert c.eval_exact(Fraction(0)).is_zero()
 
@@ -220,7 +219,7 @@ def test_term_budget_stops_inside_the_order_source(monkeypatch):
     integrated = []
     integrate = series_module.integrate_term
     monkeypatch.setattr(series_module, "integrate_term",
-                        lambda t, *args: integrated.append(t) or integrate(t, *args))
+                        lambda t: integrated.append(t) or integrate(t))
     with pytest.raises(TermBudgetError, match="order-5 source"):
         build_series(v, 5, term_budget=budget)
     assert len(integrated) == 3     # orders 2-4; order 1 is the closed form

@@ -144,6 +144,22 @@ def test_residual_samples_take_custom_seeds():
     assert all(np.array_equal(table[s], plain[s]) for s in table)
 
 
+def test_numeric_residual_reads_one_derivative_table(monkeypatch):
+    # every float read-out of the residual shares one seed-derivative table
+    calls = {"derivative_table": 0, "f0_deriv": 0}
+    for name in calls:
+        original = getattr(SeedDistribution, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(SeedDistribution, name, counted)
+    series = build_series(resolve_potential("modulated:a=1/7"), 3, "paper")
+    residual_numeric(series, FD, HBARS, j_max=6)
+    assert calls == {"derivative_table": 1, "f0_deriv": 0}
+
+
 def test_numeric_census_counts_sampled_cells():
     # goldstone: V^(3) = 6q keeps j = 1 and V^(5) = 0 drops j = 2.  f_0 has
     # one cell (0,0); the closed-form f_1 has three, (0,2), (1,3) and (0,3),
