@@ -266,11 +266,18 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     if cfg.hbar_list:
         rows = []
         orders = order_grids(series, cfg.seed, cfg.grid)
+        sizes = diag.order_sizes(orders)
         for hbar in cfg.hbar_list:
             field_ = eval_field(series, cfg.seed, hbar, cfg.grid,
                                 seed_spec=cfg.seed_spec, orders=orders)
             q_value, bound, verdict = diag.q_functional(field_)
             rows.append((hbar, q_value, bound, verdict))
+            past = diag.past_smallest_term(sizes, hbar)
+            if past:
+                print(f"warning: hbar = {hbar:g}: the order-{series.order} term "
+                      f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
+                      f"the series is truncated past its smallest term",
+                      file=sys.stderr)
         sweep_path = cfg.out_dir / "qsweep.csv"
         with open(sweep_path, "w") as fh:
             fh.write("hbar,Q,two_pi_hbar_Q\n")

@@ -10,6 +10,7 @@ quadrature on the field's own grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,27 @@ def q_functional(field: WignerField):
     bound = 2.0 * np.pi * field.hbar * q_value
     verdict = bool(bound <= 1.0) if field.hbar > 0 else None
     return q_value, bound, verdict
+
+
+def order_sizes(orders) -> np.ndarray:
+    """max |F_l| over the grid for each stacked per-order field F_l."""
+    return np.array([np.maximum(f.max(), -f.min()) for f in orders])
+
+
+def past_smallest_term(sizes, hbar: float):
+    """(l, T_L / T_l) when the last term T_L = hbar^(2L) sizes[L] is larger
+    than the smallest nonzero term T_l = hbar^(2l) sizes[l], else None.
+
+    Past its smallest term an asymptotic series gets worse with each order
+    it keeps, so the truncation is no longer optimal (Berry & Howls, Proc.
+    R. Soc. A 430, 653 (1990)).  Orders that vanish on the grid do not count.
+    """
+    terms = [hbar ** (2 * l) * size for l, size in enumerate(sizes)]
+    smallest, l = min(((t, l) for l, t in enumerate(terms) if t != 0.0),
+                      default=(math.inf, 0))
+    if terms[-1] > smallest:
+        return l, terms[-1] / smallest
+    return None
 
 
 @dataclass

@@ -4,9 +4,10 @@ A field is sum_l hbar^(2l) F_l, where the per-order fields F_l do not depend
 on hbar.  Point and grid evaluation form the F_l by one routine and weight
 them by one helper, so grid values are bit-identical to pointwise calls.
 Cells are grouped by seed-derivative order; each derivative is formed once
-per block of points, and each order's polynomial in H multiplying it is
-evaluated by Horner's rule to limit cancellation.  The same routine gives
-the H-derivatives of any series terms at points (term_derivatives).
+per block of points (a grid's at the distinct p^2 of its p axis), and each
+order's polynomial in H multiplying it is evaluated by Horner's rule to limit
+cancellation.  The same routine gives the H-derivatives of any series terms
+at points (term_derivatives).
 """
 
 from __future__ import annotations
@@ -112,10 +113,13 @@ def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndar
                     coeffs = [None if c is None else m * c
                               for m, c in enumerate(coeffs[1:], 1)]
                 val = coeffs[-1]
-                for c in coeffs[-2::-1]:
-                    val = val * h
+                for n, c in enumerate(coeffs[-2::-1]):
+                    if n:
+                        val *= h
+                    else:   # a new array: coeffs[-1] views the cell's values
+                        val = val * h
                     if c is not None:
-                        val = val + c
+                        val += c
                 for r in range(i, r_max + 1):
                     w = math.comb(r, i)
                     out[l, r] += (val if w == 1 else w * val) * table[j + r - i]
@@ -130,23 +134,30 @@ def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
 
 
 def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
-    """(rows, F_0..F_L on those grid rows) for successive blocks of rows; the
-    cell coefficients are evaluated once on the q axis."""
+    """(rows, cols, F_0..F_L on those grid rows) for successive blocks of rows;
+    the cell coefficients are evaluated once on the q axis.
+
+    H depends on p through p^2 only, so a block holds the F_l at the distinct
+    p^2 of the p axis, and its columns cols are the grid's: equal p^2 give
+    the same bits of H, hence of every F_l.
+    """
     q = grid.q_axis()[:, None]
-    h = 0.5 * grid.p_axis()[None, :] ** 2 + series.potential.evaluate(q)
+    p2, cols = np.unique(grid.p_axis() ** 2, return_inverse=True)
+    h = 0.5 * p2[None, :] + series.potential.evaluate(q)
     by_j = _cells_by_j(series.terms, q)
-    step = max(1, BLOCK_POINTS // grid.n_p)
+    step = max(1, BLOCK_POINTS // p2.size)
     for start in range(0, grid.n_q, step):
         rows = slice(start, start + step)
-        yield rows, _block_orders(len(series.terms), by_j, rows, seed, h[rows])[:, 0]
+        yield rows, cols, _block_orders(len(series.terms), by_j, rows, seed, h[rows])[:, 0]
 
 
 def order_grids(series: WignerSeries, seed, grid: GridSpec) -> np.ndarray:
     """Per-order fields F_0..F_L on the grid, stacked; a field at any hbar is
     sum_l hbar^(2l) F_l, so one set serves a whole hbar sweep."""
     out = np.empty((len(series.terms), grid.n_q, grid.n_p))
-    for rows, block in _grid_blocks(series, seed, grid):
-        out[:, rows] = block
+    for rows, cols, block in _grid_blocks(series, seed, grid):
+        # mode="clip" writes into out unbuffered; cols are in range
+        np.take(block, cols, axis=-1, out=out[:, rows], mode="clip")
     return out
 
 
@@ -214,8 +225,8 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
         raise ValueError("hbar must be nonnegative")
     if orders is None:
         values = np.empty((grid.n_q, grid.n_p))
-        for rows, block in _grid_blocks(series, seed, grid):
-            values[rows] = _weighted_sum(block, hbar)
+        for rows, cols, block in _grid_blocks(series, seed, grid):
+            values[rows] = _weighted_sum(block, hbar)[..., cols]
     else:
         values = _weighted_sum(orders, hbar)
     norm = grid.integral(values)

@@ -161,30 +161,38 @@ class SeedDistribution:
         """[f0, f0', ..., f0^(j_max)] at H, with t = H - mu and g computed once
         and f0^(j) = P_j(g) by Horner's rule.  Fermi-Dirac takes g at -|t|,
         flips the even orders where t < 0, and from _POLE_ORDER up takes the
-        pole sums where |t| <= _POLE_RADIUS."""
+        pole sums where |t| <= _POLE_RADIUS and Horner's rule elsewhere."""
         if not 0 <= j_max <= MAX_DERIV_ORDER:
             raise ValueError(f"derivative order {j_max} is outside "
                              f"0..seeds.MAX_DERIV_ORDER = {MAX_DERIV_ORDER}")
         t = np.asarray(H, dtype=float) - self.mu
-        out = [_plain(self._value(t))]
         shape = t.shape
         t = np.atleast_1d(t)
+        value = self._value(t)
+        out = [_plain(value.reshape(shape))]
+        g, sign = value, None
         if self.kind == "fd":
             g, sign = _logistic(-np.abs(t)), np.where(t < 0, -1.0, 1.0)
             near = np.abs(t) <= _POLE_RADIUS
             poles = _fd_pole_derivatives(t[near], j_max)
-        else:
-            g, sign = self._value(t), None
+            far = ~near
+            g_far, sign_far = g[far], sign[far]
         for j in range(1, j_max + 1):
             coeffs = self._float_poly(j)
-            val = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                val = val * g + c
-            if sign is not None:
-                if j % 2 == 0:
-                    val = val * sign
-                if j >= _POLE_ORDER:
-                    val[near] = poles[j - _POLE_ORDER]
+            pole = self.kind == "fd" and j >= _POLE_ORDER
+            x, s = (g_far, sign_far) if pole else (g, sign)
+            val = coeffs[-1] * x
+            val += coeffs[-2]
+            for c in coeffs[-3::-1]:
+                val *= x
+                val += c
+            if s is not None and j % 2 == 0:
+                val *= s
+            if pole:
+                full = np.empty(t.shape)
+                full[far] = val
+                full[near] = poles[j - _POLE_ORDER]
+                val = full
             out.append(_plain(val.reshape(shape)))
         return out
 
@@ -202,7 +210,7 @@ class SeedDistribution:
 
 def seed_derivatives(seed, H, j_max: int) -> list:
     """[f0, ..., f0^(j_max)] at H: the seed's derivative_table if it has one,
-    else one f0_deriv call per order (custom seeds, CombinedSeed)."""
+    else one f0_deriv call per order (custom seeds)."""
     table = getattr(seed, "derivative_table", None)
     if table is not None:
         return table(H, j_max)
@@ -220,6 +228,12 @@ class CombinedSeed:
 
     def f0_deriv(self, j: int, H):
         return sum(w * s.f0_deriv(j, H) for w, s in self.components)
+
+    def derivative_table(self, H, j_max: int) -> list:
+        """[f0, ..., f0^(j_max)] at H from one table per component; each entry
+        has the bits of f0_deriv."""
+        tables = [(w, seed_derivatives(s, H, j_max)) for w, s in self.components]
+        return [sum(w * table[j] for w, table in tables) for j in range(j_max + 1)]
 
 
 class QuadratureError(RuntimeError):

@@ -73,7 +73,8 @@ FIELD_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "field_digests.json").read_text())
 
 
-@pytest.mark.parametrize("key", sorted(FIELD_GOLDEN))
+@pytest.mark.parametrize("key", sorted(k for k in FIELD_GOLDEN
+                                     if not k.startswith("qsweep ")))
 def test_evaluate_csv_matches_golden_digest(tmp_path, key):
     # SHA-256 of field.csv, recorded before the integer group layout of the
     # exact core, so the float evaluation of its elements keeps its bits
@@ -83,6 +84,18 @@ def test_evaluate_csv_matches_golden_digest(tmp_path, key):
                 "--prange=-4,4,41", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "field.csv").read_bytes()).hexdigest()
     assert digest == FIELD_GOLDEN[key]
+
+
+def test_diagnose_sweep_csv_matches_golden_digest(tmp_path):
+    # SHA-256 of qsweep.csv, recorded before the grid fill took the distinct
+    # p^2 of the p axis; this asymmetric axis repeats no p^2 (test_evaluate
+    # covers axes that do)
+    assert run(["diagnose", "--potential", "goldstone", "--order", "10",
+                "--seed", "fd:chi=1", "--hbar-list", "0.1,0.2,0.3",
+                "--qrange=-4,4,101", "--prange=-2.5,3.7,133",
+                "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "qsweep.csv").read_bytes()).hexdigest()
+    assert digest == FIELD_GOLDEN["qsweep goldstone 10"]
 
 
 def test_evaluate_is_deterministic(tmp_path):
@@ -122,6 +135,22 @@ def test_diagnose_sweep(tmp_path):
     bounds = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b >= a for a, b in zip(bounds, bounds[1:]))
     assert bounds[0] < 1.0 < bounds[-1]
+
+
+def test_diagnose_sweep_warns_past_smallest_term(tmp_path, capsys):
+    # goldstone L=10: the last term hbar^20 max|F_10| passes the smallest one
+    # already at hbar = 0.1; files and stdout do not change
+    assert run(["diagnose", "--potential", "goldstone", "--order", "10",
+                "--seed", "fd:chi=1", "--hbar-list", "0,0.1,0.2,0.3",
+                "--qrange=-4,4,101", "--prange=-2.5,3.7,133",
+                "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: hbar = {hbar}: the order-10 term is {ratio} times the smallest, "
+        f"of order {l}; the series is truncated past its smallest term"
+        for hbar, ratio, l in (("0.1", "1.71", 9), ("0.2", "17.1", 6),
+                               ("0.3", "962", 4))]
+    assert "warning" not in captured.out
 
 
 def test_diagnose_hbar_zero_verdict_not_applicable(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qvlasov.diagnostics import (DegenerateFieldError, diagnose, marginals,
-                                 negativity_report, q_functional)
+                                 negativity_report, order_sizes,
+                                 past_smallest_term, q_functional)
 from qvlasov.evaluate import GridSpec, WignerField, eval_field
 from qvlasov.parser import parse_potential
 from qvlasov.seeds import SeedDistribution
@@ -143,3 +144,18 @@ def test_degenerate_field_rejected():
         marginals(field)
     with pytest.raises(DegenerateFieldError):
         q_functional(field)
+
+
+def test_order_sizes_are_largest_magnitudes():
+    orders = np.array([[[1.0, -3.0]], [[0.5, 0.25]], [[0.0, -0.0]]])
+    assert order_sizes(orders).tolist() == [3.0, 0.5, 0.0]
+
+
+def test_past_smallest_term():
+    # terms hbar^(2l) * sizes[l] = 1, 0.25, 0.5 at hbar = 1/2: the last is
+    # twice the smallest, of order 1
+    assert past_smallest_term([1.0, 1.0, 8.0], 0.5) == (1, 2.0)
+    assert past_smallest_term([1.0, 1.0, 8.0], 0.25) is None
+    assert past_smallest_term([1.0, 1.0, 8.0], 0.0) is None
+    # an order that vanishes on the grid is not the smallest term
+    assert past_smallest_term([1.0, 0.0, 0.5], 0.5) is None

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qvlasov.evaluate import (BLOCK_POINTS, GridSpec, NormalizationError,
-                              eval_field, eval_point, eval_points, order_grids,
-                              term_derivatives, write_field_csv)
+from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
+                              NormalizationError, eval_field, eval_point,
+                              eval_points, order_grids, term_derivatives,
+                              write_field_csv)
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import CombinedSeed, SeedDistribution
@@ -170,6 +171,37 @@ def test_blocked_grid_matches_pointwise(goldstone_l5):
     assert np.array_equal(eval_points(goldstone_l5, FD, 0.6, qq, pp), field.values)
     for i, k in ((0, 0), (80, 50), (81, 7), (202, 100)):
         assert eval_point(goldstone_l5, FD, 0.6, qq[i, k], pp[i, k]) == field.values[i, k]
+
+
+@pytest.mark.parametrize("p_min, p_max, n_p", [(-3.0, 3.0, 61), (-3.0, 3.0, 60),
+                                                (-2.5, 3.7, 133), (-3.0, 3.0, 2)],
+                         ids=["odd", "even", "asymmetric", "two"])
+def test_grid_fill_at_distinct_p2_matches_points(goldstone_l5, p_min, p_max, n_p):
+    # the grid is filled at the distinct p^2 of the p axis and gathered back
+    grid = GridSpec(-3.0, 3.0, 23, p_min, p_max, n_p)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    hh = 0.5 * pp ** 2 + GOLDSTONE.evaluate(qq)
+    orders = order_grids(goldstone_l5, FD, grid)
+    assert np.array_equal(orders, term_derivatives(goldstone_l5.terms, FD, qq, hh)[:, 0])
+    points = eval_points(goldstone_l5, FD, 0.6, qq, pp)
+    assert np.array_equal(eval_field(goldstone_l5, FD, 0.6, grid, normalize=False).values,
+                          points)
+    assert np.array_equal(eval_field(goldstone_l5, FD, 0.6, grid, normalize=False,
+                                     orders=orders).values, points)
+
+
+def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
+    # 287 of the default axis' 401 p^2 are distinct (linspace is not
+    # bit-antisymmetric), and each grid row takes the table at those alone
+    points = []
+
+    class CountingSeed(SeedDistribution):
+        def derivative_table(self, H, j_max):
+            points.append(np.size(H))
+            return super().derivative_table(H, j_max)
+
+    order_grids(goldstone_l2, CountingSeed("fd"), DEFAULT_GRID)
+    assert sum(points) == 401 * 287
 
 
 def test_seed_without_derivative_table_gives_same_field(goldstone_l5):

@@ -161,14 +161,53 @@ def test_fd_reflection_symmetry():
 
 
 def test_seed_derivatives_falls_back_to_f0_deriv():
-    combo = CombinedSeed([(2.0, SeedDistribution("fd")), (0.5, SeedDistribution("mb"))])
+    fd = SeedDistribution("fd")
+    asked = []
+
+    class PlainSeed:   # a custom seed: f0 and f0_deriv only
+        def f0(self, H):
+            return 2.0 * fd.f0(H)
+
+        def f0_deriv(self, j, H):
+            asked.append(j)
+            return 2.0 * fd.f0_deriv(j, H)
+
+    plain = PlainSeed()
     hs = np.linspace(-2.0, 2.0, 9)
-    table = seed_derivatives(combo, hs, 6)
+    table = seed_derivatives(plain, hs, 6)
+    assert asked == list(range(7))
     for j in range(7):
-        assert np.array_equal(table[j], combo.f0_deriv(j, hs))
+        assert np.array_equal(table[j], plain.f0_deriv(j, hs))
     seed = SeedDistribution("fd", z=2.0)
     assert all(np.array_equal(a, b) for a, b in zip(seed_derivatives(seed, hs, 6),
                                                     seed.derivative_table(hs, 6)))
+
+
+def test_combined_seed_table_has_f0_deriv_bits():
+    combo = CombinedSeed([(2.0, SeedDistribution("fd")), (0.5, SeedDistribution("mb"))])
+    hs = np.linspace(-6.0, 6.0, 49)
+    table = seed_derivatives(combo, hs, 30)
+    assert len(table) == 31
+    for j in range(31):
+        assert np.array_equal(table[j], combo.f0_deriv(j, hs)), j
+    assert combo.derivative_table(0.5, 3)[3] == combo.f0_deriv(3, 0.5)
+
+
+@pytest.mark.parametrize("ts", [np.linspace(-3.9, 3.9, 41),
+                                np.concatenate([np.linspace(-30.0, -4.1, 20),
+                                                np.linspace(4.1, 30.0, 20)]),
+                                np.linspace(-10.0, 10.0, 41)],
+                         ids=["all-near", "all-far", "mixed"])
+@pytest.mark.parametrize("z", [0.3, 1.0, 7.0])
+def test_fd_table_equals_pointwise_tables(ts, z):
+    # orders from 12 up take Horner's rule beyond |t| = 4 and the pole sums
+    # within it, whichever of the two subsets is empty
+    seed = SeedDistribution("fd", z=z)
+    table = seed.derivative_table(ts + seed.mu, 30)
+    points = [seed.derivative_table(float(h), 30) for h in ts + seed.mu]
+    for j in range(31):
+        expect = np.array([point[j] for point in points])
+        assert table[j].tobytes() == expect.tobytes(), j
 
 
 @pytest.mark.parametrize("kind,z", [("mb", 1.0), ("fd", 1.0), ("fd", 1e3), ("be", 0.5)])
