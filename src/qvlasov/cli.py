@@ -27,7 +27,7 @@ from .seeds import (BracketError, QuadratureError, SeedDomainError,
                     parse_seed_spec)
 from .series import (CONVENTIONS, MAX_ORDER, OrderError, TermBudgetError,
                      WignerSeries, build_series)
-from .verify import residual_numeric, residual_symbolic
+from .verify import MAX_SAMPLES, residual_numeric, residual_symbolic
 
 
 class ConfigError(ValueError):
@@ -157,8 +157,8 @@ def build_config(argv: list[str]) -> RunConfig:
         errors.append("--hbar must be finite and nonnegative")
     if not all(math.isfinite(h) and h >= 0 for h in args.hbar_list):
         errors.append("--hbar-list values must be finite and nonnegative")
-    if args.samples < 1:
-        errors.append("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        errors.append(f"--samples must be between 1 and {MAX_SAMPLES}")
     if args.j_max is not None and not 1 <= args.j_max <= MAX_ORDER + 1:
         errors.append(f"--j-max must be between 1 and {MAX_ORDER + 1}")
     grid = None

@@ -4,7 +4,7 @@ A field is sum_l hbar^(2l) F_l, where the per-order fields F_l do not depend
 on hbar.  Point and grid evaluation form the F_l by one routine and weight
 them by one helper, so grid values are bit-identical to pointwise calls.
 Cells are grouped by seed-derivative order; each derivative is formed once
-per block of points (a grid's at the distinct p^2 of its p axis), and each
+per block of points (a grid's at its distinct rows and distinct p^2), and each
 order's polynomial in H multiplying it is evaluated by Horner's rule to limit
 cancellation.  The same routine gives the H-derivatives of any series terms
 at points (term_derivatives).
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -133,31 +134,64 @@ def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
     return _block_orders(len(terms), by_j, ..., seed, np.asarray(h, dtype=float), r_max)
 
 
-def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
-    """(rows, cols, F_0..F_L on those grid rows) for successive blocks of rows;
-    the cell coefficients are evaluated once on the q axis.
+def _distinct_bits(*columns):
+    """(first, inverse) over the rows of the float columns, two rows being
+    equal when all their bits are: row first[g] stands for group g, and row i
+    lies in group inverse[i].  0.0 and -0.0 stay apart."""
+    bits = [np.ravel(c).view(np.uint64) for c in columns]
+    order = np.lexsort(bits)   # stable, so each group starts at its first row
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for b in bits:
+        b = b[order]
+        new[1:] |= b[1:] != b[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
-    H depends on p through p^2 only, so a block holds the F_l at the distinct
-    p^2 of the p axis, and its columns cols are the grid's: equal p^2 give
-    the same bits of H, hence of every F_l.
+
+def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
+    """(pairs, cols, F_0..F_L) for successive blocks of distinct grid rows:
+    grid row d takes block row k for each (d, k) in pairs, and grid column c
+    takes block column cols[c].
+
+    A grid value is sum c_{l,m,j}(q) H^m f0^(j)(H) with H = p^2/2 + V(q),
+    filled elementwise, so rows with the same bits of V(q) and of every cell
+    coefficient, and columns with the same bits of p^2, hold the same bits
+    of every F_l: a block is filled at the first of each such row and column.
     """
-    q = grid.q_axis()[:, None]
-    p2, cols = np.unique(grid.p_axis() ** 2, return_inverse=True)
-    h = 0.5 * p2[None, :] + series.potential.evaluate(q)
+    q = grid.q_axis()
+    p2 = grid.p_axis() ** 2
+    p_first, cols = _distinct_bits(p2)
+    v = series.potential.evaluate(q)
     by_j = _cells_by_j(series.terms, q)
-    step = max(1, BLOCK_POINTS // p2.size)
-    for start in range(0, grid.n_q, step):
-        rows = slice(start, start + step)
-        yield rows, cols, _block_orders(len(series.terms), by_j, rows, seed, h[rows])[:, 0]
+    q_first, groups = _distinct_bits(v, *(c for cells in by_j.values()
+                                           for _, coeffs in cells
+                                           for c in coeffs if c is not None))
+    by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
+                for l, coeffs in cells] for j, cells in by_j.items()}
+    h = 0.5 * p2[p_first] + v[q_first, None]
+    step = max(1, BLOCK_POINTS // p_first.size)
+    pairs = [[] for _ in range(0, q_first.size, step)]
+    for d, g in enumerate(groups.tolist()):
+        pairs[g // step].append((d, g % step))
+    for b, block_pairs in enumerate(pairs):
+        rows = slice(b * step, (b + 1) * step)
+        yield block_pairs, cols, _block_orders(len(series.terms), by_j, rows,
+                                               seed, h[rows])[:, 0]
 
 
 def order_grids(series: WignerSeries, seed, grid: GridSpec) -> np.ndarray:
     """Per-order fields F_0..F_L on the grid, stacked; a field at any hbar is
     sum_l hbar^(2l) F_l, so one set serves a whole hbar sweep."""
     out = np.empty((len(series.terms), grid.n_q, grid.n_p))
-    for rows, cols, block in _grid_blocks(series, seed, grid):
-        # mode="clip" writes into out unbuffered; cols are in range
-        np.take(block, cols, axis=-1, out=out[:, rows], mode="clip")
+    row = np.empty((len(series.terms), grid.n_p))
+    for pairs, cols, block in _grid_blocks(series, seed, grid):
+        for d, k in pairs:
+            # take writes straight into a contiguous out with mode="clip"
+            # (cols are in range); out[:, d] is strided, so it goes via row
+            np.take(block[:, k], cols, axis=-1, out=row, mode="clip")
+            out[:, d] = row
     return out
 
 
@@ -225,8 +259,10 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
         raise ValueError("hbar must be nonnegative")
     if orders is None:
         values = np.empty((grid.n_q, grid.n_p))
-        for rows, cols, block in _grid_blocks(series, seed, grid):
-            values[rows] = _weighted_sum(block, hbar)[..., cols]
+        for pairs, cols, block in _grid_blocks(series, seed, grid):
+            block = _weighted_sum(block, hbar)
+            for d, k in pairs:
+                np.take(block[k], cols, out=values[d], mode="clip")
     else:
         values = _weighted_sum(orders, hbar)
     norm = grid.integral(values)
@@ -241,12 +277,23 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
 
 
 def write_field_csv(field: WignerField, path) -> None:
-    """Row-major q,p,f rows with round-trip float formatting."""
+    """Row-major q,p,f rows with round-trip float formatting.
+
+    Each distinct value of a block of rows is formatted once; values are
+    told apart by their bits, so 0.0 and -0.0 keep their own text.
+    """
     p_cols = [f",{v!r}," for v in field.p_axis().tolist()]
+    q_text = list(map(repr, field.q_axis().tolist()))
+    step = max(1, BLOCK_POINTS // field.grid.n_p)
     with open(path, "w") as fh:
         fh.write("q,p,f\n")
-        for qi, row in zip(map(repr, field.q_axis().tolist()), field.values):
-            fh.write("".join([f"{qi}{pk}{v!r}\n" for pk, v in zip(p_cols, row.tolist())]))
+        for start in range(0, field.grid.n_q, step):
+            block = field.values[start:start + step]
+            keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            texts = [f"{v!r}\n" for v in keys.view(np.float64).tolist()]
+            for qi, row in zip(q_text[start:start + step],
+                               inverse.reshape(block.shape).tolist()):
+                fh.write(qi + qi.join(map(add, p_cols, map(texts.__getitem__, row))))
 
 
 def field_sidecar_dict(field: WignerField, provenance: dict | None = None) -> dict:

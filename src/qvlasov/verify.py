@@ -33,6 +33,12 @@ from .series import (SeriesTerm, WignerSeries, closed_form_f1,
                      potential_derivatives, recursion_rhs, recursion_weight)
 
 
+# Most sample points of a numeric residual.  All are read out at once, so its
+# memory grows with them: 10000 points of modulated:a=1/2 at order 5 with
+# --j-max 31 peak at about 130 MB.
+MAX_SAMPLES = 10_000
+
+
 class SymbolicResidualError(ValueError):
     """Symbolic residuals need a terminating source sum (polynomial potential)."""
 

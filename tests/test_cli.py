@@ -284,6 +284,8 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
      "--j-max"),
     (["expand"], {"potential": "q^40*q^40"}, "x-degree 80 exceeds 64"),
     (EVALUATE + ["--seed", "fd:z=inf"], None, "finite"),
+    (["verify", "--potential", "modulated:a=1/2", "--order", "2", "--samples",
+      "1000000000000"], None, "--samples must be between 1 and 10000"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
         "flag-of-another-command", "negative-hbar-list", "zero-samples",
@@ -292,7 +294,8 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
         "infinite-grid-in-file", "j-max-below-order", "symbolic-trig",
         "series-j-max-below-order", "exponent-over-cap", "product-over-cap",
         "grid-over-cap", "order-over-cap", "j-max-over-cap",
-        "product-degree-over-cap-in-file", "infinite-fugacity"])
+        "product-degree-over-cap-in-file", "infinite-fugacity",
+        "samples-over-cap"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if "series.json" in argv:

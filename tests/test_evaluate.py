@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
-                              NormalizationError, eval_field, eval_point,
-                              eval_points, order_grids, term_derivatives,
-                              write_field_csv)
+                              NormalizationError, _distinct_bits, eval_field,
+                              eval_point, eval_points, order_grids,
+                              term_derivatives, write_field_csv)
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import CombinedSeed, SeedDistribution
-from qvlasov.series import build_series
+from qvlasov.series import WignerSeries, build_series
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
+CUBIC = parse_potential("q^2/2 + q^3/10")   # no two q rows share V(q)
 FD = SeedDistribution("fd", z=1.0)
 SMALL_GRID = GridSpec(-3.0, 3.0, 61, -3.0, 3.0, 61)
 
@@ -178,30 +179,79 @@ def test_blocked_grid_matches_pointwise(goldstone_l5):
                          ids=["odd", "even", "asymmetric", "two"])
 def test_grid_fill_at_distinct_p2_matches_points(goldstone_l5, p_min, p_max, n_p):
     # the grid is filled at the distinct p^2 of the p axis and gathered back
-    grid = GridSpec(-3.0, 3.0, 23, p_min, p_max, n_p)
+    _assert_grid_fill_matches_points(goldstone_l5, GridSpec(-3.0, 3.0, 23, p_min, p_max, n_p))
+
+
+def _assert_grid_fill_matches_points(series, grid):
+    # order_grids equals the read-out at the points, and eval_field with and
+    # without them equals eval_points, bit for bit
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
-    hh = 0.5 * pp ** 2 + GOLDSTONE.evaluate(qq)
-    orders = order_grids(goldstone_l5, FD, grid)
-    assert np.array_equal(orders, term_derivatives(goldstone_l5.terms, FD, qq, hh)[:, 0])
-    points = eval_points(goldstone_l5, FD, 0.6, qq, pp)
-    assert np.array_equal(eval_field(goldstone_l5, FD, 0.6, grid, normalize=False).values,
+    hh = 0.5 * pp ** 2 + series.potential.evaluate(qq)
+    orders = order_grids(series, FD, grid)
+    assert np.array_equal(orders, term_derivatives(series.terms, FD, qq, hh)[:, 0])
+    points = eval_points(series, FD, 0.6, qq, pp)
+    assert np.array_equal(eval_field(series, FD, 0.6, grid, normalize=False).values,
                           points)
-    assert np.array_equal(eval_field(goldstone_l5, FD, 0.6, grid, normalize=False,
+    assert np.array_equal(eval_field(series, FD, 0.6, grid, normalize=False,
                                      orders=orders).values, points)
+
+
+@pytest.fixture(scope="module")
+def cubic_l3():
+    return build_series(CUBIC, 3, "paper")
+
+
+@pytest.mark.parametrize("q_min, q_max, n_q", [(-3.0, 3.0, 61), (-3.0, 3.0, 60),
+                                                (-2.5, 3.7, 133)],
+                         ids=["odd", "even", "asymmetric"])
+@pytest.mark.parametrize("case", ["goldstone", "cubic", "even-v-odd-cells"])
+def test_grid_fill_at_distinct_rows_matches_points(goldstone_l5, cubic_l3, case,
+                                                   q_min, q_max, n_q):
+    # the grid is filled at the distinct rows of V(q) and the cells and
+    # gathered back; goldstone has duplicate rows and the cubic none, and
+    # the cubic's cells on goldstone's V share V(q) bits but not cell bits
+    series = {"goldstone": goldstone_l5, "cubic": cubic_l3,
+              "even-v-odd-cells": WignerSeries(GOLDSTONE, 3, "paper",
+                                               cubic_l3.terms)}[case]
+    _assert_grid_fill_matches_points(series, GridSpec(q_min, q_max, n_q, -3.0, 3.0, 31))
+
+
+def test_distinct_bits_keeps_cells_and_signed_zeros_apart():
+    # rows 0 and 3 agree in every bit; rows 1 and 2 share V's bits with
+    # them but differ in the sign of a zero or in one cell coefficient
+    v = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
+    cell = np.array([0.5, 0.5, 0.25, 0.5, 0.5])
+    zeros = np.array([0.0, -0.0, 0.0, 0.0, 0.0])
+    first, inverse = _distinct_bits(v, cell, zeros)
+    assert first[inverse].tolist() == [0, 1, 2, 0, 4]
+    first, inverse = _distinct_bits(np.array([0.0, -0.0, 0.0]))
+    assert first[inverse].tolist() == [0, 1, 0]
+
+
+class CountingSeed(SeedDistribution):
+    """fd seed that records the points of each derivative table."""
+
+    def __init__(self):
+        super().__init__("fd")
+        self.points = []
+
+    def derivative_table(self, H, j_max):
+        self.points.append(np.size(H))
+        return super().derivative_table(H, j_max)
 
 
 def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
     # 287 of the default axis' 401 p^2 are distinct (linspace is not
-    # bit-antisymmetric), and each grid row takes the table at those alone
-    points = []
+    # bit-antisymmetric), and so are 287 of its rows for an even potential
+    seed = CountingSeed()
+    order_grids(goldstone_l2, seed, DEFAULT_GRID)
+    assert sum(seed.points) == 287 * 287
 
-    class CountingSeed(SeedDistribution):
-        def derivative_table(self, H, j_max):
-            points.append(np.size(H))
-            return super().derivative_table(H, j_max)
 
-    order_grids(goldstone_l2, CountingSeed("fd"), DEFAULT_GRID)
-    assert sum(points) == 401 * 287
+def test_grid_fill_takes_every_row_of_odd_potential():
+    seed = CountingSeed()
+    order_grids(build_series(CUBIC, 1, "paper"), seed, DEFAULT_GRID)
+    assert sum(seed.points) == 401 * 287
 
 
 def test_seed_without_derivative_table_gives_same_field(goldstone_l5):
@@ -274,8 +324,14 @@ def _per_row_csv(field, path):
 
 
 def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
-    field = eval_field(goldstone_l5, FD, 0.6, GridSpec(-4.0, 4.0, 41, -3.5, 2.5, 37))
-    field.values[0, :3] = [-0.0, 1e-300, 1.0 / 3.0]
+    # 41 rows of 401 points are three blocks of 20, 20 and 1 rows; one row
+    # holds signed zeros, non-finite values and repeats, whose text must
+    # follow their bits, not their float value
+    field = eval_field(goldstone_l5, FD, 0.6, GridSpec(-4.0, 4.0, 41, -3.5, 2.5, 401))
+    assert field.grid.n_q % (BLOCK_POINTS // field.grid.n_p)
+    field.values[0, :11] = [-0.0, 1e-300, 1.0 / 3.0, 0.0, -0.0, np.nan, np.inf,
+                            -np.inf, 1.0 / 3.0, 0.0, -np.nan]
+    field.values[20, :3] = [0.0, -0.0, 0.0]
     write_field_csv(field, tmp_path / "new.csv")
     _per_row_csv(field, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
