@@ -2,8 +2,8 @@
 
 from .diagnostics import (DiagnosticsReport, NegativityReport, diagnose,
                           marginals, negativity_report, q_functional)
-from .evaluate import (DEFAULT_GRID, GridSpec, WignerField, eval_field,
-                       eval_point, eval_points, order_grids)
+from .evaluate import (DEFAULT_GRID, GridSpec, OrderGrids, WignerField,
+                       eval_field, eval_point, eval_points, order_grids)
 from .parser import ParseError, parse_potential
 from .potentials import PRESETS, modulated_harmonic, resolve_potential
 from .ring import Coefficient, Monomial, RingElem, RingError
@@ -25,7 +25,7 @@ __all__ = [
     "SeriesTerm", "WignerSeries", "build_series", "closed_form_f1",
     "integrate_term", "recursion_rhs",
     "GridSpec", "DEFAULT_GRID", "WignerField", "eval_point", "eval_points",
-    "eval_field", "order_grids",
+    "eval_field", "order_grids", "OrderGrids",
     "DiagnosticsReport", "NegativityReport", "diagnose", "marginals",
     "q_functional", "negativity_report",
     "ResidualReport", "residual_symbolic", "residual_numeric",

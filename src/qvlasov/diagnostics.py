@@ -49,8 +49,9 @@ def q_functional(field: WignerField):
 
 
 def order_sizes(orders) -> np.ndarray:
-    """max |F_l| over the grid for each stacked per-order field F_l."""
-    return np.array([np.maximum(f.max(), -f.min()) for f in orders])
+    """max |F_l| over the grid for each per-order field F_l of
+    evaluate.order_grids; its distinct rows and columns hold every grid value."""
+    return np.array([np.maximum(f.max(), -f.min()) for f in orders.values])
 
 
 def past_smallest_term(sizes, hbar: float):

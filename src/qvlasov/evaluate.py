@@ -151,9 +151,10 @@ def _distinct_bits(*columns):
 
 
 def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
-    """(pairs, cols, F_0..F_L) for successive blocks of distinct grid rows:
-    grid row d takes block row k for each (d, k) in pairs, and grid column c
-    takes block column cols[c].
+    """(rows, cols, shape, blocks): grid point (i, k) holds the F_l of
+    distinct row rows[i] and distinct column cols[k], of which there are
+    shape; blocks yields (start, F_0..F_L) for successive blocks of distinct
+    rows, the first of them distinct row start.
 
     A grid value is sum c_{l,m,j}(q) H^m f0^(j)(H) with H = p^2/2 + V(q),
     filled elementwise, so rows with the same bits of V(q) and of every cell
@@ -165,34 +166,49 @@ def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
     p_first, cols = _distinct_bits(p2)
     v = series.potential.evaluate(q)
     by_j = _cells_by_j(series.terms, q)
-    q_first, groups = _distinct_bits(v, *(c for cells in by_j.values()
-                                           for _, coeffs in cells
-                                           for c in coeffs if c is not None))
+    q_first, rows = _distinct_bits(v, *(c for cells in by_j.values()
+                                         for _, coeffs in cells
+                                         for c in coeffs if c is not None))
     by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
                 for l, coeffs in cells] for j, cells in by_j.items()}
     h = 0.5 * p2[p_first] + v[q_first, None]
     step = max(1, BLOCK_POINTS // p_first.size)
-    pairs = [[] for _ in range(0, q_first.size, step)]
-    for d, g in enumerate(groups.tolist()):
-        pairs[g // step].append((d, g % step))
-    for b, block_pairs in enumerate(pairs):
-        rows = slice(b * step, (b + 1) * step)
-        yield block_pairs, cols, _block_orders(len(series.terms), by_j, rows,
-                                               seed, h[rows])[:, 0]
+    blocks = ((start, _block_orders(len(series.terms), by_j,
+                                    slice(start, start + step), seed,
+                                    h[start:start + step])[:, 0])
+              for start in range(0, q_first.size, step))
+    return rows, cols, h.shape, blocks
 
 
-def order_grids(series: WignerSeries, seed, grid: GridSpec) -> np.ndarray:
-    """Per-order fields F_0..F_L on the grid, stacked; a field at any hbar is
+def _gather(out, rows, cols, block, start: int = 0) -> None:
+    """out[i] = block[rows[i] - start, cols] for the grid rows i whose
+    distinct row lies in the block (distinct rows start, start + 1, ...)."""
+    inside = (rows >= start) & (rows < start + len(block))
+    for i, g in zip(np.flatnonzero(inside).tolist(), rows[inside].tolist()):
+        # take writes straight into a contiguous out with mode="clip"
+        # (cols are in range)
+        np.take(block[g - start], cols, out=out[i], mode="clip")
+
+
+@dataclass(frozen=True, eq=False)
+class OrderGrids:
+    """Per-order fields F_0..F_L of a grid, held at its distinct rows and
+    columns: F_l at grid point (i, k) is values[l, rows[i], cols[k]]."""
+
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    grid: GridSpec
+
+
+def order_grids(series: WignerSeries, seed, grid: GridSpec) -> OrderGrids:
+    """Per-order fields F_0..F_L on the grid; a field at any hbar is
     sum_l hbar^(2l) F_l, so one set serves a whole hbar sweep."""
-    out = np.empty((len(series.terms), grid.n_q, grid.n_p))
-    row = np.empty((len(series.terms), grid.n_p))
-    for pairs, cols, block in _grid_blocks(series, seed, grid):
-        for d, k in pairs:
-            # take writes straight into a contiguous out with mode="clip"
-            # (cols are in range); out[:, d] is strided, so it goes via row
-            np.take(block[:, k], cols, axis=-1, out=row, mode="clip")
-            out[:, d] = row
-    return out
+    rows, cols, shape, blocks = _grid_blocks(series, seed, grid)
+    values = np.empty((len(series.terms),) + shape)
+    for start, block in blocks:
+        values[:, start:start + block.shape[1]] = block
+    return OrderGrids(values, rows, cols, grid)
 
 
 def _weighted_sum(orders, hbar: float):
@@ -252,25 +268,27 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     """Dense evaluation on the grid, optionally normalized to unit integral.
 
     ``orders`` takes the grid's order_grids(series, seed, grid) when the
-    caller already has them (an hbar sweep).  Without them the field is
-    summed block by block, so only one block's F_l are held at a time.
+    caller already has them (an hbar sweep); orders of another grid are a
+    ValueError.  Without them the field is summed block by block, so only
+    one block's F_l are held at a time.
     """
     if hbar < 0:
         raise ValueError("hbar must be nonnegative")
+    if orders is not None and orders.grid != grid:
+        raise ValueError(f"orders were built on {orders.grid}, not on {grid}")
+    values = np.empty((grid.n_q, grid.n_p))
     if orders is None:
-        values = np.empty((grid.n_q, grid.n_p))
-        for pairs, cols, block in _grid_blocks(series, seed, grid):
-            block = _weighted_sum(block, hbar)
-            for d, k in pairs:
-                np.take(block[k], cols, out=values[d], mode="clip")
+        rows, cols, _, blocks = _grid_blocks(series, seed, grid)
+        for start, block in blocks:
+            _gather(values, rows, cols, _weighted_sum(block, hbar), start)
     else:
-        values = _weighted_sum(orders, hbar)
+        _gather(values, orders.rows, orders.cols, _weighted_sum(orders.values, hbar))
     norm = grid.integral(values)
     if normalize:
         if not np.isfinite(norm) or norm <= 0:
             raise NormalizationError(
                 f"field integral {norm!r} is not normalizable")
-        values = values / norm
+        values /= norm
     return WignerField(grid=grid, hbar=hbar, values=values, norm_constant=norm,
                        normalized=normalize, seed_spec=seed_spec,
                        series_meta=dict(series_meta or {}))
@@ -279,21 +297,37 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
 def write_field_csv(field: WignerField, path) -> None:
     """Row-major q,p,f rows with round-trip float formatting.
 
-    Each distinct value of a block of rows is formatted once; values are
-    told apart by their bits, so 0.0 and -0.0 keep their own text.
+    Rows are told apart by their bits, so 0.0 and -0.0 keep their own text:
+    each distinct row is formatted once, at its distinct values, and its
+    text is held until the last row equal to it.
     """
     p_cols = [f",{v!r}," for v in field.p_axis().tolist()]
-    q_text = list(map(repr, field.q_axis().tolist()))
-    step = max(1, BLOCK_POINTS // field.grid.n_p)
+    distinct: dict[bytes, int] = {}
+    # groups are numbered in the order of their first rows; the rows' bytes
+    # are dropped before any text is made
+    groups = [distinct.setdefault(row.tobytes(), len(distinct))
+              for row in field.values]
+    del distinct
+    last = {g: i for i, g in enumerate(groups)}
+    held = {}
+    seen = 0
     with open(path, "w") as fh:
         fh.write("q,p,f\n")
-        for start in range(0, field.grid.n_q, step):
-            block = field.values[start:start + step]
-            keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-            texts = [f"{v!r}\n" for v in keys.view(np.float64).tolist()]
-            for qi, row in zip(q_text[start:start + step],
-                               inverse.reshape(block.shape).tolist()):
-                fh.write(qi + qi.join(map(add, p_cols, map(texts.__getitem__, row))))
+        for i, (qi, g, row) in enumerate(zip(map(repr, field.q_axis().tolist()),
+                                             groups, field.values)):
+            if g == seen:
+                seen += 1
+                keys, inverse = np.unique(row.view(np.uint64), return_inverse=True)
+                texts = list(map(repr, keys.view(np.float64).tolist()))
+                # the row's lines without their q, one string: a third of
+                # the memory of a list of line strings while it is held
+                body = "\n".join(map(add, p_cols,
+                                     map(texts.__getitem__, inverse.tolist())))
+            else:
+                body = held.pop(g)
+            if last[g] > i:
+                held[g] = body
+            fh.write(qi + body.replace("\n", "\n" + qi) + "\n")
 
 
 def field_sidecar_dict(field: WignerField, provenance: dict | None = None) -> dict:

@@ -153,14 +153,27 @@ def test_field_csv_format(goldstone_l2, tmp_path):
     assert float(f0) == field.values[0, 0]
 
 
+def _full_stack(orders):
+    # every grid point's F_l, gathered from the distinct rows and columns
+    return orders.values[:, orders.rows][:, :, orders.cols]
+
+
 def test_sweep_from_order_grids_is_bit_identical(goldstone_l5):
     orders = order_grids(goldstone_l5, FD, SMALL_GRID)
-    assert orders.shape == (6, 61, 61)
+    assert _full_stack(orders).shape == (6, 61, 61)
     for hbar in (0.0, 0.1, 0.3, 0.6, 0.9):
         plain = eval_field(goldstone_l5, FD, hbar, SMALL_GRID)
         shared = eval_field(goldstone_l5, FD, hbar, SMALL_GRID, orders=orders)
         assert np.array_equal(plain.values, shared.values)
         assert plain.norm_constant == shared.norm_constant
+
+
+def test_orders_of_another_grid_are_refused(goldstone_l2):
+    # same shape, other bounds: the gathered field would be silently wrong
+    orders = order_grids(goldstone_l2, FD, SMALL_GRID)
+    other = GridSpec(-4.0, 4.0, 61, -4.0, 4.0, 61)
+    with pytest.raises(ValueError, match=r"q_min=-3\.0.*q_min=-4\.0"):
+        eval_field(goldstone_l2, FD, 0.3, other, orders=orders)
 
 
 def test_blocked_grid_matches_pointwise(goldstone_l5):
@@ -188,7 +201,8 @@ def _assert_grid_fill_matches_points(series, grid):
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
     hh = 0.5 * pp ** 2 + series.potential.evaluate(qq)
     orders = order_grids(series, FD, grid)
-    assert np.array_equal(orders, term_derivatives(series.terms, FD, qq, hh)[:, 0])
+    assert np.array_equal(_full_stack(orders),
+                          term_derivatives(series.terms, FD, qq, hh)[:, 0])
     points = eval_points(series, FD, 0.6, qq, pp)
     assert np.array_equal(eval_field(series, FD, 0.6, grid, normalize=False).values,
                           points)
@@ -244,13 +258,14 @@ def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
     # 287 of the default axis' 401 p^2 are distinct (linspace is not
     # bit-antisymmetric), and so are 287 of its rows for an even potential
     seed = CountingSeed()
-    order_grids(goldstone_l2, seed, DEFAULT_GRID)
+    assert order_grids(goldstone_l2, seed, DEFAULT_GRID).values.shape == (3, 287, 287)
     assert sum(seed.points) == 287 * 287
 
 
 def test_grid_fill_takes_every_row_of_odd_potential():
     seed = CountingSeed()
-    order_grids(build_series(CUBIC, 1, "paper"), seed, DEFAULT_GRID)
+    orders = order_grids(build_series(CUBIC, 1, "paper"), seed, DEFAULT_GRID)
+    assert orders.values.shape == (2, 401, 287)
     assert sum(seed.points) == 401 * 287
 
 
@@ -323,15 +338,37 @@ def _per_row_csv(field, path):
                 fh.write(f"{qi},{float(p[k])!r},{float(row[k])!r}\n")
 
 
+def _nan(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
 def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
-    # 41 rows of 401 points are three blocks of 20, 20 and 1 rows; one row
-    # holds signed zeros, non-finite values and repeats, whose text must
-    # follow their bits, not their float value
+    # one row holds signed zeros, non-finite values and repeats, whose text
+    # must follow their bits, not their float value
     field = eval_field(goldstone_l5, FD, 0.6, GridSpec(-4.0, 4.0, 41, -3.5, 2.5, 401))
-    assert field.grid.n_q % (BLOCK_POINTS // field.grid.n_p)
     field.values[0, :11] = [-0.0, 1e-300, 1.0 / 3.0, 0.0, -0.0, np.nan, np.inf,
                             -np.inf, 1.0 / 3.0, 0.0, -np.nan]
     field.values[20, :3] = [0.0, -0.0, 0.0]
+    # equal rows share one text: the first row again at 17, 29 and the last
+    # row, so its text is held past its second use; rows 5 and 33 equal, as
+    # are rows 9 and 26 but for one 0.0 against -0.0 and rows 12 and 14 but
+    # for a NaN payload
+    field.values[[17, 29, 40]] = field.values[0]
+    field.values[33] = field.values[5]
+    field.values[[9, 26]] = field.values[3]
+    field.values[9, 7], field.values[26, 7] = 0.0, -0.0
+    field.values[[12, 14]] = field.values[6]
+    field.values[12, 200], field.values[14, 200] = _nan(1), _nan(2)
+    _assert_csv_matches_per_row_writer(field, tmp_path)
+
+
+def test_default_grid_csv_bytes_match_per_row_writer(goldstone_l2, tmp_path):
+    # mirrored rows of the default grid are often equal, and far apart
+    _assert_csv_matches_per_row_writer(eval_field(goldstone_l2, FD, 0.3, DEFAULT_GRID),
+                                       tmp_path)
+
+
+def _assert_csv_matches_per_row_writer(field, tmp_path):
     write_field_csv(field, tmp_path / "new.csv")
     _per_row_csv(field, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
