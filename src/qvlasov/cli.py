@@ -30,6 +30,10 @@ from .series import (CONVENTIONS, MAX_ORDER, OrderError, TermBudgetError,
 from .verify import MAX_SAMPLES, residual_numeric, residual_symbolic
 
 
+# Most hbar values a --hbar-list may hold, which bounds a sweep's fields.
+MAX_HBARS = 1000
+
+
 class ConfigError(ValueError):
     """Invalid run configuration; message aggregates all problems."""
 
@@ -157,6 +161,8 @@ def build_config(argv: list[str]) -> RunConfig:
         errors.append("--hbar must be finite and nonnegative")
     if not all(math.isfinite(h) and h >= 0 for h in args.hbar_list):
         errors.append("--hbar-list values must be finite and nonnegative")
+    if len(args.hbar_list) > MAX_HBARS:
+        errors.append(f"--hbar-list may hold at most {MAX_HBARS} values")
     if not 1 <= args.samples <= MAX_SAMPLES:
         errors.append(f"--samples must be between 1 and {MAX_SAMPLES}")
     if args.j_max is not None and not 1 <= args.j_max <= MAX_ORDER + 1:
@@ -244,13 +250,32 @@ def cmd_expand(cfg: RunConfig) -> int:
     return 0
 
 
+def _warn_past_smallest_term(sizes, hbar: float) -> None:
+    """One stderr line when, at hbar, the series with per-order sizes
+    (diag.order_sizes) is truncated past its smallest term."""
+    past = diag.past_smallest_term(sizes, hbar)
+    if past:
+        print(f"warning: hbar = {hbar:g}: the order-{len(sizes) - 1} term "
+              f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
+              f"the series is truncated past its smallest term",
+              file=sys.stderr)
+
+
+def _checked_field(series: WignerSeries, cfg: RunConfig, **kwargs):
+    """The field at cfg.hbar on cfg.grid, warning as a sweep does when the
+    series is truncated past its smallest term there."""
+    orders = order_grids(series, cfg.seed, cfg.grid)
+    _warn_past_smallest_term(diag.order_sizes(orders), cfg.hbar)
+    return eval_field(series, cfg.seed, cfg.hbar, cfg.grid,
+                      seed_spec=cfg.seed_spec, orders=orders, **kwargs)
+
+
 def cmd_evaluate(cfg: RunConfig) -> int:
     series = build_series(cfg.potential, cfg.order, cfg.convention)
-    field_ = eval_field(series, cfg.seed, cfg.hbar, cfg.grid,
-                        normalize=not cfg.no_normalize, seed_spec=cfg.seed_spec,
-                        series_meta={"order": series.order,
-                                     "convention": series.convention,
-                                     "potential": str(series.potential)})
+    field_ = _checked_field(series, cfg, normalize=not cfg.no_normalize,
+                            series_meta={"order": series.order,
+                                         "convention": series.convention,
+                                         "potential": str(series.potential)})
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_field_csv(field_, cfg.out_dir / "field.csv")
     write_field_sidecar(field_, cfg.out_dir / "field.json", cfg.provenance())
@@ -272,12 +297,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
                                 seed_spec=cfg.seed_spec, orders=orders)
             q_value, bound, verdict = diag.q_functional(field_)
             rows.append((hbar, q_value, bound, verdict))
-            past = diag.past_smallest_term(sizes, hbar)
-            if past:
-                print(f"warning: hbar = {hbar:g}: the order-{series.order} term "
-                      f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
-                      f"the series is truncated past its smallest term",
-                      file=sys.stderr)
+            _warn_past_smallest_term(sizes, hbar)
         sweep_path = cfg.out_dir / "qsweep.csv"
         with open(sweep_path, "w") as fh:
             fh.write("hbar,Q,two_pi_hbar_Q\n")
@@ -293,8 +313,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
                   f"ok = {verdict}")
         print(f"wrote {sweep_path}")
         return 0
-    field_ = eval_field(series, cfg.seed, cfg.hbar, cfg.grid,
-                        seed_spec=cfg.seed_spec)
+    field_ = _checked_field(series, cfg)
     report = diag.diagnose(field_)
     doc = report.to_json_dict()
     doc["config"] = cfg.provenance()

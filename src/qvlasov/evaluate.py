@@ -3,6 +3,8 @@
 A field is sum_l hbar^(2l) F_l, where the per-order fields F_l do not depend
 on hbar.  Point and grid evaluation form the F_l by one routine and weight
 them by one helper, so grid values are bit-identical to pointwise calls.
+Every grid field is weighted from the grid's per-order fields (order_grids),
+the one grid fill, which holds them at the grid's distinct rows and p^2.
 Cells are grouped by seed-derivative order; each derivative is formed once
 per block of points (a grid's at its distinct rows and distinct p^2), and each
 order's polynomial in H multiplying it is evaluated by Horner's rule to limit
@@ -150,46 +152,6 @@ def _distinct_bits(*columns):
     return order[new], inverse
 
 
-def _grid_blocks(series: WignerSeries, seed, grid: GridSpec):
-    """(rows, cols, shape, blocks): grid point (i, k) holds the F_l of
-    distinct row rows[i] and distinct column cols[k], of which there are
-    shape; blocks yields (start, F_0..F_L) for successive blocks of distinct
-    rows, the first of them distinct row start.
-
-    A grid value is sum c_{l,m,j}(q) H^m f0^(j)(H) with H = p^2/2 + V(q),
-    filled elementwise, so rows with the same bits of V(q) and of every cell
-    coefficient, and columns with the same bits of p^2, hold the same bits
-    of every F_l: a block is filled at the first of each such row and column.
-    """
-    q = grid.q_axis()
-    p2 = grid.p_axis() ** 2
-    p_first, cols = _distinct_bits(p2)
-    v = series.potential.evaluate(q)
-    by_j = _cells_by_j(series.terms, q)
-    q_first, rows = _distinct_bits(v, *(c for cells in by_j.values()
-                                         for _, coeffs in cells
-                                         for c in coeffs if c is not None))
-    by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
-                for l, coeffs in cells] for j, cells in by_j.items()}
-    h = 0.5 * p2[p_first] + v[q_first, None]
-    step = max(1, BLOCK_POINTS // p_first.size)
-    blocks = ((start, _block_orders(len(series.terms), by_j,
-                                    slice(start, start + step), seed,
-                                    h[start:start + step])[:, 0])
-              for start in range(0, q_first.size, step))
-    return rows, cols, h.shape, blocks
-
-
-def _gather(out, rows, cols, block, start: int = 0) -> None:
-    """out[i] = block[rows[i] - start, cols] for the grid rows i whose
-    distinct row lies in the block (distinct rows start, start + 1, ...)."""
-    inside = (rows >= start) & (rows < start + len(block))
-    for i, g in zip(np.flatnonzero(inside).tolist(), rows[inside].tolist()):
-        # take writes straight into a contiguous out with mode="clip"
-        # (cols are in range)
-        np.take(block[g - start], cols, out=out[i], mode="clip")
-
-
 @dataclass(frozen=True, eq=False)
 class OrderGrids:
     """Per-order fields F_0..F_L of a grid, held at its distinct rows and
@@ -203,11 +165,31 @@ class OrderGrids:
 
 def order_grids(series: WignerSeries, seed, grid: GridSpec) -> OrderGrids:
     """Per-order fields F_0..F_L on the grid; a field at any hbar is
-    sum_l hbar^(2l) F_l, so one set serves a whole hbar sweep."""
-    rows, cols, shape, blocks = _grid_blocks(series, seed, grid)
-    values = np.empty((len(series.terms),) + shape)
-    for start, block in blocks:
-        values[:, start:start + block.shape[1]] = block
+    sum_l hbar^(2l) F_l, so one set serves a whole hbar sweep.
+
+    A grid value is sum c_{l,m,j}(q) H^m f0^(j)(H) with H = p^2/2 + V(q),
+    filled elementwise, so rows with the same bits of V(q) and of every cell
+    coefficient, and columns with the same bits of p^2, hold the same bits
+    of every F_l: they are filled at the first of each such row and column,
+    a block of distinct rows at a time.
+    """
+    q = grid.q_axis()
+    p2 = grid.p_axis() ** 2
+    p_first, cols = _distinct_bits(p2)
+    v = series.potential.evaluate(q)
+    by_j = _cells_by_j(series.terms, q)
+    q_first, rows = _distinct_bits(v, *(c for cells in by_j.values()
+                                         for _, coeffs in cells
+                                         for c in coeffs if c is not None))
+    by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
+                for l, coeffs in cells] for j, cells in by_j.items()}
+    h = 0.5 * p2[p_first] + v[q_first, None]
+    values = np.empty((len(series.terms),) + h.shape)
+    step = max(1, BLOCK_POINTS // p_first.size)
+    for start in range(0, q_first.size, step):
+        block = slice(start, start + step)
+        values[:, block] = _block_orders(len(series.terms), by_j, block, seed,
+                                         h[block])[:, 0]
     return OrderGrids(values, rows, cols, grid)
 
 
@@ -267,22 +249,18 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
                series_meta: dict | None = None, orders=None) -> WignerField:
     """Dense evaluation on the grid, optionally normalized to unit integral.
 
-    ``orders`` takes the grid's order_grids(series, seed, grid) when the
-    caller already has them (an hbar sweep); orders of another grid are a
-    ValueError.  Without them the field is summed block by block, so only
-    one block's F_l are held at a time.
+    The field is the grid's order_grids(series, seed, grid) weighted by
+    hbar^(2l) and gathered to every grid point.  ``orders`` takes them when
+    the caller already has them (an hbar sweep, or a run that also checks
+    their sizes); orders of another grid are a ValueError.
     """
     if hbar < 0:
         raise ValueError("hbar must be nonnegative")
-    if orders is not None and orders.grid != grid:
-        raise ValueError(f"orders were built on {orders.grid}, not on {grid}")
-    values = np.empty((grid.n_q, grid.n_p))
     if orders is None:
-        rows, cols, _, blocks = _grid_blocks(series, seed, grid)
-        for start, block in blocks:
-            _gather(values, rows, cols, _weighted_sum(block, hbar), start)
-    else:
-        _gather(values, orders.rows, orders.cols, _weighted_sum(orders.values, hbar))
+        orders = order_grids(series, seed, grid)
+    elif orders.grid != grid:
+        raise ValueError(f"orders were built on {orders.grid}, not on {grid}")
+    values = _weighted_sum(orders.values, hbar)[np.ix_(orders.rows, orders.cols)]
     norm = grid.integral(values)
     if normalize:
         if not np.isfinite(norm) or norm <= 0:

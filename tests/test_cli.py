@@ -139,18 +139,24 @@ def test_diagnose_sweep(tmp_path):
 
 def test_diagnose_sweep_warns_past_smallest_term(tmp_path, capsys):
     # goldstone L=10: the last term hbar^20 max|F_10| passes the smallest one
-    # already at hbar = 0.1; files and stdout do not change
-    assert run(["diagnose", "--potential", "goldstone", "--order", "10",
-                "--seed", "fd:chi=1", "--hbar-list", "0,0.1,0.2,0.3",
-                "--qrange=-4,4,101", "--prange=-2.5,3.7,133",
-                "--out", str(tmp_path)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        f"warning: hbar = {hbar}: the order-10 term is {ratio} times the smallest, "
-        f"of order {l}; the series is truncated past its smallest term"
-        for hbar, ratio, l in (("0.1", "1.71", 9), ("0.2", "17.1", 6),
-                               ("0.3", "962", 4))]
-    assert "warning" not in captured.out
+    # already at hbar = 0.1; files and stdout do not change.  The single-hbar
+    # diagnose and evaluate check the same per-order grids as the sweep.
+    flags = ["--potential", "goldstone", "--order", "10", "--seed", "fd:chi=1",
+             "--qrange=-4,4,101", "--prange=-2.5,3.7,133"]
+    lines = [f"warning: hbar = {hbar}: the order-10 term is {ratio} times the "
+             f"smallest, of order {l}; the series is truncated past its smallest term"
+             for hbar, ratio, l in (("0.1", "1.71", 9), ("0.2", "17.1", 6),
+                                    ("0.3", "962", 4))]
+    for i, (argv, expected) in enumerate([
+            (["diagnose", "--hbar-list", "0,0.1,0.2,0.3"], lines),
+            (["diagnose", "--hbar", "0.2"], lines[1:2]),
+            (["evaluate", "--hbar", "0.2"], lines[1:2]),
+            (["diagnose", "--hbar", "0"], []),
+            (["evaluate", "--hbar", "0"], [])]):
+        assert run(argv + flags + ["--out", str(tmp_path / str(i))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == expected
+        assert "warning" not in captured.out
 
 
 def test_diagnose_hbar_zero_verdict_not_applicable(tmp_path):
@@ -286,6 +292,8 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (EVALUATE + ["--seed", "fd:z=inf"], None, "finite"),
     (["verify", "--potential", "modulated:a=1/2", "--order", "2", "--samples",
       "1000000000000"], None, "--samples must be between 1 and 10000"),
+    (["diagnose", "--potential", "goldstone"], {"hbar_list": [0.1] * 1001},
+     "--hbar-list may hold at most 1000 values"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
         "flag-of-another-command", "negative-hbar-list", "zero-samples",
@@ -295,7 +303,7 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
         "series-j-max-below-order", "exponent-over-cap", "product-over-cap",
         "grid-over-cap", "order-over-cap", "j-max-over-cap",
         "product-degree-over-cap-in-file", "infinite-fugacity",
-        "samples-over-cap"])
+        "samples-over-cap", "hbar-list-over-cap-in-file"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if "series.json" in argv:

@@ -260,6 +260,10 @@ def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
     seed = CountingSeed()
     assert order_grids(goldstone_l2, seed, DEFAULT_GRID).values.shape == (3, 287, 287)
     assert sum(seed.points) == 287 * 287
+    # a single-hbar field without orders takes the same one fill
+    seed = CountingSeed()
+    eval_field(goldstone_l2, seed, 0.6, DEFAULT_GRID)
+    assert sum(seed.points) == 287 * 287
 
 
 def test_grid_fill_takes_every_row_of_odd_potential():
