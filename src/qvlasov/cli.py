@@ -26,7 +26,7 @@ from .ring import RingElem, RingError
 from .seeds import (BracketError, QuadratureError, SeedDomainError,
                     parse_seed_spec)
 from .series import (CONVENTIONS, MAX_ORDER, OrderError, TermBudgetError,
-                     WignerSeries, build_series)
+                     WignerSeries, build_series, write_json as _write_json)
 from .verify import MAX_SAMPLES, residual_numeric, residual_symbolic
 
 
@@ -116,7 +116,7 @@ def _file_flags(path: str) -> list[str]:
     """
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -215,12 +215,6 @@ def _verify_mode(potential: RingElem, order: int, mode: str,
     if mode == "numeric" and j_max is not None and j_max < order + 1:
         return mode, f"--j-max must be at least order + 1 = {order + 1}"
     return mode, None
-
-
-def _write_json(path: Path, data: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
 
 
 def _series_listing(series: WignerSeries) -> str:

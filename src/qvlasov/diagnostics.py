@@ -9,13 +9,12 @@ quadrature on the field's own grid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import WignerField
+from .evaluate import HbarOverflowError, WignerField
 
 
 class DegenerateFieldError(RuntimeError):
@@ -61,8 +60,14 @@ def past_smallest_term(sizes, hbar: float):
     Past its smallest term an asymptotic series gets worse with each order
     it keeps, so the truncation is no longer optimal (Berry & Howls, Proc.
     R. Soc. A 430, 653 (1990)).  Orders that vanish on the grid do not count.
+    HbarOverflowError when a weight hbar^(2l) exceeds the float range.
     """
-    terms = [hbar ** (2 * l) * size for l, size in enumerate(sizes)]
+    terms = []
+    try:
+        for l, size in enumerate(sizes):
+            terms.append(hbar ** (2 * l) * size)
+    except OverflowError:
+        raise HbarOverflowError(hbar, l) from None
     smallest, l = min(((t, l) for l, t in enumerate(terms) if t != 0.0),
                       default=(math.inf, 0))
     if terms[-1] > smallest:
@@ -130,9 +135,6 @@ class DiagnosticsReport:
             "p": [float(v) for v in self.p],
             "P_p": [float(v) for v in self.p_p],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
 
 def diagnose(field: WignerField) -> DiagnosticsReport:

@@ -14,7 +14,6 @@ at points (term_derivatives).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from operator import add
@@ -22,7 +21,7 @@ from operator import add
 import numpy as np
 
 from .seeds import seed_derivatives
-from .series import WignerSeries
+from .series import WignerSeries, write_json
 
 # Most points a grid may hold (2001 x 2001), which bounds a field's arrays.
 MAX_GRID_POINTS = 2001 * 2001
@@ -30,6 +29,14 @@ MAX_GRID_POINTS = 2001 * 2001
 
 class NormalizationError(RuntimeError):
     """Grid integral of the field is non-positive or not finite."""
+
+
+class HbarOverflowError(ValueError):
+    """The weight hbar^(2l) of an order l exceeds the float range."""
+
+    def __init__(self, hbar: float, l: int):
+        super().__init__(f"hbar = {hbar:g}: the order-{l} weight hbar^{2 * l} "
+                         f"exceeds the float range")
 
 
 @dataclass(frozen=True)
@@ -195,12 +202,16 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec) -> OrderGrids:
 
 def _weighted_sum(orders, hbar: float):
     """sum_l hbar^(2l) F_l; zero weights are skipped, so hbar = 0 gives F_0
-    exactly even where a higher order is not finite."""
+    exactly even where a higher order is not finite.  HbarOverflowError when
+    a weight exceeds the float range."""
     total = orders[0] * 1.0
-    for l in range(1, len(orders)):
-        weight = hbar ** (2 * l)
-        if weight != 0.0:
-            total += weight * orders[l]
+    try:
+        for l in range(1, len(orders)):
+            weight = hbar ** (2 * l)
+            if weight != 0.0:
+                total += weight * orders[l]
+    except OverflowError:
+        raise HbarOverflowError(hbar, l) from None
     return total
 
 
@@ -325,6 +336,4 @@ def field_sidecar_dict(field: WignerField, provenance: dict | None = None) -> di
 
 
 def write_field_sidecar(field: WignerField, path, provenance: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_sidecar_dict(field, provenance), fh, indent=2)
-        fh.write("\n")
+    write_json(path, field_sidecar_dict(field, provenance))

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from json.encoder import encode_basestring_ascii
+from math import comb, factorial, inf
 
 from .parser import parse_potential
 from .ring import RingElem
@@ -266,8 +267,8 @@ class WignerSeries:
             "terms": [t.to_json() for t in self.terms],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data) -> "WignerSeries":
@@ -301,7 +302,11 @@ class WignerSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "WignerSeries":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("malformed series document: nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def _check_cells(terms, order: int, max_xpow: int) -> None:
@@ -361,3 +366,101 @@ def build_series(potential: RingElem, order: int, convention: str = "paper",
         terms.append(f_l)
     return WignerSeries(potential=potential, order=order, convention=convention,
                         terms=tuple(terms))
+
+
+# Chunks the JSON writer joins into one write: a small batch, so a document
+# is never held whole.
+JSON_BATCH = 256
+
+
+def write_json(path, data) -> None:
+    """Write data to path as json.dumps(data, indent=2) + "\\n" writes it.
+
+    With indent, the stdlib encodes in pure Python through one generator per
+    container; this recursion appends each piece of text to one list and
+    writes the list out whenever a container closes with JSON_BATCH pieces
+    pending, so it holds about a batch plus the items of one container.
+    """
+    with open(path, "w") as fh:
+        out: list[str] = []
+        _write_value(data, "\n", out, fh)
+        out.append("\n")
+        fh.write("".join(out))
+
+
+def _scalar_text(value) -> str:
+    """The JSON text of a scalar as json.dumps writes it: floats, subclasses
+    too, by float.__repr__; TypeError for what it cannot write."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _write_value(value, indent: str, out: list, fh) -> None:
+    """Append the text of value, its lines after the first starting with
+    indent, to out; write out and empty it once it holds JSON_BATCH chunks."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, item in value.items():
+            head = sep + encode_basestring_ascii(
+                key if isinstance(key, str) else _scalar_text(key)) + ": "
+            cls = item.__class__
+            if cls is str:
+                out.append(head + encode_basestring_ascii(item))
+            elif cls is int:
+                out.append(head + int.__repr__(item))
+            elif isinstance(item, (dict, list, tuple)):
+                out.append(head)
+                _write_value(item, inner, out, fh)
+            else:
+                out.append(head + _scalar_text(item))
+            sep = comma
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in value:
+            cls = item.__class__
+            if cls is str:
+                out.append(sep + encode_basestring_ascii(item))
+            elif cls is int:
+                out.append(sep + int.__repr__(item))
+            elif isinstance(item, (dict, list, tuple)):
+                out.append(sep)
+                _write_value(item, inner, out, fh)
+            else:
+                out.append(sep + _scalar_text(item))
+            sep = comma
+        out.append(indent + "]")
+    else:
+        out.append(_scalar_text(value))
+        return
+    if len(out) >= JSON_BATCH:
+        fh.write("".join(out))
+        out.clear()

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .evaluate import term_derivatives
+from .evaluate import HbarOverflowError, term_derivatives
 from .potentials import resolve_potential
 from .ring import RingElem
 from .seeds import SeedDistribution
@@ -180,8 +180,11 @@ def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
     maxima = []
     for hbar in hbars:
         total = np.zeros_like(xs)
-        for s, vals in sorted(sampled.items()):
-            total = total + hbar ** (2 * s) * vals
+        try:
+            for s, vals in sorted(sampled.items()):
+                total = total + hbar ** (2 * s) * vals
+        except OverflowError:
+            raise HbarOverflowError(hbar, s) from None
         maxima.append(float(np.abs(total).max()))
     # residuals at the roundoff floor cannot contradict the claimed order;
     # the fit is ill-conditioned there, so it is reported but not fatal

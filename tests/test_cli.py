@@ -98,6 +98,37 @@ def test_diagnose_sweep_csv_matches_golden_digest(tmp_path):
     assert digest == FIELD_GOLDEN["qsweep goldstone 10"]
 
 
+EXPAND_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "expand_digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(EXPAND_GOLDEN))
+def test_expand_series_file_matches_golden_digest(tmp_path, key):
+    # SHA-256 of the indented series.json, recorded while the stdlib's
+    # json.dump(..., indent=2) still wrote it
+    potential, order = key.split()
+    assert run(["expand", "--potential", potential, "--order", order,
+                "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "series.json").read_bytes()).hexdigest()
+    assert digest == EXPAND_GOLDEN[key]
+
+
+@pytest.mark.parametrize("hbar_flags", [
+    ("evaluate", "--hbar", "1e200"),
+    ("diagnose", "--hbar", "1e200"),
+    ("diagnose", "--hbar-list", "0.1,1e200"),
+    ("verify", "--mode", "numeric", "--hbar-list", "1e50,1e100,1e150,1e200"),
+])
+def test_hbar_beyond_float_range_is_computation_error(tmp_path, capsys, hbar_flags):
+    command, *flags = hbar_flags
+    code = run([command, "--potential", "goldstone", "--order", "2", *flags,
+                "--qrange=-2,2,11", "--prange=-2,2,11", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "hbar = 1e+" in err and "order-" in err
+
+
 def test_evaluate_is_deterministic(tmp_path):
     args = ["evaluate", "--potential", "goldstone", "--order", "3",
             "--seed", "fd:z=1", "--hbar", "0.5",
@@ -208,6 +239,21 @@ def test_verify_garbage_series_file(tmp_path):
     bad.write_text("{not json")
     assert run(["verify", "--series", str(bad),
                 "--out", str(tmp_path / "v")]) == 2
+
+
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    assert run(["expand", "--config", str(cfg)]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_deeply_nested_series_file_is_computation_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert run(["verify", "--series", str(deep),
+                "--out", str(tmp_path / "v")]) == 2
+    assert "malformed series document" in capsys.readouterr().err
 
 
 def test_config_errors_are_aggregated(capsys):

@@ -1,9 +1,10 @@
-"""Import hygiene: no imported name goes unused, and the public API resolves."""
+"""Import hygiene: no imported name goes unused, the public API resolves, and\nevery indented JSON document goes through one writer."""
 
 import ast
 from pathlib import Path
 
 import qvlasov
+from qvlasov import cli, evaluate, series
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src" / "qvlasov").glob("*.py"),
@@ -79,3 +80,28 @@ def test_seed_derivatives_read_in_one_place():
     assert {path.name for path in modules} >= SEED_READERS
     assert [line for path in modules if path.name not in SEED_READERS
             for line in seed_reads(path)] == []
+
+
+def indented_json_calls(source: str, name: str = "<source>") -> list:
+    """'name:line' for each json.dump or json.dumps call in source that sets
+    indent, or passes keywords through ** that could."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and any(k.arg in ("indent", None) for k in node.keywords)):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_indented_json_written_in_one_place():
+    assert indented_json_calls("json.dump(d, fh, indent=2)\njson.dumps(d)\n"
+                               "json.dumps(d, **kw)\n") == ["<source>:1",
+                                                             "<source>:3"]
+    modules = sorted((ROOT / "src" / "qvlasov").glob("*.py"))
+    assert [line for path in modules for line in indented_json_calls(
+        path.read_text(), str(path.relative_to(ROOT)))] == []
+    assert cli._write_json is series.write_json
+    assert evaluate.write_json is series.write_json

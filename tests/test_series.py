@@ -13,9 +13,10 @@ from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 import qvlasov.series as series_module
 from qvlasov.ring import RingElem
-from qvlasov.series import (MAX_ORDER, OrderError, SeriesTerm, TermBudgetError,
-                            WignerSeries, build_series, closed_form_f1,
-                            integrate_term, recursion_rhs)
+from qvlasov.series import (JSON_BATCH, MAX_ORDER, OrderError, SeriesTerm,
+                            TermBudgetError, WignerSeries, build_series,
+                            closed_form_f1, integrate_term, recursion_rhs,
+                            write_json)
 
 from conftest import random_ring_elem
 
@@ -346,3 +347,44 @@ def test_series_bytes_match_golden_digests():
         assert hashlib.sha256(series.to_json().encode()).hexdigest() == digest, key
         listing = _series_listing(series)
         assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_LISTING[key], key
+
+
+WRITER_CASES = {
+    "empty": [[], {}, [[]], {"a": {}}, [{}, [[], {}]], ()],
+    "tuples": (1, (2, ("three",)), {"t": (4.5, ())}),
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e16,
+               5e-324, 1.0 / 3, np.float64(0.1), -np.float64(2.5e-300)],
+    "strings": ["", "plain", "h\u0101r \u2207 \U0001d53c", 'quote " here',
+                "back\\slash", "ctl \x00\x01\x1f\x7f \n\r\t\b\f"],
+    "scalars": [True, False, None, 0, -1, 10 ** 300, -(10 ** 300)],
+    "keys": {"": 1, "k\u00e9y \"q\"": [2], 3: "int", 1.5: "float",
+             True: "bool", None: "null"},
+    "scalar": 3.25,
+    "batches": [{"n": i, "cells": [[i, f"{i}/7"]] * 3} for i in range(JSON_BATCH)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_write_json_matches_stdlib_indented(tmp_path, name):
+    doc = WRITER_CASES[name]
+    write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_write_json_matches_stdlib_on_a_series_document(tmp_path):
+    doc = build_series(resolve_potential("modulated:a=1/2"), 3).to_json_dict()
+    write_json(tmp_path / "series.json", doc)
+    assert (tmp_path / "series.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, {"cells": [1, {2}]}, {(1, 2): 3}, b"x"])
+def test_write_json_rejects_what_the_stdlib_rejects(tmp_path, doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "doc.json", doc)
+
+
+def test_deeply_nested_series_document_is_malformed():
+    with pytest.raises(ValueError, match="malformed series document"):
+        WignerSeries.from_json("[" * 100000 + "]" * 100000)
