@@ -7,12 +7,11 @@ from .evaluate import (DEFAULT_GRID, GridSpec, OrderGrids, WignerField,
 from .parser import ParseError, parse_potential
 from .potentials import PRESETS, modulated_harmonic, resolve_potential
 from .ring import Coefficient, Monomial, RingElem, RingError
-from .seeds import (CombinedSeed, DegeneracyCalibration, SeedDistribution,
-                    chi_from_z, parse_seed_spec, polylog_neg, z_from_chi)
+from .seeds import (CombinedSeed, SeedDistribution, chi_from_z,
+                    parse_seed_spec, polylog_neg, z_from_chi)
 from .series import (SeriesTerm, WignerSeries, build_series, closed_form_f1,
                      integrate_term, recursion_rhs)
-from .verify import (ResidualReport, residual_numeric, residual_symbolic,
-                     wigner_maxwell_check)
+from .verify import ResidualReport, residual_numeric, residual_symbolic
 
 __version__ = "0.1.0"
 
@@ -20,7 +19,7 @@ __all__ = [
     "Coefficient", "Monomial", "RingElem", "RingError",
     "ParseError", "parse_potential",
     "PRESETS", "modulated_harmonic", "resolve_potential",
-    "SeedDistribution", "CombinedSeed", "DegeneracyCalibration",
+    "SeedDistribution", "CombinedSeed",
     "parse_seed_spec", "polylog_neg", "chi_from_z", "z_from_chi",
     "SeriesTerm", "WignerSeries", "build_series", "closed_form_f1",
     "integrate_term", "recursion_rhs",
@@ -29,6 +28,5 @@ __all__ = [
     "DiagnosticsReport", "NegativityReport", "diagnose", "marginals",
     "q_functional", "negativity_report",
     "ResidualReport", "residual_symbolic", "residual_numeric",
-    "wigner_maxwell_check",
     "__version__",
 ]

@@ -14,18 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import HbarOverflowError, WignerField
+from .evaluate import WignerField, hbar_weights
+
+# Values below -NEGATIVITY_EPSILON_REL * max are counted as negative, so
+# roundoff-level noise below zero is not.
+NEGATIVITY_EPSILON_REL = 1e-9
 
 
 class DegenerateFieldError(RuntimeError):
     """Field integrates to a non-positive value; marginals are undefined."""
 
 
-def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum marginal densities, each integrating to one."""
+def _positive_integral(field: WignerField) -> float:
+    """The field's grid integral; DegenerateFieldError unless it is finite
+    and positive."""
     total = field.grid.integral(field.values)
     if not np.isfinite(total) or total <= 0:
         raise DegenerateFieldError(f"field integral {total!r} is not positive")
+    return total
+
+
+def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum marginal densities, each integrating to one."""
+    total = _positive_integral(field)
     p_q = np.trapezoid(field.values, field.p_axis(), axis=1) / total
     p_p = np.trapezoid(field.values, field.q_axis(), axis=0) / total
     return p_q, p_p
@@ -37,9 +48,7 @@ def q_functional(field: WignerField):
     Q is invariant under rescaling of the field, so it applies to
     unnormalized fields as well.  The verdict is None when hbar = 0.
     """
-    total = field.grid.integral(field.values)
-    if not np.isfinite(total) or total <= 0:
-        raise DegenerateFieldError(f"field integral {total!r} is not positive")
+    total = _positive_integral(field)
     second = field.grid.integral(field.values**2)
     q_value = second / total**2
     bound = 2.0 * np.pi * field.hbar * q_value
@@ -62,12 +71,8 @@ def past_smallest_term(sizes, hbar: float):
     R. Soc. A 430, 653 (1990)).  Orders that vanish on the grid do not count.
     HbarOverflowError when a weight hbar^(2l) exceeds the float range.
     """
-    terms = []
-    try:
-        for l, size in enumerate(sizes):
-            terms.append(hbar ** (2 * l) * size)
-    except OverflowError:
-        raise HbarOverflowError(hbar, l) from None
+    weights = hbar_weights(hbar, range(len(sizes)))
+    terms = [w * size for w, size in zip(weights, sizes)]
     smallest, l = min(((t, l) for l, t in enumerate(terms) if t != 0.0),
                       default=(math.inf, 0))
     if terms[-1] > smallest:
@@ -86,15 +91,11 @@ class NegativityReport:
                 "fraction_below": self.fraction_below}
 
 
-def negativity_report(values: np.ndarray, axes: tuple[np.ndarray, ...],
-                      epsilon_rel: float = 1e-9) -> NegativityReport:
-    """Scan a field or marginal for negative values.
-
-    The threshold is -epsilon_rel * max(values), so roundoff-level noise
-    below zero is not counted.
-    """
+def negativity_report(values: np.ndarray,
+                      axes: tuple[np.ndarray, ...]) -> NegativityReport:
+    """Scan a field or marginal for values below -NEGATIVITY_EPSILON_REL * max."""
     values = np.asarray(values)
-    threshold = -epsilon_rel * float(values.max())
+    threshold = -NEGATIVITY_EPSILON_REL * float(values.max())
     flat_idx = int(values.argmin())
     idx = np.unravel_index(flat_idx, values.shape)
     location = tuple(float(axis[i]) for axis, i in zip(axes, idx))

@@ -77,11 +77,6 @@ class GridSpec:
         return {"q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
                 "p_min": self.p_min, "p_max": self.p_max, "n_p": self.n_p}
 
-    @classmethod
-    def from_json_dict(cls, data) -> "GridSpec":
-        return cls(float(data["q_min"]), float(data["q_max"]), int(data["n_q"]),
-                   float(data["p_min"]), float(data["p_max"]), int(data["n_p"]))
-
 
 DEFAULT_GRID = GridSpec(-4.0, 4.0, 401, -4.0, 4.0, 401)
 
@@ -200,18 +195,25 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec) -> OrderGrids:
     return OrderGrids(values, rows, cols, grid)
 
 
-def _weighted_sum(orders, hbar: float):
-    """sum_l hbar^(2l) F_l; zero weights are skipped, so hbar = 0 gives F_0
-    exactly even where a higher order is not finite.  HbarOverflowError when
-    a weight exceeds the float range."""
-    total = orders[0] * 1.0
+def hbar_weights(hbar: float, orders) -> list:
+    """[hbar^(2l) for l in orders]; HbarOverflowError for the first l whose
+    weight exceeds the float range."""
+    weights = []
     try:
-        for l in range(1, len(orders)):
-            weight = hbar ** (2 * l)
-            if weight != 0.0:
-                total += weight * orders[l]
+        for l in orders:
+            weights.append(hbar ** (2 * l))
     except OverflowError:
         raise HbarOverflowError(hbar, l) from None
+    return weights
+
+
+def _weighted_sum(orders, hbar: float):
+    """sum_l hbar^(2l) F_l; zero weights are skipped, so hbar = 0 gives F_0
+    exactly even where a higher order is not finite."""
+    total = orders[0] * 1.0
+    for weight, order in zip(hbar_weights(hbar, range(1, len(orders))), orders[1:]):
+        if weight != 0.0:
+            total += weight * order
     return total
 
 
@@ -258,7 +260,9 @@ class WignerField:
 def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
                normalize: bool = True, seed_spec: str = "",
                series_meta: dict | None = None, orders=None) -> WignerField:
-    """Dense evaluation on the grid, optionally normalized to unit integral.
+    """Dense evaluation on the grid, optionally normalized to unit integral;
+    NormalizationError when the grid integral is not finite, or, to be
+    normalized, not positive.
 
     The field is the grid's order_grids(series, seed, grid) weighted by
     hbar^(2l) and gathered to every grid point.  ``orders`` takes them when
@@ -273,10 +277,9 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
         raise ValueError(f"orders were built on {orders.grid}, not on {grid}")
     values = _weighted_sum(orders.values, hbar)[np.ix_(orders.rows, orders.cols)]
     norm = grid.integral(values)
+    if not np.isfinite(norm) or (normalize and norm <= 0):
+        raise NormalizationError(f"field integral {norm!r} is not normalizable")
     if normalize:
-        if not np.isfinite(norm) or norm <= 0:
-            raise NormalizationError(
-                f"field integral {norm!r} is not normalizable")
         values /= norm
     return WignerField(grid=grid, hbar=hbar, values=values, norm_constant=norm,
                        normalized=normalize, seed_spec=seed_spec,

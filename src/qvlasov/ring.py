@@ -68,10 +68,6 @@ class Coefficient:
         return self
 
     @classmethod
-    def rational(cls, value) -> "Coefficient":
-        return cls({0: _as_fraction(value)})
-
-    @classmethod
     def pi_power(cls, exponent: int, value=1) -> "Coefficient":
         return cls({exponent: _as_fraction(value)})
 
@@ -80,13 +76,6 @@ class Coefficient:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == _ONE
-
-    def is_negative(self) -> bool:
-        """Canonical sign: the sign of the coefficient of the highest pi power."""
-        return bool(self._terms) and self._terms[-1][1] < 0
 
     def __bool__(self):
         return bool(self._terms)
@@ -112,13 +101,6 @@ class Coefficient:
     def as_text(self, parenthesize: bool = False) -> str:
         """Render as an expression the potential grammar accepts."""
         return _terms_text(self._terms, parenthesize)
-
-    def to_json(self):
-        return _terms_json(self._terms)
-
-    @classmethod
-    def from_json(cls, data) -> "Coefficient":
-        return cls._of(_terms_from_json(data))
 
     def __repr__(self):
         return f"Coefficient({self.as_text()})"
@@ -458,14 +440,6 @@ class RingElem:
     def x_degree(self) -> int:
         return max((len(c) - 1 for c, _ in self._groups.values()), default=0)
 
-    def is_even_in_x(self) -> bool:
-        """True when the element is an even function of x."""
-        for (t, _, _), (c, _) in self._groups.items():
-            odd = 0 if t == "sin" else 1
-            if any(c[odd::2]):
-                return False
-        return True
-
     def __bool__(self):
         return bool(self._groups)
 
@@ -619,21 +593,6 @@ class RingElem:
                 acc.setdefault(key, []).append((total, den))
         return RingElem._of(_collect(acc), w)
 
-    def eval_exact(self, x0: Fraction) -> Coefficient:
-        """Exact value at a rational point; trig terms only allowed at x0 = 0."""
-        x0 = _as_fraction(x0)
-        terms: dict[int, Fraction] = {}
-        w = self._omega
-        for (t, _, s), (c, d) in self._groups.items():
-            if t is not None and x0 != 0:
-                raise RingError("exact evaluation of trig terms requires x = 0")
-            if t == "sin":
-                continue  # sin(0) = 0
-            for n, v in enumerate(c[:1] if x0 == 0 else c):
-                if v:
-                    terms[s + w * n] = terms.get(s + w * n, 0) + Fraction(v, d) * x0**n
-        return Coefficient._of(_canonical(terms))
-
     def _float_groups(self) -> tuple:
         """(trig, float k, float coefficients from the top x power down) per
         (trig, k), sorted by trig rank and k; formed once per element."""
@@ -730,7 +689,7 @@ def _monomial_groups(entries) -> tuple[dict, int]:
 
 def _monomial_text(t, k, n: int, terms: tuple) -> tuple:
     """(negative, |coefficient| * q^n * trig(k*q)) of one row; the sign is
-    that of the highest pi power, as in Coefficient.is_negative."""
+    that of the highest pi power."""
     negative = terms[-1][1] < 0
     if negative:
         terms = tuple((e, -v, d) for e, v, d in terms)

@@ -23,7 +23,6 @@ Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,14 +147,14 @@ class SeedDistribution:
         return arr
 
     def _value(self, t):
-        """f0 at t = H - mu."""
-        if self.kind == "mb":
-            return np.exp(-t)
+        """f0 at t = H - mu; where exp overflows the value is its limit, inf
+        for Maxwell-Boltzmann and 0 for Bose-Einstein."""
         if self.kind == "fd":
             return _logistic(-t)
-        if np.any(t <= 0):
+        if self.kind == "be" and np.any(t <= 0):
             raise SeedDomainError("Bose-Einstein pole: requires exp(H)/z > 1")
-        return 1.0 / np.expm1(t)
+        with np.errstate(over="ignore"):
+            return np.exp(-t) if self.kind == "mb" else 1.0 / np.expm1(t)
 
     def derivative_table(self, H, j_max: int) -> list:
         """[f0, f0', ..., f0^(j_max)] at H, with t = H - mu and g computed once
@@ -373,28 +372,6 @@ def z_from_chi(chi: float) -> float:
                 f_lo *= 0.5
             kept = 1
     return math.exp(mu)
-
-
-@dataclass(frozen=True)
-class DegeneracyCalibration:
-    """Matched fugacity / chemical potential / degeneracy parameter triple."""
-
-    z: float
-    mu: float
-    chi: float
-
-    @classmethod
-    def from_z(cls, z: float) -> "DegeneracyCalibration":
-        return cls(z=float(z), mu=math.log(z), chi=chi_from_z(z))
-
-    @classmethod
-    def from_chi(cls, chi: float) -> "DegeneracyCalibration":
-        z = z_from_chi(chi)
-        return cls(z=z, mu=math.log(z), chi=float(chi))
-
-    def residual(self) -> float:
-        """How well Li_{3/2}(-z) = -(4/(3 sqrt(pi))) chi^(3/2) is satisfied."""
-        return polylog_neg(1.5, self.z) + self.chi**1.5 / _CHI_FACTOR
 
 
 def parse_seed_spec(text: str):

@@ -14,7 +14,8 @@ The exact residual takes its source sum from the series engine
 (series.recursion_rhs), so it checks the quadratures and the closed-form
 first correction, not the recursion itself; the float residual codes the
 transformed equation pointwise.  The change from (x, p) to (x, H) variables
-is checked on its own by tests/test_moyal.py.
+is checked on its own by tests/test_moyal.py, and the series against the
+quantum state g(H) itself by tests/test_quantum_reference.py.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .evaluate import HbarOverflowError, term_derivatives
-from .potentials import resolve_potential
-from .ring import RingElem
-from .seeds import SeedDistribution
-from .series import (SeriesTerm, WignerSeries, closed_form_f1,
-                     potential_derivatives, recursion_rhs, recursion_weight)
+from .evaluate import hbar_weights, term_derivatives
+from .series import (SeriesTerm, WignerSeries, potential_derivatives,
+                     recursion_rhs, recursion_weight)
 
 
 # Most sample points of a numeric residual.  All are read out at once, so its
@@ -178,13 +176,11 @@ def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
     xs, hs = _sample_points(samples)
     sampled, census = residual_samples(series, seed, xs, hs, j_max)
     maxima = []
+    powers = sorted(sampled)
     for hbar in hbars:
         total = np.zeros_like(xs)
-        try:
-            for s, vals in sorted(sampled.items()):
-                total = total + hbar ** (2 * s) * vals
-        except OverflowError:
-            raise HbarOverflowError(hbar, s) from None
+        for weight, s in zip(hbar_weights(hbar, powers), powers):
+            total = total + weight * sampled[s]
         maxima.append(float(np.abs(total).max()))
     # residuals at the roundoff floor cannot contradict the claimed order;
     # the fit is ill-conditioned there, so it is reported but not fatal
@@ -207,44 +203,3 @@ def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
                           hbar_values=hbars, max_residuals=maxima,
                           term_census=census, roundoff_floor=False,
                           passed=bool(slope >= claimed - 0.5))
-
-
-def first_correction_direct(potential: RingElem, x, h, flip_sign: bool = False):
-    """Exponential-seed first correction, coded from the closed expression.
-
-    For the unit-fugacity exponential seed every derivative is (-1)^j f0, so
-    the first correction collapses to
-    exp(-H) * [ -(1/2) V'' (1/4 - (H - V)/6) + (1/24) (V')^2 ].
-    flip_sign applies the deliberately wrong derivative sign, for testing
-    the test.
-    """
-    v = potential.evaluate(x)
-    v1 = potential.ddx().evaluate(x)
-    v2 = potential.ddx().ddx().evaluate(x)
-    bracket = -0.5 * v2 * (0.25 - (h - v) / 6.0) + v1**2 / 24.0
-    if flip_sign:
-        bracket = -bracket
-    return np.exp(-h) * bracket
-
-
-def wigner_maxwell_check(potential: RingElem | None = None, n_points: int = 50,
-                         rtol: float = 1e-10, flip_sign: bool = False) -> bool:
-    """Cross-check the closed-form first correction against direct substitution.
-
-    Reads the closed form built by the series engine with the exponential
-    seed, whose derivatives are f0^(j) = (-1)^j exp(-H), and compares it with
-    the independent direct expression at random points; flip_sign negates
-    the closed form's value.
-    """
-    if potential is None:
-        potential = resolve_potential("goldstone")
-    f1 = closed_form_f1(potential)
-    rng = default_rng(7)
-    xs = rng.uniform(-2.0, 2.0, n_points)
-    hs = rng.uniform(-1.0, 3.0, n_points)
-    lhs = term_derivatives([f1], SeedDistribution("mb"), xs, hs)[0, 0]
-    if flip_sign:
-        lhs = -lhs
-    rhs = first_correction_direct(potential, xs, hs)
-    scale = np.maximum(np.abs(rhs), 1e-30)
-    return bool(np.all(np.abs(lhs - rhs) <= rtol * scale))

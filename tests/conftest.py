@@ -9,9 +9,9 @@ from qvlasov.ring import Coefficient, RingElem
 
 # wavenumbers kept to single pi-terms so every element is integrable
 WAVENUMBERS = [
-    Coefficient.rational(1),
-    Coefficient.rational(2),
-    Coefficient.rational(Fraction(3, 2)),
+    Coefficient.pi_power(0, 1),
+    Coefficient.pi_power(0, 2),
+    Coefficient.pi_power(0, Fraction(3, 2)),
     Coefficient.pi_power(1, 1),
     Coefficient.pi_power(1, 2),
     Coefficient.pi_power(-1, 3),
@@ -65,6 +65,22 @@ def random_family_elem(rng, max_terms: int = 5, max_xpow: int = 4) -> RingElem:
     """A random element whose wavenumbers come from one random family."""
     family = WAVENUMBER_FAMILIES[int(rng.integers(0, len(WAVENUMBER_FAMILIES)))]
     return random_ring_elem(rng, max_terms, max_xpow, wavenumbers=family)
+
+
+def value_at_zero(elem: RingElem) -> dict:
+    """{pi power: rational} of elem's value at x = 0, read from its monomials:
+    those of x^0, with cos(0) = 1 and sin(0) = 0."""
+    total: dict = {}
+    for mono, coeff in elem.items():
+        if mono.xpow == 0 and mono.trig != "sin":
+            for e, r in coeff.items():
+                total[e] = total.get(e, 0) + r
+    return {e: r for e, r in total.items() if r}
+
+
+def is_even(elem: RingElem) -> bool:
+    """Whether elem is an even function of x: every monomial x^n trig(kx) is."""
+    return all(mono.xpow % 2 == (mono.trig == "sin") for mono, _ in elem.items())
 
 
 @pytest.fixture

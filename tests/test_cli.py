@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,25 @@ def test_hbar_beyond_float_range_is_computation_error(tmp_path, capsys, hbar_fla
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "hbar = 1e+" in err and "order-" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--potential", "0-q^4", "--seed", "mb", "--qrange=-10,10,21"),
+    ("--potential", "0-q^4", "--seed", "mb", "--qrange=-10,10,21", "--no-normalize"),
+    ("--potential", "goldstone", "--seed", "be:z=1e-320", "--qrange=-4,4,21"),
+])
+def test_overflowing_seed_is_computation_error(tmp_path, capsys, flags):
+    # exp(-H) overflows where -q^4 is deep, and expm1(H - ln z) everywhere
+    # for z = 1e-320: the field is inf or 0, with no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["evaluate", *flags, "--hbar", "0.1", "--prange=-4,4,21",
+                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is not normalizable" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_evaluate_is_deterministic(tmp_path):

@@ -1,6 +1,9 @@
-"""Import hygiene: no imported name goes unused, the public API resolves, and\nevery indented JSON document goes through one writer."""
+"""Import hygiene: no imported name goes unused, the public API resolves and
+is used, and every indented JSON document goes through one writer."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import qvlasov
@@ -105,3 +108,75 @@ def test_indented_json_written_in_one_place():
         path.read_text(), str(path.relative_to(ROOT)))] == []
     assert cli._write_json is series.write_json
     assert evaluate.write_json is series.write_json
+
+
+# Library entry points the README documents that no module of the package
+# calls; every other function, class and method is used by the package
+# itself or by perfbench.
+LIBRARY_ONLY = ["seeds.py:CombinedSeed", "seeds.py:polylog_neg",
+                "seeds.py:chi_from_z"]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often tree reads each identifier: as a name, an attribute, an
+    imported name or a part of a string that is a dotted name (perfbench
+    names its targets in "module:Class.method" strings, getattr takes one)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.:]+", node.value):
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def unreferenced(modules: dict, others=()) -> list:
+    """'module:name' for each top-level function or class of modules
+    ({file name: source}), and each of their non-dunder methods, that
+    nothing outside its own definition references: no module other than
+    __init__.py, and no source in others.  Names are matched bare, so a
+    method counts as used when any method of its name is."""
+    trees = {name: ast.parse(source) for name, source in modules.items()
+             if name != "__init__.py"}
+    total = sum((_references(t) for t in trees.values()), Counter())
+    for source in others:
+        total += _references(ast.parse(source))
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)] + [
+                (f"{node.name}.{sub.name}", sub) for sub in node.body
+                if isinstance(node, ast.ClassDef) and isinstance(sub, ast.FunctionDef)
+                and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+            found += [f"{name}:{qual}" for qual, d in defs
+                      if total[d.name] == _references(d)[d.name]]
+    return found
+
+
+def test_unreferenced_names_are_found():
+    modules = {
+        "a.py": ('def used():\n    return 1\n\n'
+                 'def unused():\n    return unused() or "not unused"\n\n'
+                 'class Kept:\n    def method(self):\n        pass\n\n'
+                 '    def __len__(self):\n        return 0\n'),
+        "b.py": "from a import used\n",
+        "__init__.py": "from a import unused\n",
+    }
+    assert unreferenced(modules) == ["a.py:unused", "a.py:Kept",
+                                     "a.py:Kept.method"]
+    assert unreferenced(modules, ['TARGET = "a:Kept.method"\n']) == ["a.py:unused"]
+
+
+def test_every_public_name_is_used():
+    package = ROOT / "src" / "qvlasov"
+    modules = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert bench
+    assert unreferenced(modules, bench) == LIBRARY_ONLY

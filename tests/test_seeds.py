@@ -336,15 +336,16 @@ def test_z_from_chi_rejects_nonpositive():
 
 
 def test_degeneracy_calibration_consistency():
-    from qvlasov.seeds import DegeneracyCalibration
+    # Li_{3/2}(-z) = -(4 / (3 sqrt(pi))) chi^(3/2) both ways round
+    def residual(z, chi):
+        return polylog_neg(1.5, z) + 4.0 / (3.0 * math.sqrt(math.pi)) * chi ** 1.5
 
-    cal = DegeneracyCalibration.from_z(1.0)
-    assert cal.mu == 0.0
-    assert cal.chi == pytest.approx(1.01, abs=0.01)
-    assert abs(cal.residual()) < 1e-8
-    back = DegeneracyCalibration.from_chi(cal.chi)
-    assert back.z == pytest.approx(1.0, rel=1e-6)
-    assert abs(back.residual()) < 1e-8
+    chi = chi_from_z(1.0)
+    assert chi == pytest.approx(1.01, abs=0.01)
+    assert abs(residual(1.0, chi)) < 1e-8
+    z = z_from_chi(chi)
+    assert z == pytest.approx(1.0, rel=1e-6)
+    assert abs(residual(z, chi)) < 1e-8
 
 
 # ---------------------------------------------------------------- seed spec

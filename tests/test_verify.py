@@ -6,11 +6,10 @@ import pytest
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import SeedDistribution
-from qvlasov.series import SeriesTerm, WignerSeries, build_series
+from qvlasov.series import SeriesTerm, WignerSeries, build_series, closed_form_f1
 from qvlasov.verify import (SymbolicResidualError, _sample_points,
                             residual_numeric, residual_powers,
-                            residual_samples, residual_symbolic,
-                            wigner_maxwell_check)
+                            residual_samples, residual_symbolic)
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
 QUARTIC = parse_potential("q^4/4")
@@ -220,18 +219,8 @@ def test_numeric_accepts_explicit_sample_points():
     assert report.slope == pytest.approx(4.0, abs=1e-9)
 
 
-def test_maxwell_like_first_correction_cross_check():
-    assert wigner_maxwell_check() is True
-
-
-def test_maxwell_cross_check_detects_sign_mutation():
-    assert wigner_maxwell_check(flip_sign=True) is False
-
-
 def test_maxwell_cross_check_quadratic_reduces_to_h_only():
     v = parse_potential("1 + 2*q + 3*q^2")
-    assert wigner_maxwell_check(potential=v) is True
-    from qvlasov.series import closed_form_f1
     assert all(c.is_constant() for _, c in closed_form_f1(v).cells())
 
 
