@@ -273,7 +273,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_field_csv(field_, cfg.out_dir / "field.csv")
     write_field_sidecar(field_, cfg.out_dir / "field.json", cfg.provenance())
-    print(f"min f = {field_.values.min():.6e}  max f = {field_.values.max():.6e}  "
+    held = field_.row_values
+    print(f"min f = {held.min():.6e}  max f = {held.max():.6e}  "
           f"norm constant = {field_.norm_constant:.6e}")
     print(f"wrote {cfg.out_dir / 'field.csv'}")
     return 0

@@ -28,17 +28,25 @@ class DegenerateFieldError(RuntimeError):
 def _positive_integral(field: WignerField) -> float:
     """The field's grid integral; DegenerateFieldError unless it is finite
     and positive."""
-    total = field.grid.integral(field.values)
+    total = field.grid.integral(field.row_values, field.rows)
     if not np.isfinite(total) or total <= 0:
         raise DegenerateFieldError(f"field integral {total!r} is not positive")
     return total
 
 
-def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum marginal densities, each integrating to one."""
+def marginals(field: WignerField,
+              values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum marginal densities, each integrating to one.
+
+    P_q integrates the held rows over p.  P_p integrates over q down the
+    full grid, whose row order its bits depend on: values, when the caller
+    has gathered it, else field.values.
+    """
     total = _positive_integral(field)
-    p_q = np.trapezoid(field.values, field.p_axis(), axis=1) / total
-    p_p = np.trapezoid(field.values, field.q_axis(), axis=0) / total
+    if values is None:
+        values = field.values
+    p_q = np.trapezoid(field.row_values, field.p_axis(), axis=1)[field.rows] / total
+    p_p = np.trapezoid(values, field.q_axis(), axis=0) / total
     return p_q, p_p
 
 
@@ -46,10 +54,11 @@ def q_functional(field: WignerField):
     """Spikiness functional Q, the bound product 2*pi*hbar*Q, and the verdict.
 
     Q is invariant under rescaling of the field, so it applies to
-    unnormalized fields as well.  The verdict is None when hbar = 0.
+    unnormalized fields as well.  The verdict is None when hbar = 0.  Both
+    integrals run over the field's held rows, through its row map.
     """
     total = _positive_integral(field)
-    second = field.grid.integral(field.values**2)
+    second = field.grid.integral(field.row_values**2, field.rows)
     q_value = second / total**2
     bound = 2.0 * np.pi * field.hbar * q_value
     verdict = bool(bound <= 1.0) if field.hbar > 0 else None
@@ -139,11 +148,14 @@ class DiagnosticsReport:
 
 
 def diagnose(field: WignerField) -> DiagnosticsReport:
-    """Full diagnostics bundle for one field."""
-    p_q, p_p = marginals(field)
+    """Full diagnostics bundle for one field; the full grid is gathered
+    once, for P_p and the negativity scan."""
+    values = field.values
+    p_q, p_p = marginals(field, values)
     q_value, bound, verdict = q_functional(field)
-    neg = negativity_report(field.values, (field.q_axis(), field.p_axis()))
-    norm_residual = field.grid.integral(field.values) - 1.0 if field.normalized else 0.0
+    neg = negativity_report(values, (field.q_axis(), field.p_axis()))
+    norm_residual = (field.grid.integral(field.row_values, field.rows) - 1.0
+                     if field.normalized else 0.0)
     return DiagnosticsReport(
         q=field.q_axis(), p=field.p_axis(), p_q=p_q, p_p=p_p,
         q_value=q_value, bound_2pi_hbar_q=bound, uncertainty_ok=verdict,

@@ -4,7 +4,8 @@ A field is sum_l hbar^(2l) F_l, where the per-order fields F_l do not depend
 on hbar.  Point and grid evaluation form the F_l by one routine and weight
 them by one helper, so grid values are bit-identical to pointwise calls.
 Every grid field is weighted from the grid's per-order fields (order_grids),
-the one grid fill, which holds them at the grid's distinct rows and p^2.
+the one grid fill, which holds them at the grid's distinct rows and p^2; the
+weighted field stays at those rows (WignerField).
 Cells are grouped by seed-derivative order; each derivative is formed once
 per block of points (a grid's at its distinct rows and distinct p^2), and each
 order's polynomial in H multiplying it is evaluated by Horner's rule to limit
@@ -15,7 +16,7 @@ at points (term_derivatives).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 import numpy as np
@@ -25,6 +26,13 @@ from .series import WignerSeries, write_json
 
 # Most points a grid may hold (2001 x 2001), which bounds a field's arrays.
 MAX_GRID_POINTS = 2001 * 2001
+
+# Points per block of the per-order fill and of an integral's p sums: a
+# block's derivative table and temporaries stay small, while numpy's per-call
+# overhead stays amortised.  Unblocked, the temporaries of a 287 x 401 field
+# were mapped in afresh by malloc, about 420 page faults per p integral:
+# 1.5 ms against 0.8 ms in blocks on a 2-vCPU VM.
+BLOCK_POINTS = 1 << 13
 
 
 class NormalizationError(RuntimeError):
@@ -68,10 +76,17 @@ class GridSpec:
     def p_axis(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.n_p)
 
-    def integral(self, values: np.ndarray) -> float:
-        """Double trapezoid integral of values sampled on this grid."""
-        return float(np.trapezoid(np.trapezoid(values, self.p_axis(), axis=1),
-                                  self.q_axis()))
+    def integral(self, values: np.ndarray, rows: np.ndarray) -> float:
+        """Double trapezoid integral of a field on this grid whose grid row i
+        is values[rows[i]]; a caller holding the full grid passes the
+        identity map.  Each row is integrated over p once, a block of rows
+        at a time, so the result has the bits of the integral of the
+        gathered grid."""
+        p = self.p_axis()
+        step = max(1, BLOCK_POINTS // self.n_p)
+        over_p = np.concatenate([np.trapezoid(values[start:start + step], p, axis=1)
+                                 for start in range(0, len(values), step)])
+        return float(np.trapezoid(over_p[rows], self.q_axis()))
 
     def to_json_dict(self) -> dict:
         return {"q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
@@ -79,11 +94,6 @@ class GridSpec:
 
 
 DEFAULT_GRID = GridSpec(-4.0, 4.0, 401, -4.0, 4.0, 401)
-
-
-# Points per block of the per-order fill: a block's derivative table and
-# temporaries stay small, while numpy's per-call overhead stays amortised.
-BLOCK_POINTS = 1 << 13
 
 
 def _cells_by_j(terms, q):
@@ -198,6 +208,7 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec) -> OrderGrids:
 def hbar_weights(hbar: float, orders) -> list:
     """[hbar^(2l) for l in orders]; HbarOverflowError for the first l whose
     weight exceeds the float range."""
+    hbar = float(hbar)    # a numpy float overflows to inf without raising
     weights = []
     try:
         for l in orders:
@@ -238,17 +249,34 @@ def eval_point(series: WignerSeries, seed, hbar: float, q: float, p: float) -> f
     return float(eval_points(series, seed, hbar, np.float64(q), np.float64(p)))
 
 
-@dataclass
 class WignerField:
-    """Evaluated Wigner function on a grid, with normalization metadata."""
+    """Evaluated Wigner function on a grid, with normalization metadata.
 
-    grid: GridSpec
-    hbar: float
-    values: np.ndarray
-    norm_constant: float
-    normalized: bool
-    seed_spec: str
-    series_meta: dict = field(default_factory=dict)
+    The field is held at its distinct rows: grid row i holds
+    row_values[rows[i]], and every held row is some grid row's.  eval_field
+    holds the rows of its order_grids; given no rows, values is the full
+    (n_q, n_p) grid and the map is the identity.  Normalization, Q, P_q, the
+    minimum and maximum and field.csv work on the held rows; ``values``
+    gathers the full grid, which diagnostics.diagnose does once, for P_p and
+    the negativity scan, whose bits depend on the order of the grid rows.
+    """
+
+    def __init__(self, grid: GridSpec, hbar: float, values: np.ndarray,
+                 norm_constant: float, normalized: bool, seed_spec: str,
+                 series_meta: dict | None = None, rows: np.ndarray | None = None):
+        self.grid = grid
+        self.hbar = hbar
+        self.row_values = values
+        self.rows = np.arange(grid.n_q) if rows is None else rows
+        self.norm_constant = norm_constant
+        self.normalized = normalized
+        self.seed_spec = seed_spec
+        self.series_meta = dict(series_meta or {})
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full (n_q, n_p) grid, gathered anew on each read."""
+        return np.take(self.row_values, self.rows, axis=0)
 
     def q_axis(self) -> np.ndarray:
         return self.grid.q_axis()
@@ -265,9 +293,10 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     normalized, not positive.
 
     The field is the grid's order_grids(series, seed, grid) weighted by
-    hbar^(2l) and gathered to every grid point.  ``orders`` takes them when
-    the caller already has them (an hbar sweep, or a run that also checks
-    their sizes); orders of another grid are a ValueError.
+    hbar^(2l), gathered to every column and held at the distinct rows of
+    the orders, with their row map.  ``orders`` takes them when the caller
+    already has them (an hbar sweep, or a run that also checks their
+    sizes); orders of another grid are a ValueError.
     """
     if hbar < 0:
         raise ValueError("hbar must be nonnegative")
@@ -275,48 +304,41 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
         orders = order_grids(series, seed, grid)
     elif orders.grid != grid:
         raise ValueError(f"orders were built on {orders.grid}, not on {grid}")
-    values = _weighted_sum(orders.values, hbar)[np.ix_(orders.rows, orders.cols)]
-    norm = grid.integral(values)
+    # np.take, not a slice: a C-ordered copy, whose p integrals have the
+    # bits of the gathered grid's rows
+    values = np.take(_weighted_sum(orders.values, hbar), orders.cols, axis=1)
+    norm = grid.integral(values, orders.rows)
     if not np.isfinite(norm) or (normalize and norm <= 0):
         raise NormalizationError(f"field integral {norm!r} is not normalizable")
     if normalize:
         values /= norm
-    return WignerField(grid=grid, hbar=hbar, values=values, norm_constant=norm,
-                       normalized=normalize, seed_spec=seed_spec,
-                       series_meta=dict(series_meta or {}))
+    return WignerField(grid, hbar, values, norm, normalize, seed_spec,
+                       series_meta, rows=orders.rows)
 
 
 def write_field_csv(field: WignerField, path) -> None:
     """Row-major q,p,f rows with round-trip float formatting.
 
-    Rows are told apart by their bits, so 0.0 and -0.0 keep their own text:
-    each distinct row is formatted once, at its distinct values, and its
-    text is held until the last row equal to it.
+    Each held row of the field is formatted once, at its distinct values,
+    and its text is kept until the last grid row that maps to it.  Values
+    are told apart by their bits, so 0.0 and -0.0 keep their own text.
     """
     p_cols = [f",{v!r}," for v in field.p_axis().tolist()]
-    distinct: dict[bytes, int] = {}
-    # groups are numbered in the order of their first rows; the rows' bytes
-    # are dropped before any text is made
-    groups = [distinct.setdefault(row.tobytes(), len(distinct))
-              for row in field.values]
-    del distinct
-    last = {g: i for i, g in enumerate(groups)}
+    rows = field.rows.tolist()
+    last = {g: i for i, g in enumerate(rows)}
     held = {}
-    seen = 0
     with open(path, "w") as fh:
         fh.write("q,p,f\n")
-        for i, (qi, g, row) in enumerate(zip(map(repr, field.q_axis().tolist()),
-                                             groups, field.values)):
-            if g == seen:
-                seen += 1
-                keys, inverse = np.unique(row.view(np.uint64), return_inverse=True)
+        for i, (qi, g) in enumerate(zip(map(repr, field.q_axis().tolist()), rows)):
+            body = held.pop(g, None)
+            if body is None:
+                keys, inverse = np.unique(field.row_values[g].view(np.uint64),
+                                          return_inverse=True)
                 texts = list(map(repr, keys.view(np.float64).tolist()))
                 # the row's lines without their q, one string: a third of
                 # the memory of a list of line strings while it is held
                 body = "\n".join(map(add, p_cols,
                                      map(texts.__getitem__, inverse.tolist())))
-            else:
-                body = held.pop(g)
             if last[g] > i:
                 held[g] = body
             fh.write(qi + body.replace("\n", "\n" + qi) + "\n")
@@ -329,8 +351,8 @@ def field_sidecar_dict(field: WignerField, provenance: dict | None = None) -> di
         "normalized": field.normalized,
         "norm_constant": field.norm_constant,
         "seed": field.seed_spec,
-        "min_f": float(field.values.min()),
-        "max_f": float(field.values.max()),
+        "min_f": float(field.row_values.min()),
+        "max_f": float(field.row_values.max()),
     }
     out.update(field.series_meta)
     if provenance:

@@ -352,10 +352,9 @@ class RingElem:
 
     __slots__ = ("_groups", "_omega", "_hash", "_count", "_floats")
 
-    def __init__(self, terms: dict[Monomial, Coefficient] | None = None):
-        self._set(*_monomial_groups(
-            (m.xpow, m.trig, None if m.wavenumber is None else _terms_of(m.wavenumber),
-             _terms_of(c)) for m, c in (terms or {}).items()))
+    def __init__(self):
+        """The zero element; the classmethods build the others."""
+        self._set({}, 0)
 
     def _set(self, groups: dict, omega: int) -> None:
         self._groups = groups
@@ -660,7 +659,7 @@ def _monomial_groups(entries) -> tuple[dict, int]:
     """Groups and omega of a sum of (x power, trig, k, coefficient) entries,
     k and the coefficient as term tuples, with trig signs canonicalised:
     sin(0) = 0, cos(0) = 1 and k > 0.  The one path from inputs to groups,
-    behind RingElem(...), its classmethods and from_json; each entry's x
+    behind RingElem's classmethods and from_json; each entry's x
     power is checked before any group is allocated."""
     rows = []
     for n, t, k, terms in entries:

@@ -52,7 +52,7 @@ def random_ring_elem(rng, max_terms: int = 5, max_xpow: int = 4,
         xpow = int(rng.integers(0, max_xpow + 1))
         trig = rng.choice([None, "sin", "cos"]) if wavenumbers else None
         if trig is None:
-            part = RingElem({}) + RingElem.x(xpow).scale(random_coefficient(rng))
+            part = RingElem() + RingElem.x(xpow).scale(random_coefficient(rng))
         else:
             k = wavenumbers[int(rng.integers(0, len(wavenumbers)))]
             part = RingElem.trig(trig, k, xpow=xpow,

@@ -1,11 +1,15 @@
 """Phase-space evaluation: classical limit, symmetry, normalization."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 
+from qvlasov.diagnostics import diagnose, q_functional
 from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
-                              NormalizationError, _distinct_bits, eval_field,
+                              HbarOverflowError, NormalizationError,
+                              WignerField, _distinct_bits, eval_field,
                               eval_point, eval_points, order_grids,
                               term_derivatives, write_field_csv)
 from qvlasov.parser import parse_potential
@@ -75,7 +79,7 @@ def test_field_symmetric_in_p(goldstone_l5):
 
 def test_normalization_residual(goldstone_l5):
     field = eval_field(goldstone_l5, FD, 0.6, SMALL_GRID)
-    assert abs(field.grid.integral(field.values) - 1.0) <= 1e-9
+    assert abs(field.grid.integral(field.values, np.arange(field.grid.n_q)) - 1.0) <= 1e-9
 
 
 def test_classical_field_positive(goldstone_l5):
@@ -138,6 +142,20 @@ def test_non_normalizable_field_raises(goldstone_l2):
 def test_negative_hbar_rejected(goldstone_l2):
     with pytest.raises(ValueError):
         eval_point(goldstone_l2, FD, -0.1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda series, hbar: eval_point(series, FD, hbar, 0.1, 0.2),
+    lambda series, hbar: eval_points(series, FD, hbar, [0.1, 0.3], [0.2, -0.4]),
+    lambda series, hbar: eval_field(series, FD, hbar, SMALL_GRID)],
+    ids=["eval_point", "eval_points", "eval_field"])
+def test_numpy_hbar_beyond_float_range_raises(goldstone_l2, evaluate):
+    # a numpy float's power overflows to inf with a RuntimeWarning where a
+    # float's raises, which once gave nan fields
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HbarOverflowError, match="order-1 weight"):
+            evaluate(goldstone_l2, np.float64(1e200))
 
 
 def test_field_csv_format(goldstone_l2, tmp_path):
@@ -228,6 +246,42 @@ def test_grid_fill_at_distinct_rows_matches_points(goldstone_l5, cubic_l3, case,
               "even-v-odd-cells": WignerSeries(GOLDSTONE, 3, "paper",
                                                cubic_l3.terms)}[case]
     _assert_grid_fill_matches_points(series, GridSpec(q_min, q_max, n_q, -3.0, 3.0, 31))
+
+
+@pytest.mark.parametrize("case", ["goldstone", "cubic", "goldstone-asymmetric"])
+def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
+    # a field is held at its grid's distinct rows (287 of 401 for an even
+    # potential on the default grid, all of them for the cubic or off a
+    # symmetric axis); normalized or not, its values and norm, and over a
+    # sweep its Q, bound and diagnostics, equal those of the full grid
+    series, grid, held = {
+        "goldstone": (goldstone_l5, DEFAULT_GRID, (287, 401)),
+        "cubic": (cubic_l3, DEFAULT_GRID, (401, 401)),
+        "goldstone-asymmetric": (goldstone_l5, GridSpec(-2.5, 3.7, 101, -3.0, 3.3, 87),
+                                 (101, 87))}[case]
+    orders = order_grids(series, FD, grid)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+
+    def integral(values):
+        # the full grid's double trapezoid, one numpy call per axis
+        return float(np.trapezoid(np.trapezoid(values, grid.p_axis(), axis=1),
+                                  grid.q_axis()))
+
+    for hbar in (0.0, 0.3, 0.6):
+        points = eval_points(series, FD, hbar, qq, pp)
+        norm = integral(points)
+        raw = eval_field(series, FD, hbar, grid, normalize=False, orders=orders)
+        field = eval_field(series, FD, hbar, grid, orders=orders)
+        assert field.row_values.shape == raw.row_values.shape == held
+        assert raw.norm_constant == field.norm_constant == norm
+        assert np.array_equal(raw.values, points)
+        values = points / norm
+        assert np.array_equal(field.values, values)
+        q_value = integral(values ** 2) / integral(values) ** 2
+        assert q_functional(field)[:2] == (q_value, 2.0 * np.pi * hbar * q_value)
+        full = WignerField(grid, hbar, values, norm, True, "")
+        assert q_functional(field) == q_functional(full)
+        assert diagnose(field).to_json_dict() == diagnose(full).to_json_dict()
 
 
 def test_distinct_bits_keeps_cells_and_signed_zeros_apart():
@@ -350,19 +404,26 @@ def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
     # one row holds signed zeros, non-finite values and repeats, whose text
     # must follow their bits, not their float value
     field = eval_field(goldstone_l5, FD, 0.6, GridSpec(-4.0, 4.0, 41, -3.5, 2.5, 401))
-    field.values[0, :11] = [-0.0, 1e-300, 1.0 / 3.0, 0.0, -0.0, np.nan, np.inf,
-                            -np.inf, 1.0 / 3.0, 0.0, -np.nan]
-    field.values[20, :3] = [0.0, -0.0, 0.0]
-    # equal rows share one text: the first row again at 17, 29 and the last
-    # row, so its text is held past its second use; rows 5 and 33 equal, as
-    # are rows 9 and 26 but for one 0.0 against -0.0 and rows 12 and 14 but
+    values = field.values
+    values[0, :11] = [-0.0, 1e-300, 1.0 / 3.0, 0.0, -0.0, np.nan, np.inf,
+                      -np.inf, 1.0 / 3.0, 0.0, -np.nan]
+    values[20, :3] = [0.0, -0.0, 0.0]
+    # grid rows that map to one held row share its text: the first row's at
+    # 17, 29 and the last row, so its text is held past its second use, and
+    # row 5's at 33; rows 9 and 26 are held apart from row 3 and from each
+    # other, equal but for one 0.0 against -0.0, as are rows 12 and 14 but
     # for a NaN payload
-    field.values[[17, 29, 40]] = field.values[0]
-    field.values[33] = field.values[5]
-    field.values[[9, 26]] = field.values[3]
-    field.values[9, 7], field.values[26, 7] = 0.0, -0.0
-    field.values[[12, 14]] = field.values[6]
-    field.values[12, 200], field.values[14, 200] = _nan(1), _nan(2)
+    rows = np.arange(41)
+    rows[[17, 29, 40]] = 0
+    rows[33] = 5
+    values[[9, 26]] = values[3]
+    values[9, 7], values[26, 7] = 0.0, -0.0
+    values[[12, 14]] = values[6]
+    values[12, 200], values[14, 200] = _nan(1), _nan(2)
+    held, rows = np.unique(rows, return_inverse=True)
+    field = WignerField(field.grid, field.hbar, values[held], field.norm_constant,
+                        field.normalized, field.seed_spec, rows=rows)
+    assert field.row_values.shape == (37, 401)
     _assert_csv_matches_per_row_writer(field, tmp_path)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qvlasov.ring import Coefficient, Monomial, RingElem, RingError
+from qvlasov.ring import Coefficient, RingElem, RingError
 
 from conftest import WAVENUMBER_FAMILIES, random_coefficient, random_family_elem
 
@@ -149,8 +149,9 @@ def oracle(elem: RingElem) -> dict:
 
 
 def from_oracle(terms: dict) -> RingElem:
-    return RingElem({Monomial(n, trig, None if k is None else Coefficient(dict(k))):
-                     Coefficient(c) for (n, trig, k), c in terms.items()})
+    return sum((RingElem.x(n).scale(Coefficient(c)) if trig is None else
+                RingElem.trig(trig, Coefficient(dict(k)), xpow=n, coeff=Coefficient(c))
+                for (n, trig, k), c in terms.items()), RingElem())
 
 
 def expected_omega(terms: dict) -> int:
