@@ -25,29 +25,25 @@ class DegenerateFieldError(RuntimeError):
     """Field integrates to a non-positive value; marginals are undefined."""
 
 
-def _positive_integral(field: WignerField) -> float:
-    """The field's grid integral; DegenerateFieldError unless it is finite
-    and positive."""
-    total = field.grid.integral(field.row_values, field.rows)
+def _positive(total: float) -> float:
+    """total, a field's grid integral; DegenerateFieldError unless it is
+    finite and positive."""
     if not np.isfinite(total) or total <= 0:
         raise DegenerateFieldError(f"field integral {total!r} is not positive")
     return total
 
 
-def marginals(field: WignerField,
-              values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum marginal densities, each integrating to one.
 
-    P_q integrates the held rows over p.  P_p integrates over q down the
-    full grid, whose row order its bits depend on: values, when the caller
-    has gathered it, else field.values.
+    P_q integrates the held rows over p, and its q integral is the field's.
+    P_p integrates over q down the full grid, gathered from them, whose row
+    order its bits depend on.
     """
-    total = _positive_integral(field)
-    if values is None:
-        values = field.values
-    p_q = np.trapezoid(field.row_values, field.p_axis(), axis=1)[field.rows] / total
-    p_p = np.trapezoid(values, field.q_axis(), axis=0) / total
-    return p_q, p_p
+    p_q = field.grid.p_integrals(field.row_values)[field.rows]
+    total = _positive(float(np.trapezoid(p_q, field.q_axis())))
+    p_p = np.trapezoid(field.values, field.q_axis(), axis=0) / total
+    return p_q / total, p_p
 
 
 def q_functional(field: WignerField):
@@ -57,7 +53,7 @@ def q_functional(field: WignerField):
     unnormalized fields as well.  The verdict is None when hbar = 0.  Both
     integrals run over the field's held rows, through its row map.
     """
-    total = _positive_integral(field)
+    total = _positive(field.grid.integral(field.row_values, field.rows))
     second = field.grid.integral(field.row_values**2, field.rows)
     q_value = second / total**2
     bound = 2.0 * np.pi * field.hbar * q_value
@@ -148,12 +144,11 @@ class DiagnosticsReport:
 
 
 def diagnose(field: WignerField) -> DiagnosticsReport:
-    """Full diagnostics bundle for one field; the full grid is gathered
-    once, for P_p and the negativity scan."""
-    values = field.values
-    p_q, p_p = marginals(field, values)
+    """Full diagnostics bundle for one field; P_p and the negativity scan
+    read the gathered full grid."""
+    p_q, p_p = marginals(field)
     q_value, bound, verdict = q_functional(field)
-    neg = negativity_report(values, (field.q_axis(), field.p_axis()))
+    neg = negativity_report(field.values, (field.q_axis(), field.p_axis()))
     norm_residual = (field.grid.integral(field.row_values, field.rows) - 1.0
                      if field.normalized else 0.0)
     return DiagnosticsReport(

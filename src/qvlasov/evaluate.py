@@ -76,17 +76,21 @@ class GridSpec:
     def p_axis(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.n_p)
 
+    def p_integrals(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoid integral over p of each row of values, a block of rows
+        at a time; each row is summed alone, so its bits do not depend on
+        the blocking or on the other rows."""
+        p = self.p_axis()
+        step = max(1, BLOCK_POINTS // self.n_p)
+        return np.concatenate([np.trapezoid(values[start:start + step], p, axis=1)
+                               for start in range(0, len(values), step)])
+
     def integral(self, values: np.ndarray, rows: np.ndarray) -> float:
         """Double trapezoid integral of a field on this grid whose grid row i
         is values[rows[i]]; a caller holding the full grid passes the
-        identity map.  Each row is integrated over p once, a block of rows
-        at a time, so the result has the bits of the integral of the
-        gathered grid."""
-        p = self.p_axis()
-        step = max(1, BLOCK_POINTS // self.n_p)
-        over_p = np.concatenate([np.trapezoid(values[start:start + step], p, axis=1)
-                                 for start in range(0, len(values), step)])
-        return float(np.trapezoid(over_p[rows], self.q_axis()))
+        identity map.  Each row is integrated over p once, so the result has
+        the bits of the integral of the gathered grid."""
+        return float(np.trapezoid(self.p_integrals(values)[rows], self.q_axis()))
 
     def to_json_dict(self) -> dict:
         return {"q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
@@ -253,21 +257,21 @@ class WignerField:
     """Evaluated Wigner function on a grid, with normalization metadata.
 
     The field is held at its distinct rows: grid row i holds
-    row_values[rows[i]], and every held row is some grid row's.  eval_field
-    holds the rows of its order_grids; given no rows, values is the full
-    (n_q, n_p) grid and the map is the identity.  Normalization, Q, P_q, the
-    minimum and maximum and field.csv work on the held rows; ``values``
-    gathers the full grid, which diagnostics.diagnose does once, for P_p and
-    the negativity scan, whose bits depend on the order of the grid rows.
+    row_values[rows[i]], and every held row is some grid row's; a field of
+    the full grid has the identity map.  eval_field holds the rows of its
+    order_grids.  Normalization, Q, P_q, the minimum and maximum and
+    field.csv work on the held rows; ``values`` gathers the full grid, which
+    diagnostics.diagnose reads for P_p and the negativity scan, whose bits
+    depend on the order of the grid rows.
     """
 
-    def __init__(self, grid: GridSpec, hbar: float, values: np.ndarray,
-                 norm_constant: float, normalized: bool, seed_spec: str,
-                 series_meta: dict | None = None, rows: np.ndarray | None = None):
+    def __init__(self, grid: GridSpec, hbar: float, row_values: np.ndarray,
+                 rows: np.ndarray, norm_constant: float, normalized: bool,
+                 seed_spec: str, series_meta: dict | None = None):
         self.grid = grid
         self.hbar = hbar
-        self.row_values = values
-        self.rows = np.arange(grid.n_q) if rows is None else rows
+        self.row_values = row_values
+        self.rows = rows
         self.norm_constant = norm_constant
         self.normalized = normalized
         self.seed_spec = seed_spec
@@ -275,8 +279,11 @@ class WignerField:
 
     @property
     def values(self) -> np.ndarray:
-        """The full (n_q, n_p) grid, gathered anew on each read."""
-        return np.take(self.row_values, self.rows, axis=0)
+        """The full (n_q, n_p) grid, gathered anew on each read and read-only:
+        a write into it would not reach the field."""
+        out = np.take(self.row_values, self.rows, axis=0)
+        out.flags.writeable = False
+        return out
 
     def q_axis(self) -> np.ndarray:
         return self.grid.q_axis()
@@ -312,8 +319,8 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
         raise NormalizationError(f"field integral {norm!r} is not normalizable")
     if normalize:
         values /= norm
-    return WignerField(grid, hbar, values, norm, normalize, seed_spec,
-                       series_meta, rows=orders.rows)
+    return WignerField(grid, hbar, values, orders.rows, norm, normalize, seed_spec,
+                       series_meta)
 
 
 def write_field_csv(field: WignerField, path) -> None:

@@ -63,7 +63,8 @@ def test_q_functional_scale_invariant(series_l5):
     field = field_at(series_l5, 0.4, normalize=False)
     q1, b1, v1 = q_functional(field)
     scaled = WignerField(grid=field.grid, hbar=field.hbar,
-                         values=7.0 * field.values, norm_constant=1.0,
+                         row_values=7.0 * field.values,
+                         rows=np.arange(field.grid.n_q), norm_constant=1.0,
                          normalized=False, seed_spec="")
     q2, b2, v2 = q_functional(scaled)
     assert q2 == pytest.approx(q1, rel=1e-12)
@@ -137,8 +138,8 @@ def test_diagnose_bundle(series_l5):
 
 def test_degenerate_field_rejected():
     grid = GridSpec(-1, 1, 5, -1, 1, 5)
-    field = WignerField(grid=grid, hbar=0.2,
-                        values=np.zeros((5, 5)), norm_constant=1.0,
+    field = WignerField(grid=grid, hbar=0.2, row_values=np.zeros((5, 5)),
+                        rows=np.arange(5), norm_constant=1.0,
                         normalized=False, seed_spec="")
     with pytest.raises(DegenerateFieldError):
         marginals(field)

@@ -62,19 +62,21 @@ def test_eval_point_first_order_matches_direct_substitution(goldstone_l2):
 
 def test_field_matches_pointwise_eval(goldstone_l2, rng):
     field = eval_field(goldstone_l2, FD, 0.6, SMALL_GRID, normalize=False)
+    values = field.values
     q, p = SMALL_GRID.q_axis(), SMALL_GRID.p_axis()
     for _ in range(100):
         i = int(rng.integers(0, SMALL_GRID.n_q))
         k = int(rng.integers(0, SMALL_GRID.n_p))
-        assert field.values[i, k] == eval_point(goldstone_l2, FD, 0.6,
-                                                float(q[i]), float(p[k]))
+        assert values[i, k] == eval_point(goldstone_l2, FD, 0.6,
+                                          float(q[i]), float(p[k]))
 
 
 def test_field_symmetric_in_p(goldstone_l5):
     # linspace is not bit-antisymmetric, so symmetry holds to roundoff only
     field = eval_field(goldstone_l5, FD, 0.6, SMALL_GRID)
-    scale = np.abs(field.values).max()
-    assert np.abs(field.values - field.values[:, ::-1]).max() <= 1e-11 * scale
+    values = field.values
+    scale = np.abs(values).max()
+    assert np.abs(values - values[:, ::-1]).max() <= 1e-11 * scale
 
 
 def test_normalization_residual(goldstone_l5):
@@ -200,9 +202,10 @@ def test_blocked_grid_matches_pointwise(goldstone_l5):
     assert grid.n_q * grid.n_p > BLOCK_POINTS
     field = eval_field(goldstone_l5, FD, 0.6, grid, normalize=False)
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
-    assert np.array_equal(eval_points(goldstone_l5, FD, 0.6, qq, pp), field.values)
+    values = field.values
+    assert np.array_equal(eval_points(goldstone_l5, FD, 0.6, qq, pp), values)
     for i, k in ((0, 0), (80, 50), (81, 7), (202, 100)):
-        assert eval_point(goldstone_l5, FD, 0.6, qq[i, k], pp[i, k]) == field.values[i, k]
+        assert eval_point(goldstone_l5, FD, 0.6, qq[i, k], pp[i, k]) == values[i, k]
 
 
 @pytest.mark.parametrize("p_min, p_max, n_p", [(-3.0, 3.0, 61), (-3.0, 3.0, 60),
@@ -279,7 +282,7 @@ def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
         assert np.array_equal(field.values, values)
         q_value = integral(values ** 2) / integral(values) ** 2
         assert q_functional(field)[:2] == (q_value, 2.0 * np.pi * hbar * q_value)
-        full = WignerField(grid, hbar, values, norm, True, "")
+        full = WignerField(grid, hbar, values, np.arange(grid.n_q), norm, True, "")
         assert q_functional(field) == q_functional(full)
         assert diagnose(field).to_json_dict() == diagnose(full).to_json_dict()
 
@@ -389,9 +392,10 @@ def _per_row_csv(field, path):
     p = field.p_axis()
     with open(path, "w") as fh:
         fh.write("q,p,f\n")
+        values = field.values
         for i in range(field.grid.n_q):
             qi = repr(float(q[i]))
-            row = field.values[i]
+            row = values[i]
             for k in range(field.grid.n_p):
                 fh.write(f"{qi},{float(p[k])!r},{float(row[k])!r}\n")
 
@@ -404,7 +408,9 @@ def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
     # one row holds signed zeros, non-finite values and repeats, whose text
     # must follow their bits, not their float value
     field = eval_field(goldstone_l5, FD, 0.6, GridSpec(-4.0, 4.0, 41, -3.5, 2.5, 401))
-    values = field.values
+    with pytest.raises(ValueError):    # a write would not reach the field
+        field.values[0, 0] = 0.0
+    values = field.values.copy()
     values[0, :11] = [-0.0, 1e-300, 1.0 / 3.0, 0.0, -0.0, np.nan, np.inf,
                       -np.inf, 1.0 / 3.0, 0.0, -np.nan]
     values[20, :3] = [0.0, -0.0, 0.0]
@@ -421,8 +427,8 @@ def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
     values[[12, 14]] = values[6]
     values[12, 200], values[14, 200] = _nan(1), _nan(2)
     held, rows = np.unique(rows, return_inverse=True)
-    field = WignerField(field.grid, field.hbar, values[held], field.norm_constant,
-                        field.normalized, field.seed_spec, rows=rows)
+    field = WignerField(field.grid, field.hbar, values[held], rows, field.norm_constant,
+                        field.normalized, field.seed_spec)
     assert field.row_values.shape == (37, 401)
     _assert_csv_matches_per_row_writer(field, tmp_path)
 
@@ -461,11 +467,12 @@ def test_term_derivatives_match_exact_dh_chain(spec, order, seed, rng):
 def test_modulated_potential_field(rng):
     series = build_series(resolve_potential("modulated:a=1/2"), 2, "paper")
     field = eval_field(series, FD, 0.3, GridSpec(-3, 3, 121, -3, 3, 121))
-    assert np.isfinite(field.values).all()
-    assert field.values.min() > -1.0
+    values = field.values
+    assert np.isfinite(values).all()
+    assert values.min() > -1.0
     q, p = field.q_axis(), field.p_axis()
     for _ in range(20):
         i, k = int(rng.integers(0, 121)), int(rng.integers(0, 121))
         expect = eval_point(series, FD, 0.3, float(q[i]), float(p[k]))
-        assert field.values[i, k] * field.norm_constant == pytest.approx(
+        assert values[i, k] * field.norm_constant == pytest.approx(
             expect, rel=1e-12, abs=1e-300)
