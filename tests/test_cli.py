@@ -99,6 +99,23 @@ def test_diagnose_sweep_csv_matches_golden_digest(tmp_path):
     assert digest == FIELD_GOLDEN["qsweep goldstone 10"]
 
 
+DIAGNOSE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "diagnose_digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(DIAGNOSE_GOLDEN))
+def test_readme_field_outputs_match_golden_digest(tmp_path, key):
+    # SHA-256 of the sidecar of the README goldstone L=5 field and of the
+    # single-hbar diagnose outputs on the same configuration, recorded while
+    # the field still carried its run labels
+    command, name = key.split()
+    assert run([command, "--potential", "goldstone", "--order", "5",
+                "--seed", "fd:z=1", "--hbar", "0.6", "--qrange=-4,4,401",
+                "--prange=-4,4,401", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == DIAGNOSE_GOLDEN[key]
+
+
 EXPAND_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "expand_digests.json").read_text())
 
