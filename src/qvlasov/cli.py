@@ -255,24 +255,22 @@ def _warn_past_smallest_term(sizes, hbar: float) -> None:
               file=sys.stderr)
 
 
-def _checked_field(series: WignerSeries, cfg: RunConfig, **kwargs):
+def _checked_field(series: WignerSeries, cfg: RunConfig, normalize: bool = True):
     """The field at cfg.hbar on cfg.grid, warning as a sweep does when the
     series is truncated past its smallest term there."""
     orders = order_grids(series, cfg.seed, cfg.grid)
     _warn_past_smallest_term(diag.order_sizes(orders), cfg.hbar)
-    return eval_field(series, cfg.seed, cfg.hbar, cfg.grid,
-                      seed_spec=cfg.seed_spec, orders=orders, **kwargs)
+    return eval_field(series, cfg.seed, cfg.hbar, cfg.grid, normalize, orders)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     series = build_series(cfg.potential, cfg.order, cfg.convention)
-    field_ = _checked_field(series, cfg, normalize=not cfg.no_normalize,
-                            series_meta={"order": series.order,
-                                         "convention": series.convention,
-                                         "potential": str(series.potential)})
+    field_ = _checked_field(series, cfg, normalize=not cfg.no_normalize)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_field_csv(field_, cfg.out_dir / "field.csv")
-    write_field_sidecar(field_, cfg.out_dir / "field.json", cfg.provenance())
+    write_field_sidecar(field_, cfg.out_dir / "field.json", cfg.seed_spec, {
+        "order": series.order, "convention": series.convention,
+        "potential": str(series.potential), "config": cfg.provenance()})
     held = field_.row_values
     print(f"min f = {held.min():.6e}  max f = {held.max():.6e}  "
           f"norm constant = {field_.norm_constant:.6e}")
@@ -288,8 +286,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         orders = order_grids(series, cfg.seed, cfg.grid)
         sizes = diag.order_sizes(orders)
         for hbar in cfg.hbar_list:
-            field_ = eval_field(series, cfg.seed, hbar, cfg.grid,
-                                seed_spec=cfg.seed_spec, orders=orders)
+            field_ = eval_field(series, cfg.seed, hbar, cfg.grid, orders=orders)
             q_value, bound, verdict = diag.q_functional(field_)
             rows.append((hbar, q_value, bound, verdict))
             _warn_past_smallest_term(sizes, hbar)

@@ -145,7 +145,7 @@ class DiagnosticsReport:
 
 def diagnose(field: WignerField) -> DiagnosticsReport:
     """Full diagnostics bundle for one field; P_p and the negativity scan
-    read the gathered full grid."""
+    read the full grid, which the field gathers once for both."""
     p_q, p_p = marginals(field)
     q_value, bound, verdict = q_functional(field)
     neg = negativity_report(field.values, (field.q_axis(), field.p_axis()))

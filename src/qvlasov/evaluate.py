@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 import numpy as np
@@ -253,34 +254,31 @@ def eval_point(series: WignerSeries, seed, hbar: float, q: float, p: float) -> f
     return float(eval_points(series, seed, hbar, np.float64(q), np.float64(p)))
 
 
+@dataclass(frozen=True, eq=False)
 class WignerField:
-    """Evaluated Wigner function on a grid, with normalization metadata.
+    """Evaluated Wigner function on a grid, with its normalization: the
+    field's numbers only, with no labels of the run that made it.
 
     The field is held at its distinct rows: grid row i holds
     row_values[rows[i]], and every held row is some grid row's; a field of
     the full grid has the identity map.  eval_field holds the rows of its
     order_grids.  Normalization, Q, P_q, the minimum and maximum and
-    field.csv work on the held rows; ``values`` gathers the full grid, which
-    diagnostics.diagnose reads for P_p and the negativity scan, whose bits
-    depend on the order of the grid rows.
+    field.csv work on the held rows; ``values`` gathers the full grid once,
+    which diagnostics.diagnose reads for P_p and the negativity scan, whose
+    bits depend on the order of the grid rows.
     """
 
-    def __init__(self, grid: GridSpec, hbar: float, row_values: np.ndarray,
-                 rows: np.ndarray, norm_constant: float, normalized: bool,
-                 seed_spec: str, series_meta: dict | None = None):
-        self.grid = grid
-        self.hbar = hbar
-        self.row_values = row_values
-        self.rows = rows
-        self.norm_constant = norm_constant
-        self.normalized = normalized
-        self.seed_spec = seed_spec
-        self.series_meta = dict(series_meta or {})
+    grid: GridSpec
+    hbar: float
+    row_values: np.ndarray
+    rows: np.ndarray
+    norm_constant: float
+    normalized: bool
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        """The full (n_q, n_p) grid, gathered anew on each read and read-only:
-        a write into it would not reach the field."""
+        """The full (n_q, n_p) grid, gathered on the first read and
+        read-only, so a write raises instead of leaving the rows behind."""
         out = np.take(self.row_values, self.rows, axis=0)
         out.flags.writeable = False
         return out
@@ -293,8 +291,7 @@ class WignerField:
 
 
 def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
-               normalize: bool = True, seed_spec: str = "",
-               series_meta: dict | None = None, orders=None) -> WignerField:
+               normalize: bool = True, orders=None) -> WignerField:
     """Dense evaluation on the grid, optionally normalized to unit integral;
     NormalizationError when the grid integral is not finite, or, to be
     normalized, not positive.
@@ -303,7 +300,8 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     hbar^(2l), gathered to every column and held at the distinct rows of
     the orders, with their row map.  ``orders`` takes them when the caller
     already has them (an hbar sweep, or a run that also checks their
-    sizes); orders of another grid are a ValueError.
+    sizes); orders of another grid are a ValueError.  The field holds no
+    labels of the run; write_field_sidecar takes them.
     """
     if hbar < 0:
         raise ValueError("hbar must be nonnegative")
@@ -319,8 +317,7 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
         raise NormalizationError(f"field integral {norm!r} is not normalizable")
     if normalize:
         values /= norm
-    return WignerField(grid, hbar, values, orders.rows, norm, normalize, seed_spec,
-                       series_meta)
+    return WignerField(grid, hbar, values, orders.rows, norm, normalize)
 
 
 def write_field_csv(field: WignerField, path) -> None:
@@ -351,21 +348,17 @@ def write_field_csv(field: WignerField, path) -> None:
             fh.write(qi + body.replace("\n", "\n" + qi) + "\n")
 
 
-def field_sidecar_dict(field: WignerField, provenance: dict | None = None) -> dict:
-    out = {
+def write_field_sidecar(field: WignerField, path, seed_spec: str,
+                        meta: dict) -> None:
+    """field.json: the grid, hbar, normalization, seed_spec and the held
+    rows' minimum and maximum, then the entries of meta in their order."""
+    write_json(path, {
         "grid": field.grid.to_json_dict(),
         "hbar": field.hbar,
         "normalized": field.normalized,
         "norm_constant": field.norm_constant,
-        "seed": field.seed_spec,
+        "seed": seed_spec,
         "min_f": float(field.row_values.min()),
         "max_f": float(field.row_values.max()),
-    }
-    out.update(field.series_meta)
-    if provenance:
-        out["config"] = provenance
-    return out
-
-
-def write_field_sidecar(field: WignerField, path, provenance: dict | None = None) -> None:
-    write_json(path, field_sidecar_dict(field, provenance))
+        **meta,
+    })

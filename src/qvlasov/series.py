@@ -275,7 +275,9 @@ class WignerSeries:
         """Inverse of to_json_dict.  OrderError when the order exceeds
         MAX_ORDER or a cell's derivative order exceeds 3 * order; ValueError
         on any other malformed document (a zero denominator, an x_ref other
-        than 0), or one whose order or convention does not fit its terms."""
+        than 0, an infinite number where an integer belongs, a cell power
+        out of bounds), or one whose order or convention does not fit its
+        terms."""
         try:
             if Fraction(data["x_ref"]) != 0:
                 raise ValueError(f"malformed series document: x_ref "
@@ -291,7 +293,7 @@ class WignerSeries:
                 convention=data["convention"],
                 terms=tuple(SeriesTerm.from_json(t) for t in data["terms"]),
             )
-        except (TypeError, KeyError, ZeroDivisionError) as exc:
+        except (TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed series document: {exc!r}") from None
         if series.order != len(series.terms) - 1:
             raise ValueError(f"series order {series.order} does not match its "
@@ -312,11 +314,13 @@ class WignerSeries:
 def _check_cells(terms, order: int, max_xpow: int) -> None:
     """Bounds on a series document's cells, checked before any is built.
 
-    A derivative order beyond 3 * order is an OrderError.  An x power beyond
-    max_xpow is a ValueError: the order-l source multiplies f_{l-j} by
-    (H - V)^(j-k) and an odd derivative of V, and the quadrature adds one
-    power, at most D (j + 1) + 1 <= (2 D + 1) j in all for D = deg V, so no
-    built series passes (2 D + 1) * order.
+    A derivative order beyond 3 * order is an OrderError.  An H power
+    outside 0..order is a ValueError: every built f_l has H powers at most
+    l, and the read-out forms a list of m + 1 coefficients per cell.  An x
+    power beyond max_xpow is a ValueError too: the order-l source
+    multiplies f_{l-j} by (H - V)^(j-k) and an odd derivative of V, and the
+    quadrature adds one power, at most D (j + 1) + 1 <= (2 D + 1) j in all
+    for D = deg V, so no built series passes (2 D + 1) * order.
     """
     for term in terms:
         for rec in term:
@@ -324,6 +328,10 @@ def _check_cells(terms, order: int, max_xpow: int) -> None:
             if not 0 <= j <= 3 * order:
                 raise OrderError(f"series cell of derivative order {j} is "
                                  f"outside 0..{3 * order} (3 * order)")
+            m = int(rec["m"])
+            if not 0 <= m <= order:
+                raise ValueError(f"series cell H power {m} is outside "
+                                 f"0..{order} (order)")
             for mono in rec["ring"]:
                 if not 0 <= int(mono["xpow"]) <= max_xpow:
                     raise ValueError(f"series cell x power {mono['xpow']} is "

@@ -446,6 +446,27 @@ def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message)
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("key", ["order", "terms.1.0.j", "terms.1.0.m",
+                                 FIRST_MONOMIAL + "xpow"])
+def test_verify_rejects_infinite_series_number(tmp_path, capsys, key):
+    # 1e999 reads back as float infinity, which no integer field can hold
+    out = tmp_path / "expand"
+    assert run(["expand", "--potential", "goldstone", "--order", "2",
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "series.json").read_text())
+    *path, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+    target = doc
+    for k in path:
+        target = target[k]
+    target[last] = "INFINITE"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc).replace('"INFINITE"', "1e999"))
+    capsys.readouterr()
+    assert run(["verify", "--series", str(edited), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed series document") and err.count("\n") == 1
+
+
 # q^2 * pi^64 * ... * pi^64, 12 factors: pi^768 has no float value
 PI_768 = "q^2" + "*pi^64" * 12
 

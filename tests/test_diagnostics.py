@@ -65,7 +65,7 @@ def test_q_functional_scale_invariant(series_l5):
     scaled = WignerField(grid=field.grid, hbar=field.hbar,
                          row_values=7.0 * field.values,
                          rows=np.arange(field.grid.n_q), norm_constant=1.0,
-                         normalized=False, seed_spec="")
+                         normalized=False)
     q2, b2, v2 = q_functional(scaled)
     assert q2 == pytest.approx(q1, rel=1e-12)
     assert v1 == v2
@@ -140,7 +140,7 @@ def test_degenerate_field_rejected():
     grid = GridSpec(-1, 1, 5, -1, 1, 5)
     field = WignerField(grid=grid, hbar=0.2, row_values=np.zeros((5, 5)),
                         rows=np.arange(5), norm_constant=1.0,
-                        normalized=False, seed_spec="")
+                        normalized=False)
     with pytest.raises(DegenerateFieldError):
         marginals(field)
     with pytest.raises(DegenerateFieldError):

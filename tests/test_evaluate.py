@@ -1,5 +1,6 @@
 """Phase-space evaluation: classical limit, symmetry, normalization."""
 
+import dataclasses
 import warnings
 
 import mpmath
@@ -196,6 +197,20 @@ def test_orders_of_another_grid_are_refused(goldstone_l2):
         eval_field(goldstone_l2, FD, 0.3, other, orders=orders)
 
 
+def test_field_is_a_record_of_its_numbers(goldstone_l2):
+    field = eval_field(goldstone_l2, FD, 0.3, SMALL_GRID)
+    assert [f.name for f in dataclasses.fields(field)] == [
+        "grid", "hbar", "row_values", "rows", "norm_constant", "normalized"]
+    # the full grid is gathered once, on the first read, and stays read-only
+    assert field.values is field.values
+    assert not field.values.flags.writeable
+    assert np.array_equal(field.values,
+                          np.take(field.row_values, field.rows, axis=0))
+    # run labels go to the sidecar writer, not to the field
+    with pytest.raises(TypeError, match="seed_spec"):
+        eval_field(goldstone_l2, FD, 0.3, SMALL_GRID, seed_spec="fd:z=1")
+
+
 def test_blocked_grid_matches_pointwise(goldstone_l5):
     # more points than one block, in both the grid and the point path
     grid = GridSpec(-3.0, 3.0, 203, -3.0, 3.0, 101)
@@ -282,7 +297,7 @@ def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
         assert np.array_equal(field.values, values)
         q_value = integral(values ** 2) / integral(values) ** 2
         assert q_functional(field)[:2] == (q_value, 2.0 * np.pi * hbar * q_value)
-        full = WignerField(grid, hbar, values, np.arange(grid.n_q), norm, True, "")
+        full = WignerField(grid, hbar, values, np.arange(grid.n_q), norm, True)
         assert q_functional(field) == q_functional(full)
         assert diagnose(field).to_json_dict() == diagnose(full).to_json_dict()
 
@@ -428,7 +443,7 @@ def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
     values[12, 200], values[14, 200] = _nan(1), _nan(2)
     held, rows = np.unique(rows, return_inverse=True)
     field = WignerField(field.grid, field.hbar, values[held], rows, field.norm_constant,
-                        field.normalized, field.seed_spec)
+                        field.normalized)
     assert field.row_values.shape == (37, 401)
     _assert_csv_matches_per_row_writer(field, tmp_path)
 

@@ -255,11 +255,15 @@ def _set_xpow(value):
     (_set_xpow(10**9), ValueError, "x power 1000000000"),
     (_set_xpow(19), ValueError, "x power 19 is outside 0..18"),
     (_set_xpow(-1), ValueError, "x power -1"),
+    (_set_cell(1, "m", -1), ValueError, "H power -1 is outside 0..2"),
+    (_set_cell(1, "m", 3), ValueError, "H power 3 is outside 0..2"),
     (lambda doc: doc.update(x_ref="1/2"), ValueError, "x_ref '1/2' is not 0"),
 ], ids=["order-over-cap", "j-200", "j-over-3-order", "negative-j",
-        "huge-xpow", "xpow-over-bound", "negative-xpow", "x-ref-not-zero"])
+        "huge-xpow", "xpow-over-bound", "negative-xpow", "negative-m",
+        "m-over-order", "x-ref-not-zero"])
 def test_series_document_out_of_bounds_rejected(edit, error, message):
-    # goldstone L=2: x-degree at most (2 deg V + 1) * order = 18, j <= 6
+    # goldstone L=2: x-degree at most (2 deg V + 1) * order = 18, j <= 6,
+    # H power at most 2
     doc = json.loads(build_series(GOLDSTONE, 2).to_json())
     WignerSeries.from_json_dict(json.loads(json.dumps(doc)))
     edit(doc)
@@ -274,6 +278,7 @@ def test_built_series_stay_inside_document_bounds():
         degree = 2 * series.potential.x_degree() + 1
         for l, term in enumerate(series.terms):
             assert term.max_deriv_order() <= 3 * l
+            assert all(m <= l for (m, _), _ in term.cells())
             assert all(c.x_degree() <= degree * l for _, c in term.cells())
 
 
