@@ -277,8 +277,8 @@ class WignerField:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The full (n_q, n_p) grid, gathered on the first read and
-        read-only, so a write raises instead of leaving the rows behind."""
+        """The full (n_q, n_p) grid, gathered on the first read and kept;
+        read-only, so that it cannot drift from row_values."""
         out = np.take(self.row_values, self.rows, axis=0)
         out.flags.writeable = False
         return out

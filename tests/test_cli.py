@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -427,9 +428,13 @@ FIRST_MONOMIAL = "terms.1.0.ring.0."   # of f_1's first cell
     ("x_ref", "1/0", "malformed"),
     (FIRST_MONOMIAL + "coefficient", [[0, "1/0"]], "malformed"),
     (FIRST_MONOMIAL + "wavenumber", [[0, "1/0"]], "malformed"),
-    (FIRST_MONOMIAL + "trig", "tan", "unknown trig function 'tan'")])
+    (FIRST_MONOMIAL + "trig", "tan", "unknown trig function 'tan'"),
+    ("order", math.inf, "malformed"), ("terms.1.0.j", math.inf, "malformed"),
+    ("terms.1.0.m", math.inf, "malformed"),
+    (FIRST_MONOMIAL + "xpow", math.inf, "malformed")])
 def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message):
-    # key is a dotted path into the document; list indices are numbers
+    # key is a dotted path into the document; list indices are numbers.  An
+    # infinity is written as 1e999, which reads back as float infinity
     out = tmp_path / "expand"
     assert run(["expand", "--potential", "goldstone", "--order", "2",
                 "--out", str(out)]) == 0
@@ -440,31 +445,10 @@ def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message)
         target = target[k]
     target[last] = value
     edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(doc))
+    edited.write_text(json.dumps(doc).replace("Infinity", "1e999"))
     assert run(["verify", "--series", str(edited), "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-
-
-@pytest.mark.parametrize("key", ["order", "terms.1.0.j", "terms.1.0.m",
-                                 FIRST_MONOMIAL + "xpow"])
-def test_verify_rejects_infinite_series_number(tmp_path, capsys, key):
-    # 1e999 reads back as float infinity, which no integer field can hold
-    out = tmp_path / "expand"
-    assert run(["expand", "--potential", "goldstone", "--order", "2",
-                "--out", str(out)]) == 0
-    doc = json.loads((out / "series.json").read_text())
-    *path, last = [int(k) if k.isdigit() else k for k in key.split(".")]
-    target = doc
-    for k in path:
-        target = target[k]
-    target[last] = "INFINITE"
-    edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(doc).replace('"INFINITE"', "1e999"))
-    capsys.readouterr()
-    assert run(["verify", "--series", str(edited), "--out", str(tmp_path / "v")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: malformed series document") and err.count("\n") == 1
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 # q^2 * pi^64 * ... * pi^64, 12 factors: pi^768 has no float value

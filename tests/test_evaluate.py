@@ -423,7 +423,7 @@ def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
     # one row holds signed zeros, non-finite values and repeats, whose text
     # must follow their bits, not their float value
     field = eval_field(goldstone_l5, FD, 0.6, GridSpec(-4.0, 4.0, 41, -3.5, 2.5, 401))
-    with pytest.raises(ValueError):    # a write would not reach the field
+    with pytest.raises(ValueError):    # the gathered grid is read-only
         field.values[0, 0] = 0.0
     values = field.values.copy()
     values[0, :11] = [-0.0, 1e-300, 1.0 / 3.0, 0.0, -0.0, np.nan, np.inf,
