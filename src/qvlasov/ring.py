@@ -98,9 +98,9 @@ class Coefficient:
     def __float__(self):
         return _terms_float(self._terms)
 
-    def as_text(self, parenthesize: bool = False) -> str:
+    def as_text(self) -> str:
         """Render as an expression the potential grammar accepts."""
-        return _terms_text(self._terms, parenthesize)
+        return _terms_text(self._terms)
 
     def __repr__(self):
         return f"Coefficient({self.as_text()})"
@@ -375,10 +375,6 @@ class RingElem:
         return cls._of(_regroup(groups, omega, actual), actual)
 
     @classmethod
-    def zero(cls) -> "RingElem":
-        return cls()
-
-    @classmethod
     def one(cls) -> "RingElem":
         return cls._of(*_monomial_groups([(0, None, None, _ONE)]))
 
@@ -504,8 +500,6 @@ class RingElem:
         return RingElem._of(_collect(acc), self._omega)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Coefficient)):
-            return self.scale(other)
         if not self._groups or not other._groups:
             return RingElem()
         ga, gb, w = self._common(other)
@@ -528,8 +522,6 @@ class RingElem:
                                 acc.setdefault((t, k, s), []).append(
                                     (c if sign > 0 else [-v for v in c], 2 * d))
         return RingElem._checked(_collect(acc), w)
-
-    __rmul__ = __mul__
 
     def ddx(self) -> "RingElem":
         """Exact derivative with respect to x."""

@@ -34,6 +34,9 @@ CONVENTIONS = ("paper", "uniform")
 # seeds.MAX_DERIV_ORDER = 159.
 MAX_ORDER = 30
 
+# Most monomials a built series may hold, the order-l source included.
+TERM_BUDGET = 10**6
+
 
 class TermBudgetError(RuntimeError):
     """Series construction exceeded the configured monomial budget."""
@@ -50,10 +53,6 @@ class SeriesTerm:
 
     def __init__(self, cells: dict[tuple[int, int], RingElem] | None = None):
         self._cells = {mj: c for mj, c in (cells or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls) -> "SeriesTerm":
-        return cls()
 
     @classmethod
     def unit(cls) -> "SeriesTerm":
@@ -89,12 +88,6 @@ class SeriesTerm:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor) -> "SeriesTerm":
-        return SeriesTerm({mj: c.scale(factor) for mj, c in self._cells.items()})
-
-    def scale_ring(self, elem: RingElem) -> "SeriesTerm":
-        return SeriesTerm({mj: c * elem for mj, c in self._cells.items()})
-
     def d_dh(self) -> "SeriesTerm":
         """Derivative with respect to the energy variable."""
         cells: dict[tuple[int, int], RingElem] = {}
@@ -106,12 +99,6 @@ class SeriesTerm:
 
     def d_dx(self) -> "SeriesTerm":
         return SeriesTerm({mj: c.ddx() for mj, c in self._cells.items()})
-
-    def mul_h_minus_v(self, potential: RingElem, power: int) -> "SeriesTerm":
-        """Multiply by (H - V(x))^power via exact binomial expansion."""
-        cells: dict[tuple[int, int], RingElem] = {}
-        _add_h_minus_v_product(cells, self, _neg_powers(potential, power), power, 1)
-        return SeriesTerm(cells)
 
     def evaluate(self, seed, x, h):
         """Numeric value with a concrete seed at the points (x, h), x
@@ -232,15 +219,16 @@ def closed_form_f1(potential: RingElem) -> SeriesTerm:
     """First correction in closed form (additive function of H set to zero):
 
     f1 = -(1/2) V'' [ (H - V)/6 * f0^(3) + 1/4 * f0^(2) ] - (1/24) (V')^2 f0^(3)
+       = -V''/12 H f0^(3) + (V V''/12 - (V')^2/24) f0^(3) - V''/8 f0^(2)
     """
     v1 = potential.ddx()
     v2 = v1.ddx()
-    d3 = SeriesTerm({(0, 3): RingElem.one()})
-    d2 = SeriesTerm({(0, 2): RingElem.one()})
-    bracket = d3.mul_h_minus_v(potential, 1).scale(Fraction(1, 6)) \
-        + d2.scale(Fraction(1, 4))
-    return bracket.scale_ring(v2).scale(Fraction(-1, 2)) \
-        + SeriesTerm({(0, 3): v1 * v1}).scale(Fraction(-1, 24))
+    return SeriesTerm({
+        (1, 3): v2.scale(Fraction(-1, 12)),
+        (0, 3): (potential * v2).scale(Fraction(1, 12))
+        - (v1 * v1).scale(Fraction(1, 24)),
+        (0, 2): v2.scale(Fraction(-1, 8)),
+    })
 
 
 @dataclass(frozen=True)
@@ -338,14 +326,15 @@ def _check_cells(terms, order: int, max_xpow: int) -> None:
                                      f"outside 0..{max_xpow}")
 
 
-def build_series(potential: RingElem, order: int, convention: str = "paper",
-                 term_budget: int = 10**6) -> WignerSeries:
+def build_series(potential: RingElem, order: int,
+                 convention: str = "paper") -> WignerSeries:
     """Build expansion terms f_0..f_order for a potential.
 
     The zeroth term is the abstract seed.  Under "paper" the first correction
     uses the closed form and higher orders integrate the recursion source;
     under "uniform" every correction is integrated.  Each quadrature vanishes
-    at x = 0.  Deterministic and seed-independent.
+    at x = 0.  Deterministic and seed-independent.  A series past
+    TERM_BUDGET monomials raises TermBudgetError.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -362,15 +351,15 @@ def build_series(potential: RingElem, order: int, convention: str = "paper",
             f_l = closed_form_f1(potential)
         else:
             source = recursion_rhs(potential, terms, l, v_derivs, chains=chains,
-                                   budget=term_budget - count)
+                                   budget=TERM_BUDGET - count)
             f_l = integrate_term(source)
         if f_l.max_deriv_order() > 3 * l:
             raise AssertionError(
                 f"order-{l} term has derivative order {f_l.max_deriv_order()} > {3 * l}")
         count += f_l.term_count()
-        if count > term_budget:
+        if count > TERM_BUDGET:
             raise TermBudgetError(
-                f"series exceeded {term_budget} monomials at order {l}")
+                f"series exceeded {TERM_BUDGET} monomials at order {l}")
         terms.append(f_l)
     return WignerSeries(potential=potential, order=order, convention=convention,
                         terms=tuple(terms))

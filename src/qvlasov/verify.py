@@ -72,7 +72,7 @@ def residual_powers(series: WignerSeries, j_cap: int) -> dict[int, SeriesTerm]:
     chains: dict[int, list[SeriesTerm]] = {}
     residual: dict[int, SeriesTerm] = {}
     for s in range(series.order + j_cap + 1):
-        r = terms[s].d_dx() if s <= series.order else SeriesTerm.zero()
+        r = terms[s].d_dx() if s <= series.order else SeriesTerm()
         if s > 0:
             r = r - recursion_rhs(series.potential, terms, s, v_derivs, j_cap, chains)
         if not r.is_zero():
@@ -102,14 +102,10 @@ def residual_symbolic(series: WignerSeries) -> ResidualReport:
                           passed=observed >= claimed)
 
 
-def _sample_points(samples, rng_seed: int = 20230817):
-    if isinstance(samples, int):
-        rng = default_rng(rng_seed)
-        xs = rng.uniform(-2.0, 2.0, samples)
-        hs = rng.uniform(-1.0, 3.0, samples)
-        return xs, hs
-    xs, hs = zip(*samples)
-    return np.asarray(xs, dtype=float), np.asarray(hs, dtype=float)
+def _sample_points(samples: int):
+    """samples points (x, H), uniform on [-2, 2] x [-1, 3], from a fixed seed."""
+    rng = default_rng(20230817)
+    return rng.uniform(-2.0, 2.0, samples), rng.uniform(-1.0, 3.0, samples)
 
 
 def residual_samples(series: WignerSeries, seed, xs, hs,

@@ -47,7 +47,7 @@ WAVENUMBER_FAMILIES = (
 
 def random_ring_elem(rng, max_terms: int = 5, max_xpow: int = 4,
                      wavenumbers=WAVENUMBERS) -> RingElem:
-    elem = RingElem.zero()
+    elem = RingElem()
     for _ in range(int(rng.integers(1, max_terms + 1))):
         xpow = int(rng.integers(0, max_xpow + 1))
         trig = rng.choice([None, "sin", "cos"]) if wavenumbers else None

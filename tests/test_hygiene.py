@@ -1,5 +1,6 @@
 """Import hygiene: no imported name goes unused, the public API resolves and
-is used, and every indented JSON document goes through one writer."""
+is used, every defaulted parameter is set by some caller, and every indented
+JSON document goes through one writer."""
 
 import ast
 import re
@@ -180,3 +181,97 @@ def test_every_public_name_is_used():
     bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert bench
     assert unreferenced(modules, bench) == LIBRARY_ONLY
+
+
+# Defaulted parameters of the ring's constructors that only the tests set.
+TEST_ONLY_ARGUMENTS = ["ring.py:Coefficient.__init__(terms)",
+                       "ring.py:Coefficient.pi_power(value)",
+                       "ring.py:RingElem.x(power)", "ring.py:RingElem.trig(xpow)",
+                       "ring.py:RingElem.trig(coeff)"]
+
+
+def _call_name(call: ast.Call):
+    """The bare name a call is made through: a function's or an attribute's."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _defaulted(func: ast.FunctionDef, method: bool) -> list:
+    """(name, position) of each defaulted parameter of func, the position
+    counted without self or cls, None for a keyword-only one."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in func.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    return [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
+        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    """Whether call sets the parameter: by keyword, through a * or **
+    splat, or with more than position positional arguments."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def unset_defaults(modules: dict, others=()) -> list:
+    """'module:name(parameter)' for each defaulted parameter of a top-level
+    function of modules ({file name: source}), or of a method of a top-level
+    class, that no call sets outside the function's own body: no call in
+    modules, __init__.py included, and none in others.  Calls are matched
+    bare, by the function's name, or by the class's name for __init__."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    calls: dict = {}
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{sub.name}",
+                         node.name if sub.name == "__init__" else sub.name, sub, True)
+                        for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            for qual, callee, func, method in defs:
+                own = {id(n) for n in ast.walk(func)}
+                found += [f"{name}:{qual}({param})"
+                          for param, position in _defaulted(func, method)
+                          if not any(_sets(call, param, position)
+                                     for call in calls.get(callee, [])
+                                     if id(call) not in own)]
+    return found
+
+
+def test_unset_defaults_are_found():
+    modules = {
+        "a.py": ("def f(x, y=1, *, z=2):\n    return f(x, y, z=z)\n\n"
+                 "def g(x, y=1):\n    pass\n\n"
+                 "class K:\n    def __init__(self, a=0):\n        pass\n\n"
+                 "    def m(self, b=0, c=1):\n        pass\n\n"
+                 "    @staticmethod\n    def s(b=0):\n        pass\n"),
+        "b.py": "from a import K, f, g\nf(1)\ng(*args)\nK(1).m(2)\nK.s(1)\n",
+        "__init__.py": "def h(v=0):\n    pass\n",
+    }
+    assert unset_defaults(modules) == ["a.py:f(y)", "a.py:f(z)", "a.py:K.m(c)"]
+    assert unset_defaults(modules, ["f(0, z=3)\n", "K().m(**kw)\n"]) == ["a.py:f(y)"]
+
+
+def test_every_defaulted_parameter_is_set():
+    package = ROOT / "src" / "qvlasov"
+    modules = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert bench
+    assert unset_defaults(modules, bench) == TEST_ONLY_ARGUMENTS

@@ -216,7 +216,7 @@ elem_strategy = st.lists(
     st.builds(_term, coeff_strategy, st.integers(min_value=0, max_value=3),
               st.integers(min_value=0, max_value=2)),
     min_size=1, max_size=4,
-).map(lambda parts: sum(parts, RingElem.zero()))
+).map(lambda parts: sum(parts, RingElem()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,7 +297,7 @@ def test_sum_with_negation_is_canonical_zero(a):
     c = _const(a)
     for zero in (c + (-c), (-c) + c, c - c):
         assert zero.is_zero() and not zero and zero.items() == []
-        assert zero == RingElem.zero() and hash(zero) == hash(RingElem.zero())
+        assert zero == RingElem() and hash(zero) == hash(RingElem())
         value = zero.constant_value()
         assert value == Coefficient() and hash(value) == hash(Coefficient())
 

@@ -208,7 +208,6 @@ def test_scale_matches_oracle(rng):
     for _ in range(ROUNDS):
         a, f = random_family_elem(rng), random_coefficient(rng)
         check(a.scale(f), o_scale(oracle(a), dict(f.items())))
-        check(a * Fraction(-3, 4), o_scale(oracle(a), {0: Fraction(-3, 4)}))
 
 
 def test_product_matches_oracle(rng):
@@ -237,7 +236,7 @@ def test_high_degree_trig_integral_matches_oracle():
               Coefficient.pi_power(-1, 3)):
         for kind in ("sin", "cos"):
             a = sum((RingElem.trig(kind, k, xpow=n, coeff=Fraction(n + 1, 3))
-                     for n in range(9)), RingElem.zero())
+                     for n in range(9)), RingElem())
             check(a.integrate(), o_integrate(oracle(a)))
 
 

@@ -72,23 +72,6 @@ def test_dh_mixed_cell():
     assert t.d_dh() == expected
 
 
-def test_mul_h_minus_v_power_zero_is_identity():
-    t = cells_of(m1j2="q^3 - 2")
-    assert t.mul_h_minus_v(GOLDSTONE, 0) == t
-
-
-def test_mul_h_minus_v_single_power():
-    t = SeriesTerm.unit()
-    out = t.mul_h_minus_v(RingElem.x(2), 1)
-    assert out == SeriesTerm({(1, 0): RingElem.one(), (0, 0): -RingElem.x(2)})
-
-
-def test_mul_h_minus_v_square_matches_composition(rng):
-    t = SeriesTerm({(0, 2): random_ring_elem(rng), (1, 0): random_ring_elem(rng)})
-    once = t.mul_h_minus_v(GOLDSTONE, 1).mul_h_minus_v(GOLDSTONE, 1)
-    assert t.mul_h_minus_v(GOLDSTONE, 2) == once
-
-
 # ---------------------------------------------------------------- recursion
 
 def test_rhs_zero_for_quadratic_potential():
@@ -103,8 +86,8 @@ def test_rhs_zero_for_quadratic_potential():
 def test_rhs_zero_for_zero_potential():
     terms = [SeriesTerm.unit()]
     for l in (1, 2, 3):
-        assert recursion_rhs(RingElem.zero(), terms, l).is_zero()
-        terms.append(SeriesTerm.zero())
+        assert recursion_rhs(RingElem(), terms, l).is_zero()
+        terms.append(SeriesTerm())
 
 
 def test_rhs_order_one_is_ddx_of_closed_form():
@@ -142,7 +125,7 @@ def test_closed_form_f1_quadratic():
 
 
 def test_closed_form_f1_zero_potential():
-    assert closed_form_f1(RingElem.zero()).is_zero()
+    assert closed_form_f1(RingElem()).is_zero()
 
 
 # ------------------------------------------------------------- build_series
@@ -207,9 +190,10 @@ def test_parity_even_potentials():
                 assert is_even(c), text
 
 
-def test_term_budget_enforced():
+def test_term_budget_enforced(monkeypatch):
+    monkeypatch.setattr(series_module, "TERM_BUDGET", 10)
     with pytest.raises(TermBudgetError):
-        build_series(GOLDSTONE, 3, "paper", term_budget=10)
+        build_series(GOLDSTONE, 3, "paper")
 
 
 def test_term_budget_stops_inside_the_order_source(monkeypatch):
@@ -221,8 +205,9 @@ def test_term_budget_stops_inside_the_order_source(monkeypatch):
     integrate = series_module.integrate_term
     monkeypatch.setattr(series_module, "integrate_term",
                         lambda t: integrated.append(t) or integrate(t))
+    monkeypatch.setattr(series_module, "TERM_BUDGET", budget)
     with pytest.raises(TermBudgetError, match="order-5 source"):
-        build_series(v, 5, term_budget=budget)
+        build_series(v, 5)
     assert len(integrated) == 3     # orders 2-4; order 1 is the closed form
 
 

@@ -212,13 +212,6 @@ def test_numeric_validates_arguments():
         residual_numeric(series, FD, HBARS, j_max=1)  # below order + 1
 
 
-def test_numeric_accepts_explicit_sample_points():
-    series = build_series(GOLDSTONE, 1, "paper")
-    pts = [(0.5, 0.2), (1.0, 0.5), (-0.75, 1.0), (1.5, -0.3)]
-    report = residual_numeric(series, FD, HBARS, samples=pts)
-    assert report.slope == pytest.approx(4.0, abs=1e-9)
-
-
 def test_maxwell_cross_check_quadratic_reduces_to_h_only():
     v = parse_potential("1 + 2*q + 3*q^2")
     assert all(c.is_constant() for _, c in closed_form_f1(v).cells())
