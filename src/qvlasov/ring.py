@@ -26,6 +26,7 @@ Coefficient wraps such a tuple only where a value enters or leaves the ring.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import groupby, zip_longest
 from typing import NamedTuple
@@ -128,8 +129,34 @@ def _terms_of(value) -> tuple:
 
 
 def _terms_from_json(data) -> tuple:
-    """The term tuple of a [[e, "n/d"], ...] list."""
-    return _canonical({int(e): Fraction(r) for e, r in data})
+    """The term tuple of a [[e, "n/d"], ...] list, each pi power e given once."""
+    terms = {json_int(e): json_ratio(r) for e, r in data}
+    if len(terms) != len(data):
+        raise ValueError(f"malformed series document: a pi power appears twice "
+                         f"in {data!r}")
+    return _canonical(terms)
+
+
+def json_int(value) -> int:
+    """An integer field of a series document: a JSON integer, not a bool, a
+    float or a string."""
+    if type(value) is not int:
+        raise ValueError(f"malformed series document: {value!r} is not an integer")
+    return value
+
+
+# A ratio as str(Fraction) writes it.  An exponent would make its value's
+# size unbounded ("1e999999999"), and a float or decimal is not what the
+# writer writes.
+_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def json_ratio(value) -> Fraction:
+    """A ratio field of a series document: a JSON string "n" or "n/d"."""
+    if not (isinstance(value, str) and _RATIO.fullmatch(value)):
+        raise ValueError(f"malformed series document: {value!r} is not a ratio "
+                         f"string")
+    return Fraction(value)
 
 
 def _add_terms(a: tuple, b: tuple, sign: int = 1) -> tuple:
@@ -635,7 +662,7 @@ class RingElem:
     @classmethod
     def from_json(cls, data) -> "RingElem":
         return cls._of(*_monomial_groups(
-            (int(rec["xpow"]), rec["trig"],
+            (json_int(rec["xpow"]), rec["trig"],
              _terms_from_json(rec["wavenumber"]) if rec["wavenumber"] else None,
              _terms_from_json(rec["coefficient"])) for rec in data))
 

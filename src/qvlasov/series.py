@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from math import comb, factorial, inf
 
 from .parser import parse_potential
-from .ring import RingElem
+from .ring import RingElem, json_int, json_ratio
 
 CONVENTIONS = ("paper", "uniform")
 
@@ -115,7 +115,7 @@ class SeriesTerm:
     def from_json(cls, data) -> "SeriesTerm":
         cells = {}
         for rec in data:
-            _cell_add(cells, int(rec["m"]), int(rec["j"]),
+            _cell_add(cells, json_int(rec["m"]), json_int(rec["j"]),
                       RingElem.from_json(rec["ring"]))
         return cls(cells)
 
@@ -262,16 +262,17 @@ class WignerSeries:
     def from_json_dict(cls, data) -> "WignerSeries":
         """Inverse of to_json_dict.  OrderError when the order exceeds
         MAX_ORDER or a cell's derivative order exceeds 3 * order; ValueError
-        on any other malformed document (a zero denominator, an x_ref other
-        than 0, an infinite number where an integer belongs, a cell power
-        out of bounds), or one whose order or convention does not fit its
-        terms."""
+        on any other malformed document (an integer field that is not a JSON
+        integer, a ratio that is not a string "n" or "n/d", a zero
+        denominator, a pi power given twice, an x_ref other than 0, a cell
+        power out of bounds), or one whose order or convention does not fit
+        its terms."""
         try:
-            if Fraction(data["x_ref"]) != 0:
+            if json_ratio(data["x_ref"]) != 0:
                 raise ValueError(f"malformed series document: x_ref "
                                  f"{data['x_ref']!r} is not 0")
             potential = parse_potential(data["potential"])
-            order = int(data["order"])
+            order = json_int(data["order"])
             if order > MAX_ORDER:
                 raise OrderError(f"series order {order} exceeds {MAX_ORDER}")
             _check_cells(data["terms"], order, (2 * potential.x_degree() + 1) * order)
@@ -281,7 +282,7 @@ class WignerSeries:
                 convention=data["convention"],
                 terms=tuple(SeriesTerm.from_json(t) for t in data["terms"]),
             )
-        except (TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
+        except (TypeError, KeyError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed series document: {exc!r}") from None
         if series.order != len(series.terms) - 1:
             raise ValueError(f"series order {series.order} does not match its "
@@ -312,16 +313,16 @@ def _check_cells(terms, order: int, max_xpow: int) -> None:
     """
     for term in terms:
         for rec in term:
-            j = int(rec["j"])
+            j = json_int(rec["j"])
             if not 0 <= j <= 3 * order:
                 raise OrderError(f"series cell of derivative order {j} is "
                                  f"outside 0..{3 * order} (3 * order)")
-            m = int(rec["m"])
+            m = json_int(rec["m"])
             if not 0 <= m <= order:
                 raise ValueError(f"series cell H power {m} is outside "
                                  f"0..{order} (order)")
             for mono in rec["ring"]:
-                if not 0 <= int(mono["xpow"]) <= max_xpow:
+                if not 0 <= json_int(mono["xpow"]) <= max_xpow:
                     raise ValueError(f"series cell x power {mono['xpow']} is "
                                      f"outside 0..{max_xpow}")
 

@@ -420,6 +420,7 @@ def test_sidecar_config_round_trips(tmp_path, argv, outputs):
 
 
 FIRST_MONOMIAL = "terms.1.0.ring.0."   # of f_1's first cell
+MALFORMED = "malformed series document"
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -431,10 +432,19 @@ FIRST_MONOMIAL = "terms.1.0.ring.0."   # of f_1's first cell
     (FIRST_MONOMIAL + "trig", "tan", "unknown trig function 'tan'"),
     ("order", math.inf, "malformed"), ("terms.1.0.j", math.inf, "malformed"),
     ("terms.1.0.m", math.inf, "malformed"),
-    (FIRST_MONOMIAL + "xpow", math.inf, "malformed")])
+    (FIRST_MONOMIAL + "xpow", math.inf, "malformed"),
+    ("terms.1.0.j", 2.5, MALFORMED), ("order", 2.9, MALFORMED),
+    ("terms.1.0.j", "2", MALFORMED), ("terms.1.0.j", True, MALFORMED),
+    ("terms.1.0.j", math.nan, MALFORMED), (FIRST_MONOMIAL + "xpow", 2.7, MALFORMED),
+    (FIRST_MONOMIAL + "coefficient", [[0.5, "1"]], MALFORMED),
+    (FIRST_MONOMIAL + "coefficient", [[0, 0.1]], MALFORMED),
+    (FIRST_MONOMIAL + "coefficient", [[0, "1"], [0, "5"]], MALFORMED),
+    ("x_ref", 0, MALFORMED)])
 def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message):
     # key is a dotted path into the document; list indices are numbers.  An
-    # infinity is written as 1e999, which reads back as float infinity
+    # infinity is written as 1e999, which reads back as float infinity; a
+    # number where an integer or a ratio string belongs is not truncated or
+    # rounded, and a pi power given twice does not let the last one win
     out = tmp_path / "expand"
     assert run(["expand", "--potential", "goldstone", "--order", "2",
                 "--out", str(out)]) == 0
