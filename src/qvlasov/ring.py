@@ -138,24 +138,20 @@ def _terms_from_json(data) -> tuple:
 
 
 def json_int(value) -> int:
-    """An integer field of a series document: a JSON integer, not a bool, a
-    float or a string."""
+    """An integer field of a series document: a JSON integer, not a bool."""
     if type(value) is not int:
         raise ValueError(f"malformed series document: {value!r} is not an integer")
     return value
 
 
-# A ratio as str(Fraction) writes it.  An exponent would make its value's
-# size unbounded ("1e999999999"), and a float or decimal is not what the
-# writer writes.
+# A ratio as str(Fraction) writes it; an exponent ("1e999999999") has no size bound.
 _RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def json_ratio(value) -> Fraction:
     """A ratio field of a series document: a JSON string "n" or "n/d"."""
     if not (isinstance(value, str) and _RATIO.fullmatch(value)):
-        raise ValueError(f"malformed series document: {value!r} is not a ratio "
-                         f"string")
+        raise ValueError(f"malformed series document: {value!r} is not a ratio")
     return Fraction(value)
 
 

@@ -236,14 +236,11 @@ class CombinedSeed:
 
 
 class QuadratureError(RuntimeError):
-    """The Fermi-Dirac quadrature missed its tolerance, _QUADRATURE_TOL."""
+    """The Fermi-Dirac quadrature missed its requested tolerance."""
 
 
 # Gauss-Legendre nodes per panel of the Fermi-Dirac integral.
 _GL_NODES = 64
-
-# Largest error estimate of a Fermi-Dirac integral, relative to its value.
-_QUADRATURE_TOL = 1e-10
 
 
 def _fermi_integral(nu: float, mu: float, rule) -> tuple[float, float]:
@@ -285,8 +282,7 @@ def polylog_neg(nu: float, z: float) -> float:
     """Li_nu(-z) for nu >= 1/2, z > 0, from its Fermi integral representation.
 
     -1/Gamma(nu) times the Fermi-Dirac integral of _fermi_integral; raises
-    QuadratureError when the error estimate exceeds _QUADRATURE_TOL relative
-    to the value.
+    QuadratureError when the error estimate exceeds 1e-10 relative to the value.
     """
     if not (nu >= 0.5):
         raise ValueError("polylog order nu must be at least 1/2")
@@ -297,7 +293,7 @@ def polylog_neg(nu: float, z: float) -> float:
 
 def _fermi_checked(nu: float, mu: float, rule) -> float:
     value, err = _fermi_integral(nu, mu, rule)
-    if not math.isfinite(value) or err > _QUADRATURE_TOL * abs(value):
+    if not math.isfinite(value) or err > 1e-10 * abs(value):
         raise QuadratureError(
             f"Fermi-Dirac quadrature nonconvergent at mu = {mu!r} "
             f"(error estimate {err:.2e} on {value!r})")

@@ -39,7 +39,7 @@ TERM_BUDGET = 10**6
 
 
 class TermBudgetError(RuntimeError):
-    """Series construction exceeded the configured monomial budget."""
+    """Series construction exceeded TERM_BUDGET monomials."""
 
 
 class OrderError(ValueError):
@@ -141,18 +141,6 @@ def _neg_powers(potential: RingElem, power: int) -> list[RingElem]:
     return out
 
 
-def _add_h_minus_v_product(cells: dict, t: SeriesTerm, neg_v_pow: list[RingElem],
-                           power: int, factor) -> None:
-    """Add factor * (H - V)^power * t to cells, with neg_v_pow[i] = (-V)^i.
-
-    The binomial and the scalar factor scale the small powers of V, so each
-    large product is formed in one pass."""
-    for i in range(power + 1):
-        v_part = neg_v_pow[power - i].scale(factor * comb(power, i))
-        for (m, j), c in t._cells.items():
-            _cell_add(cells, m + i, j, c * v_part)
-
-
 def recursion_weight(j: int, k: int) -> Fraction:
     """Exact weight 1 / (2^(2k) k! (2j - 2k + 1)!) of the (j, k) source term."""
     return Fraction(1, 2 ** (2 * k) * factorial(k) * factorial(2 * j - 2 * k + 1))
@@ -198,8 +186,13 @@ def recursion_rhs(potential: RingElem, terms, l: int,
             dh.append(dh[-1].d_dh())
         part: dict[tuple[int, int], RingElem] = {}
         for k in range(j + 1):
-            _add_h_minus_v_product(part, dh[2 * j - k + 1], neg_v_pow, j - k,
-                                   recursion_weight(j, k) * Fraction(-1, 2) ** j)
+            # (H - V)^(j-k) by the binomial; it and the weight scale the small
+            # powers of V, so each large product is formed in one pass
+            weight = recursion_weight(j, k) * Fraction(-1, 2) ** j
+            for i in range(j - k + 1):
+                v_part = neg_v_pow[j - k - i].scale(weight * comb(j - k, i))
+                for (m, jj), c in dh[2 * j - k + 1]._cells.items():
+                    _cell_add(part, m + i, jj, c * v_part)
         for (m, jj), c in part.items():
             _cell_add(total, m, jj, c * odd_deriv)
         if budget is not None and sum(c.term_count() for c in total.values()) > budget:
@@ -226,7 +219,7 @@ def closed_form_f1(potential: RingElem) -> SeriesTerm:
     return SeriesTerm({
         (1, 3): v2.scale(Fraction(-1, 12)),
         (0, 3): (potential * v2).scale(Fraction(1, 12))
-        - (v1 * v1).scale(Fraction(1, 24)),
+                - (v1 * v1).scale(Fraction(1, 24)),
         (0, 2): v2.scale(Fraction(-1, 8)),
     })
 

@@ -175,12 +175,17 @@ def test_unreferenced_names_are_found():
     assert unreferenced(modules, ['TARGET = "a:Kept.method"\n']) == ["a.py:unused"]
 
 
-def test_every_public_name_is_used():
+def _package_and_bench():
+    """({file name: source} of the package's modules, [perfbench sources])."""
     package = ROOT / "src" / "qvlasov"
     modules = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert bench
-    assert unreferenced(modules, bench) == LIBRARY_ONLY
+    return modules, bench
+
+
+def test_every_public_name_is_used():
+    assert unreferenced(*_package_and_bench()) == LIBRARY_ONLY
 
 
 # Defaulted parameters of the ring's constructors that only the tests set.
@@ -270,8 +275,4 @@ def test_unset_defaults_are_found():
 
 
 def test_every_defaulted_parameter_is_set():
-    package = ROOT / "src" / "qvlasov"
-    modules = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
-    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert bench
-    assert unset_defaults(modules, bench) == TEST_ONLY_ARGUMENTS
+    assert unset_defaults(*_package_and_bench()) == TEST_ONLY_ARGUMENTS
