@@ -130,6 +130,8 @@ def _terms_of(value) -> tuple:
 
 def _terms_from_json(data) -> tuple:
     """The term tuple of a [[e, "n/d"], ...] list, each pi power e given once."""
+    if type(data) is not list:
+        raise ValueError(f"malformed series document: {data!r} is not a list")
     terms = {json_int(e): json_ratio(r) for e, r in data}
     if len(terms) != len(data):
         raise ValueError(f"malformed series document: a pi power appears twice "
@@ -659,7 +661,7 @@ class RingElem:
     def from_json(cls, data) -> "RingElem":
         return cls._of(*_monomial_groups(
             (json_int(rec["xpow"]), rec["trig"],
-             _terms_from_json(rec["wavenumber"]) if rec["wavenumber"] else None,
+             None if rec["wavenumber"] is None else _terms_from_json(rec["wavenumber"]),
              _terms_from_json(rec["coefficient"])) for rec in data))
 
     def term_count(self) -> int:

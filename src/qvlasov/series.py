@@ -256,10 +256,10 @@ class WignerSeries:
         """Inverse of to_json_dict.  OrderError when the order exceeds
         MAX_ORDER or a cell's derivative order exceeds 3 * order; ValueError
         on any other malformed document (an integer field that is not a JSON
-        integer, a ratio that is not a string "n" or "n/d", a zero
-        denominator, a pi power given twice, an x_ref other than 0, a cell
-        power out of bounds), or one whose order or convention does not fit
-        its terms."""
+        integer, a ratio that is not a string "n" or "n/d", a sum of pi
+        powers that is not a list or gives a power twice, a zero
+        denominator, an x_ref other than 0, a cell power out of bounds), or
+        one whose order or convention does not fit its terms."""
         try:
             if json_ratio(data["x_ref"]) != 0:
                 raise ValueError(f"malformed series document: x_ref "

@@ -440,13 +440,16 @@ MALFORMED = "malformed series document"
     (FIRST_MONOMIAL + "coefficient", [[0, 0.1]], MALFORMED),
     (FIRST_MONOMIAL + "coefficient", [[0, "1"], [0, "5"]], MALFORMED),
     ("x_ref", 0, MALFORMED),
-    (FIRST_MONOMIAL + "coefficient", [[0, "1e400"]], MALFORMED)])
+    (FIRST_MONOMIAL + "coefficient", [[0, "1e400"]], MALFORMED),
+    (FIRST_MONOMIAL + "wavenumber", 0, MALFORMED),
+    (FIRST_MONOMIAL + "wavenumber", "", MALFORMED)])
 def test_verify_rejects_bad_series_header(tmp_path, capsys, key, value, message):
     # key is a dotted path into the document; list indices are numbers.  An
     # infinity is written as 1e999, which reads back as float infinity; a
     # number where an integer or a ratio string belongs is not truncated or
-    # rounded, a ratio is "n" or "n/d" (an exponent has no size bound), and a
-    # pi power given twice does not let the last one win
+    # rounded, a ratio is "n" or "n/d" (an exponent has no size bound), a
+    # wavenumber is null or a list, and a pi power given twice does not let
+    # the last one win
     out = tmp_path / "expand"
     assert run(["expand", "--potential", "goldstone", "--order", "2",
                 "--out", str(out)]) == 0
