@@ -1,9 +1,12 @@
 """Import hygiene: no imported name goes unused, the public API resolves and
-is used, every defaulted parameter is set by some caller, and every indented
-JSON document goes through one writer."""
+is used, every defaulted parameter is set by some caller, every indented
+JSON document goes through one writer, and no command loads numpy.random."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -276,3 +279,63 @@ def test_unset_defaults_are_found():
 
 def test_every_defaulted_parameter_is_set():
     assert unset_defaults(*_package_and_bench()) == TEST_ONLY_ARGUMENTS
+
+
+def numpy_random_uses(source: str, name: str = "<source>") -> list:
+    """'name:line' for each import of numpy.random in source, in any form,
+    and each read of a random attribute of numpy or np."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        else:
+            continue
+        if hit:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_numpy_random():
+    assert numpy_random_uses(
+        "import numpy.random\nfrom numpy.random import default_rng\n"
+        "from numpy import random, pi\nimport numpy as np\nnp.random.rand\n"
+        "from random import random\nimport random\n") == [
+        "<source>:1", "<source>:2", "<source>:3", "<source>:5"]
+    modules = sorted((ROOT / "src" / "qvlasov").glob("*.py"))
+    assert [line for path in modules for line in numpy_random_uses(
+        path.read_text(), str(path.relative_to(ROOT)))] == []
+
+
+# One small run of each command, numeric and symbolic verify both; none may
+# load numpy.random, which verify's sample points are drawn without.
+GUARD_SCRIPT = """
+import sys
+from qvlasov.cli import main
+assert "numpy.random" not in sys.modules, "import"
+common = ["--potential", "goldstone", "--order", "2", "--qrange=-3,3,21",
+          "--prange=-3,3,21"]
+runs = [["expand", "--potential", "goldstone", "--order", "2"],
+        ["evaluate", *common, "--hbar", "0.3"],
+        ["diagnose", *common, "--hbar-list", "0.1,0.3"],
+        ["verify", "--potential", "modulated:a=1/2", "--order", "1",
+         "--seed", "fd:z=1", "--mode", "numeric", "--samples", "8"],
+        ["verify", "--potential", "goldstone", "--order", "2",
+         "--mode", "symbolic"]]
+for i, argv in enumerate(runs):
+    assert main([*argv, "--out", f"{sys.argv[1]}/{i}"]) == 0, argv
+    assert "numpy.random" not in sys.modules, argv
+"""
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3", "4"]

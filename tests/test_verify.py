@@ -7,9 +7,10 @@ from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import SeedDistribution
 from qvlasov.series import SeriesTerm, WignerSeries, build_series, closed_form_f1
-from qvlasov.verify import (SymbolicResidualError, _sample_points,
-                            residual_numeric, residual_powers,
-                            residual_samples, residual_symbolic)
+from qvlasov.verify import (MAX_SAMPLES, SymbolicResidualError,
+                            _sample_points, _uniform_draws, residual_numeric,
+                            residual_powers, residual_samples,
+                            residual_symbolic)
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
 QUARTIC = parse_potential("q^4/4")
@@ -168,6 +169,35 @@ def test_numeric_census_counts_sampled_cells():
     series = build_series(GOLDSTONE, 1, "paper")
     xs, hs = _sample_points(8)
     assert residual_samples(series, FD, xs, hs, 2)[1] == {2: 4, 4: 3}
+
+
+# 2**70 + 12345 has three 32-bit words of entropy and 2**160 + 3**40 six,
+# more than SeedSequence's pool of four
+SEEDS = [0, 1, 20230817, 2**32 - 1, 2**32, 2**70 + 12345, 2**160 + 3**40]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("samples", [0, 1, 48, MAX_SAMPLES])
+def test_uniform_draws_match_numpy_generator(seed, samples):
+    # the pure-Python stream is numpy's default_rng stream, bit for bit,
+    # across successive draws with different bounds
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
+    bounds = [(-2.0, 2.0), (-1.0, 3.0), (0.0, 1.0)]
+    expected = [rng.uniform(low, high, samples) for low, high in bounds]
+    drawn = _uniform_draws(seed, samples, bounds)
+    assert [d.tobytes() for d in drawn] == [e.tobytes() for e in expected]
+    assert all(d.dtype == np.float64 and d.shape == (samples,) for d in drawn)
+
+
+def test_sample_points_are_numpy_stream():
+    from numpy.random import default_rng
+
+    rng = default_rng(20230817)
+    xs, hs = _sample_points(48)
+    assert xs.tobytes() == rng.uniform(-2.0, 2.0, 48).tobytes()
+    assert hs.tobytes() == rng.uniform(-1.0, 3.0, 48).tobytes()
 
 
 def test_numeric_detects_sign_flip_in_highest_term():
