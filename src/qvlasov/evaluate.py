@@ -22,7 +22,6 @@ from operator import add
 
 import numpy as np
 
-from .seeds import seed_derivatives
 from .series import WignerSeries, write_json
 
 # Most points a grid may hold (2001 x 2001), which bounds a field's arrays.
@@ -124,7 +123,7 @@ def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndar
     goes into every order that uses it; each P^(i) is summed by Horner's rule.
     """
     out = np.zeros((n_orders, r_max + 1) + h.shape)
-    table = seed_derivatives(seed, h, max(by_j, default=0) + r_max)
+    table = seed.derivative_table(h, max(by_j, default=0) + r_max)
     for j in sorted(by_j):
         for l, coeffs in by_j[j]:
             coeffs = [None if c is None else c[rows] for c in coeffs]
@@ -235,8 +234,8 @@ def _weighted_sum(orders, hbar: float):
 
 def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     """Wigner-function values at arrays of phase-space points (elementwise)."""
-    if hbar < 0:
-        raise ValueError("hbar must be nonnegative")
+    if not 0 <= hbar < math.inf:
+        raise ValueError("hbar must be finite and nonnegative")
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     shape = q.shape
     q, p = q.ravel(), p.ravel()
@@ -303,8 +302,8 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     sizes); orders of another grid are a ValueError.  The field holds no
     labels of the run; write_field_sidecar takes them.
     """
-    if hbar < 0:
-        raise ValueError("hbar must be nonnegative")
+    if not 0 <= hbar < math.inf:
+        raise ValueError("hbar must be finite and nonnegative")
     if orders is None:
         orders = order_grids(series, seed, grid)
     elif orders.grid != grid:

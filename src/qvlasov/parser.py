@@ -11,8 +11,8 @@ Numbers are unsigned integers or decimal literals (parsed exactly as
 rationals); fractions are written with "/". Division is only defined by
 nonzero invertible constants, trig arguments must reduce to a constant
 times q, an exponent may not exceed MAX_POWER, no power or product may raise
-the x-degree past it, and no product may form more than MAX_PRODUCT_PAIRS
-monomial pairs.
+the x-degree past it, no product may form more than MAX_PRODUCT_PAIRS
+monomial pairs, and parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .ring import Coefficient, Monomial, RingElem, RingError
 MAX_POWER = 64
 # Most monomial pairs one product (in "*" or "^") may form; 64 by 64 terms.
 MAX_PRODUCT_PAIRS = 4096
+# Deepest nesting of "(", "sin(" and "cos(".  Each level takes four frames
+# of the recursive descent: unbounded, 200 levels parsed and 250 raised a
+# RecursionError under Python's default limit of 1000 frames.
+MAX_NESTING = 64
 
 
 class ParseError(ValueError):
@@ -72,6 +76,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -158,14 +163,20 @@ class _Parser:
             return RingElem.x()
         if kind in ("sin", "cos"):
             self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return _trig_of(kind, arg, at)
+            return _trig_of(kind, self.nested(at), at)
         if kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            return self.nested(at)
         raise ParseError("syntax error: unexpected token", at)
+
+    def nested(self, at: int) -> RingElem:
+        """The expression after an opening parenthesis, and its ")"."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
+        self.depth += 1
+        inner = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
 
 def _product(a: RingElem, b: RingElem, at: int) -> RingElem:

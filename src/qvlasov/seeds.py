@@ -1,8 +1,10 @@
 """Seed (classical-limit) energy distributions and degeneracy calibration.
 
-A seed supplies f0(H) and exact H-derivatives up to MAX_DERIV_ORDER.  All three
-built-in families satisfy a one-step closure g' = G(g) with polynomial G, so
-the j-th derivative is a polynomial P_j(f0) with integer coefficients:
+A seed is any object whose derivative_table(H, j_max) gives
+[f0, f0', ..., f0^(j_max)] at H; the built-in ones are exact up to
+MAX_DERIV_ORDER.  All three built-in families satisfy a one-step closure
+g' = G(g) with polynomial G, so the j-th derivative is a polynomial P_j(f0)
+with integer coefficients:
 
     Maxwell-Boltzmann:  g' = -g
     Fermi-Dirac:        g' = -g(1 - g)
@@ -207,31 +209,16 @@ class SeedDistribution:
         return f"SeedDistribution({self.kind!r}, z={self.z!r})"
 
 
-def seed_derivatives(seed, H, j_max: int) -> list:
-    """[f0, ..., f0^(j_max)] at H: the seed's derivative_table if it has one,
-    else one f0_deriv call per order (custom seeds)."""
-    table = getattr(seed, "derivative_table", None)
-    if table is not None:
-        return table(H, j_max)
-    return [seed.f0_deriv(j, H) for j in range(j_max + 1)]
-
-
 class CombinedSeed:
     """Linear combination of seeds; the extension point for custom f0."""
 
     def __init__(self, components):
         self.components = [(float(w), seed) for w, seed in components]
 
-    def f0(self, H):
-        return sum(w * s.f0(H) for w, s in self.components)
-
-    def f0_deriv(self, j: int, H):
-        return sum(w * s.f0_deriv(j, H) for w, s in self.components)
-
     def derivative_table(self, H, j_max: int) -> list:
-        """[f0, ..., f0^(j_max)] at H from one table per component; each entry
-        has the bits of f0_deriv."""
-        tables = [(w, seed_derivatives(s, H, j_max)) for w, s in self.components]
+        """[f0, ..., f0^(j_max)] at H: the weighted sum of one table per
+        component."""
+        tables = [(w, s.derivative_table(H, j_max)) for w, s in self.components]
         return [sum(w * table[j] for w, table in tables) for j in range(j_max + 1)]
 
 

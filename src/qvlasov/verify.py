@@ -101,77 +101,29 @@ def residual_symbolic(series: WignerSeries) -> ResidualReport:
                           passed=observed >= claimed)
 
 
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_state(seed: int) -> tuple[int, int]:
-    """(initial state, stream) of numpy's PCG64 for an integer seed: numpy's
-    SeedSequence(seed) with its pool of four 32-bit words, read out by
-    generate_state(4, uint64) as two 128-bit words."""
-    entropy = [seed & _MASK32]     # little-endian 32-bit words
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    hash_const = 0x43b0d7e5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931e8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, words = 0x8b51f9dd, []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58f38ded & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    # uint32 pairs read little-endian as four uint64, high word first
-    seed_words = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-    return seed_words[0] << 64 | seed_words[1], seed_words[2] << 64 | seed_words[3]
-
-
-def _uniform_draws(seed: int, samples: int, bounds) -> list[np.ndarray]:
-    """For each (low, high) of bounds in turn, samples doubles uniform on
-    [low, high) from one stream: bit for bit what numpy's
-    default_rng(seed).uniform(low, high, samples) calls return, without
-    loading numpy.random.
-
-    PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG seeded the setseq way,
-    each step read out by XSL-RR; a double takes the top 53 bits.
-    """
-    initial, stream = _seed_state(seed)
-    inc = (stream << 1 | 1) & _MASK128
-    state = ((inc + initial) * _PCG_MULTIPLIER + inc) & _MASK128
-    draws = []
-    for low, high in bounds:
-        values = []
-        for _ in range(samples):
-            state = (state * _PCG_MULTIPLIER + inc) & _MASK128
-            word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-            word = (word >> rot | word << (64 - rot)) & _MASK64
-            values.append(low + (high - low) * ((word >> 11) * 2.0**-53))
-        draws.append(np.array(values, dtype=float))
-    return draws
+# State and increment of numpy's PCG64(20230817), seeded through SeedSequence.
+_PCG_STATE = 0xd27be50bc729a1bd94a6062100907bdb
+_PCG_INC = 0xea3d84e0f0afa71be55f648f8808ef03
 
 
 def _sample_points(samples: int):
-    """samples points (x, H), uniform on [-2, 2] x [-1, 3], from a fixed seed."""
-    return tuple(_uniform_draws(20230817, samples, [(-2.0, 2.0), (-1.0, 3.0)]))
+    """samples points (x, H), uniform on [-2, 2) x [-1, 3): bit for bit the
+    x values and then the H values of numpy's default_rng(20230817).uniform,
+    without loading numpy.random.
+
+    PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG, each step read out by
+    XSL-RR; a double takes the top 53 bits.
+    """
+    state, values = _PCG_STATE, []
+    for _ in range(2 * samples):
+        state = (state * _PCG_MULTIPLIER + _PCG_INC) & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        values.append((word >> 11) * 2.0**-53)
+    unit = np.array(values, dtype=float)
+    return -2.0 + 4.0 * unit[:samples], -1.0 + 4.0 * unit[samples:]
 
 
 def residual_samples(series: WignerSeries, seed, xs, hs,
@@ -226,8 +178,8 @@ def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
     counts the exact cells sampled at each power.
     """
     hbars = [float(h) for h in hbar_list]
-    if len(hbars) < 4 or min(hbars) <= 0:
-        raise ValueError("need at least 4 positive hbar values")
+    if len(hbars) < 4 or not all(0 < h < math.inf for h in hbars):
+        raise ValueError("need at least 4 finite positive hbar values")
     if max(hbars) / min(hbars) < 4.0:
         raise ValueError("hbar values should span at least a factor of 4")
     if j_max is None:

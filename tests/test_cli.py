@@ -294,6 +294,25 @@ def test_deeply_nested_series_file_is_computation_error(tmp_path, capsys):
     assert "malformed series document" in capsys.readouterr().err
 
 
+def test_deeply_nested_potential_is_an_error(tmp_path, capsys):
+    # 300 levels once overflowed the parser's recursion with a traceback
+    message = "parentheses nested deeper than 64 (at position 64)"
+    deep = "(" * 300 + "q^2" + ")" * 300
+    assert run(["expand", "--potential", deep, "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: invalid configuration:",
+                                f"  potential: {message}"]
+    assert run(["expand", "--potential", "goldstone", "--order", "1",
+                "--out", str(tmp_path / "g")]) == 0
+    doc = json.loads((tmp_path / "g" / "series.json").read_text())
+    doc["potential"] = "(" * 300 + doc["potential"] + ")" * 300
+    (tmp_path / "deep.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--series", str(tmp_path / "deep.json"),
+                "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_config_errors_are_aggregated(capsys):
     code = run(["evaluate", "--potential", "q^", "--seed", "nope",
                 "--order", "-3"])

@@ -1,6 +1,7 @@
 """Phase-space evaluation: classical limit, symmetry, normalization."""
 
 import dataclasses
+import math
 import warnings
 
 import mpmath
@@ -132,19 +133,20 @@ def test_non_normalizable_field_raises(goldstone_l2):
     # a pure odd-in-H seed surrogate makes the integral vanish: fake it by
     # asking for normalization on a field that integrates to ~zero
     class NullSeed:
-        def f0(self, H):
-            return np.zeros_like(np.asarray(H, dtype=float))
-
-        def f0_deriv(self, j, H):
-            return self.f0(H)
+        def derivative_table(self, H, j_max):
+            return [np.zeros_like(np.asarray(H, dtype=float))] * (j_max + 1)
 
     with pytest.raises(NormalizationError):
         eval_field(goldstone_l2, NullSeed(), 0.3, SMALL_GRID)
 
 
 def test_negative_hbar_rejected(goldstone_l2):
-    with pytest.raises(ValueError):
-        eval_point(goldstone_l2, FD, -0.1, 0.0, 0.0)
+    for hbar in (-0.1, math.nan, math.inf, np.float64(math.nan)):
+        for call in (lambda: eval_point(goldstone_l2, FD, hbar, 0.1, 0.2),
+                     lambda: eval_points(goldstone_l2, FD, hbar, [0.1], [0.2]),
+                     lambda: eval_field(goldstone_l2, FD, hbar, SMALL_GRID)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                call()
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -345,17 +347,7 @@ def test_grid_fill_takes_every_row_of_odd_potential():
     assert sum(seed.points) == 401 * 287
 
 
-def test_seed_without_derivative_table_gives_same_field(goldstone_l5):
-    # custom seeds need only f0/f0_deriv; the table's entries equal f0_deriv
-    class PlainSeed:
-        def f0(self, H):
-            return FD.f0(H)
-
-        def f0_deriv(self, j, H):
-            return FD.f0_deriv(j, H)
-
-    plain = eval_field(goldstone_l5, PlainSeed(), 0.6, SMALL_GRID)
-    assert np.array_equal(plain.values, eval_field(goldstone_l5, FD, 0.6, SMALL_GRID).values)
+def test_combined_seed_of_one_gives_same_value(goldstone_l5):
     combo = CombinedSeed([(1.0, FD)])
     assert eval_point(goldstone_l5, combo, 0.6, 0.3, -0.4) == \
         eval_point(goldstone_l5, FD, 0.6, 0.3, -0.4)

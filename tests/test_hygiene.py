@@ -1,6 +1,7 @@
 """Import hygiene: no imported name goes unused, the public API resolves and
-is used, every defaulted parameter is set by some caller, every indented
-JSON document goes through one writer, and no command loads numpy.random."""
+is used, every defaulted parameter is set by some caller, no positional
+parameter is always passed the same literal, every indented JSON document
+goes through one writer, and no command loads numpy.random."""
 
 import ast
 import os
@@ -207,14 +208,20 @@ def _call_name(call: ast.Call):
     return None
 
 
+def _positional(func: ast.FunctionDef, method: bool) -> list:
+    """The positional parameters of func, without self or cls."""
+    positional = func.args.posonlyargs + func.args.args
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in func.decorator_list):
+        positional = positional[1:]
+    return positional
+
+
 def _defaulted(func: ast.FunctionDef, method: bool) -> list:
     """(name, position) of each defaulted parameter of func, the position
     counted without self or cls, None for a keyword-only one."""
     args = func.args
-    positional = args.posonlyargs + args.args
-    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                          for d in func.decorator_list):
-        positional = positional[1:]
+    positional = _positional(func, method)
     first = len(positional) - len(args.defaults)
     return [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
         (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
@@ -228,38 +235,47 @@ def _sets(call: ast.Call, name: str, position) -> bool:
             or (position is not None and len(call.args) > position))
 
 
-def unset_defaults(modules: dict, others=()) -> list:
-    """'module:name(parameter)' for each defaulted parameter of a top-level
-    function of modules ({file name: source}), or of a method of a top-level
-    class, that no call sets outside the function's own body: no call in
-    modules, __init__.py included, and none in others.  Calls are matched
-    bare, by the function's name, or by the class's name for __init__."""
+def _calls_and_defs(modules: dict, others) -> tuple:
+    """({bare name: [calls]} over modules ({file name: source}) and others,
+    [(module, qualified name, bare name, def, is method)] for each top-level
+    function and each method of a top-level class outside __init__.py).  A
+    function is called by its name, a method by its name after a dot, and
+    __init__ by its class's name."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     calls: dict = {}
     for tree in [*trees.values(), *map(ast.parse, others)]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_call_name(node), []).append(node)
-    found = []
+    defs = []
     for name, tree in trees.items():
         if name == "__init__.py":
             continue
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defs = [(node.name, node.name, node, False)]
+                defs.append((name, node.name, node.name, node, False))
             elif isinstance(node, ast.ClassDef):
-                defs = [(f"{node.name}.{sub.name}",
-                         node.name if sub.name == "__init__" else sub.name, sub, True)
-                        for sub in node.body if isinstance(sub, ast.FunctionDef)]
-            else:
-                continue
-            for qual, callee, func, method in defs:
-                own = {id(n) for n in ast.walk(func)}
-                found += [f"{name}:{qual}({param})"
-                          for param, position in _defaulted(func, method)
-                          if not any(_sets(call, param, position)
-                                     for call in calls.get(callee, [])
-                                     if id(call) not in own)]
+                defs += [(name, f"{node.name}.{sub.name}",
+                          node.name if sub.name == "__init__" else sub.name, sub, True)
+                         for sub in node.body if isinstance(sub, ast.FunctionDef)]
+    return calls, defs
+
+
+def unset_defaults(modules: dict, others=()) -> list:
+    """'module:name(parameter)' for each defaulted parameter of a top-level
+    function of modules ({file name: source}), or of a method of a top-level
+    class, that no call sets outside the function's own body: no call in
+    modules, __init__.py included, and none in others.  Calls are matched
+    bare, by the function's name, or by the class's name for __init__."""
+    calls, defs = _calls_and_defs(modules, others)
+    found = []
+    for name, qual, callee, func, method in defs:
+        own = {id(n) for n in ast.walk(func)}
+        found += [f"{name}:{qual}({param})"
+                  for param, position in _defaulted(func, method)
+                  if not any(_sets(call, param, position)
+                             for call in calls.get(callee, [])
+                             if id(call) not in own)]
     return found
 
 
@@ -279,6 +295,66 @@ def test_unset_defaults_are_found():
 
 def test_every_defaulted_parameter_is_set():
     assert unset_defaults(*_package_and_bench()) == TEST_ONLY_ARGUMENTS
+
+
+# Positional parameters of the ring's constructors that only the tests vary.
+TEST_ONLY_VARIED = ["ring.py:Coefficient.pi_power(exponent)"]
+
+
+def _passed_literal(call: ast.Call, name: str, position: int):
+    """ast.dump of the literal call passes as the parameter, or None when it
+    passes no literal there, leaves the parameter out or has a splat."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return None
+    value = (call.args[position] if len(call.args) > position
+             else next((k.value for k in call.keywords if k.arg == name), None))
+    if value is None:
+        return None
+    try:
+        ast.literal_eval(value)
+    except (ValueError, TypeError):
+        return None
+    return ast.dump(value)
+
+
+def always_one_literal(modules: dict, others=()) -> list:
+    """'module:name(parameter)' for each positional parameter of a top-level
+    function of modules ({file name: source}), or of a method of a top-level
+    class, that every call passes as the same literal: calls in modules,
+    __init__.py and the function's own body included, and in others.  Calls
+    are matched bare, as in unset_defaults; a call that leaves the parameter
+    out, or passes arguments through a * or ** splat, keeps it unflagged."""
+    calls, defs = _calls_and_defs(modules, others)
+    found = []
+    for name, qual, callee, func, method in defs:
+        for position, arg in enumerate(_positional(func, method)):
+            passed = {_passed_literal(call, arg.arg, position)
+                      for call in calls.get(callee, [])}
+            if len(passed) == 1 and None not in passed:
+                found.append(f"{name}:{qual}({arg.arg})")
+    return found
+
+
+def test_parameters_always_one_literal_are_found():
+    modules = {
+        "a.py": ("def f(x, y, z):\n    return f(x - 1, 2, z) if x else 0\n\n"
+                 "def g(x, y=1):\n    pass\n\n"
+                 "class K:\n    def __init__(self, a):\n        pass\n\n"
+                 "    def m(self, b, c=0):\n        pass\n\n"
+                 "    @staticmethod\n    def s(b):\n        pass\n"),
+        "b.py": ("from a import K, f, g\nf(3, 2, 'z')\ng(-1.5)\ng(x=-1.5, y=2)\n"
+                 "K(None).m((1, 2))\nK.s(1)\nK.s(2)\n"),
+        "__init__.py": "from a import f\nf(1, 2, 'z')\ng(-1.5, 3)\n",
+    }
+    assert always_one_literal(modules) == ["a.py:f(y)", "a.py:g(x)", "a.py:K.__init__(a)",
+                                           "a.py:K.m(b)"]
+    assert always_one_literal(modules, ["f(0, *rest)\n", "K(**kw)\n", "g(1.5)\n"]) == [
+        "a.py:K.m(b)"]
+
+
+def test_no_parameter_is_always_one_literal():
+    assert always_one_literal(*_package_and_bench()) == TEST_ONLY_VARIED
 
 
 def numpy_random_uses(source: str, name: str = "<source>") -> list:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qvlasov.parser import ParseError, parse_potential
+from qvlasov.parser import MAX_NESTING, ParseError, parse_potential
 from qvlasov.ring import Coefficient, Monomial, RingElem
 
 from conftest import random_ring_elem
@@ -98,6 +98,18 @@ def test_powers_at_the_cap_parse():
     assert parse_potential("cos(q)^64").x_degree() == 0
     # its last product forms 128 x 2 pairs, far below MAX_PRODUCT_PAIRS
     assert parse_potential("(sin(q) + cos(2*q))^64").term_count() == 129
+
+
+def test_nesting_is_bounded():
+    assert parse_potential("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == RingElem.x()
+    assert parse_potential("sin(" + "(" * (MAX_NESTING - 1) + "q"
+                           + ")" * MAX_NESTING) == RingElem.trig("sin", 1)
+    # the depth counts open parentheses, not all of them
+    assert parse_potential(" + ".join(["sin((q))"] * 100)) == parse_potential("100*sin(q)")
+    for text in ["(" * 300 + "q" + ")" * 300, "sin(" * 300 + "q" + ")" * 300,
+                 "cos(" + "(" * MAX_NESTING + "q" + ")" * (MAX_NESTING + 1)]:
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
+            parse_potential(text)
 
 
 def test_error_carries_position():

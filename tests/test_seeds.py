@@ -10,7 +10,7 @@ import pytest
 
 from qvlasov.seeds import (MAX_DERIV_ORDER, CombinedSeed, SeedDistribution,
                            SeedDomainError, chi_from_z, parse_seed_spec,
-                           polylog_neg, seed_derivatives, z_from_chi)
+                           polylog_neg, z_from_chi)
 from qvlasov.series import MAX_ORDER
 
 getcontext().prec = 60
@@ -160,37 +160,17 @@ def test_fd_reflection_symmetry():
                               (-1.0) ** (j + 1) * seed.f0_deriv(j, pts)), j
 
 
-def test_seed_derivatives_falls_back_to_f0_deriv():
-    fd = SeedDistribution("fd")
-    asked = []
-
-    class PlainSeed:   # a custom seed: f0 and f0_deriv only
-        def f0(self, H):
-            return 2.0 * fd.f0(H)
-
-        def f0_deriv(self, j, H):
-            asked.append(j)
-            return 2.0 * fd.f0_deriv(j, H)
-
-    plain = PlainSeed()
-    hs = np.linspace(-2.0, 2.0, 9)
-    table = seed_derivatives(plain, hs, 6)
-    assert asked == list(range(7))
-    for j in range(7):
-        assert np.array_equal(table[j], plain.f0_deriv(j, hs))
-    seed = SeedDistribution("fd", z=2.0)
-    assert all(np.array_equal(a, b) for a, b in zip(seed_derivatives(seed, hs, 6),
-                                                    seed.derivative_table(hs, 6)))
-
-
 def test_combined_seed_table_has_f0_deriv_bits():
-    combo = CombinedSeed([(2.0, SeedDistribution("fd")), (0.5, SeedDistribution("mb"))])
+    fd, mb = SeedDistribution("fd"), SeedDistribution("mb")
+    combo = CombinedSeed([(2.0, fd), (0.5, mb)])
     hs = np.linspace(-6.0, 6.0, 49)
-    table = seed_derivatives(combo, hs, 30)
+    table = combo.derivative_table(hs, 30)
     assert len(table) == 31
     for j in range(31):
-        assert np.array_equal(table[j], combo.f0_deriv(j, hs)), j
-    assert combo.derivative_table(0.5, 3)[3] == combo.f0_deriv(3, 0.5)
+        expected = 2.0 * fd.f0_deriv(j, hs) + 0.5 * mb.f0_deriv(j, hs)
+        assert np.array_equal(table[j], expected), j
+    assert combo.derivative_table(0.5, 3)[3] == \
+        2.0 * fd.f0_deriv(3, 0.5) + 0.5 * mb.f0_deriv(3, 0.5)
 
 
 @pytest.mark.parametrize("ts", [np.linspace(-3.9, 3.9, 41),
@@ -250,7 +230,8 @@ def test_combined_seed_is_linear():
     for j in (0, 1, 3):
         for h_val in (-0.5, 0.0, 1.2):
             expected = 2.0 * s1.f0_deriv(j, h_val) - s2.f0_deriv(j, h_val) / 3.0
-            assert combo.f0_deriv(j, h_val) == pytest.approx(expected, rel=1e-14)
+            assert combo.derivative_table(h_val, j)[j] == \
+                pytest.approx(expected, rel=1e-14)
 
 
 # ------------------------------------------------------------------ polylog

@@ -1,5 +1,7 @@
 """Residual oracles: exact order extraction and numeric scaling fits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import SeedDistribution
 from qvlasov.series import SeriesTerm, WignerSeries, build_series, closed_form_f1
-from qvlasov.verify import (MAX_SAMPLES, SymbolicResidualError,
-                            _sample_points, _uniform_draws, residual_numeric,
-                            residual_powers, residual_samples,
-                            residual_symbolic)
+from qvlasov.verify import (_PCG_INC, _PCG_STATE, MAX_SAMPLES,
+                            SymbolicResidualError, _sample_points,
+                            residual_numeric, residual_powers,
+                            residual_samples, residual_symbolic)
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
 QUARTIC = parse_potential("q^4/4")
@@ -126,24 +128,6 @@ def test_float_residual_matches_exact_powers(potential, order, convention):
         assert abs(values - reference).max() <= 1e-12 * scale, s
 
 
-def test_residual_samples_take_custom_seeds():
-    # a seed with only f0/f0_deriv gets the per-order loop, whose values
-    # equal the derivative table's entries
-    class PlainSeed:
-        def f0(self, H):
-            return FD.f0(H)
-
-        def f0_deriv(self, j, H):
-            return FD.f0_deriv(j, H)
-
-    series = build_series(resolve_potential("modulated:a=1/2"), 2, "paper")
-    xs, hs = _sample_points(16)
-    table, census = residual_samples(series, FD, xs, hs, 4)
-    plain, plain_census = residual_samples(series, PlainSeed(), xs, hs, 4)
-    assert census == plain_census
-    assert all(np.array_equal(table[s], plain[s]) for s in table)
-
-
 def test_numeric_residual_reads_one_derivative_table(monkeypatch):
     # every float read-out of the residual shares one seed-derivative table
     calls = {"derivative_table": 0, "f0_deriv": 0}
@@ -171,33 +155,24 @@ def test_numeric_census_counts_sampled_cells():
     assert residual_samples(series, FD, xs, hs, 2)[1] == {2: 4, 4: 3}
 
 
-# 2**70 + 12345 has three 32-bit words of entropy and 2**160 + 3**40 six,
-# more than SeedSequence's pool of four
-SEEDS = [0, 1, 20230817, 2**32 - 1, 2**32, 2**70 + 12345, 2**160 + 3**40]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("samples", [0, 1, 48, MAX_SAMPLES])
-def test_uniform_draws_match_numpy_generator(seed, samples):
+def test_sample_points_match_numpy_stream(samples):
     # the pure-Python stream is numpy's default_rng stream, bit for bit,
-    # across successive draws with different bounds
-    from numpy.random import default_rng
-
-    rng = default_rng(seed)
-    bounds = [(-2.0, 2.0), (-1.0, 3.0), (0.0, 1.0)]
-    expected = [rng.uniform(low, high, samples) for low, high in bounds]
-    drawn = _uniform_draws(seed, samples, bounds)
-    assert [d.tobytes() for d in drawn] == [e.tobytes() for e in expected]
-    assert all(d.dtype == np.float64 and d.shape == (samples,) for d in drawn)
-
-
-def test_sample_points_are_numpy_stream():
+    # across the two draws with different bounds
     from numpy.random import default_rng
 
     rng = default_rng(20230817)
-    xs, hs = _sample_points(48)
-    assert xs.tobytes() == rng.uniform(-2.0, 2.0, 48).tobytes()
-    assert hs.tobytes() == rng.uniform(-1.0, 3.0, 48).tobytes()
+    xs, hs = _sample_points(samples)
+    assert xs.tobytes() == rng.uniform(-2.0, 2.0, samples).tobytes()
+    assert hs.tobytes() == rng.uniform(-1.0, 3.0, samples).tobytes()
+    assert all(v.dtype == np.float64 and v.shape == (samples,) for v in (xs, hs))
+
+
+def test_sample_stream_constants_are_numpy_seeding():
+    from numpy.random import PCG64
+
+    state = PCG64(20230817).state["state"]
+    assert (_PCG_STATE, _PCG_INC) == (state["state"], state["inc"])
 
 
 def test_numeric_detects_sign_flip_in_highest_term():
@@ -238,6 +213,9 @@ def test_numeric_validates_arguments():
         residual_numeric(series, FD, [0.1, 0.2])      # too few
     with pytest.raises(ValueError):
         residual_numeric(series, FD, [0.1, 0.11, 0.12, 0.13])  # narrow span
+    for bad in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite positive"):
+            residual_numeric(series, FD, HBARS + [bad])
     with pytest.raises(ValueError):
         residual_numeric(series, FD, HBARS, j_max=1)  # below order + 1
 
