@@ -168,6 +168,26 @@ def test_sample_points_match_numpy_stream(samples):
     assert all(v.dtype == np.float64 and v.shape == (samples,) for v in (xs, hs))
 
 
+def test_sample_points_are_numpy_stream(monkeypatch):
+    # residual_numeric, at its default sample count, samples the points of
+    # numpy's default_rng(20230817) stream
+    import qvlasov.verify as verify
+    from numpy.random import default_rng
+
+    drawn = []
+
+    def recording(series, seed, xs, hs, j_max):
+        drawn.append((xs, hs))
+        return residual_samples(series, seed, xs, hs, j_max)
+
+    monkeypatch.setattr(verify, "residual_samples", recording)
+    residual_numeric(build_series(GOLDSTONE, 1, "paper"), FD, HBARS)
+    rng = default_rng(20230817)
+    [(xs, hs)] = drawn
+    assert xs.tobytes() == rng.uniform(-2.0, 2.0, 48).tobytes()
+    assert hs.tobytes() == rng.uniform(-1.0, 3.0, 48).tobytes()
+
+
 def test_sample_stream_constants_are_numpy_seeding():
     from numpy.random import PCG64
 
