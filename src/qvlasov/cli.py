@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import diagnostics as diag
-from .evaluate import (DEFAULT_GRID, GridSpec, NormalizationError, eval_field,
+from .evaluate import (DEFAULT_GRID, MAX_GRID_POINTS, GridSpec,
+                       NormalizationError, eval_field, hbar_weights,
                        order_grids, write_field_csv, write_field_sidecar)
 from .parser import ParseError
 from .potentials import resolve_potential
@@ -244,28 +245,32 @@ def cmd_expand(cfg: RunConfig) -> int:
     return 0
 
 
-def _warn_past_smallest_term(sizes, hbar: float) -> None:
-    """One stderr line when, at hbar, the series with per-order sizes
-    (diag.order_sizes) is truncated past its smallest term."""
-    past = diag.past_smallest_term(sizes, hbar)
-    if past:
-        print(f"warning: hbar = {hbar:g}: the order-{len(sizes) - 1} term "
-              f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
-              f"the series is truncated past its smallest term",
-              file=sys.stderr)
+def _fields(series: WignerSeries, cfg: RunConfig, hbars, normalize: bool):
+    """The fields at hbars on cfg.grid, in order, each after one stderr line
+    when the series is truncated past its smallest term there.
 
-
-def _checked_field(series: WignerSeries, cfg: RunConfig, normalize: bool = True):
-    """The field at cfg.hbar on cfg.grid, warning as a sweep does when the
-    series is truncated past its smallest term there."""
-    orders = order_grids(series, cfg.seed, cfg.grid)
-    _warn_past_smallest_term(diag.order_sizes(orders), cfg.hbar)
-    return eval_field(series, cfg.seed, cfg.hbar, cfg.grid, normalize, orders)
+    Every weight is checked before any fill.  A fill holds a grid per hbar,
+    so a long sweep is filled in parts: each holds no more values than the
+    grids of the L + 1 orders, or than the largest grid, whichever is more.
+    """
+    for hbar in hbars:
+        hbar_weights(hbar, range(len(series.terms)))
+    step = max(len(series.terms), MAX_GRID_POINTS // (cfg.grid.n_q * cfg.grid.n_p))
+    for start in range(0, len(hbars), step):
+        orders = order_grids(series, cfg.seed, cfg.grid, hbars[start:start + step])
+        for hbar in orders.hbars:
+            past = diag.past_smallest_term(orders.sizes, hbar)
+            if past:
+                print(f"warning: hbar = {hbar:g}: the order-{series.order} term "
+                      f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
+                      f"the series is truncated past its smallest term",
+                      file=sys.stderr)
+            yield eval_field(series, cfg.seed, hbar, cfg.grid, normalize, orders)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     series = build_series(cfg.potential, cfg.order, cfg.convention)
-    field_ = _checked_field(series, cfg, normalize=not cfg.no_normalize)
+    field_, = _fields(series, cfg, (cfg.hbar,), not cfg.no_normalize)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_field_csv(field_, cfg.out_dir / "field.csv")
     write_field_sidecar(field_, cfg.out_dir / "field.json", cfg.seed_spec, {
@@ -282,14 +287,8 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     series = build_series(cfg.potential, cfg.order, cfg.convention)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.hbar_list:
-        rows = []
-        orders = order_grids(series, cfg.seed, cfg.grid)
-        sizes = diag.order_sizes(orders)
-        for hbar in cfg.hbar_list:
-            field_ = eval_field(series, cfg.seed, hbar, cfg.grid, orders=orders)
-            q_value, bound, verdict = diag.q_functional(field_)
-            rows.append((hbar, q_value, bound, verdict))
-            _warn_past_smallest_term(sizes, hbar)
+        rows = [(field_.hbar, *diag.q_functional(field_))
+                for field_ in _fields(series, cfg, cfg.hbar_list, True)]
         sweep_path = cfg.out_dir / "qsweep.csv"
         with open(sweep_path, "w") as fh:
             fh.write("hbar,Q,two_pi_hbar_Q\n")
@@ -305,7 +304,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
                   f"ok = {verdict}")
         print(f"wrote {sweep_path}")
         return 0
-    field_ = _checked_field(series, cfg)
+    field_, = _fields(series, cfg, (cfg.hbar,), True)
     report = diag.diagnose(field_)
     doc = report.to_json_dict()
     doc["config"] = cfg.provenance()

@@ -61,12 +61,6 @@ def q_functional(field: WignerField):
     return q_value, bound, verdict
 
 
-def order_sizes(orders) -> np.ndarray:
-    """max |F_l| over the grid for each per-order field F_l of
-    evaluate.order_grids; its distinct rows and columns hold every grid value."""
-    return np.array([np.maximum(f.max(), -f.min()) for f in orders.values])
-
-
 def past_smallest_term(sizes, hbar: float):
     """(l, T_L / T_l) when the last term T_L = hbar^(2L) sizes[L] is larger
     than the smallest nonzero term T_l = hbar^(2l) sizes[l], else None.

@@ -3,9 +3,9 @@
 A field is sum_l hbar^(2l) F_l, where the per-order fields F_l do not depend
 on hbar.  Point and grid evaluation form the F_l by one routine and weight
 them by one helper, so grid values are bit-identical to pointwise calls.
-Every grid field is weighted from the grid's per-order fields (order_grids),
-the one grid fill, which holds them at the grid's distinct rows and p^2; the
-weighted field stays at those rows (WignerField).
+Every grid field comes from the one grid fill (order_grids), which weights
+the F_l a block at a time for each hbar and holds the fields at the grid's
+distinct rows and p^2; a field stays at those rows (WignerField).
 Cells are grouped by seed-derivative order; each derivative is formed once
 per block of points (a grid's at its distinct rows and distinct p^2), and each
 order's polynomial in H multiplying it is evaluated by Horner's rule to limit
@@ -170,25 +170,30 @@ def _distinct_bits(*columns):
 
 @dataclass(frozen=True, eq=False)
 class OrderGrids:
-    """Per-order fields F_0..F_L of a grid, held at its distinct rows and
-    columns: F_l at grid point (i, k) is values[l, rows[i], cols[k]]."""
+    """Fields of a grid at each of hbars, held at its distinct rows and
+    columns: the field at hbars[n] at grid point (i, k) is
+    values[n, rows[i], cols[k]].  sizes[l] is max |F_l| on the grid."""
 
     values: np.ndarray
+    sizes: np.ndarray
+    hbars: tuple
     rows: np.ndarray
     cols: np.ndarray
     grid: GridSpec
 
 
-def order_grids(series: WignerSeries, seed, grid: GridSpec) -> OrderGrids:
-    """Per-order fields F_0..F_L on the grid; a field at any hbar is
-    sum_l hbar^(2l) F_l, so one set serves a whole hbar sweep.
+def order_grids(series: WignerSeries, seed, grid: GridSpec, hbars) -> OrderGrids:
+    """The fields sum_l hbar^(2l) F_l on the grid at each of hbars, and
+    max |F_l| per order, from one fill; every weight is formed first.
 
     A grid value is sum c_{l,m,j}(q) H^m f0^(j)(H) with H = p^2/2 + V(q),
     filled elementwise, so rows with the same bits of V(q) and of every cell
     coefficient, and columns with the same bits of p^2, hold the same bits
     of every F_l: they are filled at the first of each such row and column,
-    a block of distinct rows at a time.
+    a block of distinct rows at a time, whose F_l are weighted and dropped.
     """
+    hbars = tuple(hbars)
+    weights = [hbar_weights(hbar, range(len(series.terms))) for hbar in hbars]
     q = grid.q_axis()
     p2 = grid.p_axis() ** 2
     p_first, cols = _distinct_bits(p2)
@@ -200,19 +205,25 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec) -> OrderGrids:
     by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
                 for l, coeffs in cells] for j, cells in by_j.items()}
     h = 0.5 * p2[p_first] + v[q_first, None]
-    values = np.empty((len(series.terms),) + h.shape)
+    values = np.empty((len(hbars),) + h.shape)
+    sizes = np.zeros(len(series.terms))
     step = max(1, BLOCK_POINTS // p_first.size)
     for start in range(0, q_first.size, step):
         block = slice(start, start + step)
-        values[:, block] = _block_orders(len(series.terms), by_j, block, seed,
-                                         h[block])[:, 0]
-    return OrderGrids(values, rows, cols, grid)
+        orders = _block_orders(len(series.terms), by_j, block, seed, h[block])[:, 0]
+        np.maximum(sizes, np.maximum(orders.max(axis=(1, 2)), -orders.min(axis=(1, 2))),
+                   out=sizes)
+        for n, row in enumerate(weights):
+            values[n, block] = _weighted_sum(orders, row)
+    return OrderGrids(values, sizes, hbars, rows, cols, grid)
 
 
 def hbar_weights(hbar: float, orders) -> list:
-    """[hbar^(2l) for l in orders]; HbarOverflowError for the first l whose
-    weight exceeds the float range."""
+    """[hbar^(2l) for l in orders]; ValueError unless hbar is finite and
+    nonnegative, HbarOverflowError for the first l whose weight overflows."""
     hbar = float(hbar)    # a numpy float overflows to inf without raising
+    if not 0 <= hbar < math.inf:
+        raise ValueError("hbar must be finite and nonnegative")
     weights = []
     try:
         for l in orders:
@@ -222,11 +233,11 @@ def hbar_weights(hbar: float, orders) -> list:
     return weights
 
 
-def _weighted_sum(orders, hbar: float):
-    """sum_l hbar^(2l) F_l; zero weights are skipped, so hbar = 0 gives F_0
-    exactly even where a higher order is not finite."""
-    total = orders[0] * 1.0
-    for weight, order in zip(hbar_weights(hbar, range(1, len(orders))), orders[1:]):
+def _weighted_sum(orders, weights):
+    """sum_l weights[l] * orders[l]; later zero weights are skipped, so
+    hbar = 0 gives F_0 exactly even where a higher order is not finite."""
+    total = orders[0] * weights[0]
+    for weight, order in zip(weights[1:], orders[1:]):
         if weight != 0.0:
             total += weight * order
     return total
@@ -234,8 +245,7 @@ def _weighted_sum(orders, hbar: float):
 
 def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     """Wigner-function values at arrays of phase-space points (elementwise)."""
-    if not 0 <= hbar < math.inf:
-        raise ValueError("hbar must be finite and nonnegative")
+    weights = hbar_weights(hbar, range(len(series.terms)))
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     shape = q.shape
     q, p = q.ravel(), p.ravel()
@@ -244,7 +254,7 @@ def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     for start in range(0, q.size, BLOCK_POINTS):
         rows = slice(start, start + BLOCK_POINTS)
         block = term_derivatives(series.terms, seed, q[rows], h[rows])
-        values[rows] = _weighted_sum(block[:, 0], hbar)
+        values[rows] = _weighted_sum(block[:, 0], weights)
     return values.reshape(shape)
 
 
@@ -261,7 +271,7 @@ class WignerField:
     The field is held at its distinct rows: grid row i holds
     row_values[rows[i]], and every held row is some grid row's; a field of
     the full grid has the identity map.  eval_field holds the rows of its
-    order_grids.  Normalization, Q, P_q, the minimum and maximum and
+    order_grids fill.  Normalization, Q, P_q, the minimum and maximum and
     field.csv work on the held rows; ``values`` gathers the full grid once,
     which diagnostics.diagnose reads for P_p and the negativity scan, whose
     bits depend on the order of the grid rows.
@@ -295,22 +305,22 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     NormalizationError when the grid integral is not finite, or, to be
     normalized, not positive.
 
-    The field is the grid's order_grids(series, seed, grid) weighted by
-    hbar^(2l), gathered to every column and held at the distinct rows of
-    the orders, with their row map.  ``orders`` takes them when the caller
-    already has them (an hbar sweep, or a run that also checks their
-    sizes); orders of another grid are a ValueError.  The field holds no
-    labels of the run; write_field_sidecar takes them.
+    The field is the one at hbar of order_grids(series, seed, grid, (hbar,)),
+    gathered to every column and held at the distinct rows of the fill,
+    with their row map.  ``orders`` takes the fill when the caller already
+    has it (an hbar sweep, or a run that also checks the per-order sizes);
+    orders of another grid, or without a field at hbar, are a ValueError.
+    The field holds no labels of the run; write_field_sidecar takes them.
     """
-    if not 0 <= hbar < math.inf:
-        raise ValueError("hbar must be finite and nonnegative")
     if orders is None:
-        orders = order_grids(series, seed, grid)
+        orders = order_grids(series, seed, grid, (hbar,))
     elif orders.grid != grid:
         raise ValueError(f"orders were built on {orders.grid}, not on {grid}")
+    elif hbar not in orders.hbars:
+        raise ValueError(f"orders hold no field at hbar = {hbar!r}")
     # np.take, not a slice: a C-ordered copy, whose p integrals have the
     # bits of the gathered grid's rows
-    values = np.take(_weighted_sum(orders.values, hbar), orders.cols, axis=1)
+    values = np.take(orders.values[orders.hbars.index(hbar)], orders.cols, axis=1)
     norm = grid.integral(values, orders.rows)
     if not np.isfinite(norm) or (normalize and norm <= 0):
         raise NormalizationError(f"field integral {norm!r} is not normalizable")

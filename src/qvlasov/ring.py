@@ -445,6 +445,16 @@ class RingElem:
     def has_trig(self) -> bool:
         return any(t is not None for t, _, _ in self._groups)
 
+    def check_wavenumbers_invertible(self) -> None:
+        """RingError, as integrate raises it, unless every integer
+        combination of the wavenumbers, which is all that products and
+        derivatives form, is invertible: all are terms r*pi^e of one e."""
+        waves = sorted({k for t, k, _ in self._groups if t is not None})
+        for k in waves:
+            _single_term(k)
+        for k in waves[1:]:
+            _single_term(_add_terms(k, waves[0], -1))
+
     def is_constant(self) -> bool:
         return all(t is None and len(c) == 1
                    for (t, _, _), (c, _) in self._groups.items())

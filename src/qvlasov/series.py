@@ -336,6 +336,8 @@ def build_series(potential: RingElem, order: int,
         raise OrderError(f"order {order} exceeds {MAX_ORDER}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    if order >= (2 if convention == "paper" else 1):    # a quadrature will run
+        potential.check_wavenumbers_invertible()
     v_derivs = potential_derivatives(potential, 2 * order + 1)
     terms = [SeriesTerm.unit()]
     chains: dict[int, list[SeriesTerm]] = {}

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .evaluate import hbar_weights, term_derivatives
+from .evaluate import _weighted_sum, hbar_weights, term_derivatives
 from .series import (SeriesTerm, WignerSeries, potential_derivatives,
                      recursion_rhs, recursion_weight)
 
@@ -189,13 +189,11 @@ def residual_numeric(series: WignerSeries, seed, hbar_list, samples=48,
     claimed = 2 * series.order + 2
     xs, hs = _sample_points(samples)
     sampled, census = residual_samples(series, seed, xs, hs, j_max)
-    maxima = []
     powers = sorted(sampled)
-    for hbar in hbars:
-        total = np.zeros_like(xs)
-        for weight, s in zip(hbar_weights(hbar, powers), powers):
-            total = total + weight * sampled[s]
-        maxima.append(float(np.abs(total).max()))
+    # from a zero row, so that a residual with no sampled power is zero
+    rows = [np.zeros_like(xs)] + [sampled[s] for s in powers]
+    maxima = [float(np.abs(_weighted_sum(rows, [1.0] + hbar_weights(hbar, powers))).max())
+              for hbar in hbars]
     # residuals at the roundoff floor cannot contradict the claimed order;
     # the fit is ill-conditioned there, so it is reported but not fatal
     floor = any(m < 1e-14 * max(maxima + [1e-300]) or m == 0.0 for m in maxima)

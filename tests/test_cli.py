@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+from qvlasov import cli, evaluate
 from qvlasov.cli import main
 
 
@@ -146,6 +148,72 @@ def test_hbar_beyond_float_range_is_computation_error(tmp_path, capsys, hbar_fla
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "hbar = 1e+" in err and "order-" in err
+
+
+def test_sweep_hbar_beyond_float_range_fails_before_any_field(tmp_path, capsys):
+    # every weight is checked before the fill, so the warning that hbar =
+    # 0.1 would print (as in the test below) does not come first, and no
+    # file is written
+    out = tmp_path / "run"
+    code = run(["diagnose", "--potential", "goldstone", "--order", "10",
+                "--seed", "fd:chi=1", "--hbar-list", "0.1,1e40",
+                "--qrange=-4,4,101", "--prange=-2.5,3.7,133", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hbar = 1e+40: the order-4 weight")
+    assert list(out.iterdir()) == []
+
+
+def test_long_sweep_is_filled_in_parts_with_the_same_bytes(tmp_path, monkeypatch):
+    # a fill holds a grid per hbar, so a sweep with more hbars than a part
+    # holds (here L + 1 = 3) takes one fill per part; its files are those of
+    # the one fill that a larger part allows, and an hbar beyond the float
+    # range still fails before any fill
+    flags = ["--potential", "goldstone", "--order", "2", "--qrange=-3,3,41",
+             "--prange=-3,3,41"]
+    hbars = "0.1,0.2,0.3,0.4,0.5,0.6,0.7"
+    fills = []
+
+    def order_grids(*args):
+        fills.append(args[3])
+        return evaluate.order_grids(*args)
+
+    monkeypatch.setattr(cli, "order_grids", order_grids)
+    assert run(["diagnose", "--hbar-list", hbars, *flags, "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 1)
+    assert run(["diagnose", "--hbar-list", hbars, *flags, "--out", str(tmp_path / "parts")]) == 0
+    assert fills == [(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7),
+                     (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7,)]
+    for name in ("qsweep.csv", "qsweep.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "parts" / name).read_bytes()
+    assert run(["diagnose", "--hbar-list", hbars + ",1e200", *flags,
+                "--out", str(tmp_path / "overflow")]) == 2
+    assert len(fills) == 4
+
+
+@pytest.mark.parametrize("potential, order, convention, code", [
+    ("q^2+cos(pi*q)^16*sin(q)^16", 2, "paper", 2),
+    ("cos(pi*q)^63*sin(q)", 2, "paper", 2),
+    ("cos(pi*q) + sin(q)", 2, "paper", 2),
+    ("cos(pi*q) + sin(q)", 1, "uniform", 2),
+    ("cos(pi*q) + sin(q)", 1, "paper", 0),
+])
+def test_uninvertible_wavenumbers_are_refused_before_the_build(
+        tmp_path, capsys, potential, order, convention, code):
+    # a quadrature needs 1/k for every wavenumber k its source holds, and a
+    # sum such as pi - 1 has none; the first two potentials once ran 133 s
+    # and 17 s before that error.  The paper convention runs no quadrature
+    # at L = 1, so it builds the same potential.
+    start = time.perf_counter()
+    assert run(["expand", "--potential", potential, "--order", str(order),
+                "--convention", convention, "--out", str(tmp_path)]) == code
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith(
+            "error: constant is not invertible in the coefficient ring (multi-term pi sum: ")
+    else:
+        assert err == []
 
 
 @pytest.mark.parametrize("flags", [

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qvlasov.diagnostics import (DegenerateFieldError, diagnose, marginals,
-                                 negativity_report, order_sizes,
-                                 past_smallest_term, q_functional)
-from qvlasov.evaluate import GridSpec, OrderGrids, WignerField, eval_field
+                                 negativity_report, past_smallest_term,
+                                 q_functional)
+from qvlasov.evaluate import GridSpec, WignerField, eval_field
 from qvlasov.parser import parse_potential
 from qvlasov.seeds import SeedDistribution
 from qvlasov.series import build_series
@@ -145,14 +145,6 @@ def test_degenerate_field_rejected():
         marginals(field)
     with pytest.raises(DegenerateFieldError):
         q_functional(field)
-
-
-def test_order_sizes_are_largest_magnitudes():
-    # one distinct row of two distinct columns stands for a 2 x 2 grid
-    stack = np.array([[[1.0, -3.0]], [[0.5, 0.25]], [[0.0, -0.0]]])
-    orders = OrderGrids(stack, np.array([0, 0]), np.array([0, 1]),
-                        GridSpec(-1.0, 1.0, 2, -1.0, 1.0, 2))
-    assert order_sizes(orders).tolist() == [3.0, 0.5, 0.0]
 
 
 def test_past_smallest_term():

@@ -17,7 +17,7 @@ from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 from qvlasov.seeds import CombinedSeed, SeedDistribution
-from qvlasov.series import WignerSeries, build_series
+from qvlasov.series import SeriesTerm, WignerSeries, build_series
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
 CUBIC = parse_potential("q^2/2 + q^3/10")   # no two q rows share V(q)
@@ -176,27 +176,39 @@ def test_field_csv_format(goldstone_l2, tmp_path):
     assert float(f0) == field.values[0, 0]
 
 
-def _full_stack(orders):
-    # every grid point's F_l, gathered from the distinct rows and columns
-    return orders.values[:, orders.rows][:, :, orders.cols]
+def _gathered(orders, n):
+    # every grid point's value of the field at orders.hbars[n], gathered
+    # from the distinct rows and columns
+    return orders.values[n][orders.rows][:, orders.cols]
 
 
 def test_sweep_from_order_grids_is_bit_identical(goldstone_l5):
-    orders = order_grids(goldstone_l5, FD, SMALL_GRID)
-    assert _full_stack(orders).shape == (6, 61, 61)
-    for hbar in (0.0, 0.1, 0.3, 0.6, 0.9):
+    # one fill holds the field at each hbar, 0 included, with the bits of
+    # eval_points and of the field filled for that hbar alone
+    hbars = (0.0, 0.1, 0.3, 0.6, 0.9)
+    orders = order_grids(goldstone_l5, FD, SMALL_GRID, hbars)
+    assert orders.values.shape == (len(hbars), orders.rows.max() + 1,
+                                   orders.cols.max() + 1)
+    qq, pp = np.meshgrid(SMALL_GRID.q_axis(), SMALL_GRID.p_axis(), indexing="ij")
+    for n, hbar in enumerate(hbars):
+        points = eval_points(goldstone_l5, FD, hbar, qq, pp)
+        assert np.array_equal(_gathered(orders, n), points)
         plain = eval_field(goldstone_l5, FD, hbar, SMALL_GRID)
         shared = eval_field(goldstone_l5, FD, hbar, SMALL_GRID, orders=orders)
         assert np.array_equal(plain.values, shared.values)
+        assert np.array_equal(plain.values, points / plain.norm_constant)
         assert plain.norm_constant == shared.norm_constant
 
 
 def test_orders_of_another_grid_are_refused(goldstone_l2):
     # same shape, other bounds: the gathered field would be silently wrong
-    orders = order_grids(goldstone_l2, FD, SMALL_GRID)
+    orders = order_grids(goldstone_l2, FD, SMALL_GRID, (0.3,))
     other = GridSpec(-4.0, 4.0, 61, -4.0, 4.0, 61)
     with pytest.raises(ValueError, match=r"q_min=-3\.0.*q_min=-4\.0"):
         eval_field(goldstone_l2, FD, 0.3, other, orders=orders)
+    # and orders of this grid hold no field at another hbar
+    with pytest.raises(ValueError, match="no field at hbar = 0.4"):
+        eval_field(goldstone_l2, FD, 0.4, SMALL_GRID, orders=orders)
 
 
 def test_field_is_a_record_of_its_numbers(goldstone_l2):
@@ -234,14 +246,17 @@ def test_grid_fill_at_distinct_p2_matches_points(goldstone_l5, p_min, p_max, n_p
 
 
 def _assert_grid_fill_matches_points(series, grid):
-    # order_grids equals the read-out at the points, and eval_field with and
-    # without them equals eval_points, bit for bit
+    # order_grids' sizes are the largest |F_l| of the read-out at the
+    # points, its fields equal eval_points, and so does eval_field with and
+    # without them, bit for bit
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
     hh = 0.5 * pp ** 2 + series.potential.evaluate(qq)
-    orders = order_grids(series, FD, grid)
-    assert np.array_equal(_full_stack(orders),
-                          term_derivatives(series.terms, FD, qq, hh)[:, 0])
-    points = eval_points(series, FD, 0.6, qq, pp)
+    orders = order_grids(series, FD, grid, (0.0, 0.6))
+    per_order = term_derivatives(series.terms, FD, qq, hh)[:, 0]
+    assert orders.sizes.tolist() == np.abs(per_order).max(axis=(1, 2)).tolist()
+    for n, hbar in enumerate(orders.hbars):
+        points = eval_points(series, FD, hbar, qq, pp)
+        assert np.array_equal(_gathered(orders, n), points)
     assert np.array_equal(eval_field(series, FD, 0.6, grid, normalize=False).values,
                           points)
     assert np.array_equal(eval_field(series, FD, 0.6, grid, normalize=False,
@@ -279,7 +294,7 @@ def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
         "cubic": (cubic_l3, DEFAULT_GRID, (401, 401)),
         "goldstone-asymmetric": (goldstone_l5, GridSpec(-2.5, 3.7, 101, -3.0, 3.3, 87),
                                  (101, 87))}[case]
-    orders = order_grids(series, FD, grid)
+    orders = order_grids(series, FD, grid, (0.0, 0.3, 0.6))
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
 
     def integral(values):
@@ -332,7 +347,7 @@ def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
     # 287 of the default axis' 401 p^2 are distinct (linspace is not
     # bit-antisymmetric), and so are 287 of its rows for an even potential
     seed = CountingSeed()
-    assert order_grids(goldstone_l2, seed, DEFAULT_GRID).values.shape == (3, 287, 287)
+    assert order_grids(goldstone_l2, seed, DEFAULT_GRID, (0.6,)).values.shape == (1, 287, 287)
     assert sum(seed.points) == 287 * 287
     # a single-hbar field without orders takes the same one fill
     seed = CountingSeed()
@@ -341,10 +356,20 @@ def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
 
 
 def test_grid_fill_takes_every_row_of_odd_potential():
+    # over the fill's 15 blocks, sizes take the largest |F_l| of each order
+    # on the full grid, and 0 for an order that vanishes
+    series = WignerSeries(CUBIC, 2, "paper",
+                          build_series(CUBIC, 1, "paper").terms + (SeriesTerm(),))
     seed = CountingSeed()
-    orders = order_grids(build_series(CUBIC, 1, "paper"), seed, DEFAULT_GRID)
+    orders = order_grids(series, seed, DEFAULT_GRID, (0.0, 0.5))
     assert orders.values.shape == (2, 401, 287)
     assert sum(seed.points) == 401 * 287
+    assert 401 * 287 > 14 * BLOCK_POINTS
+    qq, pp = np.meshgrid(DEFAULT_GRID.q_axis(), DEFAULT_GRID.p_axis(), indexing="ij")
+    per_order = term_derivatives(series.terms, SeedDistribution("fd"), qq,
+                                 0.5 * pp ** 2 + CUBIC.evaluate(qq))[:, 0]
+    assert orders.sizes.tolist() == np.abs(per_order).max(axis=(1, 2)).tolist()
+    assert orders.sizes[2] == 0.0
 
 
 def test_combined_seed_of_one_gives_same_value(goldstone_l5):

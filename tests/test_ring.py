@@ -195,6 +195,22 @@ def test_eval_array_matches_scalar(rng):
         assert arr[i] == e.evaluate(x)
 
 
+def test_wavenumbers_invertible_only_at_one_pi_power():
+    # every integer combination of r * pi^e of one e is invertible; a
+    # multi-term wavenumber, or two pi powers, gives one that is not
+    one, half, pi = (Coefficient.pi_power(0, 1), Coefficient.pi_power(0, Fraction(1, 2)),
+                     Coefficient.pi_power(1, 1))
+    RingElem.x(2).check_wavenumbers_invertible()
+    (RingElem.trig("sin", one) + RingElem.trig("cos", half)).check_wavenumbers_invertible()
+    mixed = RingElem.trig("cos", pi) + RingElem.trig("sin", one)
+    with pytest.raises(RingError, match=r"multi-term pi sum: pi - 1\)"):
+        mixed.check_wavenumbers_invertible()
+    with pytest.raises(RingError, match=r"multi-term pi sum: pi [+-] 1\)"):
+        (mixed * mixed).integrate()
+    with pytest.raises(RingError, match=r"multi-term pi sum: pi \+ 1\)"):
+        RingElem.trig("sin", Coefficient({0: 1, 1: 1})).check_wavenumbers_invertible()
+
+
 # ---------------------------------------------------- hypothesis properties
 
 coeff_strategy = st.builds(
