@@ -326,6 +326,22 @@ def test_verify_numeric_modulated(tmp_path):
     assert report["slope"] >= report["claimed_order"] - 0.5
 
 
+RESIDUAL_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "residual_digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(RESIDUAL_GOLDEN))
+def test_numeric_residual_matches_golden_digest(tmp_path, key):
+    # SHA-256 of residual.json, recorded while each exact cell was still
+    # read out to floats on its own; the key is potential, order, seed and
+    # the remaining flags
+    potential, order, seed, *flags = key.split()
+    assert run(["verify", "--potential", potential, "--order", order,
+                "--seed", seed, *flags, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "residual.json").read_bytes()).hexdigest()
+    assert digest == RESIDUAL_GOLDEN[key]
+
+
 def test_verify_tampered_series_fails(tmp_path):
     out = tmp_path / "expand"
     assert run(["expand", "--potential", "goldstone", "--order", "2",
