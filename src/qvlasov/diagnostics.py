@@ -38,11 +38,11 @@ def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
 
     P_q integrates the held rows over p, and its q integral is the field's.
     P_p integrates over q down the full grid, gathered from them, whose row
-    order its bits depend on.
+    order its bits depend on, a block of columns at a time.
     """
     p_q = field.grid.p_integrals(field.row_values)[field.rows]
     total = _positive(float(np.trapezoid(p_q, field.q_axis())))
-    p_p = np.trapezoid(field.values, field.q_axis(), axis=0) / total
+    p_p = field.grid.q_integrals(field.values) / total
     return p_q / total, p_p
 
 

@@ -34,6 +34,11 @@ MAX_GRID_POINTS = 2001 * 2001
 # 1.5 ms against 0.8 ms in blocks on a 2-vCPU VM.
 BLOCK_POINTS = 1 << 13
 
+# Most group values (groups x points) in cell_values' working array: a chunk
+# of elements at a time keeps it at 1 MB, where the 1001-point axis of a
+# goldstone L=20 field would otherwise hold all its cells' groups at once.
+READOUT_VALUES = 1 << 17
+
 
 class NormalizationError(RuntimeError):
     """Grid integral of the field is non-positive or not finite."""
@@ -85,6 +90,20 @@ class GridSpec:
         return np.concatenate([np.trapezoid(values[start:start + step], p, axis=1)
                                for start in range(0, len(values), step)])
 
+    def q_integrals(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoid integral over q of each column of the full grid values,
+        a block of columns at a time.  A block two or more columns wide sums
+        each column in the full grid's order, while a one-column block is
+        summed pairwise, with other bits: a one-column remainder joins the
+        block before it."""
+        q = self.q_axis()
+        step = max(2, BLOCK_POINTS // self.n_q)
+        starts = list(range(0, self.n_p, step))
+        if self.n_p - starts[-1] == 1 and len(starts) > 1:
+            starts.pop()
+        return np.concatenate([np.trapezoid(values[:, a:b], q, axis=0)
+                               for a, b in zip(starts, starts[1:] + [self.n_p])])
+
     def integral(self, values: np.ndarray, rows: np.ndarray) -> float:
         """Double trapezoid integral of a field on this grid whose grid row i
         is values[rows[i]]; a caller holding the full grid passes the
@@ -100,17 +119,88 @@ class GridSpec:
 DEFAULT_GRID = GridSpec(-4.0, 4.0, 401, -4.0, 4.0, 401)
 
 
-def _cells_by_j(terms, q):
-    """{j: [(l, [c_{l,m,j}(q) or None for m = 0..max m])]} over the cells of terms."""
+def cell_values(elems, x) -> np.ndarray:
+    """out[i] = elems[i] at x, of shape (len(elems),) + x.shape, bit for bit
+    each element's own sum: per (trig, k) group of RingElem._float_groups,
+    Horner's rule from 0.0 over its coefficients, times sin(k x) or
+    cos(k x), the groups added from 0.0 in their order.
+
+    Elements go a chunk at a time, at most READOUT_VALUES group values per
+    chunk (one element at least), and each chunk's groups take one Horner
+    pass."""
+    x = np.asarray(x, dtype=float)
+    points = x.ravel()
+    out = np.zeros((len(elems), points.size))
+    groups = [e._float_groups() for e in elems]
+    per_chunk = max(1, READOUT_VALUES // max(points.size, 1))
+    start = 0
+    while start < len(elems):
+        stop, rows = start + 1, len(groups[start])
+        while stop < len(elems) and rows + len(groups[stop]) <= per_chunk:
+            rows += len(groups[stop])
+            stop += 1
+        _read_chunk(groups[start:stop], points, out[start:stop])
+        start = stop
+    return out.reshape((len(elems),) + x.shape)
+
+
+def _read_chunk(groups, x, out) -> None:
+    """out[i] += the value at the points x of the element whose float groups
+    are groups[i], out starting at zero.
+
+    The groups' rows are sorted longest first, their coefficients padded at
+    the top, so the rows under way at each Horner step are a prefix: a row
+    starts at 0.0 and joins at its top coefficient, as val = 0.0;
+    val = val * x + c does.  One sin or cos row serves each distinct
+    (trig, k), and each element's groups are added rank by rank, its first
+    to the zero row."""
+    rows = sorted(((i, rank, t, k, coeffs) for i, elem in enumerate(groups)
+                   for rank, (t, k, coeffs) in enumerate(elem)),
+                  key=lambda row: -len(row[4]))
+    if not rows:
+        return
+    width = len(rows[0][4])
+    coeff = np.array([[0.0] * (width - len(c)) + c for *_, c in rows])
+    val = np.zeros((len(rows), x.size))
+    active = 0
+    for step in range(width):
+        while active < len(rows) and len(rows[active][4]) >= width - step:
+            active += 1
+        v = val[:active]
+        v *= x
+        v += coeff[:active, step, None]
+    waves: dict = {}
+    trig = [(n, waves.setdefault((t, k), len(waves)))
+            for n, (_, _, t, k, _) in enumerate(rows) if t is not None]
+    if trig:
+        table = np.empty((len(waves), x.size))
+        for (t, k), w in waves.items():
+            table[w] = np.sin(k * x) if t == "sin" else np.cos(k * x)
+        trig_rows, trig_waves = zip(*trig)
+        val[list(trig_rows)] *= table[list(trig_waves)]
+    cells = np.array([i for i, *_ in rows])
+    ranks = np.array([rank for _, rank, *_ in rows])
+    for rank in range(ranks.max() + 1):
+        mine = np.flatnonzero(ranks == rank)
+        out[cells[mine]] += val[mine]
+
+
+def _cells_by_j(terms, x, elems):
+    """({j: [(l, [c_{l,m,j}(x) or None for m = 0..max m])]} over the cells of
+    terms, [e(x) for e in elems]), from one cell_values pass; each value is
+    a row of one array."""
+    cells = [term.cells() for term in terms]
+    values = iter(cell_values([*elems, *(c for term in cells for _, c in term)], x))
+    front = [next(values) for _ in elems]
     by_j: dict[int, list] = {}
-    for l, term in enumerate(terms):
+    for l, term in enumerate(cells):
         polys: dict[int, dict] = {}
-        for (m, j), c in term.cells():
-            polys.setdefault(j, {})[m] = c.evaluate(q)
+        for (m, j), _ in term:
+            polys.setdefault(j, {})[m] = next(values)
         for j, by_m in polys.items():
             by_j.setdefault(j, []).append(
                 (l, [by_m.get(m) for m in range(max(by_m) + 1)]))
-    return by_j
+    return by_j, front
 
 
 def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndarray:
@@ -148,7 +238,7 @@ def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndar
 def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
     """out[l, r] = d^r f/dH^r for f = terms[l] and r <= r_max at the points
     (x, h), x broadcastable to h; one seed-derivative table serves them all."""
-    by_j = _cells_by_j(terms, np.asarray(x, dtype=float))
+    by_j, _ = _cells_by_j(terms, x, ())
     return _block_orders(len(terms), by_j, ..., seed, np.asarray(h, dtype=float), r_max)
 
 
@@ -197,14 +287,15 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec, hbars) -> OrderGrids
     q = grid.q_axis()
     p2 = grid.p_axis() ** 2
     p_first, cols = _distinct_bits(p2)
-    v = series.potential.evaluate(q)
-    by_j = _cells_by_j(series.terms, q)
+    by_j, (v,) = _cells_by_j(series.terms, q, [series.potential])
     q_first, rows = _distinct_bits(v, *(c for cells in by_j.values()
                                          for _, coeffs in cells
                                          for c in coeffs if c is not None))
+    # gathered at the distinct rows; the read-out's array goes with the last view
+    v = v[q_first, None]
     by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
                 for l, coeffs in cells] for j, cells in by_j.items()}
-    h = 0.5 * p2[p_first] + v[q_first, None]
+    h = 0.5 * p2[p_first] + v
     values = np.empty((len(hbars),) + h.shape)
     sizes = np.zeros(len(series.terms))
     step = max(1, BLOCK_POINTS // p_first.size)
@@ -249,11 +340,12 @@ def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     shape = q.shape
     q, p = q.ravel(), p.ravel()
-    h = 0.5 * p ** 2 + series.potential.evaluate(q)
     values = np.empty(q.size)
     for start in range(0, q.size, BLOCK_POINTS):
         rows = slice(start, start + BLOCK_POINTS)
-        block = term_derivatives(series.terms, seed, q[rows], h[rows])
+        by_j, (v,) = _cells_by_j(series.terms, q[rows], [series.potential])
+        block = _block_orders(len(series.terms), by_j, ..., seed,
+                              0.5 * p[rows] ** 2 + v)
         values[rows] = _weighted_sum(block[:, 0], weights)
     return values.reshape(shape)
 

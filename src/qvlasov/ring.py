@@ -14,9 +14,11 @@ sum_n c[n]/d * pi^(s + omega*n) * x^n * trig(k*x), where omega is the pi
 power shared by all wavenumbers of the element (0 when it has none, or
 when their powers differ).  With omega equal to the wavenumbers' pi power,
 the x-powers of one antiderivative land in one group, and products of
-groups are plain integer convolutions.  Every read-out (items(), the JSON
-form, the text and the floats of evaluate) comes from one table of monomial
-rows, formed from the groups in one pass (RingElem._monomials).
+groups are plain integer convolutions.  Every exact read-out (items(), the
+JSON form and the text) comes from one table of monomial rows, formed from
+the groups in one pass (RingElem._monomials); the float coefficients of the
+numeric layer come from the groups directly (RingElem._float_groups).  The
+module needs no numpy: evaluate.cell_values reads elements out to floats.
 
 Every constant inside the module, the wavenumber k of a group key included,
 is a canonical term tuple ((e, numerator, denominator), ...) of sum n/d pi^e.
@@ -30,8 +32,6 @@ import re
 from fractions import Fraction
 from itertools import groupby, zip_longest
 from typing import NamedTuple
-
-import numpy as np
 
 
 class RingError(ArithmeticError):
@@ -420,7 +420,7 @@ class RingElem:
         """(trig, k, n, terms) rows, terms the canonical term tuple of the
         coefficient of x^n trig(k x), in listing order: trig rank, k, n.
         The one place that orders, reduces and groups monomials, for every
-        reader; formed per call, since each reader runs about once per
+        exact reader; formed per call, since each reader runs about once per
         element.  Groups come in (trig rank, k, s) order, so each row's pi
         powers e = s + omega * n come in increasing order."""
         w = self._omega
@@ -621,38 +621,48 @@ class RingElem:
 
     def _float_groups(self) -> tuple:
         """(trig, float k, float coefficients from the top x power down) per
-        (trig, k), sorted by trig rank and k; formed once per element."""
+        (trig, k), in (trig rank, k) order; formed once per element, for the
+        read-out kernel (evaluate.cell_values).
+
+        The coefficient of x^n sums v/d * pi^(s + omega*n) over the groups of
+        (trig, k) in increasing s, as _terms_float sums a monomial's terms.
+        Int true division is correctly rounded, so v/d of a group's unreduced
+        pair is the double of the reduced one, and no gcd is taken."""
         if self._floats is None:
-            out = []
-            for (t, k), rows in groupby(self._monomials(), key=lambda row: row[:2]):
-                poly = {n: _terms_float(terms) for _, _, n, terms in rows}
-                coeffs = [poly.get(n, 0.0) for n in range(max(poly), -1, -1)]
+            w, out = self._omega, []
+            for (t, k), groups in groupby(sorted(self._groups.items(), key=_group_order),
+                                          key=lambda item: item[0][:2]):
+                groups = [(s, c, d) for (_, _, s), (c, d) in groups]
+                try:
+                    if len(groups) == 1:    # one term per x power: 0.0 + it
+                        (s, c, d), = groups
+                        coeffs = [v / d * math.pi ** (s + w * n) + 0.0 if v else 0.0
+                                  for n, v in enumerate(c)]
+                    else:
+                        parts = [[] for _ in range(max(len(c) for _, c, _ in groups))]
+                        for s, c, d in groups:
+                            for n, v in enumerate(c):
+                                if v:
+                                    parts[n].append(v / d * math.pi ** (s + w * n))
+                        coeffs = [float(sum(p)) for p in parts]
+                    coeffs.reverse()
+                except OverflowError:
+                    coeffs = [math.inf]
+                if not all(map(math.isfinite, coeffs)):
+                    # the same sums, monomial by monomial: the first beyond
+                    # the float range raises, naming its reduced terms
+                    for *_, terms in self._monomials():
+                        _terms_float(terms)
                 out.append((t, None if k is None else _terms_float(k), coeffs))
             self._floats = tuple(out)
         return self._floats
 
     def evaluate(self, x):
-        """Numeric value at x (scalar or numpy array), pi at double precision.
+        """Numeric value at x (scalar or numpy array), pi at double precision,
+        read out by evaluate.cell_values."""
+        from .evaluate import cell_values
 
-        Terms are grouped by trig factor and each group's polynomial part is
-        evaluated by Horner's rule in a fixed order, so results are
-        deterministic and identical for scalar and array inputs.
-        """
-        total = 0.0
-        for trig, k, coeffs in self._float_groups():
-            val = 0.0
-            for c in coeffs:
-                val = val * x + c
-            if trig == "sin":
-                val = val * np.sin(k * x)
-            elif trig == "cos":
-                val = val * np.cos(k * x)
-            total = total + val
-        if not self._groups:
-            total = np.zeros_like(np.asarray(x, dtype=float))
-            if total.ndim == 0:
-                total = 0.0
-        return total
+        return cell_values([self], x)[0]
 
     def __str__(self):
         return _signed_sum(_monomial_text(*row) for row in self._monomials())

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .evaluate import _weighted_sum, hbar_weights, term_derivatives
+from .evaluate import _weighted_sum, cell_values, hbar_weights, term_derivatives
 from .series import (SeriesTerm, WignerSeries, potential_derivatives,
                      recursion_rhs, recursion_weight)
 
@@ -133,7 +133,8 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
     The transformed equation evaluated pointwise in floats.  The energy
     derivatives d^r f_l/dH^r (r <= 2 j_cap + 1) and d/dx f_s come from one
     evaluate.term_derivatives read-out of the exact terms and their exact
-    x-derivatives; the source of power s is
+    x-derivatives, V and its odd derivatives from one cell_values pass; the
+    source of power s is
     sum_j (-1/2)^j V^(2j+1) sum_k w(j,k) (H-V)^(j-k) d^(2j-k+1)f_{s-j}/dH^(2j-k+1)
     with H - V a float.  The census maps 2s to the number of exact cells
     sampled at that power: those of d/dx f_s and those of each lower order
@@ -143,10 +144,11 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
     hs = np.asarray(hs, dtype=float)
     terms, order = series.terms, series.order
     v_derivs = potential_derivatives(series.potential, 2 * j_cap + 1)
-    factors = {j: (-0.5) ** j * v_derivs[2 * j + 1].evaluate(xs)
-               for j in range(1, j_cap + 1) if not v_derivs[2 * j + 1].is_zero()}
+    odd = [j for j in range(1, j_cap + 1) if not v_derivs[2 * j + 1].is_zero()]
+    *derivs, v = cell_values([*(v_derivs[2 * j + 1] for j in odd), series.potential], xs)
+    factors = {j: (-0.5) ** j * d for j, d in zip(odd, derivs)}
     r_max = 2 * max(factors, default=0) + 1
-    h_minus_v = hs - series.potential.evaluate(xs)
+    h_minus_v = hs - v
     slopes = [t.d_dx() for t in terms]
     values = term_derivatives(list(terms) + slopes, seed, xs, hs, r_max)
     samples, census = {}, {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qvlasov import evaluate
 from qvlasov.diagnostics import (DegenerateFieldError, diagnose, marginals,
                                  negativity_report, past_smallest_term,
                                  q_functional)
@@ -49,6 +50,29 @@ def test_position_marginal_goes_negative_at_large_hbar(series_l5):
     p_q, p_p = marginals(field)
     assert p_q.min() < 0
     assert p_p.min() >= -1e-3 * p_p.max()
+
+
+@pytest.mark.parametrize("n_q, n_p, block_points", [
+    (401, 41, evaluate.BLOCK_POINTS),   # blocks of 20 columns and one over
+    (201, 401, evaluate.BLOCK_POINTS),  # 40 columns, 401 = 10 * 40 + 1
+    (21, 11, 2 * 21),                   # two columns at a time, 11 odd
+    (21, 7, 1),                         # never one column, whatever the budget
+    (41, 3, evaluate.BLOCK_POINTS),     # one block
+])
+def test_momentum_marginal_blocks_keep_full_grid_bits(rng, monkeypatch, n_q, n_p,
+                                                      block_points):
+    # a one-column block would sum its column pairwise, with other bits; the
+    # default 401-point axes leave such a remainder
+    grid = GridSpec(-4.0, 4.0, n_q, -3.0, 3.0, n_p)
+    values = rng.random((n_q, n_p)) - 0.25
+    monkeypatch.setattr(evaluate, "BLOCK_POINTS", block_points)
+    whole = np.trapezoid(values, grid.q_axis(), axis=0)
+    assert grid.q_integrals(values).view(np.uint64).tolist() == \
+        whole.view(np.uint64).tolist()
+    field = WignerField(grid, 0.3, values, np.arange(n_q), 1.0, False)
+    total = float(np.trapezoid(grid.p_integrals(values), grid.q_axis()))
+    assert marginals(field)[1].view(np.uint64).tolist() == \
+        (whole / total).view(np.uint64).tolist()
 
 
 def test_marginals_work_without_normalization(series_l5):

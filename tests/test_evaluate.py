@@ -8,16 +8,19 @@ import mpmath
 import numpy as np
 import pytest
 
+from qvlasov import evaluate
 from qvlasov.diagnostics import diagnose, q_functional
 from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
                               HbarOverflowError, NormalizationError,
-                              WignerField, _distinct_bits, eval_field,
+                              WignerField, _distinct_bits, cell_values, eval_field,
                               eval_point, eval_points, order_grids,
                               term_derivatives, write_field_csv)
 from qvlasov.parser import parse_potential
-from qvlasov.potentials import resolve_potential
+from qvlasov.potentials import PRESETS, resolve_potential
+from qvlasov.ring import RingElem
 from qvlasov.seeds import CombinedSeed, SeedDistribution
 from qvlasov.series import SeriesTerm, WignerSeries, build_series
+from qvlasov.verify import _sample_points
 
 GOLDSTONE = parse_potential("-q^2/2 + q^4/4")
 CUBIC = parse_potential("q^2/2 + q^3/10")   # no two q rows share V(q)
@@ -508,3 +511,71 @@ def test_modulated_potential_field(rng):
         expect = eval_point(series, FD, 0.3, float(q[i]), float(p[k]))
         assert values[i, k] * field.norm_constant == pytest.approx(
             expect, rel=1e-12, abs=1e-300)
+
+
+def _reference_value(elem, x):
+    """elem at x as each element was read out on its own: per (trig, k)
+    group, Horner's rule from 0.0, times sin(k x) or cos(k x), the groups
+    added from 0.0 in order; zeros for the zero element."""
+    total = 0.0
+    for trig, k, coeffs in elem._float_groups():
+        val = 0.0
+        for c in coeffs:
+            val = val * x + c
+        if trig == "sin":
+            val = val * np.sin(k * x)
+        elif trig == "cos":
+            val = val * np.cos(k * x)
+        total = total + val
+    return np.broadcast_to(total, np.shape(x))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def readout_elems():
+    """Every preset's potential and cells at L=4, with their x-derivatives,
+    a potential whose cells hold several pi powers per (trig, k), the zero
+    element and sin(q), which is -0.0 at -0.0 until the sum adds it to 0.0."""
+    presets = [*PRESETS, "modulated", "q^2/2*(1 + pi/3*cos(q)) + sin(q)/5"]
+    elems = [RingElem(), RingElem.trig("sin", 1)]
+    for spec in presets:
+        series = build_series(resolve_potential(spec), 4)
+        elems += [series.potential, *(c for term in series.terms for _, c in term.cells())]
+    return elems + [e.ddx() for e in elems]
+
+
+READOUT_POINTS = {
+    "q-axis": DEFAULT_GRID.q_axis(),
+    "verify-samples": _sample_points(48)[0],
+    "meshgrid": np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-1.0, 2.0, 7))[1],
+    "scalar": np.float64(-0.7),
+    "signed-zeros": np.array([0.0, -0.0, 1.25, -1.25, -0.0]),
+}
+
+
+@pytest.mark.parametrize("points", READOUT_POINTS)
+def test_cell_values_match_per_element_readout(readout_elems, points):
+    x = READOUT_POINTS[points]
+    values = cell_values(readout_elems, x)
+    assert values.shape == (len(readout_elems),) + np.shape(x)
+    for elem, row in zip(readout_elems, values):
+        assert np.array_equal(_bits(row), _bits(_reference_value(elem, x)))
+
+
+def test_cell_values_in_chunks_match_one_pass(readout_elems, monkeypatch):
+    x = READOUT_POINTS["signed-zeros"]
+    whole = cell_values(readout_elems, x)
+    # a few groups per chunk, and elements with more groups than the budget
+    monkeypatch.setattr(evaluate, "READOUT_VALUES", 3 * x.size)
+    assert np.array_equal(_bits(cell_values(readout_elems, x)), _bits(whole))
+    assert np.array_equal(_bits(cell_values(readout_elems[::-1], x)), _bits(whole[::-1]))
+
+
+def test_cell_values_of_zero_element_and_no_elements():
+    x = np.array([-0.0, 2.0])
+    assert np.array_equal(_bits(cell_values([RingElem()], x)), np.zeros((1, 2), np.uint64))
+    assert cell_values([], x).shape == (0, 2)
+    assert RingElem().evaluate(-0.0) == 0.0

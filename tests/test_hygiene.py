@@ -1,7 +1,8 @@
 """Import hygiene: no imported name goes unused, the public API resolves and
 is used, every defaulted parameter is set by some caller, no positional
 parameter is always passed the same literal, every indented JSON document
-goes through one writer, and no command loads numpy.random."""
+goes through one writer, the exact layer loads no numpy and reaches floats
+through one kernel, and no command loads numpy.random."""
 
 import ast
 import os
@@ -355,6 +356,80 @@ def test_parameters_always_one_literal_are_found():
 
 def test_no_parameter_is_always_one_literal():
     assert always_one_literal(*_package_and_bench()) == TEST_ONLY_VARIED
+
+
+# The exact layer: its modules import no numpy when they are loaded, and
+# its elements reach floats only through the numeric layer's one kernel.
+EXACT_LAYER = ("ring.py", "series.py", "parser.py", "potentials.py")
+FLOAT_KERNEL = ["evaluate.py:cell_values"]
+
+
+def _import_time_nodes(node: ast.AST):
+    """The nodes of node that run when its module is loaded: all but the
+    bodies of functions and lambdas."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def module_numpy_imports(source: str, name: str = "<source>") -> list:
+    """'name:line' for each import of numpy, or of a part of it, that runs
+    when source is loaded as a module."""
+    found = []
+    for node in _import_time_nodes(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def callers(modules: dict, attribute: str) -> list:
+    """'module:function' for each top-level function of modules ({file
+    name: source}), or method of a top-level class, that reads attribute,
+    one entry per read."""
+    found = []
+    for name, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                funcs = [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            found += [f"{name}:{qual}" for qual, func in funcs for n in ast.walk(func)
+                      if isinstance(n, ast.Attribute) and n.attr == attribute]
+    return sorted(found)
+
+
+def test_layering_checks_find_their_cases():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nimport numpyro\n"
+              "from . import numpy\ntry:\n    import numpy.fft\nexcept ImportError:\n"
+              "    pass\nclass K:\n    import numpy\n\n    def f(self):\n"
+              "        import numpy\n\ndef g():\n    import numpy\n")
+    assert module_numpy_imports(source) == ["<source>:1", "<source>:2", "<source>:6",
+                                            "<source>:10"]
+    modules = {"a.py": ("def f(e):\n    return e._g() + e._g()\n\n"
+                        "class K:\n    def _g(self):\n        return self._h\n\n"
+                        "    def m(self):\n        return self._g()\n"),
+               "b.py": "def h(e):\n    return e._h\n"}
+    assert callers(modules, "_g") == ["a.py:K.m", "a.py:f", "a.py:f"]
+    assert callers(modules, "_h") == ["a.py:K._g", "b.py:h"]
+
+
+def test_exact_layer_loads_no_numpy_and_reads_floats_in_one_kernel():
+    package = ROOT / "src" / "qvlasov"
+    modules = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert set(modules) >= set(EXACT_LAYER)
+    assert [line for name in EXACT_LAYER
+            for line in module_numpy_imports(modules[name], name)] == []
+    assert callers(modules, "_float_groups") == FLOAT_KERNEL
 
 
 def numpy_random_uses(source: str, name: str = "<source>") -> list:
