@@ -6,11 +6,13 @@ them by one helper, so grid values are bit-identical to pointwise calls.
 Every grid field comes from the one grid fill (order_grids), which weights
 the F_l a block at a time for each hbar and holds the fields at the grid's
 distinct rows and p^2; a field stays at those rows (WignerField).
-Cells are grouped by seed-derivative order; each derivative is formed once
-per block of points (a grid's at its distinct rows and distinct p^2), and each
-order's polynomial in H multiplying it is evaluated by Horner's rule to limit
-cancellation.  The same routine gives the H-derivatives of any series terms
-at points (term_derivatives).
+Exact ring elements become floats in one batched kernel (cell_values), bit
+for bit each element's own Horner sum.  Cells are grouped by seed-derivative
+order; each derivative is formed once per block of points (a grid's at its
+distinct rows and distinct p^2), and each order's polynomial in H
+multiplying it is evaluated by Horner's rule to limit cancellation.  The
+same routine gives the H-derivatives of any series terms at points
+(term_derivatives).
 """
 
 from __future__ import annotations
