@@ -187,13 +187,11 @@ def _read_chunk(groups, x, out) -> None:
         out[cells[mine]] += val[mine]
 
 
-def _cells_by_j(terms, x, elems):
-    """({j: [(l, [c_{l,m,j}(x) or None for m = 0..max m])]} over the cells of
-    terms, [e(x) for e in elems]), from one cell_values pass; each value is
-    a row of one array."""
+def _cells_by_j(terms, x):
+    """{j: [(l, [c_{l,m,j}(x) or None for m = 0..max m])]} over the cells of
+    terms, read out in one cell_values pass; each value is a row of one array."""
     cells = [term.cells() for term in terms]
-    values = iter(cell_values([*elems, *(c for term in cells for _, c in term)], x))
-    front = [next(values) for _ in elems]
+    values = iter(cell_values([c for term in cells for _, c in term], x))
     by_j: dict[int, list] = {}
     for l, term in enumerate(cells):
         polys: dict[int, dict] = {}
@@ -202,7 +200,7 @@ def _cells_by_j(terms, x, elems):
         for j, by_m in polys.items():
             by_j.setdefault(j, []).append(
                 (l, [by_m.get(m) for m in range(max(by_m) + 1)]))
-    return by_j, front
+    return by_j
 
 
 def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndarray:
@@ -240,7 +238,7 @@ def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndar
 def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
     """out[l, r] = d^r f/dH^r for f = terms[l] and r <= r_max at the points
     (x, h), x broadcastable to h; one seed-derivative table serves them all."""
-    by_j, _ = _cells_by_j(terms, x, ())
+    by_j = _cells_by_j(terms, x)
     return _block_orders(len(terms), by_j, ..., seed, np.asarray(h, dtype=float), r_max)
 
 
@@ -289,15 +287,14 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec, hbars) -> OrderGrids
     q = grid.q_axis()
     p2 = grid.p_axis() ** 2
     p_first, cols = _distinct_bits(p2)
-    by_j, (v,) = _cells_by_j(series.terms, q, [series.potential])
+    v = series.potential.evaluate(q)
+    by_j = _cells_by_j(series.terms, q)
     q_first, rows = _distinct_bits(v, *(c for cells in by_j.values()
                                          for _, coeffs in cells
                                          for c in coeffs if c is not None))
-    # gathered at the distinct rows; the read-out's array goes with the last view
-    v = v[q_first, None]
     by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
                 for l, coeffs in cells] for j, cells in by_j.items()}
-    h = 0.5 * p2[p_first] + v
+    h = 0.5 * p2[p_first] + v[q_first, None]
     values = np.empty((len(hbars),) + h.shape)
     sizes = np.zeros(len(series.terms))
     step = max(1, BLOCK_POINTS // p_first.size)
@@ -342,12 +339,11 @@ def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     shape = q.shape
     q, p = q.ravel(), p.ravel()
+    h = 0.5 * p ** 2 + series.potential.evaluate(q)
     values = np.empty(q.size)
     for start in range(0, q.size, BLOCK_POINTS):
         rows = slice(start, start + BLOCK_POINTS)
-        by_j, (v,) = _cells_by_j(series.terms, q[rows], [series.potential])
-        block = _block_orders(len(series.terms), by_j, ..., seed,
-                              0.5 * p[rows] ** 2 + v)
+        block = term_derivatives(series.terms, seed, q[rows], h[rows])
         values[rows] = _weighted_sum(block[:, 0], weights)
     return values.reshape(shape)
 

@@ -624,27 +624,22 @@ class RingElem:
         (trig, k), in (trig rank, k) order; formed once per element, for the
         read-out kernel (evaluate.cell_values).
 
-        The coefficient of x^n sums v/d * pi^(s + omega*n) over the groups of
-        (trig, k) in increasing s, as _terms_float sums a monomial's terms.
-        Int true division is correctly rounded, so v/d of a group's unreduced
-        pair is the double of the reduced one, and no gcd is taken."""
+        The coefficient of x^n sums v/d * pi^(s + omega*n) from 0.0 over the
+        groups of (trig, k) in increasing s, with the bits of _terms_float's
+        sum of the monomial's terms from int 0.  Int true division is
+        correctly rounded, so v/d of a group's unreduced pair is the double
+        of the reduced one, and no gcd is taken."""
         if self._floats is None:
             w, out = self._omega, []
             for (t, k), groups in groupby(sorted(self._groups.items(), key=_group_order),
                                           key=lambda item: item[0][:2]):
                 groups = [(s, c, d) for (_, _, s), (c, d) in groups]
+                coeffs = [0.0] * max(len(c) for _, c, _ in groups)
                 try:
-                    if len(groups) == 1:    # one term per x power: 0.0 + it
-                        (s, c, d), = groups
-                        coeffs = [v / d * math.pi ** (s + w * n) + 0.0 if v else 0.0
-                                  for n, v in enumerate(c)]
-                    else:
-                        parts = [[] for _ in range(max(len(c) for _, c, _ in groups))]
-                        for s, c, d in groups:
-                            for n, v in enumerate(c):
-                                if v:
-                                    parts[n].append(v / d * math.pi ** (s + w * n))
-                        coeffs = [float(sum(p)) for p in parts]
+                    for s, c, d in groups:
+                        for n, v in enumerate(c):
+                            if v:
+                                coeffs[n] += v / d * math.pi ** (s + w * n)
                     coeffs.reverse()
                 except OverflowError:
                     coeffs = [math.inf]

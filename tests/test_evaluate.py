@@ -17,7 +17,7 @@ from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
                               term_derivatives, write_field_csv)
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import PRESETS, resolve_potential
-from qvlasov.ring import RingElem
+from qvlasov.ring import RingElem, _terms_float
 from qvlasov.seeds import CombinedSeed, SeedDistribution
 from qvlasov.series import SeriesTerm, WignerSeries, build_series
 from qvlasov.verify import _sample_points
@@ -545,6 +545,29 @@ def readout_elems():
         series = build_series(resolve_potential(spec), 4)
         elems += [series.potential, *(c for term in series.terms for _, c in term.cells())]
     return elems + [e.ddx() for e in elems]
+
+
+def test_float_groups_match_monomial_floats(readout_elems):
+    """Each float coefficient has the bits of _terms_float over the reduced
+    terms of its _monomials row, 0.0 for a missing x power; (trig, k) with
+    one group and with several pi powers over groups both occur."""
+    group_counts = set()
+    for elem in readout_elems:
+        rows: dict = {}
+        for t, k, n, terms in elem._monomials():
+            rows.setdefault((t, k), {})[n] = _terms_float(terms)
+        waves: dict = {}
+        for t, k, _ in elem._groups:
+            waves[t, k] = waves.get((t, k), 0) + 1
+        group_counts.update(waves.values())
+        floats = elem._float_groups()
+        assert len(floats) == len(rows)
+        for (t, k), (trig, k_float, coeffs) in zip(rows, floats):
+            assert trig == t
+            assert k_float == (None if k is None else _terms_float(k))
+            expect = [rows[t, k].get(n, 0.0) for n in range(len(coeffs))][::-1]
+            assert _bits(coeffs).tolist() == _bits(expect).tolist()
+    assert 1 in group_counts and max(group_counts) > 1
 
 
 READOUT_POINTS = {
