@@ -333,13 +333,21 @@ RESIDUAL_GOLDEN = json.loads(
 @pytest.mark.parametrize("key", sorted(RESIDUAL_GOLDEN))
 def test_numeric_residual_matches_golden_digest(tmp_path, key):
     # SHA-256 of residual.json, recorded while each exact cell was still
-    # read out to floats on its own; the key is potential, order, seed and
-    # the remaining flags
+    # read out to floats on its own (the symbolic key, while the CLI still
+    # declared each setting in several places); the key is potential, order,
+    # seed and the remaining flags
     potential, order, seed, *flags = key.split()
     assert run(["verify", "--potential", potential, "--order", order,
                 "--seed", seed, *flags, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "residual.json").read_bytes()).hexdigest()
     assert digest == RESIDUAL_GOLDEN[key]
+
+
+def test_verify_harmonic_residual_at_roundoff_floor(tmp_path, capsys):
+    # the quadratic potential's corrections vanish, so no slope is fitted
+    assert run(["verify", "--potential", "q^2/2", "--order", "2", "--mode",
+                "numeric", "--seed", "mb", "--out", str(tmp_path)]) == 0
+    assert "residuals at roundoff floor (numerically zero)\n" in capsys.readouterr().out
 
 
 def test_verify_tampered_series_fails(tmp_path):
@@ -448,6 +456,7 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (EVALUATE + ["--bogus"], None, "unrecognized"),
     ([], None, "required"),
     (EVALUATE, {"grid": 5}, "grid"),
+    (EVALUATE, [1, 2], "must hold a JSON object"),
     (EVALUATE, {"no_normalize": "false"}, "--no-normalize"),
     (EVALUATE, {"order": 2.7}, "--order"),
     (EVALUATE, {"order": True}, "--order"),
@@ -482,6 +491,7 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (["diagnose", "--potential", "goldstone"], {"hbar_list": [0.1] * 1001},
      "--hbar-list may hold at most 1000 values"),
 ], ids=["order-not-int", "unknown-flag", "no-command", "grid-not-object",
+        "config-not-object",
         "flag-given-a-string", "order-float", "order-bool", "unknown-key",
         "flag-of-another-command", "negative-hbar-list", "zero-samples",
         "zero-j-max", "negative-j-max", "infinite-hbar", "infinite-hbar-list",
@@ -617,9 +627,33 @@ def test_verify_series_provenance_describes_loaded_series(tmp_path):
     series = json.loads((out / "series.json").read_text())
     assert run(["verify", "--series", str(out / "series.json"),
                 "--out", str(tmp_path / "v")]) == 0
-    config = json.loads((tmp_path / "v" / "residual.json").read_text())["config"]
+    residual = (tmp_path / "v" / "residual.json").read_bytes()
+    config = json.loads(residual)["config"]
     assert (config["potential"], config["order"], config["convention"]) == \
         (series["potential"], 3, "uniform")
+    # SHA-256 of the whole document, recorded while the CLI still declared
+    # each setting in several places
+    assert hashlib.sha256(residual).hexdigest() == \
+        "85e595db19853bcd6ba1ccc12672a42b9c9f8c7169ce5f04f7e8fff3e58b9e52"
+
+
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_text_and_defaults_match_golden(monkeypatch, capsys, command):
+    # each subcommand's --help at 100 columns, and the repr of every value
+    # its namespace holds when no flag is given, recorded while the CLI
+    # still declared each setting in several places
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exit_:
+        cli.make_parser().parse_args([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == HELP_GOLDEN[command]["help"]
+    args = cli.make_parser().parse_args([command])
+    assert {k: repr(v) for k, v in sorted(vars(args).items())} == \
+        HELP_GOLDEN[command]["defaults"]
 
 
 def test_cli_import_loads_no_scipy():

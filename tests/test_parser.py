@@ -72,6 +72,8 @@ def test_division_by_pi_constant():
     ("q +", "syntax error"),
     ("(q", "syntax error"),
     ("q @ 2", "syntax error"),
+    ("q q", "unexpected token"),
+    ("q)", "unexpected token"),
     ("exp(q)", "syntax error"),
     ("q^(1/2)", "syntax error"),
     ("q^65", "exponent 65 exceeds 64"),
