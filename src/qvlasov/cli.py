@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -24,8 +23,7 @@ from .evaluate import (DEFAULT_GRID, MAX_GRID_POINTS, GridSpec,
 from .parser import ParseError
 from .potentials import resolve_potential
 from .ring import RingElem, RingError
-from .seeds import (BracketError, QuadratureError, SeedDomainError,
-                    parse_seed_spec)
+from .seeds import BracketError, QuadratureError, parse_seed_spec
 from .series import (CONVENTIONS, MAX_ORDER, OrderError, TermBudgetError,
                      WignerSeries, build_series, write_json as _write_json)
 from .verify import MAX_SAMPLES, residual_numeric, residual_symbolic
@@ -62,50 +60,55 @@ def _float_list(text: str) -> tuple[float, ...]:
             f"expects comma-separated numbers, got {text!r}") from None
 
 
-# Every command's namespace holds every setting, with its default declared
-# here once; the keys are also the accepted config-file keys.
-_DEFAULTS = {
-    "potential": "", "order": 2, "convention": "paper", "seed": "fd:z=1",
-    "hbar": None, "hbar_list": (),
-    "qrange": (DEFAULT_GRID.q_min, DEFAULT_GRID.q_max, DEFAULT_GRID.n_q),
-    "prange": (DEFAULT_GRID.p_min, DEFAULT_GRID.p_max, DEFAULT_GRID.n_p),
-    "out": Path("out"), "config": None, "no_normalize": False, "series": None,
-    "mode": "auto", "samples": 48, "j_max": None,
+# Each setting once: its default, the one command that takes its flag (None:
+# every command) and the flag's argparse keywords; the flag is the name with
+# dashes.  Every command's namespace holds every setting, and the names are
+# the config-file keys.
+_SETTINGS = {
+    "potential": ("", None, dict(help="expression in q, or preset name")),
+    "order": (2, None, dict(
+        type=int, help="truncation order L (keeps powers through hbar^(2L))")),
+    "convention": ("paper", None, dict(choices=CONVENTIONS)),
+    "seed": ("fd:z=1", None, dict(help="mb | fd:z=<r> | be:z=<r> | fd:chi=<r>")),
+    "hbar": (None, None, dict(type=float)),
+    "hbar_list": ((), None, dict(type=_float_list, help="comma-separated hbar values")),
+    "qrange": ((DEFAULT_GRID.q_min, DEFAULT_GRID.q_max, DEFAULT_GRID.n_q), None,
+               dict(type=_axis, help="a,b,n for the q grid")),
+    "prange": ((DEFAULT_GRID.p_min, DEFAULT_GRID.p_max, DEFAULT_GRID.n_p), None,
+               dict(type=_axis, help="a,b,n for the p grid")),
+    "out": (Path("out"), None, dict(type=Path, help="output directory")),
+    "config": (None, None, dict(help="JSON config file (flags override it)")),
+    "no_normalize": (False, "evaluate", dict(action="store_true")),
+    "series": (None, "verify", dict(type=Path, help="series JSON produced by expand")),
+    "mode": ("auto", "verify", dict(choices=("auto", "symbolic", "numeric"))),
+    "samples": (48, "verify", dict(type=int)),
+    "j_max": (None, "verify", dict(type=int)),
 }
 
+# (setting, test, message): the test of a value that is not None.
+_CHECKS = (
+    ("order", lambda v: 0 <= v <= MAX_ORDER,
+     f"--order must be between 0 and {MAX_ORDER}"),
+    ("hbar", lambda v: math.isfinite(v) and v >= 0,
+     "--hbar must be finite and nonnegative"),
+    ("hbar_list", lambda v: all(math.isfinite(h) and h >= 0 for h in v),
+     "--hbar-list values must be finite and nonnegative"),
+    ("hbar_list", lambda v: len(v) <= MAX_HBARS,
+     f"--hbar-list may hold at most {MAX_HBARS} values"),
+    ("samples", lambda v: 1 <= v <= MAX_SAMPLES,
+     f"--samples must be between 1 and {MAX_SAMPLES}"),
+    ("j_max", lambda v: 1 <= v <= MAX_ORDER + 1,
+     f"--j-max must be between 1 and {MAX_ORDER + 1}"),
+)
 
-@dataclass
-class RunConfig:
-    """Checked settings of one run, with the potential and seed resolved."""
+# The settings a JSON document's config block echoes, before its grid.
+_PROVENANCE = ("command", "potential", "order", "convention", "seed", "hbar",
+               "hbar_list")
 
-    command: str
-    potential_text: str
-    potential: RingElem | None
-    order: int
-    convention: str
-    seed_spec: str
-    seed: object
-    hbar: float | None
-    hbar_list: tuple[float, ...]
-    grid: GridSpec
-    out_dir: Path
-    series_file: Path | None
-    mode: str
-    samples: int
-    j_max: int | None
-    no_normalize: bool
 
-    def provenance(self) -> dict:
-        return {
-            "command": self.command,
-            "potential": self.potential_text,
-            "order": self.order,
-            "convention": self.convention,
-            "seed": self.seed_spec,
-            "hbar": self.hbar,
-            "hbar_list": self.hbar_list,
-            "grid": self.grid.to_json_dict(),
-        }
+def _provenance(cfg: argparse.Namespace) -> dict:
+    return {**{key: getattr(cfg, key) for key in _PROVENANCE},
+            "grid": cfg.grid.to_json_dict()}
 
 
 def _file_flags(path: str) -> list[str]:
@@ -132,7 +135,7 @@ def _file_flags(path: str) -> list[str]:
         flags += [f"--{a}range={g[f'{a}_min']},{g[f'{a}_max']},{g[f'n_{a}']}"
                   for a in "qp"]
     for key, value in data.items():
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
         if value is True:
@@ -144,51 +147,43 @@ def _file_flags(path: str) -> list[str]:
     return flags
 
 
-def build_config(argv: list[str]) -> RunConfig:
-    """Parse the command line and its --config file into a checked RunConfig.
+def build_config(argv: list[str]) -> argparse.Namespace:
+    """Parse the command line and its --config file into checked settings.
 
     The file's settings go before the command line's own flags and are
     parsed with them, so flags win.  Malformed flags stop at the first one;
-    the remaining problems are reported together.
+    the remaining problems are reported together.  The namespace also holds
+    the checked grid, the resolved potential_elem and the parsed seed_dist
+    (None where the command takes no seed).
     """
     parser = make_parser()
     args = parser.parse_args(argv)
     if args.config:
         args = parser.parse_args(argv[:1] + _file_flags(args.config) + argv[1:])
-    errors: list[str] = []
-    if not 0 <= args.order <= MAX_ORDER:
-        errors.append(f"--order must be between 0 and {MAX_ORDER}")
-    if args.hbar is not None and not (math.isfinite(args.hbar) and args.hbar >= 0):
-        errors.append("--hbar must be finite and nonnegative")
-    if not all(math.isfinite(h) and h >= 0 for h in args.hbar_list):
-        errors.append("--hbar-list values must be finite and nonnegative")
-    if len(args.hbar_list) > MAX_HBARS:
-        errors.append(f"--hbar-list may hold at most {MAX_HBARS} values")
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        errors.append(f"--samples must be between 1 and {MAX_SAMPLES}")
-    if args.j_max is not None and not 1 <= args.j_max <= MAX_ORDER + 1:
-        errors.append(f"--j-max must be between 1 and {MAX_ORDER + 1}")
-    grid = None
+    errors = [message for key, test, message in _CHECKS
+              if getattr(args, key) is not None and not test(getattr(args, key))]
+    args.grid = args.potential_elem = args.seed_dist = None
     try:
-        grid = GridSpec(*args.qrange, *args.prange)
+        args.grid = GridSpec(*args.qrange, *args.prange)
     except ValueError as exc:
         errors.append(f"bad grid: {exc}")
     if args.series is None and not args.potential:
         errors.append("--potential is required")
-    potential = seed = None
     if args.potential:
         try:
-            potential = resolve_potential(args.potential)
+            args.potential_elem = resolve_potential(args.potential)
         except ParseError as exc:
             errors.append(f"potential: {exc}")
-    if args.command in ("evaluate", "diagnose") or (
-            args.command == "verify" and args.mode != "symbolic"):
+    # only verify takes --mode, so every other command's mode is auto
+    if args.command != "expand" and args.mode != "symbolic":
         try:
-            seed = parse_seed_spec(args.seed)
+            args.seed_dist = parse_seed_spec(args.seed)
         except (ValueError, BracketError, QuadratureError) as exc:
             errors.append(f"seed: {exc}")
-    if args.command == "verify" and args.series is None and potential is not None:
-        problem = _verify_mode(potential, args.order, args.mode, args.j_max)[1]
+    if (args.command == "verify" and args.series is None
+            and args.potential_elem is not None):
+        problem = _verify_mode(args.potential_elem, args.order, args.mode,
+                               args.j_max)[1]
         if problem:
             errors.append(problem)
     if args.command == "evaluate" and args.hbar is None:
@@ -197,12 +192,7 @@ def build_config(argv: list[str]) -> RunConfig:
         errors.append("diagnose needs --hbar or --hbar-list")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    return RunConfig(
-        command=args.command, potential_text=args.potential, potential=potential,
-        order=args.order, convention=args.convention, seed_spec=args.seed,
-        seed=seed, hbar=args.hbar, hbar_list=args.hbar_list, grid=grid,
-        out_dir=args.out, series_file=args.series, mode=args.mode,
-        samples=args.samples, j_max=args.j_max, no_normalize=args.no_normalize)
+    return args
 
 
 def _verify_mode(potential: RingElem, order: int, mode: str,
@@ -232,20 +222,20 @@ def _series_listing(series: WignerSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    series = build_series(cfg.potential, cfg.order, cfg.convention)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_expand(cfg: argparse.Namespace) -> int:
+    series = build_series(cfg.potential_elem, cfg.order, cfg.convention)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     doc = series.to_json_dict()
-    doc["config"] = cfg.provenance()
-    _write_json(cfg.out_dir / "series.json", doc)
+    doc["config"] = _provenance(cfg)
+    _write_json(cfg.out / "series.json", doc)
     listing = _series_listing(series)
-    (cfg.out_dir / "series.txt").write_text(listing)
+    (cfg.out / "series.txt").write_text(listing)
     sys.stdout.write(listing)
-    print(f"wrote {cfg.out_dir / 'series.json'}")
+    print(f"wrote {cfg.out / 'series.json'}")
     return 0
 
 
-def _fields(series: WignerSeries, cfg: RunConfig, hbars, normalize: bool):
+def _fields(series: WignerSeries, cfg: argparse.Namespace, hbars, normalize: bool):
     """The fields at hbars on cfg.grid, in order, each after one stderr line
     when the series is truncated past its smallest term there.
 
@@ -257,7 +247,7 @@ def _fields(series: WignerSeries, cfg: RunConfig, hbars, normalize: bool):
         hbar_weights(hbar, range(len(series.terms)))
     step = max(len(series.terms), MAX_GRID_POINTS // (cfg.grid.n_q * cfg.grid.n_p))
     for start in range(0, len(hbars), step):
-        orders = order_grids(series, cfg.seed, cfg.grid, hbars[start:start + step])
+        orders = order_grids(series, cfg.seed_dist, cfg.grid, hbars[start:start + step])
         for hbar in orders.hbars:
             past = diag.past_smallest_term(orders.sizes, hbar)
             if past:
@@ -265,39 +255,39 @@ def _fields(series: WignerSeries, cfg: RunConfig, hbars, normalize: bool):
                       f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
                       f"the series is truncated past its smallest term",
                       file=sys.stderr)
-            yield eval_field(series, cfg.seed, hbar, cfg.grid, normalize, orders)
+            yield eval_field(series, cfg.seed_dist, hbar, cfg.grid, normalize, orders)
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    series = build_series(cfg.potential, cfg.order, cfg.convention)
+def cmd_evaluate(cfg: argparse.Namespace) -> int:
+    series = build_series(cfg.potential_elem, cfg.order, cfg.convention)
     field_, = _fields(series, cfg, (cfg.hbar,), not cfg.no_normalize)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_field_csv(field_, cfg.out_dir / "field.csv")
-    write_field_sidecar(field_, cfg.out_dir / "field.json", cfg.seed_spec, {
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    write_field_csv(field_, cfg.out / "field.csv")
+    write_field_sidecar(field_, cfg.out / "field.json", cfg.seed, {
         "order": series.order, "convention": series.convention,
-        "potential": str(series.potential), "config": cfg.provenance()})
+        "potential": str(series.potential), "config": _provenance(cfg)})
     held = field_.row_values
     print(f"min f = {held.min():.6e}  max f = {held.max():.6e}  "
           f"norm constant = {field_.norm_constant:.6e}")
-    print(f"wrote {cfg.out_dir / 'field.csv'}")
+    print(f"wrote {cfg.out / 'field.csv'}")
     return 0
 
 
-def cmd_diagnose(cfg: RunConfig) -> int:
-    series = build_series(cfg.potential, cfg.order, cfg.convention)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_diagnose(cfg: argparse.Namespace) -> int:
+    series = build_series(cfg.potential_elem, cfg.order, cfg.convention)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.hbar_list:
         rows = [(field_.hbar, *diag.q_functional(field_))
                 for field_ in _fields(series, cfg, cfg.hbar_list, True)]
-        sweep_path = cfg.out_dir / "qsweep.csv"
+        sweep_path = cfg.out / "qsweep.csv"
         with open(sweep_path, "w") as fh:
             fh.write("hbar,Q,two_pi_hbar_Q\n")
             for hbar, q_value, bound, _ in rows:
                 fh.write(f"{hbar!r},{q_value!r},{bound!r}\n")
-        _write_json(cfg.out_dir / "qsweep.json", {
+        _write_json(cfg.out / "qsweep.json", {
             "rows": [{"hbar": h, "Q": qv, "two_pi_hbar_Q": b,
                       "uncertainty_ok": v} for h, qv, b, v in rows],
-            "config": cfg.provenance(),
+            "config": _provenance(cfg),
         })
         for hbar, _, bound, verdict in rows:
             print(f"hbar = {hbar:g}: 2*pi*hbar*Q = {bound:.6f}  "
@@ -307,30 +297,30 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     field_, = _fields(series, cfg, (cfg.hbar,), True)
     report = diag.diagnose(field_)
     doc = report.to_json_dict()
-    doc["config"] = cfg.provenance()
-    _write_json(cfg.out_dir / "diagnostics.json", doc)
+    doc["config"] = _provenance(cfg)
+    _write_json(cfg.out / "diagnostics.json", doc)
     diag.write_marginal_csv(report.q, report.p_q, "q,P_q",
-                            cfg.out_dir / "marginal_q.csv")
+                            cfg.out / "marginal_q.csv")
     diag.write_marginal_csv(report.p, report.p_p, "p,P_p",
-                            cfg.out_dir / "marginal_p.csv")
+                            cfg.out / "marginal_p.csv")
     verdict = ("not applicable" if report.uncertainty_ok is None
                else str(report.uncertainty_ok))
     print(f"min f = {report.min_f:.6e} at {report.argmin_f}")
     print(f"min P_q = {report.min_pq:.6e}  min P_p = {report.min_pp:.6e}")
     print(f"2*pi*hbar*Q = {report.bound_2pi_hbar_q:.6f}  within bound: {verdict}")
-    print(f"wrote {cfg.out_dir / 'diagnostics.json'}")
+    print(f"wrote {cfg.out / 'diagnostics.json'}")
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.series_file is None:
-        series = build_series(cfg.potential, cfg.order, cfg.convention)
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.series is None:
+        series = build_series(cfg.potential_elem, cfg.order, cfg.convention)
     else:
         try:
-            series = WignerSeries.from_json(cfg.series_file.read_text())
+            series = WignerSeries.from_json(cfg.series.read_text())
         except OrderError as exc:
             raise ConfigError(f"series: {exc}") from None
-        cfg.potential_text = str(series.potential)
+        cfg.potential = str(series.potential)
         cfg.order, cfg.convention = series.order, series.convention
     mode, problem = _verify_mode(series.potential, series.order, cfg.mode,
                                  cfg.j_max)
@@ -340,13 +330,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         report = residual_symbolic(series)
     else:
         hbars = cfg.hbar_list or [0.05, 0.0707, 0.1, 0.141, 0.2]
-        report = residual_numeric(series, cfg.seed, hbars,
+        report = residual_numeric(series, cfg.seed_dist, hbars,
                                   samples=cfg.samples,
                                   j_max=cfg.j_max)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     doc = report.to_json_dict()
-    doc["config"] = cfg.provenance()
-    _write_json(cfg.out_dir / "residual.json", doc)
+    doc["config"] = _provenance(cfg)
+    _write_json(cfg.out / "residual.json", doc)
     print(f"mode: {report.mode}   claimed order: {report.claimed_order}")
     if report.mode == "symbolic":
         shown = "zero residual" if report.observed_order is None \
@@ -357,15 +347,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         print(f"fitted slope: {report.slope:.3f} +- {report.slope_stderr:.3f}")
     print(f"passed: {report.passed}")
-    print(f"wrote {cfg.out_dir / 'residual.json'}")
+    print(f"wrote {cfg.out / 'residual.json'}")
     return 0 if report.passed else 3
 
 
 _COMMANDS = {
-    "expand": cmd_expand,
-    "evaluate": cmd_evaluate,
-    "diagnose": cmd_diagnose,
-    "verify": cmd_verify,
+    "expand": (cmd_expand, "build the expansion and write it as JSON + listing"),
+    "evaluate": (cmd_evaluate, "evaluate the Wigner function on a grid (CSV)"),
+    "diagnose": (cmd_diagnose, "marginals, spikiness bound and negativity report"),
+    "verify": (cmd_verify, "residual-order check of a built expansion"),
 }
 
 
@@ -375,46 +365,25 @@ def make_parser() -> argparse.ArgumentParser:
         description="Semiclassical expansion of the stationary quantum "
                     "Vlasov equation: build, evaluate, diagnose, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("expand", "build the expansion and write it as JSON + listing"),
-            ("evaluate", "evaluate the Wigner function on a grid (CSV)"),
-            ("diagnose", "marginals, spikiness bound and negativity report"),
-            ("verify", "residual-order check of a built expansion")):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(**_DEFAULTS)
-        cmd.add_argument("--potential", help="expression in q, or preset name")
-        cmd.add_argument("--order", type=int,
-                         help="truncation order L (keeps powers through hbar^(2L))")
-        cmd.add_argument("--convention", choices=CONVENTIONS)
-        cmd.add_argument("--seed", help="mb | fd:z=<r> | be:z=<r> | fd:chi=<r>")
-        cmd.add_argument("--hbar", type=float)
-        cmd.add_argument("--hbar-list", type=_float_list,
-                         help="comma-separated hbar values")
-        cmd.add_argument("--qrange", type=_axis, help="a,b,n for the q grid")
-        cmd.add_argument("--prange", type=_axis, help="a,b,n for the p grid")
-        cmd.add_argument("--out", type=Path, help="output directory")
-        cmd.add_argument("--config", help="JSON config file (flags override it)")
-        if name == "evaluate":
-            cmd.add_argument("--no-normalize", action="store_true")
-        if name == "verify":
-            cmd.add_argument("--series", type=Path,
-                             help="series JSON produced by expand")
-            cmd.add_argument("--mode", choices=("auto", "symbolic", "numeric"))
-            cmd.add_argument("--samples", type=int)
-            cmd.add_argument("--j-max", type=int)
+        cmd.set_defaults(**{key: default for key, (default, _, _) in _SETTINGS.items()})
+        for key, (_, only, flag) in _SETTINGS.items():
+            if only in (None, name):
+                cmd.add_argument("--" + key.replace("_", "-"), **flag)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         cfg = build_config(sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RingError, ParseError, SeedDomainError, QuadratureError,
-            BracketError, NormalizationError, diag.DegenerateFieldError,
-            TermBudgetError, OSError, KeyError, ValueError) as exc:
+    except (RingError, QuadratureError, BracketError, NormalizationError,
+            diag.DegenerateFieldError, TermBudgetError, OSError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
