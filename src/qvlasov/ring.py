@@ -288,7 +288,7 @@ def _collect(acc: dict) -> dict:
     return out
 
 
-def _convolve(a, b) -> list:
+def convolve(a, b) -> list:
     """Coefficients of the product of two integer polynomials."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -547,7 +547,7 @@ class RingElem:
                     _add_terms(k1, k2), _add_terms(k1, k2, -1))
                 for t1, s1, c1, d1 in left:
                     for t2, s2, c2, d2 in groups:
-                        s, c, d = s1 + s2, _convolve(c1, c2), d1 * d2
+                        s, c, d = s1 + s2, convolve(c1, c2), d1 * d2
                         if t1 is None:
                             acc.setdefault((t2, k2, s), []).append((c, d))
                         elif t2 is None:

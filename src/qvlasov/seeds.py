@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .ring import convolve
+
 _KINDS = ("mb", "fd", "be")
 
 # Highest derivative order of the built-in seeds: the Fermi-Dirac and
@@ -48,16 +50,6 @@ class SeedDomainError(ValueError):
 
 def _poly_derivative(coeffs):
     return tuple(coeffs[n] * n for n in range(1, len(coeffs)))
-
-
-def _poly_multiply(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _logistic(x):
@@ -138,7 +130,7 @@ class SeedDistribution:
             raise ValueError("derivative order must be nonnegative")
         while len(self._polys) <= j:
             self._polys.append(
-                _poly_multiply(_poly_derivative(self._polys[-1]), self._polys[1]))
+                tuple(convolve(_poly_derivative(self._polys[-1]), self._polys[1])))
         return self._polys[j]
 
     def _float_poly(self, j: int) -> np.ndarray:

@@ -248,9 +248,6 @@ class WignerSeries:
             "terms": [t.to_json() for t in self.terms],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data) -> "WignerSeries":
         """Inverse of to_json_dict.  OrderError when the order exceeds

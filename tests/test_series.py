@@ -249,7 +249,7 @@ def _set_xpow(value):
 def test_series_document_out_of_bounds_rejected(edit, error, message):
     # goldstone L=2: x-degree at most (2 deg V + 1) * order = 18, j <= 6,
     # H power at most 2
-    doc = json.loads(build_series(GOLDSTONE, 2).to_json())
+    doc = json.loads(json.dumps(build_series(GOLDSTONE, 2).to_json_dict()))
     WignerSeries.from_json_dict(json.loads(json.dumps(doc)))
     edit(doc)
     with pytest.raises(error, match=message):
@@ -291,13 +291,13 @@ def test_representation_linearity_over_seeds(rng):
 def test_series_json_roundtrip_is_exact():
     for text, conv in (("goldstone", "paper"), ("modulated:a=1/2", "uniform")):
         series = build_series(resolve_potential(text), 2, conv)
-        doc = series.to_json()
+        doc = json.dumps(series.to_json_dict())
         back = WignerSeries.from_json(doc)
         assert back.potential == series.potential
         assert back.order == series.order
         assert back.convention == series.convention
         assert all(a == b for a, b in zip(back.terms, series.terms))
-        assert back.to_json() == doc
+        assert json.dumps(back.to_json_dict()) == doc
 
 
 def test_series_cells_text_roundtrip():
@@ -310,8 +310,8 @@ def test_series_cells_text_roundtrip():
 
 
 def test_series_json_is_deterministic():
-    a = build_series(GOLDSTONE, 3, "paper").to_json()
-    b = build_series(GOLDSTONE, 3, "paper").to_json()
+    a = json.dumps(build_series(GOLDSTONE, 3, "paper").to_json_dict())
+    b = json.dumps(build_series(GOLDSTONE, 3, "paper").to_json_dict())
     assert a == b
 
 
@@ -322,11 +322,11 @@ GOLDEN_LISTING = json.loads(
 
 
 def test_series_bytes_match_golden_digests():
-    # SHA-256 of WignerSeries.to_json(), recorded before the exact core was
-    # optimised: goldstone, quartic and harmonic at L <= 5 and modulated:a=1/2
-    # at L <= 3, both conventions; recorded before the integer group layout:
-    # modulated:a=1/2 at L = 4..6 (paper) and 4..5 (uniform), and two
-    # potentials whose pi powers mix inside one (trig, k) group, both
+    # SHA-256 of json.dumps(WignerSeries.to_json_dict()), recorded before the
+    # exact core was optimised: goldstone, quartic and harmonic at L <= 5 and
+    # modulated:a=1/2 at L <= 3, both conventions; recorded before the integer
+    # group layout: modulated:a=1/2 at L = 4..6 (paper) and 4..5 (uniform),
+    # and two potentials whose pi powers mix inside one (trig, k) group, both
     # conventions.  The listing digests were recorded for the same keys before
     # the ring's writers moved onto its monomial table.
     assert len(GOLDEN) == 2 * (3 * 6 + 4) + 5 + 2 * 2
@@ -334,7 +334,8 @@ def test_series_bytes_match_golden_digests():
     for key, digest in GOLDEN.items():
         spec, order, convention = key.rsplit(" ", 2)
         series = build_series(resolve_potential(spec), int(order[2:]), convention)
-        assert hashlib.sha256(series.to_json().encode()).hexdigest() == digest, key
+        text = json.dumps(series.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
         listing = _series_listing(series)
         assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_LISTING[key], key
 
