@@ -1,9 +1,11 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -654,6 +656,19 @@ def test_help_text_and_defaults_match_golden(monkeypatch, capsys, command):
     args = cli.make_parser().parse_args([command])
     assert {k: repr(v) for k, v in sorted(vars(args).items())} == \
         HELP_GOLDEN[command]["defaults"]
+
+
+def test_readme_command_line_names_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    parser = cli.make_parser()
+    commands, = (a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                assert re.search(rf"(?<![\w-]){option}(?![\w-])", section), \
+                    (command, option)
 
 
 def test_cli_import_loads_no_scipy():
