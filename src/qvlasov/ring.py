@@ -248,7 +248,8 @@ class Monomial(NamedTuple):
 #
 # A group is (c, d): a tuple of ints c, c[-1] != 0, over a denominator d > 0
 # with gcd(d, *c) == 1.  Kernels collect "parts" (int sequences over their
-# own denominators) per output key and reduce each key once.
+# own denominators) per output key, or accumulate them over a running
+# denominator (sum_of_products), and reduce each key once.
 
 def _reduce(c: list, d: int):
     """The primitive group of c/d, or None when it is zero.  RingError when
@@ -324,8 +325,9 @@ def _entries_to_groups(entries, omega: int) -> dict:
 
 
 def _regroup(groups: dict, old: int, new: int) -> dict:
-    """The same value's groups under another omega."""
-    if old == new:
+    """The same value's groups under another omega; groups of x^0 alone,
+    such as a constant's, hold under every omega."""
+    if old == new or all(len(c) == 1 for c, _ in groups.values()):
         return groups
     return _entries_to_groups(((t, k, n, s + old * n, v, d)
                                for (t, k, s), (c, d) in groups.items()
@@ -341,18 +343,16 @@ def _canonical_trig(trig, k, sign: int):
     return (trig, k, sign)
 
 
-def _trig_product(t1: str, t2: str, total: tuple, diff: tuple) -> tuple:
-    """trig1(k1 x) * trig2(k2 x) as (trig, k, sign) terms, each times 1/2,
-    from total = k1 + k2 and diff = k1 - k2."""
-    if t1 == "sin" and t2 == "sin":
-        terms = (("cos", diff, 1), ("cos", total, -1))
-    elif t1 == "cos" and t2 == "cos":
-        terms = (("cos", diff, 1), ("cos", total, 1))
-    elif t1 == "sin":
-        terms = (("sin", total, 1), ("sin", diff, 1))
-    else:
-        terms = (("sin", total, 1), ("sin", diff, -1))
-    return tuple(filter(None, (_canonical_trig(*t) for t in terms)))
+def _trig_products(k1: tuple, k2: tuple) -> dict:
+    """{(trig1, trig2): trig1(k1 x) * trig2(k2 x) as (trig, k, sign) terms,
+    each times 1/2}, from k1 + k2 and k1 - k2 formed once."""
+    total, diff = _add_terms(k1, k2), _add_terms(k1, k2, -1)
+    terms = {("sin", "sin"): (("cos", diff, 1), ("cos", total, -1)),
+             ("cos", "cos"): (("cos", diff, 1), ("cos", total, 1)),
+             ("sin", "cos"): (("sin", total, 1), ("sin", diff, 1)),
+             ("cos", "sin"): (("sin", total, 1), ("sin", diff, -1))}
+    return {pair: tuple(filter(None, (_canonical_trig(*t) for t in row)))
+            for pair, row in terms.items()}
 
 
 def _group_order(item) -> tuple:
@@ -361,21 +361,12 @@ def _group_order(item) -> tuple:
     return (_TRIG_RANK[t], () if k is None else k, s)
 
 
-def _by_wavenumber(groups: dict) -> dict:
-    """{k: [(trig, s, ints, denominator)]} of a group dict, k None for the
-    polynomial groups."""
-    out: dict = {}
-    for (t, k, s), (c, d) in groups.items():
-        out.setdefault(k, []).append((t, s, c, d))
-    return out
-
-
 class RingElem:
     """Finite sum of canonical monomials with Q[pi, 1/pi] weights, stored as
     primitive integer groups keyed by (trig, k, s), k a term tuple (see the
     module notes)."""
 
-    __slots__ = ("_groups", "_omega", "_hash", "_count", "_floats")
+    __slots__ = ("_groups", "_omega", "_hash", "_count", "_floats", "_rows")
 
     def __init__(self):
         """The zero element; the classmethods build the others."""
@@ -384,7 +375,7 @@ class RingElem:
     def _set(self, groups: dict, omega: int) -> None:
         self._groups = groups
         self._omega = omega
-        self._hash = self._count = self._floats = None
+        self._hash = self._count = self._floats = self._rows = None
 
     @classmethod
     def _of(cls, groups: dict, omega: int) -> "RingElem":
@@ -420,19 +411,22 @@ class RingElem:
         """(trig, k, n, terms) rows, terms the canonical term tuple of the
         coefficient of x^n trig(k x), in listing order: trig rank, k, n.
         The one place that orders, reduces and groups monomials, for every
-        exact reader; formed per call, since each reader runs about once per
-        element.  Groups come in (trig rank, k, s) order, so each row's pi
-        powers e = s + omega * n come in increasing order."""
-        w = self._omega
-        waves: dict = {}
-        for (t, k, s), (c, d) in sorted(self._groups.items(), key=_group_order):
-            rows = waves.setdefault((t, k), {})
-            for n, v in enumerate(c):
-                if v:
-                    g = math.gcd(v, d)
-                    rows.setdefault(n, []).append((s + w * n, v // g, d // g))
-        return tuple((t, k, n, tuple(rows[n]))
-                     for (t, k), rows in waves.items() for n in sorted(rows))
+        exact reader; formed once per element, since expand reads each cell
+        twice (the JSON form and the listing).  Groups come in (trig rank,
+        k, s) order, so each row's pi powers e = s + omega * n come in
+        increasing order."""
+        if self._rows is None:
+            w = self._omega
+            waves: dict = {}
+            for (t, k, s), (c, d) in sorted(self._groups.items(), key=_group_order):
+                rows = waves.setdefault((t, k), {})
+                for n, v in enumerate(c):
+                    if v:
+                        g = math.gcd(v, d)
+                        rows.setdefault(n, []).append((s + w * n, v // g, d // g))
+            self._rows = tuple((t, k, n, tuple(rows[n]))
+                               for (t, k), rows in waves.items() for n in sorted(rows))
+        return self._rows
 
     def items(self):
         return [(Monomial(n, t, None if k is None else Coefficient._of(k)),
@@ -535,28 +529,7 @@ class RingElem:
         return RingElem._of(_collect(acc), self._omega)
 
     def __mul__(self, other):
-        if not self._groups or not other._groups:
-            return RingElem()
-        ga, gb, w = self._common(other)
-        right = _by_wavenumber(gb).items()
-        acc: dict = {}
-        for k1, left in _by_wavenumber(ga).items():
-            for k2, groups in right:
-                # k1 +- k2 once for the up to four trig pairs of k1 and k2
-                waves = None if k1 is None or k2 is None else (
-                    _add_terms(k1, k2), _add_terms(k1, k2, -1))
-                for t1, s1, c1, d1 in left:
-                    for t2, s2, c2, d2 in groups:
-                        s, c, d = s1 + s2, convolve(c1, c2), d1 * d2
-                        if t1 is None:
-                            acc.setdefault((t2, k2, s), []).append((c, d))
-                        elif t2 is None:
-                            acc.setdefault((t1, k1, s), []).append((c, d))
-                        else:
-                            for t, k, sign in _trig_product(t1, t2, *waves):
-                                acc.setdefault((t, k, s), []).append(
-                                    (c if sign > 0 else [-v for v in c], 2 * d))
-        return RingElem._checked(_collect(acc), w)
+        return sum_of_products([(self, other, 1)])
 
     def ddx(self) -> "RingElem":
         """Exact derivative with respect to x."""
@@ -685,6 +658,88 @@ class RingElem:
             self._count = len({(t, k, n) for (t, k, _), (c, _) in self._groups.items()
                                for n, v in enumerate(c) if v})
         return self._count
+
+
+def sum_of_products(items) -> RingElem:
+    """The sum of factor * a * b over (a, b, factor) items, factor an int or
+    Fraction: the ring's one product loop.
+
+    Each product of two groups is their integer convolution, added straight
+    into one integer accumulator per output (trig, k, s) key (_accumulate).
+    Each key is reduced once, at the end.  Each distinct operand is split by
+    wavenumber once per call, and k1 +- k2 is formed once per wavenumber
+    pair."""
+    items = [(a, b, f) for a, b, f in items if f and a._groups and b._groups]
+    if not items:
+        return RingElem()
+    omegas = {e._omega for a, b, _ in items for e in (a, b)}
+    w = omegas.pop() if len(omegas) == 1 else _group_omega(
+        [key for a, b, _ in items for e in (a, b) for key in e._groups])
+    split: dict = {}    # id of an operand: [(k, [(trig, s, ints, denominator)])] at w
+    trig: dict = {}     # (k1, k2): their trig products
+    acc: dict = {}      # output key: [ints, running denominator]
+
+    def by_wavenumber(e):
+        parts = split.get(id(e))
+        if parts is None:
+            waves: dict = {}
+            for (t, k, s), (c, d) in _regroup(e._groups, e._omega, w).items():
+                waves.setdefault(k, []).append((t, s, c, d))
+            parts = split[id(e)] = list(waves.items())
+        return parts
+
+    for a, b, f in items:
+        p, q = f.numerator, f.denominator
+        right = by_wavenumber(b)
+        for k1, left in by_wavenumber(a):
+            for k2, groups in right:
+                if k1 is None or k2 is None:
+                    products = None
+                else:
+                    products = trig.get((k1, k2))
+                    if products is None:
+                        products = trig[k1, k2] = _trig_products(k1, k2)
+                for t1, s1, c1, d1 in left:
+                    for t2, s2, c2, d2 in groups:
+                        s, d = s1 + s2, d1 * d2 * q
+                        if t1 is None:
+                            _accumulate(acc, (t2, k2, s), c1, c2, p, d)
+                        elif t2 is None:
+                            _accumulate(acc, (t1, k1, s), c1, c2, p, d)
+                        else:
+                            for t, k, sign in products[t1, t2]:
+                                _accumulate(acc, (t, k, s), c1, c2, sign * p, 2 * d)
+    return RingElem._checked({key: group for key, (c, d) in acc.items()
+                              if (group := _reduce(c, d)) is not None}, w)
+
+
+def _accumulate(acc: dict, key, c1, c2, num: int, den: int) -> None:
+    """Add num/den * (c1 convolved with c2) to acc's [ints, D] entry at key.
+
+    D is a running common denominator, rescaled in place only when den does
+    not divide it; D // den joins num in the factor of each row of the
+    convolution, so it costs no extra pass over the integers."""
+    n = len(c1) + len(c2) - 1
+    entry = acc.get(key)
+    if entry is None:
+        total = [0] * n
+        acc[key] = [total, den]
+        f = num
+    else:
+        total, d = entry
+        if d % den:
+            grow = den // math.gcd(d, den)
+            total[:] = [grow * v for v in total]
+            d *= grow
+            entry[1] = d
+        f = num * (d // den)
+        if len(total) < n:
+            total.extend([0] * (n - len(total)))
+    for i, ai in enumerate(c1):
+        if ai:
+            r = ai * f
+            for j, bj in enumerate(c2, i):
+                total[j] += r * bj
 
 
 def _monomial_groups(entries) -> tuple[dict, int]:

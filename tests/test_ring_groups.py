@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from qvlasov.ring import Coefficient, RingElem, RingError
+from qvlasov.ring import Coefficient, RingElem, RingError, sum_of_products
 
-from conftest import WAVENUMBER_FAMILIES, random_coefficient, random_family_elem
+from conftest import (WAVENUMBER_FAMILIES, random_coefficient, random_family_elem,
+                      random_fraction)
 
 ROUNDS = 150
 
@@ -215,6 +216,61 @@ def test_product_matches_oracle(rng):
         check(a * b, o_mul(oracle(a), oracle(b)))
 
 
+def o_sum_of_products(items) -> dict:
+    out: dict = {}
+    for a, b, f in items:
+        out = o_add(out, o_scale(o_mul(oracle(a), oracle(b)), {0: Fraction(f)}))
+    return out
+
+
+def test_sum_of_products_matches_oracle(rng):
+    # each operand from its own family: polynomial-only, pi-wavenumber and
+    # mixed elements meet in one call; factors carry signs and denominators
+    # 1-4, which do not all divide each other
+    for _ in range(ROUNDS // 2):
+        items = []
+        for _ in range(int(rng.integers(1, 5))):
+            a, b = (random_family_elem(rng, max_terms=3) for _ in range(2))
+            f = random_fraction(rng) if rng.integers(0, 2) else int(rng.integers(-3, 4))
+            items.append((a, b, f))
+        check(sum_of_products(items), o_sum_of_products(items))
+
+
+def test_sum_of_products_rescales_its_running_denominator():
+    # 1/3 then 1/2 and 1/5: neither later denominator divides the running one
+    third, half = RingElem.x().scale(Fraction(1, 3)), RingElem.x().scale(Fraction(1, 2))
+    items = [(third, RingElem.x(), 1), (half, RingElem.x(), Fraction(-7, 5)),
+             (RingElem.trig("cos", 2), third, Fraction(3, 4)),
+             (RingElem.trig("cos", 2), half, 2)]
+    total = sum_of_products(items)
+    check(total, o_sum_of_products(items))
+    assert total == (RingElem.x(2).scale(Fraction(1, 3) - Fraction(7, 10))
+                     + RingElem.trig("cos", 2, xpow=1, coeff=Fraction(5, 4)))
+
+
+def test_sum_of_products_cancels_to_a_lower_omega():
+    two_pi = Coefficient.pi_power(1, 2)
+    s, c = RingElem.trig("sin", two_pi), RingElem.trig("cos", two_pi)
+    poly = RingElem.x(2).scale(Fraction(-2, 3)) + RingElem.one()
+    # sin^2 + cos^2 split over items, and over halves of each item
+    for items in ([(s, s, 1), (c, c, 1)],
+                  [(s, s, Fraction(1, 2)), (c, c, Fraction(1, 2)),
+                   (c, c, Fraction(1, 2)), (s, s, Fraction(1, 2))],
+                  [(s, s, -3), (poly, poly, 1), (c, c, -3)]):
+        total = sum_of_products(items)
+        check(total, o_sum_of_products(items))
+        assert not total.has_trig() and total._omega == 0
+    assert sum_of_products([(s, s, 1), (c, c, 1)]) == RingElem.one()
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    s = RingElem.trig("sin", Coefficient.pi_power(1, 2))
+    for items in ([], [(s, RingElem(), 1)], [(s, s, 0)],
+                  [(RingElem(), s, Fraction(1, 2))]):
+        total = sum_of_products(items)
+        assert total.is_zero() and total._omega == 0 and total == RingElem()
+
+
 def test_ddx_matches_oracle(rng):
     for _ in range(ROUNDS):
         a = random_family_elem(rng)
@@ -251,6 +307,7 @@ def test_equal_values_by_different_routes_have_equal_groups(rng):
     for _ in range(ROUNDS // 3):
         a, b, c = (random_family_elem(rng, max_terms=3) for _ in range(3))
         routes = [a * (b + c), a * b + a * c, (c + b) * a,
+                  sum_of_products([(a, b, 1), (c, a, 1)]),
                   from_oracle(o_mul(oracle(a), o_add(oracle(b), oracle(c))))]
         for route in routes[1:]:
             assert route._groups == routes[0]._groups

@@ -11,6 +11,7 @@ import pytest
 from qvlasov.cli import _series_listing
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
+import qvlasov.ring as ring_module
 import qvlasov.series as series_module
 from qvlasov.ring import RingElem
 from qvlasov.series import (JSON_BATCH, MAX_ORDER, OrderError, SeriesTerm,
@@ -209,6 +210,18 @@ def test_term_budget_stops_inside_the_order_source(monkeypatch):
     with pytest.raises(TermBudgetError, match="order-5 source"):
         build_series(v, 5)
     assert len(integrated) == 3     # orders 2-4; order 1 is the closed form
+
+
+def test_build_reduces_each_source_group_once(monkeypatch):
+    # the modulated L=5 build reduces 5,599 groups when each source sums its
+    # products before one reduction per group, and 13,542 when every product
+    # is reduced and then re-combined cell by cell
+    calls = []
+    reduce = ring_module._reduce
+    monkeypatch.setattr(ring_module, "_reduce",
+                        lambda c, d: calls.append(1) or reduce(c, d))
+    build_series(resolve_potential("modulated:a=1/2"), 5)
+    assert len(calls) <= 5700
 
 
 def test_build_series_rejects_bad_arguments():
