@@ -3,9 +3,12 @@
 Configuration comes from flags plus an optional JSON config file whose keys
 are the flag names with underscores; file values pass through the flag
 converters, and flags override the file.  All outputs are plot-ready CSV
-plus JSON sidecars that echo the full configuration, and every command is
-deterministic for a fixed configuration.  Exit codes: 0 success, 1 config
-error, 2 computation error, 3 verification failure.
+plus JSON sidecars, and every command is deterministic for a fixed
+configuration.  A sidecar's config block (_PROVENANCE) echoes the command,
+potential, order, convention, seed, hbar, hbar_list and grid only:
+--no-normalize and verify's --series, --mode, --samples and --j-max are
+not echoed.  Exit codes: 0 success, 1 config error, 2 computation error,
+3 verification failure.
 """
 
 from __future__ import annotations

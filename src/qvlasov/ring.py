@@ -14,11 +14,16 @@ sum_n c[n]/d * pi^(s + omega*n) * x^n * trig(k*x), where omega is the pi
 power shared by all wavenumbers of the element (0 when it has none, or
 when their powers differ).  With omega equal to the wavenumbers' pi power,
 the x-powers of one antiderivative land in one group, and products of
-groups are plain integer convolutions.  Every exact read-out (items(), the
-JSON form and the text) comes from one table of monomial rows, formed from
-the groups in one pass (RingElem._monomials); the float coefficients of the
-numeric layer come from the groups directly (RingElem._float_groups).  The
-module needs no numpy: evaluate.cell_values reads elements out to floats.
+groups are plain integer convolutions.  One integer accumulator (a list
+of ints over a running denominator per output group) serves every sum:
+sum_of_products for products, linear_sum for linear combinations (+, -
+and scale among them), and series cells through series._cell_sum.  Each
+group is reduced once, when its sum is done.  Every exact read-out
+(items(), the JSON form and the text) comes from one table of monomial
+rows, formed from the groups in one pass (RingElem._monomials); the float
+coefficients of the numeric layer come from the groups directly
+(RingElem._float_groups).  The module needs no numpy:
+evaluate.cell_values reads elements out to floats.
 
 Every constant inside the module, the wavenumber k of a group key included,
 is a canonical term tuple ((e, numerator, denominator), ...) of sum n/d pi^e.
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import groupby, zip_longest
+from itertools import groupby
 from typing import NamedTuple
 
 
@@ -247,9 +252,12 @@ class Monomial(NamedTuple):
 # ------------------------------------------------------------ group kernels
 #
 # A group is (c, d): a tuple of ints c, c[-1] != 0, over a denominator d > 0
-# with gcd(d, *c) == 1.  Kernels collect "parts" (int sequences over their
-# own denominators) per output key, or accumulate them over a running
-# denominator (sum_of_products), and reduce each key once.
+# with gcd(d, *c) == 1.  One accumulator serves every sum: a dict from each
+# output key to [ints, running denominator], fed by _accumulate and turned
+# into groups by _reduced, which reduces each key once.  sum_of_products
+# feeds it products, linear_sum (and so +, -, scale) linear combinations,
+# and ddx, integrate and the constructors their parts, each with (1,) as
+# the second operand; series.SeriesTerm sums its cells through linear_sum.
 
 def _reduce(c: list, d: int):
     """The primitive group of c/d, or None when it is zero.  RingError when
@@ -266,27 +274,43 @@ def _reduce(c: list, d: int):
     return tuple(c), d
 
 
-def _combine(parts: list):
-    """The primitive group of a sum of (ints, denominator) parts, or None.
+def _accumulate(acc: dict, key, c1, c2, num: int, den: int) -> None:
+    """Add num/den * (c1 convolved with c2) to acc's [ints, D] entry at key.
 
-    Parts are added one at a time over the running lcm of denominators."""
-    c, d = parts[0]
-    for b, db in parts[1:]:
-        g = math.gcd(d, db)
-        fa, fb = db // g, d // g
-        c = [fa * x + fb * y for x, y in zip_longest(c, b, fillvalue=0)]
-        d *= fa
-    return _reduce(list(c), d)
+    D is a running common denominator, rescaled in place only when den does
+    not divide it; D // den joins num in the factor of each row of the
+    convolution, so it costs no extra pass over the integers.  A row is c1
+    times one entry of c2, and the zeros of c1 are skipped: c2 is (1,) in a
+    linear sum and a power or derivative of V in the recursion source, so
+    rows are few, while a series cell's group often has no low x powers."""
+    n = len(c1) + len(c2) - 1
+    entry = acc.get(key)
+    if entry is None:
+        total = [0] * n
+        acc[key] = [total, den]
+        f = num
+    else:
+        total, d = entry
+        if d % den:
+            grow = den // math.gcd(d, den)
+            total[:] = [grow * v for v in total]
+            d *= grow
+            entry[1] = d
+        f = num * (d // den)
+        if len(total) < n:
+            total.extend([0] * (n - len(total)))
+    for j, bj in enumerate(c2):
+        if bj:
+            r = bj * f
+            for i, ai in enumerate(c1, j):
+                if ai:
+                    total[i] += r * ai
 
 
-def _collect(acc: dict) -> dict:
-    """Groups from {key: parts}, zero sums dropped."""
-    out = {}
-    for key, parts in acc.items():
-        group = _combine(parts)
-        if group is not None:
-            out[key] = group
-    return out
+def _reduced(acc: dict) -> dict:
+    """The groups of an accumulator, each key reduced once, zero sums dropped."""
+    return {key: group for key, (c, d) in acc.items()
+            if (group := _reduce(c, d)) is not None}
 
 
 def convolve(a, b) -> list:
@@ -320,8 +344,8 @@ def _entries_to_groups(entries, omega: int) -> dict:
     each one the term numerator/denominator * pi^e * x^n * trig(k x)."""
     acc: dict = {}
     for t, k, n, e, num, den in entries:
-        acc.setdefault((t, k, e - omega * n), []).append(((0,) * n + (num,), den))
-    return _collect(acc)
+        _accumulate(acc, (t, k, e - omega * n), (0,) * n + (num,), (1,), 1, den)
+    return _reduced(acc)
 
 
 def _regroup(groups: dict, old: int, new: int) -> dict:
@@ -477,56 +501,17 @@ class RingElem:
             self._hash = hash(frozenset(self._groups.items()))
         return self._hash
 
-    def _common(self, other: "RingElem"):
-        """Both operands' groups under one omega, and that omega."""
-        w = self._omega
-        if other._omega == w:
-            return self._groups, other._groups, w
-        w = _group_omega(list(self._groups) + list(other._groups))
-        return (_regroup(self._groups, self._omega, w),
-                _regroup(other._groups, other._omega, w), w)
-
     def __add__(self, other):
-        if not other._groups:
-            return self
-        if not self._groups:
-            return other
-        ga, gb, w = self._common(other)
-        groups = dict(ga)
-        recheck = w != self._omega or w != other._omega
-        for key, group in gb.items():
-            mine = groups.get(key)
-            if mine is None:
-                groups[key] = group
-                continue
-            total = _combine([mine, group])
-            if total is None:
-                del groups[key]
-                recheck = recheck or key[0] is not None
-            else:
-                groups[key] = total
-        if recheck:
-            return RingElem._checked(groups, w)
-        return RingElem._of(groups, w)
+        return linear_sum([(self, 1), (other, 1)])
 
     def __neg__(self):
-        return RingElem._of({key: (tuple(-v for v in c), d)
-                             for key, (c, d) in self._groups.items()}, self._omega)
+        return linear_sum([(self, -1)])
 
     def __sub__(self, other):
-        return self + (-other)
+        return linear_sum([(self, 1), (other, -1)])
 
     def scale(self, factor) -> "RingElem":
-        factor = _terms_of(factor)
-        if not factor:
-            return RingElem()
-        acc: dict = {}
-        for e, p, q in factor:
-            for (t, k, s), (c, d) in self._groups.items():
-                acc.setdefault((t, k, s + e), []).append(([p * v for v in c], d * q))
-        # Q[pi, 1/pi] has no zero divisors, so every (trig, k) keeps a nonzero
-        # group and omega is unchanged
-        return RingElem._of(_collect(acc), self._omega)
+        return linear_sum([(self, factor)])
 
     def __mul__(self, other):
         return sum_of_products([(self, other, 1)])
@@ -537,16 +522,15 @@ class RingElem:
         acc: dict = {}
         for (t, k, s), (c, d) in self._groups.items():
             if len(c) > 1:
-                acc.setdefault((t, k, s + w), []).append(
-                    ([n * c[n] for n in range(1, len(c))], d))
+                _accumulate(acc, (t, k, s + w), [n * c[n] for n in range(1, len(c))],
+                            (1,), 1, d)
             if t is not None:
                 t2, sign = ("cos", 1) if t == "sin" else ("sin", -1)
                 for e, p, q in k:
-                    acc.setdefault((t2, k, s + e), []).append(
-                        ([sign * p * v for v in c], d * q))
+                    _accumulate(acc, (t2, k, s + e), c, (1,), sign * p, d * q)
         # (P' + kQ) cos + (Q' - kP) sin vanishes only with P = Q = 0, so
         # every wavenumber survives and omega is unchanged
-        return RingElem._of(_collect(acc), w)
+        return RingElem._of(_reduced(acc), w)
 
     def integrate(self) -> "RingElem":
         """Exact antiderivative F with ddx(F) = self, anchored so F(0) = 0.
@@ -563,8 +547,9 @@ class RingElem:
         for (t, k, s), (c, d) in self._groups.items():
             if t is None:
                 den = math.lcm(*range(1, len(c) + 1))
-                acc.setdefault((None, None, s - w), []).append(
-                    ([0] + [v * (den // (n + 1)) for n, v in enumerate(c)], d * den))
+                _accumulate(acc, (None, None, s - w),
+                            [0] + [v * (den // (n + 1)) for n, v in enumerate(c)],
+                            (1,), 1, d * den)
                 continue
             e, p, q = _single_term(k)     # 1/k must stay in Q[pi, 1/pi]
             deg = len(c) - 1
@@ -589,8 +574,8 @@ class RingElem:
                     sums.setdefault((None, None, key), [0])[0] -= f * deriv[0]
                 deriv = [m * deriv[m] for m in range(1, len(deriv))]
             for key, total in sums.items():
-                acc.setdefault(key, []).append((total, den))
-        return RingElem._of(_collect(acc), w)
+                _accumulate(acc, key, total, (1,), 1, den)
+        return RingElem._of(_reduced(acc), w)
 
     def _float_groups(self) -> tuple:
         """(trig, float k, float coefficients from the top x power down) per
@@ -670,11 +655,7 @@ def sum_of_products(items) -> RingElem:
     wavenumber once per call, and k1 +- k2 is formed once per wavenumber
     pair."""
     items = [(a, b, f) for a, b, f in items if f and a._groups and b._groups]
-    if not items:
-        return RingElem()
-    omegas = {e._omega for a, b, _ in items for e in (a, b)}
-    w = omegas.pop() if len(omegas) == 1 else _group_omega(
-        [key for a, b, _ in items for e in (a, b) for key in e._groups])
+    w = _sum_omega([e for a, b, _ in items for e in (a, b)])
     split: dict = {}    # id of an operand: [(k, [(trig, s, ints, denominator)])] at w
     trig: dict = {}     # (k1, k2): their trig products
     acc: dict = {}      # output key: [ints, running denominator]
@@ -709,37 +690,33 @@ def sum_of_products(items) -> RingElem:
                         else:
                             for t, k, sign in products[t1, t2]:
                                 _accumulate(acc, (t, k, s), c1, c2, sign * p, 2 * d)
-    return RingElem._checked({key: group for key, (c, d) in acc.items()
-                              if (group := _reduce(c, d)) is not None}, w)
+    return RingElem._checked(_reduced(acc), w)
 
 
-def _accumulate(acc: dict, key, c1, c2, num: int, den: int) -> None:
-    """Add num/den * (c1 convolved with c2) to acc's [ints, D] entry at key.
+def linear_sum(items) -> RingElem:
+    """The sum of factor * a over (a, factor) items, factor an int, Fraction
+    or Coefficient: the ring's one linear combination, +, - and scale
+    included.  It sums at the omega sum_of_products chooses, in the same
+    accumulator, each x power of a group times each pi power of its factor.
+    A lone item of factor 1 is its element itself."""
+    items = [(a, terms) for a, f in items if (terms := _terms_of(f)) and a._groups]
+    if len(items) == 1 and items[0][1] == _ONE:
+        return items[0][0]
+    w = _sum_omega([a for a, _ in items])
+    acc: dict = {}
+    for a, factor in items:
+        for (t, k, s), (c, d) in _regroup(a._groups, a._omega, w).items():
+            for e, p, q in factor:
+                _accumulate(acc, (t, k, s + e), c, (1,), p, d * q)
+    return RingElem._checked(_reduced(acc), w)
 
-    D is a running common denominator, rescaled in place only when den does
-    not divide it; D // den joins num in the factor of each row of the
-    convolution, so it costs no extra pass over the integers."""
-    n = len(c1) + len(c2) - 1
-    entry = acc.get(key)
-    if entry is None:
-        total = [0] * n
-        acc[key] = [total, den]
-        f = num
-    else:
-        total, d = entry
-        if d % den:
-            grow = den // math.gcd(d, den)
-            total[:] = [grow * v for v in total]
-            d *= grow
-            entry[1] = d
-        f = num * (d // den)
-        if len(total) < n:
-            total.extend([0] * (n - len(total)))
-    for i, ai in enumerate(c1):
-        if ai:
-            r = ai * f
-            for j, bj in enumerate(c2, i):
-                total[j] += r * bj
+
+def _sum_omega(elems) -> int:
+    """The omega a sum over elems accumulates at: the one they share, else
+    that of all their wavenumbers (0 for none)."""
+    omegas = {e._omega for e in elems}
+    return omegas.pop() if len(omegas) == 1 else _group_omega(
+        [key for e in elems for key in e._groups])
 
 
 def _monomial_groups(entries) -> tuple[dict, int]:

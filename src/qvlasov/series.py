@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from math import comb, factorial, inf
 
 from .parser import parse_potential
-from .ring import RingElem, json_int, json_ratio, sum_of_products
+from .ring import RingElem, json_int, json_ratio, linear_sum, sum_of_products
 
 CONVENTIONS = ("paper", "uniform")
 
@@ -77,25 +77,25 @@ class SeriesTerm:
         return self._cells == other._cells
 
     def __add__(self, other):
-        cells = dict(self._cells)
-        for (m, j), c in other._cells.items():
-            _cell_add(cells, m, j, c)
-        return SeriesTerm(cells)
+        return _cell_sum((mj, c, f) for t, f in ((self, 1), (other, 1))
+                         for mj, c in t._cells.items())
 
     def __neg__(self):
-        return SeriesTerm({mj: -c for mj, c in self._cells.items()})
+        return _cell_sum((mj, c, -1) for mj, c in self._cells.items())
 
     def __sub__(self, other):
-        return self + (-other)
+        return _cell_sum((mj, c, f) for t, f in ((self, 1), (other, -1))
+                         for mj, c in t._cells.items())
 
     def d_dh(self) -> "SeriesTerm":
-        """Derivative with respect to the energy variable."""
-        cells: dict[tuple[int, int], RingElem] = {}
+        """Derivative with respect to the energy variable: cell (m, j) is
+        (m + 1) c(m + 1, j) + c(m, j - 1), formed in one linear_sum."""
+        items = []
         for (m, j), c in self._cells.items():
             if m > 0:
-                _cell_add(cells, m - 1, j, c.scale(m))
-            _cell_add(cells, m, j + 1, c)
-        return SeriesTerm(cells)
+                items.append(((m - 1, j), c, m))
+            items.append(((m, j + 1), c, 1))
+        return _cell_sum(items)
 
     def d_dx(self) -> "SeriesTerm":
         return SeriesTerm({mj: c.ddx() for mj, c in self._cells.items()})
@@ -113,24 +113,21 @@ class SeriesTerm:
 
     @classmethod
     def from_json(cls, data) -> "SeriesTerm":
-        cells = {}
-        for rec in data:
-            _cell_add(cells, json_int(rec["m"]), json_int(rec["j"]),
-                      RingElem.from_json(rec["ring"]))
-        return cls(cells)
+        return _cell_sum(((json_int(rec["m"]), json_int(rec["j"])),
+                          RingElem.from_json(rec["ring"]), 1) for rec in data)
 
     def __repr__(self):
         body = ", ".join(f"H^{m}*f0^({j}): {c}" for (m, j), c in self.cells())
         return f"SeriesTerm({body})"
 
 
-def _cell_add(cells: dict, m: int, j: int, c: RingElem) -> None:
-    total = cells.get((m, j))
-    total = c if total is None else total + c
-    if total.is_zero():
-        cells.pop((m, j), None)
-    else:
-        cells[(m, j)] = total
+def _cell_sum(items) -> SeriesTerm:
+    """The sum of factor * c * H^m f0^(j) over ((m, j), c, factor) items,
+    one linear_sum per cell; a cell of one item of factor 1 keeps its c."""
+    cells: dict = {}
+    for mj, c, factor in items:
+        cells.setdefault(mj, []).append((c, factor))
+    return SeriesTerm({mj: linear_sum(parts) for mj, parts in cells.items()})
 
 
 def _neg_powers(potential: RingElem, power: int) -> list[RingElem]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qvlasov.ring import Coefficient, RingElem, RingError, sum_of_products
+from qvlasov.ring import Coefficient, RingElem, RingError, linear_sum, sum_of_products
 
 from conftest import (WAVENUMBER_FAMILIES, random_coefficient, random_family_elem,
                       random_fraction)
@@ -269,6 +269,63 @@ def test_sum_of_products_of_nothing_is_zero():
                   [(RingElem(), s, Fraction(1, 2))]):
         total = sum_of_products(items)
         assert total.is_zero() and total._omega == 0 and total == RingElem()
+
+
+def o_linear_sum(items) -> dict:
+    out: dict = {}
+    for a, f in items:
+        factor = dict(f.items()) if isinstance(f, Coefficient) else {0: Fraction(f)}
+        out = o_add(out, o_scale(oracle(a), factor))
+    return out
+
+
+def test_linear_sum_matches_oracle(rng):
+    # each operand from its own family, so omegas differ within a call;
+    # factors are signed ints, Fractions and sums of pi powers
+    for _ in range(ROUNDS // 2):
+        items = []
+        for _ in range(int(rng.integers(1, 5))):
+            kind = int(rng.integers(0, 3))
+            f = (int(rng.integers(-3, 4)) if kind == 0 else
+                 random_fraction(rng) if kind == 1 else random_coefficient(rng))
+            items.append((random_family_elem(rng, max_terms=3), f))
+        check(linear_sum(items), o_linear_sum(items))
+
+
+def test_linear_sum_cancels_and_moves_omega():
+    two_pi = Coefficient.pi_power(1, 2)
+    ripple = RingElem.trig("cos", two_pi, xpow=2)
+    mixed = ripple + RingElem.trig("sin", 1)
+    poly = RingElem.x(3).scale(Coefficient.pi_power(2, 5)) + RingElem.x(1)
+    assert (ripple._omega, mixed._omega, poly._omega) == (1, 0, 0)
+    ripple_poly = ripple + poly
+    assert ripple_poly._omega == 1
+    for items, rest in (
+            # operands of omegas 1, 0 and 1, at int, pi-power and Fraction factors
+            ([(ripple, 3), (mixed, Coefficient.pi_power(-1, 2)),
+              (ripple_poly, Fraction(-1, 2))], None),
+            # to zero
+            ([(ripple, 2), (poly, Fraction(1, 3)), (ripple, -2),
+              (poly, Fraction(-1, 3))], RingElem()),
+            # from omega 1 to the lower omega 0
+            ([(ripple_poly, Fraction(2, 3)), (ripple, Fraction(-2, 3))],
+             poly.scale(Fraction(2, 3))),
+            # from omega 0 to 1
+            ([(mixed, 1), (RingElem.trig("sin", 1), -1)], ripple)):
+        total = linear_sum(items)
+        check(total, o_linear_sum(items))
+        if rest is not None:
+            assert total._omega == rest._omega
+            assert total._groups == rest._groups and hash(total) == hash(rest)
+
+
+def test_linear_sum_of_one_item_at_factor_one_is_that_item():
+    a = RingElem.trig("cos", Coefficient.pi_power(1, 2), xpow=2) + RingElem.x(1)
+    for items in ([(a, 1)], [(a, Fraction(1))], [(a, Coefficient.pi_power(0, 1))],
+                  [(RingElem(), 5), (a, 1), (a, 0)]):
+        assert linear_sum(items) is a
+    assert a + RingElem() is a and RingElem() + a is a and a.scale(1) is a
+    assert linear_sum([]) == RingElem() and linear_sum([(a, 2)]) is not a
 
 
 def test_ddx_matches_oracle(rng):

@@ -198,8 +198,9 @@ def test_term_budget_enforced(monkeypatch):
 
 
 def test_term_budget_stops_inside_the_order_source(monkeypatch):
-    # order 5's source passes 1,900 monomials at its first j, so a budget
-    # 1,000 above the series through order 4 stops it before integration
+    # recursion_rhs checks the budget once, on the finished order-5 source,
+    # before that source is integrated: a budget 1,000 above the series
+    # through order 4 stops it there
     v = resolve_potential("modulated:a=1/2")
     budget = build_series(v, 4).term_count() + 1000
     integrated = []
@@ -213,15 +214,20 @@ def test_term_budget_stops_inside_the_order_source(monkeypatch):
 
 
 def test_build_reduces_each_source_group_once(monkeypatch):
-    # the modulated L=5 build reduces 5,599 groups when each source sums its
-    # products before one reduction per group, and 13,542 when every product
-    # is reduced and then re-combined cell by cell
+    # every sum, the d/dH chains' included, adds into one accumulator per
+    # output group and reduces each group once: the modulated L=5 build
+    # reduces 4,561 groups and goldstone L=20 9,758.  Scaling each d/dH cell
+    # and then adding cells in pairs takes them to 5,599 and 13,538, and
+    # reducing every product as well takes modulated L=5 to 13,542
     calls = []
     reduce = ring_module._reduce
     monkeypatch.setattr(ring_module, "_reduce",
                         lambda c, d: calls.append(1) or reduce(c, d))
-    build_series(resolve_potential("modulated:a=1/2"), 5)
-    assert len(calls) <= 5700
+    for potential, order, bound in (("modulated:a=1/2", 5, 5700),
+                                    ("goldstone", 20, 10_000)):
+        calls.clear()
+        build_series(resolve_potential(potential), order)
+        assert len(calls) <= bound, potential
 
 
 def test_build_series_rejects_bad_arguments():
