@@ -257,7 +257,10 @@ class Monomial(NamedTuple):
 # into groups by _reduced, which reduces each key once.  sum_of_products
 # feeds it products, linear_sum (and so +, -, scale) linear combinations,
 # and ddx, integrate and the constructors their parts, each with (1,) as
-# the second operand; series.SeriesTerm sums its cells through linear_sum.
+# the second operand; series.SeriesTerm sums its cells through linear_sum,
+# and every product the series build forms is a sum_of_products call.
+# Each of them hands its groups to RingElem._checked, the one place that
+# makes an element and moves it to the omega of its wavenumbers.
 
 def _reduce(c: list, d: int):
     """The primitive group of c/d, or None when it is zero.  RingError when
@@ -402,34 +405,29 @@ class RingElem:
         self._hash = self._count = self._floats = self._rows = None
 
     @classmethod
-    def _of(cls, groups: dict, omega: int) -> "RingElem":
-        """Trusted constructor: canonical groups and their omega."""
+    def _checked(cls, groups: dict, omega: int) -> "RingElem":
+        """The element of canonical groups at omega, moved to the omega of
+        their wavenumbers: the one place that makes an element."""
+        actual = _group_omega(groups)
         self = object.__new__(cls)
-        self._set(groups, omega)
+        self._set(_regroup(groups, omega, actual), actual)
         return self
 
     @classmethod
-    def _checked(cls, groups: dict, omega: int) -> "RingElem":
-        """Groups at omega, moved to the omega of their wavenumbers."""
-        actual = _group_omega(groups)
-        return cls._of(_regroup(groups, omega, actual), actual)
-
-    @classmethod
     def one(cls) -> "RingElem":
-        return cls._of(*_monomial_groups([(0, None, None, _ONE)]))
+        return _from_entries([(0, None, None, _ONE)])
 
     @classmethod
     def constant(cls, value) -> "RingElem":
-        return cls._of(*_monomial_groups([(0, None, None, _terms_of(value))]))
+        return _from_entries([(0, None, None, _terms_of(value))])
 
     @classmethod
     def x(cls, power: int = 1) -> "RingElem":
-        return cls._of(*_monomial_groups([(power, None, None, _ONE)]))
+        return _from_entries([(power, None, None, _ONE)])
 
     @classmethod
     def trig(cls, kind: str, wavenumber, xpow: int = 0, coeff=1) -> "RingElem":
-        return cls._of(*_monomial_groups(
-            [(xpow, kind, _terms_of(wavenumber), _terms_of(coeff))]))
+        return _from_entries([(xpow, kind, _terms_of(wavenumber), _terms_of(coeff))])
 
     def _monomials(self) -> tuple:
         """(trig, k, n, terms) rows, terms the canonical term tuple of the
@@ -528,9 +526,7 @@ class RingElem:
                 t2, sign = ("cos", 1) if t == "sin" else ("sin", -1)
                 for e, p, q in k:
                     _accumulate(acc, (t2, k, s + e), c, (1,), sign * p, d * q)
-        # (P' + kQ) cos + (Q' - kP) sin vanishes only with P = Q = 0, so
-        # every wavenumber survives and omega is unchanged
-        return RingElem._of(_reduced(acc), w)
+        return RingElem._checked(_reduced(acc), w)
 
     def integrate(self) -> "RingElem":
         """Exact antiderivative F with ddx(F) = self, anchored so F(0) = 0.
@@ -575,7 +571,7 @@ class RingElem:
                 deriv = [m * deriv[m] for m in range(1, len(deriv))]
             for key, total in sums.items():
                 _accumulate(acc, key, total, (1,), 1, den)
-        return RingElem._of(_reduced(acc), w)
+        return RingElem._checked(_reduced(acc), w)
 
     def _float_groups(self) -> tuple:
         """(trig, float k, float coefficients from the top x power down) per
@@ -632,10 +628,10 @@ class RingElem:
 
     @classmethod
     def from_json(cls, data) -> "RingElem":
-        return cls._of(*_monomial_groups(
+        return _from_entries(
             (json_int(rec["xpow"]), rec["trig"],
              None if rec["wavenumber"] is None else _terms_from_json(rec["wavenumber"]),
-             _terms_from_json(rec["coefficient"])) for rec in data))
+             _terms_from_json(rec["coefficient"])) for rec in data)
 
     def term_count(self) -> int:
         """Number of monomials x^n trig(kx) with a nonzero coefficient."""
@@ -719,12 +715,12 @@ def _sum_omega(elems) -> int:
         [key for e in elems for key in e._groups])
 
 
-def _monomial_groups(entries) -> tuple[dict, int]:
-    """Groups and omega of a sum of (x power, trig, k, coefficient) entries,
-    k and the coefficient as term tuples, with trig signs canonicalised:
-    sin(0) = 0, cos(0) = 1 and k > 0.  The one path from inputs to groups,
-    behind RingElem's classmethods and from_json; each entry's x
-    power is checked before any group is allocated."""
+def _from_entries(entries) -> RingElem:
+    """The element summing (x power, trig, k, coefficient) entries, k and the
+    coefficient as term tuples, with trig signs canonicalised: sin(0) = 0,
+    cos(0) = 1 and k > 0.  The one path from inputs to elements, behind
+    RingElem's classmethods and from_json; each entry's x power is checked
+    before any group is allocated."""
     rows = []
     for n, t, k, terms in entries:
         if not 0 <= n <= MAX_X_POWER:
@@ -746,8 +742,7 @@ def _monomial_groups(entries) -> tuple[dict, int]:
     groups = _entries_to_groups(((t, k, n, e, sign * v, d)
                                  for t, k, n, sign, terms in rows
                                  for e, v, d in terms), omega)
-    actual = _group_omega(groups)
-    return _regroup(groups, omega, actual), actual
+    return RingElem._checked(groups, omega)
 
 
 def _monomial_text(t, k, n: int, terms: tuple) -> tuple:

@@ -125,13 +125,18 @@ class SeedDistribution:
         self._float_polys: dict[int, np.ndarray] = {}
 
     def derivative_polynomial(self, j: int) -> tuple[int, ...]:
-        """Integer coefficients of P_j, with f0^(j) = P_j(f0)."""
+        """Integer coefficients of P_j, with f0^(j) = P_j(f0).  The table
+        is extended in a copy and assigned back, so no call, on another
+        thread or re-entrant, appends to a list another call is extending."""
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
-        while len(self._polys) <= j:
-            self._polys.append(
-                tuple(convolve(_poly_derivative(self._polys[-1]), self._polys[1])))
-        return self._polys[j]
+        polys = self._polys
+        if len(polys) <= j:
+            polys = list(polys)
+            while len(polys) <= j:
+                polys.append(tuple(convolve(_poly_derivative(polys[-1]), polys[1])))
+            self._polys = polys
+        return polys[j]
 
     def _float_poly(self, j: int) -> np.ndarray:
         arr = self._float_polys.get(j)

@@ -76,13 +76,6 @@ class SeriesTerm:
             return NotImplemented
         return self._cells == other._cells
 
-    def __add__(self, other):
-        return _cell_sum((mj, c, f) for t, f in ((self, 1), (other, 1))
-                         for mj, c in t._cells.items())
-
-    def __neg__(self):
-        return _cell_sum((mj, c, -1) for mj, c in self._cells.items())
-
     def __sub__(self, other):
         return _cell_sum((mj, c, f) for t, f in ((self, 1), (other, -1))
                          for mj, c in t._cells.items())
@@ -134,7 +127,7 @@ def _neg_powers(potential: RingElem, power: int) -> list[RingElem]:
     """[(-V)^0, ..., (-V)^power]."""
     out = [RingElem.one()]
     for _ in range(power):
-        out.append(out[-1] * -potential)
+        out.append(sum_of_products([(out[-1], potential, -1)]))
     return out
 
 
@@ -216,8 +209,8 @@ def closed_form_f1(potential: RingElem) -> SeriesTerm:
     v2 = v1.ddx()
     return SeriesTerm({
         (1, 3): v2.scale(Fraction(-1, 12)),
-        (0, 3): (potential * v2).scale(Fraction(1, 12))
-                - (v1 * v1).scale(Fraction(1, 24)),
+        (0, 3): sum_of_products([(potential, v2, Fraction(1, 12)),
+                                 (v1, v1, Fraction(-1, 24))]),
         (0, 2): v2.scale(Fraction(-1, 8)),
     })
 

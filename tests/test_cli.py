@@ -407,6 +407,19 @@ def test_deeply_nested_potential_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("chi, shown", [("1e-300", "1e-300"), ("700", "700.0")],
+                         ids=["low-end", "high-end"])
+def test_fugacity_bracket_failure_is_a_config_error(tmp_path, capsys, chi, shown):
+    # z_from_chi doubles its bracket on mu = ln z up to |mu| = 700, which
+    # reaches neither chi = 1e-300 (the low end) nor chi = 700 (the high end)
+    assert run(["evaluate", "--potential", "goldstone", "--order", "1",
+                "--hbar", "0.1", "--seed", f"fd:chi={chi}",
+                "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration:",
+        f"  seed: no fugacity bracket found for chi = {shown}"]
+
+
 def test_config_errors_are_aggregated(capsys):
     code = run(["evaluate", "--potential", "q^", "--seed", "nope",
                 "--order", "-3"])

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qvlasov import seeds as seeds_module
 from qvlasov.seeds import (MAX_DERIV_ORDER, CombinedSeed, SeedDistribution,
                            SeedDomainError, chi_from_z, parse_seed_spec,
                            polylog_neg, z_from_chi)
@@ -87,6 +88,25 @@ def test_derivative_polynomials_exact():
     # g' = -g(1-g) -> P_2 = P_1' * P_1 = 2g^3 - 3g^2 + g
     assert seed.derivative_polynomial(2) == (Fraction(0), Fraction(1),
                                              Fraction(-3), Fraction(2))
+
+
+def test_derivative_polynomial_survives_a_reentrant_extension(monkeypatch):
+    # a call that extends the table while another is extending it (here from
+    # inside the first's convolution) must not shift P_j to another index
+    expected = SeedDistribution("fd").derivative_polynomial(7)
+    seed = SeedDistribution("fd")
+    convolve = seeds_module.convolve
+    calls = []
+
+    def reentrant(a, b):
+        calls.append(1)
+        if len(calls) == 1:     # the first product of derivative_polynomial(4)
+            seed.derivative_polynomial(6)
+        return convolve(a, b)
+
+    monkeypatch.setattr(seeds_module, "convolve", reentrant)
+    seed.derivative_polynomial(4)
+    assert seed.derivative_polynomial(7) == expected
 
 
 def test_mb_derivatives_alternate_sign():

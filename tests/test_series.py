@@ -197,6 +197,20 @@ def test_term_budget_enforced(monkeypatch):
         build_series(GOLDSTONE, 3, "paper")
 
 
+@pytest.mark.parametrize("budget", [48, 59])
+def test_term_budget_stops_a_series_its_quadrature_grows(monkeypatch, budget):
+    # orders 0-1 hold 10 monomials, the order-2 source 38 and f_2 50: from a
+    # budget of 48 the source fits, and below 60 the integrated order does not
+    v = parse_potential("q^2/2 + sin(q)/5")
+    series = build_series(v, 2)
+    assert [t.term_count() for t in series.terms] == [1, 9, 50]
+    assert recursion_rhs(v, series.terms[:2], 2).term_count() == 38
+    monkeypatch.setattr(series_module, "TERM_BUDGET", budget)
+    with pytest.raises(TermBudgetError,
+                       match=f"series exceeded {budget} monomials at order 2"):
+        build_series(v, 2)
+
+
 def test_term_budget_stops_inside_the_order_source(monkeypatch):
     # recursion_rhs checks the budget once, on the finished order-5 source,
     # before that source is integrated: a budget 1,000 above the series
@@ -216,9 +230,10 @@ def test_term_budget_stops_inside_the_order_source(monkeypatch):
 def test_build_reduces_each_source_group_once(monkeypatch):
     # every sum, the d/dH chains' included, adds into one accumulator per
     # output group and reduces each group once: the modulated L=5 build
-    # reduces 4,561 groups and goldstone L=20 9,758.  Scaling each d/dH cell
-    # and then adding cells in pairs takes them to 5,599 and 13,538, and
-    # reducing every product as well takes modulated L=5 to 13,542
+    # reduces 4,513 groups and goldstone L=20 9,545.  Forming f_1 and the
+    # powers of -V by chained products takes them to 4,561 and 9,758,
+    # scaling each d/dH cell and then adding cells in pairs to 5,599 and
+    # 13,538, and reducing every product as well modulated L=5 to 13,542
     calls = []
     reduce = ring_module._reduce
     monkeypatch.setattr(ring_module, "_reduce",
