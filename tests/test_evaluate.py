@@ -1,8 +1,11 @@
 """Phase-space evaluation: classical limit, symmetry, normalization."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,7 +21,7 @@ from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import PRESETS, resolve_potential
 from qvlasov.ring import RingElem, _terms_float
-from qvlasov.seeds import CombinedSeed, SeedDistribution
+from qvlasov.seeds import CombinedSeed, SeedDistribution, parse_seed_spec
 from qvlasov.series import SeriesTerm, WignerSeries, build_series
 from qvlasov.verify import _sample_points
 
@@ -396,8 +399,6 @@ def test_degenerate_fd_field_matches_mpmath(goldstone_l5, rng):
     # fd:chi=10 puts mu near 9.9, so most of the grid sits below it, where the
     # unreflected P_j(g) of orders up to 15 lost up to 8 digits (2.9e-8 of
     # the field's maximum on 48 points of the 401 x 401 grid)
-    from qvlasov.seeds import parse_seed_spec
-
     seed = parse_seed_spec("fd:chi=10")
     hbar = 0.3
     q = rng.uniform(-4.0, 4.0, 24)
@@ -498,6 +499,29 @@ def test_term_derivatives_match_exact_dh_chain(spec, order, seed, rng):
         scale = np.abs(reference).max()
         assert np.abs(derivs[l] - reference).max() <= 1e-12 * scale, l
 
+
+
+# Bits of verify's read-out (r_max = 2, terms and their x-derivatives),
+# recorded before the fill's orders buffer was reused across blocks.
+DERIVATIVE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "readout_digests.json").read_text())["term_derivatives"]
+
+
+def term_derivative_digest(spec: str, order: int, seed_spec: str) -> str:
+    series = build_series(resolve_potential(spec), order, "paper")
+    terms = list(series.terms) + [t.d_dx() for t in series.terms]
+    xs, hs = np.linspace(-2.0, 2.0, 49), np.linspace(-6.0, 6.0, 49)
+    derivs = term_derivatives(terms, parse_seed_spec(seed_spec), xs, hs, 2)
+    assert derivs.shape == (len(terms), 3, 49)
+    return hashlib.sha256(derivs.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec, order, seed_spec", [
+    ("goldstone", 4, "mb"), ("goldstone", 4, "fd:z=1"),
+    ("modulated:a=1/2", 2, "fd:z=40")])
+def test_term_derivative_bits_are_pinned(spec, order, seed_spec):
+    key = f"{spec} {order} {seed_spec}"
+    assert term_derivative_digest(spec, order, seed_spec) == DERIVATIVE_DIGESTS[key]
 
 def test_modulated_potential_field(rng):
     series = build_series(resolve_potential("modulated:a=1/2"), 2, "paper")

@@ -1,8 +1,11 @@
 """Seed distributions: derivative recurrence, polylog and calibration."""
 
+import hashlib
+import json
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -366,3 +369,26 @@ def test_parse_seed_specs():
 def test_bad_seed_specs(text):
     with pytest.raises(ValueError):
         parse_seed_spec(text)
+
+
+# Bits of derivative_table's rows, recorded before the table was written
+# into one block and the pole sums were streamed: every order on each side
+# of the pole radius and of _POLE_ORDER, on a 2-D array of energies.
+TABLE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "readout_digests.json").read_text())["derivative_table"]
+TABLE_H = np.concatenate([np.linspace(-12.0, 12.0, 97),
+                          [4.0 - 2.0 ** -40, 4.0 + 2.0 ** -40, 4.0 + math.log(40.0)]])
+
+
+def table_digest(spec: str, j_max: int) -> str:
+    h = TABLE_H if spec != "be:z=0.5" else np.abs(TABLE_H)
+    h = h.reshape(4, 25)
+    table = parse_seed_spec(spec).derivative_table(h, j_max)
+    assert len(table) == j_max + 1 and all(row.shape == h.shape for row in table)
+    return hashlib.sha256(b"".join(row.tobytes() for row in table)).hexdigest()
+
+
+@pytest.mark.parametrize("spec", ["mb", "be:z=0.5", "fd:z=1", "fd:z=40"])
+@pytest.mark.parametrize("j_max", [0, 11, 12, 13, 30, MAX_DERIV_ORDER])
+def test_derivative_table_bits_are_pinned(spec, j_max):
+    assert table_digest(spec, j_max) == TABLE_DIGESTS[f"{spec} {j_max}"]
