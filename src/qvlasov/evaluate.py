@@ -29,17 +29,23 @@ from .series import WignerSeries, write_json
 # Most points a grid may hold (2001 x 2001), which bounds a field's arrays.
 MAX_GRID_POINTS = 2001 * 2001
 
-# Points per block of the per-order fill and of an integral's p sums: a
-# block's derivative table and temporaries stay small, while numpy's per-call
-# overhead stays amortised.  Unblocked, the temporaries of a 287 x 401 field
-# were mapped in afresh by malloc, about 420 page faults per p integral:
-# 1.5 ms against 0.8 ms in blocks on a 2-vCPU VM.
+# Points per block of the per-order fill and of an integral's p sums.  An
+# array of one block's points (64 KB) stays below glibc's default 128 KB
+# mmap threshold, so malloc takes it from the heap and the next block reuses
+# it, while numpy's per-call overhead stays amortised.  Unblocked, the
+# temporaries of a 287 x 401 field were mapped in afresh by malloc, about
+# 420 page faults per p integral: 1.5 ms against 0.8 ms in blocks on a
+# 2-vCPU VM.  The fill's arrays of many rows (the orders of a block and its
+# scratch) are made once per fill, and a seed table is one array per block,
+# so after its first blocks a fill faults in no new memory.
 BLOCK_POINTS = 1 << 13
 
-# Most group values (groups x points) in cell_values' working array: a chunk
-# of elements at a time keeps it at 1 MB, where the 1001-point axis of a
-# goldstone L=20 field would otherwise hold all its cells' groups at once.
-READOUT_VALUES = 1 << 17
+# Most group values (groups x points) in cell_values' working array, so
+# that a chunk's arrays stay at 128 KB, below the mmap threshold as well:
+# the sweep-L10 read-out (286 cells at 401 points) took 490 minor faults in
+# these chunks against 1,366 in chunks of 1 MB.  A goldstone L=20 read-out
+# at 1001 points, with no faults either way once warm, is 10% slower.
+READOUT_VALUES = 1 << 14
 
 
 class NormalizationError(RuntimeError):
@@ -203,16 +209,20 @@ def _cells_by_j(terms, x):
     return by_j
 
 
-def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndarray:
-    """out[l, r] = d^r F_l/dH^r for l < n_orders and r <= r_max, with
+def _block_orders(out, work, by_j, rows, seed, h) -> None:
+    """out[l, r] = d^r F_l/dH^r over out's first two axes, with
     F_l = sum_(m,j) c_{l,m,j} H^m f0^(j)(H), at the energies h of one block;
-    rows selects the block from by_j's coefficients.
+    rows selects the block from by_j's coefficients, and work holds two
+    scratch arrays of h's shape.
 
     One seed-derivative table serves the block.  By the Leibniz rule
     d^r/dH^r [P f0^(j)] = sum_i C(r,i) P^(i) f0^(j+r-i), so each derivative
-    goes into every order that uses it; each P^(i) is summed by Horner's rule.
+    goes into every order that uses it; each P^(i) is summed by Horner's
+    rule in work[0], and each product is formed in work[1].
     """
-    out = np.zeros((n_orders, r_max + 1) + h.shape)
+    r_max = out.shape[1] - 1
+    out.fill(0.0)
+    horner, product = work
     table = seed.derivative_table(h, max(by_j, default=0) + r_max)
     for j in sorted(by_j):
         for l, coeffs in by_j[j]:
@@ -221,25 +231,32 @@ def _block_orders(n_orders: int, by_j, rows, seed, h, r_max: int = 0) -> np.ndar
                 if i:   # the coefficients of P^(i) from those of P^(i-1)
                     coeffs = [None if c is None else m * c
                               for m, c in enumerate(coeffs[1:], 1)]
-                val = coeffs[-1]
-                for n, c in enumerate(coeffs[-2::-1]):
-                    if n:
-                        val *= h
-                    else:   # a new array: coeffs[-1] views the cell's values
-                        val = val * h
-                    if c is not None:
-                        val += c
+                val = coeffs[-1]    # a view of the cell's values if alone
+                if len(coeffs) > 1:
+                    val = np.multiply(val, h, out=horner)
+                    for n, c in enumerate(coeffs[-2::-1]):
+                        if n:
+                            val *= h
+                        if c is not None:
+                            val += c
                 for r in range(i, r_max + 1):
                     w = math.comb(r, i)
-                    out[l, r] += (val if w == 1 else w * val) * table[j + r - i]
-    return out
+                    if w == 1:
+                        np.multiply(val, table[j + r - i], out=product)
+                    else:
+                        np.multiply(w, val, out=product)
+                        product *= table[j + r - i]
+                    out[l, r] += product
 
 
 def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
     """out[l, r] = d^r f/dH^r for f = terms[l] and r <= r_max at the points
     (x, h), x broadcastable to h; one seed-derivative table serves them all."""
     by_j = _cells_by_j(terms, x)
-    return _block_orders(len(terms), by_j, ..., seed, np.asarray(h, dtype=float), r_max)
+    h = np.asarray(h, dtype=float)
+    out = np.empty((len(terms), r_max + 1) + h.shape)
+    _block_orders(out, np.empty((2,) + h.shape), by_j, ..., seed, h)
+    return out
 
 
 def _distinct_bits(*columns):
@@ -280,7 +297,8 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec, hbars) -> OrderGrids
     filled elementwise, so rows with the same bits of V(q) and of every cell
     coefficient, and columns with the same bits of p^2, hold the same bits
     of every F_l: they are filled at the first of each such row and column,
-    a block of distinct rows at a time, whose F_l are weighted and dropped.
+    a block of distinct rows at a time, whose F_l are weighted straight into
+    the output.
     """
     hbars = tuple(hbars)
     weights = [hbar_weights(hbar, range(len(series.terms))) for hbar in hbars]
@@ -298,13 +316,19 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec, hbars) -> OrderGrids
     values = np.empty((len(hbars),) + h.shape)
     sizes = np.zeros(len(series.terms))
     step = max(1, BLOCK_POINTS // p_first.size)
+    # one orders buffer and one scratch serve every block, so the blocks
+    # after the first fault in no new pages for them
+    orders = np.empty((len(series.terms), 1, step, p_first.size))
+    work = np.empty((2, step, p_first.size))
     for start in range(0, q_first.size, step):
         block = slice(start, start + step)
-        orders = _block_orders(len(series.terms), by_j, block, seed, h[block])[:, 0]
-        np.maximum(sizes, np.maximum(orders.max(axis=(1, 2)), -orders.min(axis=(1, 2))),
+        n = min(step, q_first.size - start)
+        _block_orders(orders[:, :, :n], work[:, :n], by_j, block, seed, h[block])
+        filled = orders[:, 0, :n]
+        np.maximum(sizes, np.maximum(filled.max(axis=(1, 2)), -filled.min(axis=(1, 2))),
                    out=sizes)
-        for n, row in enumerate(weights):
-            values[n, block] = _weighted_sum(orders, row)
+        for i, row in enumerate(weights):
+            _weighted_sum(filled, row, out=values[i, block])
     return OrderGrids(values, sizes, hbars, rows, cols, grid)
 
 
@@ -323,10 +347,11 @@ def hbar_weights(hbar: float, orders) -> list:
     return weights
 
 
-def _weighted_sum(orders, weights):
-    """sum_l weights[l] * orders[l]; later zero weights are skipped, so
-    hbar = 0 gives F_0 exactly even where a higher order is not finite."""
-    total = orders[0] * weights[0]
+def _weighted_sum(orders, weights, out=None):
+    """sum_l weights[l] * orders[l], into out if given; later zero weights
+    are skipped, so hbar = 0 gives F_0 exactly even where a higher order
+    is not finite."""
+    total = np.multiply(orders[0], weights[0], out=out)
     for weight, order in zip(weights[1:], orders[1:]):
         if weight != 0.0:
             total += weight * order
@@ -344,7 +369,7 @@ def eval_points(series: WignerSeries, seed, hbar: float, q, p) -> np.ndarray:
     for start in range(0, q.size, BLOCK_POINTS):
         rows = slice(start, start + BLOCK_POINTS)
         block = term_derivatives(series.terms, seed, q[rows], h[rows])
-        values[rows] = _weighted_sum(block[:, 0], weights)
+        _weighted_sum(block[:, 0], weights, out=values[rows])
     return values.reshape(shape)
 
 

@@ -13,13 +13,15 @@ with integer coefficients:
 with the fugacity folded into the energy through mu = ln z.  The polynomials
 are generated once per seed by P_{j+1} = P_j' * P_1 and cached on it.
 
-Fermi-Dirac derivatives are evaluated at g <= 1/2 only, through the
-reflection f0^(j)(t) = (-1)^(j+1) f0^(j)(-t) (j >= 1, t = H - mu): there the
-alternating P_j cancel far less.  Near t = 0 they still lose up to 12
-digits at j = 30, so the high orders are summed over the poles of f0
-there instead.  Only numpy is imported; the calibration's Fermi-Dirac
-integral is a composite Gauss-Legendre rule and its root solve is plain
-Python.
+A derivative table is one array of j_max + 1 rows, each filled by Horner's
+rule in place.  Fermi-Dirac derivatives are evaluated at g <= 1/2 only,
+through the reflection f0^(j)(t) = (-1)^(j+1) f0^(j)(-t) (j >= 1,
+t = H - mu): there the alternating P_j cancel far less.  Near t = 0 they
+still lose up to 12 digits at j = 30, so the high orders are summed over
+the poles of f0 there instead, streamed one pole at a time into real
+accumulators.  Only numpy is imported; the calibration's Fermi-Dirac
+integral is a composite Gauss-Legendre rule whose nodes and weights are
+constants here, and its root solve is plain Python.
 """
 
 from __future__ import annotations
@@ -76,27 +78,39 @@ def _pole_count(j: int) -> int:
     return max(2, math.ceil((10.0 ** (17.0 / j) - 1.0) / 2.0))
 
 
-def _fd_pole_derivatives(t, j_max: int) -> list:
-    """[f0^(j)(t) for _POLE_ORDER <= j <= j_max] of the Fermi-Dirac seed.
+def _fd_pole_derivatives(t, j_max: int) -> np.ndarray:
+    """out[j - _POLE_ORDER] = f0^(j)(t) for _POLE_ORDER <= j <= j_max of the
+    Fermi-Dirac seed.
 
     From the Mittag-Leffler expansion 1/(1 + e^t) = 1/2 - sum_k 1/(t - a_k),
     a_k = i pi (2k + 1) over all integers k taken in conjugate pairs:
     f0^(j)(t) = (-1)^(j+1) 2 j! Re sum_{k>=0} (t - a_k)^-(j+1).  The terms
     do not cancel near t = 0; each order multiplies each pole's power once.
+    The poles are taken one at a time, the last first, and each order adds
+    the real part of its power of the pole into its row.  A complex sum's
+    real part is the sum of the real parts, so each row has the bits of the
+    complex sum over the poles from the last to the first.  No complex
+    operation runs in place: numpy's in-place complex product of
+    one-element arrays takes another loop, with other bits.
     """
-    if j_max < _POLE_ORDER:
-        return []
-    inv = [1.0 / (t - 1j * math.pi * (2 * k + 1)) for k in range(_pole_count(_POLE_ORDER))]
-    powers = [w ** (_POLE_ORDER + 1) for w in inv]
-    out = []
-    for j in range(_POLE_ORDER, j_max + 1):
-        n = _pole_count(j)
-        if j > _POLE_ORDER:
-            powers = [p * w for p, w in zip(powers[:n], inv)]
-        total = powers[n - 1]
-        for p in powers[n - 2::-1]:
-            total = total + p
-        out.append((-1.0) ** (j + 1) * 2.0 * math.factorial(j) * total.real)
+    out = np.empty((j_max - _POLE_ORDER + 1,) + t.shape)
+    inv, power, spare = (np.empty(t.shape, complex) for _ in range(3))
+    for k in range(_pole_count(_POLE_ORDER) - 1, -1, -1):
+        np.subtract(t, 1j * math.pi * (2 * k + 1), out=spare)
+        np.divide(1.0, spare, out=inv)
+        np.power(inv, _POLE_ORDER + 1, out=power)
+        for j, row in enumerate(out, _POLE_ORDER):
+            n = _pole_count(j)
+            if k >= n:
+                break
+            if j > _POLE_ORDER:
+                power, spare = np.multiply(power, inv, out=spare), power
+            if k == n - 1:
+                np.copyto(row, power.real)
+            else:
+                row += power.real
+    for j, row in enumerate(out, _POLE_ORDER):
+        row *= (-1.0) ** (j + 1) * 2.0 * math.factorial(j)
     return out
 
 
@@ -156,30 +170,33 @@ class SeedDistribution:
             return np.exp(-t) if self.kind == "mb" else 1.0 / np.expm1(t)
 
     def derivative_table(self, H, j_max: int) -> list:
-        """[f0, f0', ..., f0^(j_max)] at H, with t = H - mu and g computed once
-        and f0^(j) = P_j(g) by Horner's rule.  Fermi-Dirac takes g at -|t|,
-        flips the even orders where t < 0, and from _POLE_ORDER up takes the
-        pole sums where |t| <= _POLE_RADIUS and Horner's rule elsewhere."""
+        """[f0, f0', ..., f0^(j_max)] at H, the rows of one block, with
+        t = H - mu and g computed once and f0^(j) = P_j(g) by Horner's rule
+        in its row.  Fermi-Dirac takes g at -|t|, flips the even orders
+        where t < 0, and from _POLE_ORDER up takes the pole sums where
+        |t| <= _POLE_RADIUS and Horner's rule elsewhere."""
         if not 0 <= j_max <= MAX_DERIV_ORDER:
             raise ValueError(f"derivative order {j_max} is outside "
                              f"0..seeds.MAX_DERIV_ORDER = {MAX_DERIV_ORDER}")
         t = np.asarray(H, dtype=float) - self.mu
         shape = t.shape
         t = np.atleast_1d(t)
-        value = self._value(t)
-        out = [_plain(value.reshape(shape))]
-        g, sign = value, None
+        table = np.empty((j_max + 1,) + t.shape)
+        table[0] = self._value(t)
+        g, sign = table[0], None
         if self.kind == "fd":
             g, sign = _logistic(-np.abs(t)), np.where(t < 0, -1.0, 1.0)
-            near = np.abs(t) <= _POLE_RADIUS
-            poles = _fd_pole_derivatives(t[near], j_max)
-            far = ~near
-            g_far, sign_far = g[far], sign[far]
+            if j_max >= _POLE_ORDER:
+                near = np.abs(t) <= _POLE_RADIUS
+                poles = _fd_pole_derivatives(t[near], j_max)
+                far = ~near
+                g_far, sign_far = g[far], sign[far]
+                horner_far = np.empty(g_far.shape)
         for j in range(1, j_max + 1):
-            coeffs = self._float_poly(j)
             pole = self.kind == "fd" and j >= _POLE_ORDER
-            x, s = (g_far, sign_far) if pole else (g, sign)
-            val = coeffs[-1] * x
+            x, s, val = (g_far, sign_far, horner_far) if pole else (g, sign, table[j])
+            coeffs = self._float_poly(j)
+            np.multiply(coeffs[-1], x, out=val)
             val += coeffs[-2]
             for c in coeffs[-3::-1]:
                 val *= x
@@ -187,12 +204,9 @@ class SeedDistribution:
             if s is not None and j % 2 == 0:
                 val *= s
             if pole:
-                full = np.empty(t.shape)
-                full[far] = val
-                full[near] = poles[j - _POLE_ORDER]
-                val = full
-            out.append(_plain(val.reshape(shape)))
-        return out
+                table[j][far] = val
+                table[j][near] = poles[j - _POLE_ORDER]
+        return [_plain(row.reshape(shape)) for row in table]
 
     def f0(self, H):
         """Seed value; numpy-transparent in H."""
@@ -223,8 +237,33 @@ class QuadratureError(RuntimeError):
     """The Fermi-Dirac quadrature missed its requested tolerance."""
 
 
-# Gauss-Legendre nodes per panel of the Fermi-Dirac integral.
-_GL_NODES = 64
+# The 64-point Gauss-Legendre rule of each panel of the Fermi-Dirac
+# integral, as numpy's leggauss(64) gives it, bit for bit: its nodes are
+# antisymmetric and its weights symmetric, so the positive half is kept.
+_GL_HALF_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054,
+    0.16964442042399283, 0.21742364374000708, 0.2646871622087674,
+    0.31132287199021097, 0.3572201583376681, 0.4022701579639916,
+    0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+    0.6852363130542333, 0.7198818501716109, 0.7528199072605319,
+    0.7839723589433414, 0.8132653151227975, 0.8406292962525803,
+    0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538,
+    0.973326827789911, 0.983336253884626, 0.9910133714767443,
+    0.9963401167719552, 0.9993050417357722)
+_GL_HALF_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996,
+    0.04799938859645842, 0.04754016571483042, 0.046968182816210076,
+    0.04628479658131447, 0.045491627927418184, 0.044590558163756566,
+    0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009,
+    0.0354722132568823, 0.033805161837141794, 0.032057928354851495,
+    0.030234657072402554, 0.028339672614259535, 0.02637746971505491,
+    0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786,
+    0.011168139460131028, 0.008846759826363397, 0.006504457968978502,
+    0.004147033260564499, 0.00178328072169414)
 
 
 def _fermi_integral(nu: float, mu: float, rule) -> tuple[float, float]:
@@ -259,7 +298,10 @@ def _fermi_integral(nu: float, mu: float, rule) -> tuple[float, float]:
 
 
 def _gauss_legendre():
-    return np.polynomial.legendre.leggauss(_GL_NODES)
+    """(nodes, weights) of the 64-point rule on [-1, 1], nodes ascending."""
+    nodes = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+    weights = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
+    return nodes, weights
 
 
 def polylog_neg(nu: float, z: float) -> float:
@@ -290,9 +332,11 @@ class BracketError(RuntimeError):
 
 _CHI_FACTOR = 3.0 * math.sqrt(math.pi) / 4.0
 
-# Bound on the root solve's steps; chi from 1e-6 to 630 needs 8 to 41
-# evaluations of chi(mu), bracketing included.  The bracket stops at
-# mu = 640, so chi of about 640 and above has none.
+# Bound on the root solve's steps; chi from 1e-6 to 700 needs 7 to 63
+# evaluations of chi(mu), bracketing included (1,000 log-spaced chi).  The
+# bracket ends at mu = 700, clamped, and at mu = -640, where the next
+# doubling would pass -700 (at mu = -700 the quadrature fails its check):
+# chi above chi(700) = 700.0012 or below chi(-640) = 6.1e-186 has none.
 _MAX_ROOT_STEPS = 200
 
 
@@ -311,9 +355,9 @@ def chi_from_z(z: float) -> float:
 def z_from_chi(chi: float) -> float:
     """Fugacity from the degeneracy parameter.
 
-    chi increases with mu = ln z, so the root is bracketed by doubling and
-    then narrowed by false position with the Illinois step, down to a
-    bracket of a few ulps of mu.
+    chi increases with mu = ln z, so the root is bracketed by doubling, the
+    last step up clamped to mu = 700, and then narrowed by false position
+    with the Illinois step, down to a bracket of a few ulps of mu.
     """
     if not (chi > 0):
         raise ValueError("chi must be positive")
@@ -325,9 +369,9 @@ def z_from_chi(chi: float) -> float:
     lo, hi = -5.0, 5.0
     f_hi = f(hi)
     while f_hi < 0:
-        hi *= 2.0
-        if hi > 700.0:
+        if hi >= 700.0:
             raise BracketError(f"no fugacity bracket found for chi = {chi}")
+        hi = min(2.0 * hi, 700.0)
         f_hi = f(hi)
     f_lo = f(lo)
     while f_lo > 0:

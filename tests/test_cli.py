@@ -407,11 +407,12 @@ def test_deeply_nested_potential_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("chi, shown", [("1e-300", "1e-300"), ("700", "700.0")],
+@pytest.mark.parametrize("chi, shown", [("1e-300", "1e-300"), ("701", "701.0")],
                          ids=["low-end", "high-end"])
 def test_fugacity_bracket_failure_is_a_config_error(tmp_path, capsys, chi, shown):
-    # z_from_chi doubles its bracket on mu = ln z up to |mu| = 700, which
-    # reaches neither chi = 1e-300 (the low end) nor chi = 700 (the high end)
+    # z_from_chi doubles its bracket on mu = ln z down to -640 and up to 700,
+    # which reaches neither chi = 1e-300 (the low end) nor chi = 701 (the
+    # high end, above chi(700) = 700.0012)
     assert run(["evaluate", "--potential", "goldstone", "--order", "1",
                 "--hbar", "0.1", "--seed", f"fd:chi={chi}",
                 "--out", str(tmp_path / "run")]) == 1

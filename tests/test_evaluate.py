@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -377,6 +378,28 @@ def test_grid_fill_takes_every_row_of_odd_potential():
     assert orders.sizes.tolist() == np.abs(per_order).max(axis=(1, 2)).tolist()
     assert orders.sizes[2] == 0.0
 
+
+
+def test_grid_fill_memory_is_its_output_and_a_few_block_tables(goldstone_l5):
+    # peak traced memory of a fill is its output plus a fixed multiple of
+    # one block's seed table: 2.55 tables here (144 x 144 distinct points
+    # in three blocks of 56 rows, j_max 15), against 4.4 for a fill whose
+    # pole sums held a complex power per pole.  The bound leaves 10%, so a
+    # block array kept per hbar (3 tables for 48 hbar) fails, and so do two
+    # more complex arrays of the block's points near the poles
+    grid = GridSpec(-4.0, 4.0, 201, -4.0, 4.0, 201)
+    hbars = [0.02 * n for n in range(1, 49)]
+    order_grids(goldstone_l5, FD, grid, hbars)   # the seed's cached polynomials
+    tracemalloc.start()
+    try:
+        orders = order_grids(goldstone_l5, FD, grid, hbars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_q, n_p = orders.values.shape[1:]
+    assert (n_q, n_p) == (144, 144) and BLOCK_POINTS // n_p == 56
+    table = (goldstone_l5.max_deriv_order() + 1) * 56 * n_p * 8
+    assert peak <= orders.values.nbytes + 2.8 * table
 
 def test_combined_seed_of_one_gives_same_value(goldstone_l5):
     combo = CombinedSeed([(1.0, FD)])

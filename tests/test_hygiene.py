@@ -490,3 +490,23 @@ def test_no_command_loads_numpy_random(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3", "4"]
+
+
+# fd:chi calibrates with a Gauss-Legendre rule held as constants, so no
+# run loads numpy.polynomial (seven modules) for it.
+CALIBRATION_SCRIPT = """
+import sys
+from qvlasov.cli import main
+assert main(["diagnose", "--potential", "goldstone", "--order", "1",
+             "--seed", "fd:chi=1", "--qrange=-3,3,11", "--prange=-3,3,11",
+             "--hbar-list", "0.2", "--out", sys.argv[1]]) == 0
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+def test_fd_chi_calibration_leaves_numpy_polynomial_unloaded(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION_SCRIPT, str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "qsweep.csv").is_file()

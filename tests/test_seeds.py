@@ -328,6 +328,22 @@ def test_z_from_chi_degenerate_matches_mpmath(chi):
         assert float(abs(ref - target) / abs(target)) < 1e-14
 
 
+@pytest.mark.parametrize("chi", [650.0, 690.0])
+def test_z_from_chi_roundtrip_near_the_bracket_end(chi):
+    # roots between mu = 640 and 700: the bracket's last doubling is clamped
+    # to mu = 700 instead of passing over it
+    z = z_from_chi(chi)
+    assert 640.0 < math.log(z) < 700.0
+    assert chi_from_z(z) == pytest.approx(chi, rel=1e-14)
+
+
+def test_gauss_legendre_rule_is_numpys_bit_for_bit():
+    nodes, weights = seeds_module._gauss_legendre()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+
+
 def test_z_from_chi_below_edge_cuts_is_unchanged():
     # the extra panel cuts start at mu = 8, so calibrations below keep their bits
     assert z_from_chi(1.0).hex() == "0x1.f521108ebdddap-1"
