@@ -379,7 +379,6 @@ def test_grid_fill_takes_every_row_of_odd_potential():
     assert orders.sizes[2] == 0.0
 
 
-
 def test_grid_fill_memory_is_its_output_and_a_few_block_tables(goldstone_l5):
     # peak traced memory of a fill is its output plus a fixed multiple of
     # one block's seed table: 2.55 tables here (144 x 144 distinct points
@@ -400,6 +399,7 @@ def test_grid_fill_memory_is_its_output_and_a_few_block_tables(goldstone_l5):
     assert (n_q, n_p) == (144, 144) and BLOCK_POINTS // n_p == 56
     table = (goldstone_l5.max_deriv_order() + 1) * 56 * n_p * 8
     assert peak <= orders.values.nbytes + 2.8 * table
+
 
 def test_combined_seed_of_one_gives_same_value(goldstone_l5):
     combo = CombinedSeed([(1.0, FD)])
@@ -523,7 +523,6 @@ def test_term_derivatives_match_exact_dh_chain(spec, order, seed, rng):
         assert np.abs(derivs[l] - reference).max() <= 1e-12 * scale, l
 
 
-
 # Bits of verify's read-out (r_max = 2, terms and their x-derivatives),
 # recorded before the fill's orders buffer was reused across blocks.
 DERIVATIVE_DIGESTS = json.loads(
@@ -545,6 +544,7 @@ def term_derivative_digest(spec: str, order: int, seed_spec: str) -> str:
 def test_term_derivative_bits_are_pinned(spec, order, seed_spec):
     key = f"{spec} {order} {seed_spec}"
     assert term_derivative_digest(spec, order, seed_spec) == DERIVATIVE_DIGESTS[key]
+
 
 def test_modulated_potential_field(rng):
     series = build_series(resolve_potential("modulated:a=1/2"), 2, "paper")
