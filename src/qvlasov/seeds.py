@@ -185,9 +185,10 @@ class SeedDistribution:
         table[0] = self._value(t)
         g, sign = table[0], None
         if self.kind == "fd":
-            g, sign = _logistic(-np.abs(t)), np.where(t < 0, -1.0, 1.0)
+            size = np.abs(t)
+            g, sign = _logistic(-size), np.where(t < 0, -1.0, 1.0)
             if j_max >= _POLE_ORDER:
-                near = np.abs(t) <= _POLE_RADIUS
+                near = size <= _POLE_RADIUS
                 poles = _fd_pole_derivatives(t[near], j_max)
                 far = ~near
                 g_far, sign_far = g[far], sign[far]
