@@ -1,9 +1,10 @@
 """Semiclassical series solutions of the stationary 1-D quantum Vlasov equation."""
 
 from .diagnostics import (DiagnosticsReport, NegativityReport, diagnose,
-                          marginals, negativity_report, q_functional)
-from .evaluate import (DEFAULT_GRID, GridSpec, OrderGrids, WignerField,
-                       eval_field, eval_point, eval_points, order_grids)
+                          marginals, negativity_report, q_functional, spikiness)
+from .evaluate import (DEFAULT_GRID, GridSpec, OrderGrids, OrderMoments,
+                       WignerField, eval_field, eval_point, eval_points,
+                       order_grids, order_moments)
 from .parser import ParseError, parse_potential
 from .potentials import PRESETS, modulated_harmonic, resolve_potential
 from .ring import Coefficient, Monomial, RingElem, RingError
@@ -24,9 +25,9 @@ __all__ = [
     "SeriesTerm", "WignerSeries", "build_series", "closed_form_f1",
     "integrate_term", "recursion_rhs",
     "GridSpec", "DEFAULT_GRID", "WignerField", "eval_point", "eval_points",
-    "eval_field", "order_grids", "OrderGrids",
+    "eval_field", "order_grids", "OrderGrids", "order_moments", "OrderMoments",
     "DiagnosticsReport", "NegativityReport", "diagnose", "marginals",
-    "q_functional", "negativity_report",
+    "q_functional", "spikiness", "negativity_report",
     "ResidualReport", "residual_symbolic", "residual_numeric",
     "__version__",
 ]

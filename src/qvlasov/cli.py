@@ -4,11 +4,13 @@ Configuration comes from flags plus an optional JSON config file whose keys
 are the flag names with underscores; file values pass through the flag
 converters, and flags override the file.  All outputs are plot-ready CSV
 plus JSON sidecars, and every command is deterministic for a fixed
-configuration.  A sidecar's config block (_PROVENANCE) echoes the command,
-potential, order, convention, seed, hbar, hbar_list and grid only:
---no-normalize and verify's --series, --mode, --samples and --j-max are
-not echoed.  Exit codes: 0 success, 1 config error, 2 computation error,
-3 verification failure.
+configuration.  A field command fills the grid once; a diagnose --hbar-list
+sweep takes every Q from the order moments of its one fill.  A sidecar's
+config block (_PROVENANCE) echoes the command, potential, order,
+convention, seed, hbar, hbar_list and grid only: --no-normalize and
+verify's --series, --mode, --samples and --j-max are not echoed.  Exit
+codes: 0 success, 1 config error, 2 computation error, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import sys
 from pathlib import Path
 
 from . import diagnostics as diag
-from .evaluate import (DEFAULT_GRID, MAX_GRID_POINTS, GridSpec,
-                       NormalizationError, eval_field, hbar_weights,
-                       order_grids, write_field_csv, write_field_sidecar)
+from .evaluate import (DEFAULT_GRID, GridSpec, NormalizationError, eval_field,
+                       hbar_weights, order_grids, order_moments,
+                       write_field_csv, write_field_sidecar)
 from .parser import ParseError
 from .potentials import resolve_potential
 from .ring import RingElem, RingError
@@ -32,7 +34,7 @@ from .series import (CONVENTIONS, MAX_ORDER, OrderError, TermBudgetError,
 from .verify import MAX_SAMPLES, residual_numeric, residual_symbolic
 
 
-# Most hbar values a --hbar-list may hold, which bounds a sweep's fields.
+# Most hbar values a --hbar-list may hold, which bounds a sweep's work.
 MAX_HBARS = 1000
 
 
@@ -238,32 +240,25 @@ def cmd_expand(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _fields(series: WignerSeries, cfg: argparse.Namespace, hbars, normalize: bool):
-    """The fields at hbars on cfg.grid, in order, each after one stderr line
-    when the series is truncated past its smallest term there.
+def _warn_truncation(series: WignerSeries, sizes, hbar: float) -> None:
+    """One stderr line if the series is truncated past its smallest term."""
+    past = diag.past_smallest_term(sizes, hbar)
+    if past:
+        print(f"warning: hbar = {hbar:g}: the order-{series.order} term "
+              f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
+              f"the series is truncated past its smallest term", file=sys.stderr)
 
-    Every weight is checked before any fill.  A fill holds a grid per hbar,
-    so a long sweep is filled in parts: each holds no more values than the
-    grids of the L + 1 orders, or than the largest grid, whichever is more.
-    """
-    for hbar in hbars:
-        hbar_weights(hbar, range(len(series.terms)))
-    step = max(len(series.terms), MAX_GRID_POINTS // (cfg.grid.n_q * cfg.grid.n_p))
-    for start in range(0, len(hbars), step):
-        orders = order_grids(series, cfg.seed_dist, cfg.grid, hbars[start:start + step])
-        for hbar in orders.hbars:
-            past = diag.past_smallest_term(orders.sizes, hbar)
-            if past:
-                print(f"warning: hbar = {hbar:g}: the order-{series.order} term "
-                      f"is {past[1]:.3g} times the smallest, of order {past[0]}; "
-                      f"the series is truncated past its smallest term",
-                      file=sys.stderr)
-            yield eval_field(series, cfg.seed_dist, hbar, cfg.grid, normalize, orders)
+
+def _field(series: WignerSeries, cfg: argparse.Namespace, normalize: bool):
+    """The field at cfg.hbar on cfg.grid, after its truncation warning."""
+    orders = order_grids(series, cfg.seed_dist, cfg.grid, cfg.hbar)
+    _warn_truncation(series, orders.sizes, cfg.hbar)
+    return eval_field(series, cfg.seed_dist, cfg.hbar, cfg.grid, normalize, orders)
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     series = build_series(cfg.potential_elem, cfg.order, cfg.convention)
-    field_, = _fields(series, cfg, (cfg.hbar,), not cfg.no_normalize)
+    field_ = _field(series, cfg, not cfg.no_normalize)
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_field_csv(field_, cfg.out / "field.csv")
     write_field_sidecar(field_, cfg.out / "field.json", cfg.seed, {
@@ -278,10 +273,15 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
 def cmd_diagnose(cfg: argparse.Namespace) -> int:
     series = build_series(cfg.potential_elem, cfg.order, cfg.convention)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.hbar_list:
-        rows = [(field_.hbar, *diag.q_functional(field_))
-                for field_ in _fields(series, cfg, cfg.hbar_list, True)]
+        for hbar in cfg.hbar_list:      # every weight before the one fill
+            hbar_weights(hbar, range(len(series.terms)))
+        moments = order_moments(series, cfg.seed_dist, cfg.grid)
+        rows = []
+        for hbar in cfg.hbar_list:
+            _warn_truncation(series, moments.sizes, hbar)
+            rows.append((hbar, *diag.spikiness(*moments.integrals(hbar), hbar)))
+        cfg.out.mkdir(parents=True, exist_ok=True)
         sweep_path = cfg.out / "qsweep.csv"
         with open(sweep_path, "w") as fh:
             fh.write("hbar,Q,two_pi_hbar_Q\n")
@@ -297,8 +297,8 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
                   f"ok = {verdict}")
         print(f"wrote {sweep_path}")
         return 0
-    field_, = _fields(series, cfg, (cfg.hbar,), True)
-    report = diag.diagnose(field_)
+    report = diag.diagnose(_field(series, cfg, True))
+    cfg.out.mkdir(parents=True, exist_ok=True)
     doc = report.to_json_dict()
     doc["config"] = _provenance(cfg)
     _write_json(cfg.out / "diagnostics.json", doc)

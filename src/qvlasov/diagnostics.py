@@ -55,9 +55,15 @@ def q_functional(field: WignerField):
     """
     total = _positive(field.grid.integral(field.row_values, field.rows))
     second = field.grid.integral(field.row_values**2, field.rows)
+    return spikiness(total, second, field.hbar)
+
+
+def spikiness(total: float, second: float, hbar: float):
+    """Q = second / total^2 from the integrals of a field and of its square
+    (or c and c^2 times them), 2*pi*hbar*Q and the verdict (None at 0)."""
     q_value = second / total**2
-    bound = 2.0 * np.pi * field.hbar * q_value
-    verdict = bool(bound <= 1.0) if field.hbar > 0 else None
+    bound = 2.0 * np.pi * hbar * q_value
+    verdict = bool(bound <= 1.0) if hbar > 0 else None
     return q_value, bound, verdict
 
 
@@ -67,11 +73,12 @@ def past_smallest_term(sizes, hbar: float):
 
     Past its smallest term an asymptotic series gets worse with each order
     it keeps, so the truncation is no longer optimal (Berry & Howls, Proc.
-    R. Soc. A 430, 653 (1990)).  Orders that vanish on the grid do not count.
-    HbarOverflowError when a weight hbar^(2l) exceeds the float range.
+    R. Soc. A 430, 653 (1990)).  Orders that vanish on the grid, or whose
+    weight is zero, do not count.  HbarOverflowError when a weight
+    hbar^(2l) exceeds the float range.
     """
     weights = hbar_weights(hbar, range(len(sizes)))
-    terms = [w * size for w, size in zip(weights, sizes)]
+    terms = [w * size if w != 0.0 else 0.0 for w, size in zip(weights, sizes)]
     smallest, l = min(((t, l) for l, t in enumerate(terms) if t != 0.0),
                       default=(math.inf, 0))
     if terms[-1] > smallest:

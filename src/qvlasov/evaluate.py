@@ -3,9 +3,10 @@
 A field is sum_l hbar^(2l) F_l, where the per-order fields F_l do not depend
 on hbar.  Point and grid evaluation form the F_l by one routine and weight
 them by one helper, so grid values are bit-identical to pointwise calls.
-Every grid field comes from the one grid fill (order_grids), which weights
-the F_l a block at a time for each hbar and holds the fields at the grid's
-distinct rows and p^2; a field stays at those rows (WignerField).
+The one grid fill forms the F_l a block at a time at the grid's distinct
+rows and p^2: order_grids weights them into the field at one hbar, which
+stays at those rows (WignerField), and order_moments integrates them and
+their products, which give the field's integrals at any number of hbar.
 Exact ring elements become floats in one batched kernel (cell_values), bit
 for bit each element's own Horner sum.  Cells are grouped by seed-derivative
 order; each derivative is formed once per block of points (a grid's at its
@@ -111,6 +112,15 @@ class GridSpec:
             starts.pop()
         return np.concatenate([np.trapezoid(values[:, a:b], q, axis=0)
                                for a, b in zip(starts, starts[1:] + [self.n_p])])
+
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trapezoid weights of the q and p axes: integral's rule, on the
+        uniform step (max - min) / (n - 1) of each axis."""
+        out = (np.full(self.n_q, (self.q_max - self.q_min) / (self.n_q - 1)),
+               np.full(self.n_p, (self.p_max - self.p_min) / (self.n_p - 1)))
+        for w in out:
+            w[[0, -1]] /= 2
+        return out
 
     def integral(self, values: np.ndarray, rows: np.ndarray) -> float:
         """Double trapezoid integral of a field on this grid whose grid row i
@@ -275,33 +285,18 @@ def _distinct_bits(*columns):
     return order[new], inverse
 
 
-@dataclass(frozen=True, eq=False)
-class OrderGrids:
-    """Fields of a grid at each of hbars, held at its distinct rows and
-    columns: the field at hbars[n] at grid point (i, k) is
-    values[n, rows[i], cols[k]].  sizes[l] is max |F_l| on the grid."""
-
-    values: np.ndarray
-    sizes: np.ndarray
-    hbars: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    grid: GridSpec
-
-
-def order_grids(series: WignerSeries, seed, grid: GridSpec, hbars) -> OrderGrids:
-    """The fields sum_l hbar^(2l) F_l on the grid at each of hbars, and
-    max |F_l| per order, from one fill; every weight is formed first.
+def _grid_fill(series: WignerSeries, seed, grid: GridSpec):
+    """(rows, cols, sizes, blocks): blocks yields (block, orders) for each
+    block of distinct rows, orders[l] holding F_l there at every distinct
+    column, in one buffer that the next block refills; rows and cols map
+    grid rows and columns to the distinct ones, and sizes[l] is max |F_l|
+    over the blocks so far.
 
     A grid value is sum c_{l,m,j}(q) H^m f0^(j)(H) with H = p^2/2 + V(q),
     filled elementwise, so rows with the same bits of V(q) and of every cell
     coefficient, and columns with the same bits of p^2, hold the same bits
-    of every F_l: they are filled at the first of each such row and column,
-    a block of distinct rows at a time, whose F_l are weighted straight into
-    the output.
+    of every F_l: they are filled at the first of each such row and column.
     """
-    hbars = tuple(hbars)
-    weights = [hbar_weights(hbar, range(len(series.terms))) for hbar in hbars]
     q = grid.q_axis()
     p2 = grid.p_axis() ** 2
     p_first, cols = _distinct_bits(p2)
@@ -313,23 +308,105 @@ def order_grids(series: WignerSeries, seed, grid: GridSpec, hbars) -> OrderGrids
     by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
                 for l, coeffs in cells] for j, cells in by_j.items()}
     h = 0.5 * p2[p_first] + v[q_first, None]
-    values = np.empty((len(hbars),) + h.shape)
     sizes = np.zeros(len(series.terms))
-    step = max(1, BLOCK_POINTS // p_first.size)
-    # one orders buffer and one scratch serve every block, so the blocks
-    # after the first fault in no new pages for them
-    orders = np.empty((len(series.terms), 1, step, p_first.size))
-    work = np.empty((2, step, p_first.size))
-    for start in range(0, q_first.size, step):
-        block = slice(start, start + step)
-        n = min(step, q_first.size - start)
-        _block_orders(orders[:, :, :n], work[:, :n], by_j, block, seed, h[block])
-        filled = orders[:, 0, :n]
-        np.maximum(sizes, np.maximum(filled.max(axis=(1, 2)), -filled.min(axis=(1, 2))),
-                   out=sizes)
-        for i, row in enumerate(weights):
-            _weighted_sum(filled, row, out=values[i, block])
-    return OrderGrids(values, sizes, hbars, rows, cols, grid)
+
+    def blocks():
+        step = max(1, BLOCK_POINTS // p_first.size)
+        # one orders buffer and one scratch serve every block, so the blocks
+        # after the first fault in no new pages for them
+        orders = np.empty((len(series.terms), 1, step, p_first.size))
+        work = np.empty((2, step, p_first.size))
+        for start in range(0, q_first.size, step):
+            block = slice(start, start + step)
+            n = min(step, q_first.size - start)
+            _block_orders(orders[:, :, :n], work[:, :n], by_j, block, seed, h[block])
+            filled = orders[:, 0, :n]
+            np.maximum(sizes, np.maximum(filled.max(axis=(1, 2)),
+                                         -filled.min(axis=(1, 2))), out=sizes)
+            yield block, filled
+
+    return rows, cols, sizes, blocks()
+
+
+@dataclass(frozen=True, eq=False)
+class OrderGrids:
+    """The field at hbar on a grid, held at its distinct rows and columns:
+    its value at grid point (i, k) is values[rows[i], cols[k]].  sizes[l] is
+    max |F_l| on the grid."""
+
+    values: np.ndarray
+    sizes: np.ndarray
+    hbar: float
+    rows: np.ndarray
+    cols: np.ndarray
+    grid: GridSpec
+
+
+def order_grids(series: WignerSeries, seed, grid: GridSpec, hbar: float) -> OrderGrids:
+    """The field sum_l hbar^(2l) F_l on the grid, and max |F_l| per order,
+    from one fill weighted a block at a time; the weights are formed first."""
+    weights = hbar_weights(hbar, range(len(series.terms)))
+    rows, cols, sizes, blocks = _grid_fill(series, seed, grid)
+    values = np.empty((rows.max() + 1, cols.max() + 1))
+    for block, filled in blocks:
+        _weighted_sum(filled, weights, out=values[block])
+    return OrderGrids(values, sizes, hbar, rows, cols, grid)
+
+
+@dataclass(frozen=True, eq=False)
+class OrderMoments:
+    """gram[l, l'] * unit^2 is the grid integral of F_l F_l', mass[l] * unit
+    that of F_l, and sizes[l] max |F_l|; the power of two unit keeps the
+    moments in the float range."""
+
+    gram: np.ndarray
+    mass: np.ndarray
+    unit: float
+    sizes: np.ndarray
+
+    def integrals(self, hbar: float) -> tuple[float, float]:
+        """(integral of f, integral of f^2) / (unit, unit^2) for the field
+        f = sum_l hbar^(2l) F_l, skipping orders of zero weight as
+        _weighted_sum does; NormalizationError unless the integral of f is
+        finite and positive."""
+        weights = hbar_weights(hbar, range(len(self.mass)))
+        kept = [l for l, w in enumerate(weights) if w != 0.0]
+        w = np.array(weights)[kept]
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = float(w @ self.mass[kept])
+            second = float(w @ self.gram[np.ix_(kept, kept)] @ w)
+        if not (math.isfinite(total * self.unit) and total > 0):
+            raise NormalizationError(f"field integral {total * self.unit!r} "
+                                     f"is not normalizable")
+        return total, second
+
+
+def order_moments(series: WignerSeries, seed, grid: GridSpec) -> OrderMoments:
+    """The moments of the per-order fields on the grid from one fill, which
+    give the field's integrals at any number of hbar.  Each distinct row
+    and column carries the summed trapezoid weights of the grid rows and
+    columns that map to it.  A block's orders are scaled in place by 1/unit,
+    which follows the largest |F_l| so far, and weighted into one buffer
+    per fill, whose row sums add to mass and products with them to gram."""
+    rows, cols, sizes, blocks = _grid_fill(series, seed, grid)
+    w_q, w_p = (np.bincount(m, w) for m, w in zip((rows, cols), grid.weights()))
+    gram, mass = np.zeros((len(sizes),) * 2), np.zeros(len(sizes))
+    scale, buffer = -1022, None     # unit = 2^scale and 1/unit stay normal
+    for block, filled in blocks:
+        orders = filled.reshape(len(sizes), -1)
+        if buffer is None:      # the first block is the largest
+            buffer = np.empty_like(orders)
+        weighted = buffer[:, :orders.shape[1]]
+        with np.errstate(invalid="ignore", over="ignore"):
+            top = min(max(int(np.frexp(sizes.max())[1]), scale), 1023)
+            gram *= 2.0 ** (2 * (scale - top))
+            mass *= 2.0 ** (scale - top)
+            scale = top
+            np.ldexp(orders, -scale, out=orders)
+            np.multiply(orders, (w_q[block, None] * w_p).ravel(), out=weighted)
+            mass += weighted.sum(axis=1)
+            gram += weighted @ orders.T
+    return OrderMoments(gram, mass, math.ldexp(1.0, scale), sizes)
 
 
 def hbar_weights(hbar: float, orders) -> list:
@@ -420,22 +497,20 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     NormalizationError when the grid integral is not finite, or, to be
     normalized, not positive.
 
-    The field is the one at hbar of order_grids(series, seed, grid, (hbar,)),
-    gathered to every column and held at the distinct rows of the fill,
-    with their row map.  ``orders`` takes the fill when the caller already
-    has it (an hbar sweep, or a run that also checks the per-order sizes);
-    orders of another grid, or without a field at hbar, are a ValueError.
-    The field holds no labels of the run; write_field_sidecar takes them.
+    The field is that of order_grids(series, seed, grid, hbar), gathered to
+    every column and held at the distinct rows of the fill, with their row
+    map.  ``orders`` takes that fill when the caller already has it; orders
+    of another grid or hbar are a ValueError.  The field holds no labels of
+    the run; write_field_sidecar takes them.
     """
     if orders is None:
-        orders = order_grids(series, seed, grid, (hbar,))
-    elif orders.grid != grid:
-        raise ValueError(f"orders were built on {orders.grid}, not on {grid}")
-    elif hbar not in orders.hbars:
-        raise ValueError(f"orders hold no field at hbar = {hbar!r}")
+        orders = order_grids(series, seed, grid, hbar)
+    elif (orders.grid, orders.hbar) != (grid, hbar):
+        raise ValueError(f"orders were built on {orders.grid} at hbar = "
+                         f"{orders.hbar!r}, not on {grid} at hbar = {hbar!r}")
     # np.take, not a slice: a C-ordered copy, whose p integrals have the
     # bits of the gathered grid's rows
-    values = np.take(orders.values[orders.hbars.index(hbar)], orders.cols, axis=1)
+    values = np.take(orders.values, orders.cols, axis=1)
     norm = grid.integral(values, orders.rows)
     if not np.isfinite(norm) or (normalize and norm <= 0):
         raise NormalizationError(f"field integral {norm!r} is not normalizable")

@@ -12,10 +12,12 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qvlasov import cli, evaluate
 from qvlasov.cli import main
+from qvlasov.seeds import SeedDistribution
 
 
 def run(argv):
@@ -163,34 +165,51 @@ def test_sweep_hbar_beyond_float_range_fails_before_any_field(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: hbar = 1e+40: the order-4 weight")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
-def test_long_sweep_is_filled_in_parts_with_the_same_bytes(tmp_path, monkeypatch):
-    # a fill holds a grid per hbar, so a sweep with more hbars than a part
-    # holds (here L + 1 = 3) takes one fill per part; its files are those of
-    # the one fill that a larger part allows, and an hbar beyond the float
-    # range still fails before any fill
+def test_sweep_of_any_length_takes_one_fill(tmp_path, monkeypatch):
+    # a sweep takes every Q from the order moments of one fill, so a sweep
+    # of more hbar values than the L + 1 = 3 orders, and one of the most
+    # hbar values a list may hold, take one seed-table pass over the grid's
+    # distinct points, as one field does; an hbar beyond the float range
+    # still fails before any fill, and writes no file
     flags = ["--potential", "goldstone", "--order", "2", "--qrange=-3,3,41",
              "--prange=-3,3,41"]
-    hbars = "0.1,0.2,0.3,0.4,0.5,0.6,0.7"
-    fills = []
+    points, fills = [], []
+    table = SeedDistribution.derivative_table
 
-    def order_grids(*args):
-        fills.append(args[3])
-        return evaluate.order_grids(*args)
+    def counting_table(self, H, j_max):
+        points.append(np.size(H))
+        return table(self, H, j_max)
 
-    monkeypatch.setattr(cli, "order_grids", order_grids)
-    assert run(["diagnose", "--hbar-list", hbars, *flags, "--out", str(tmp_path / "one")]) == 0
-    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 1)
-    assert run(["diagnose", "--hbar-list", hbars, *flags, "--out", str(tmp_path / "parts")]) == 0
-    assert fills == [(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7),
-                     (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7,)]
-    for name in ("qsweep.csv", "qsweep.json"):
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "parts" / name).read_bytes()
-    assert run(["diagnose", "--hbar-list", hbars + ",1e200", *flags,
-                "--out", str(tmp_path / "overflow")]) == 2
-    assert len(fills) == 4
+    def order_moments(*args):
+        fills.append(args)
+        return evaluate.order_moments(*args)
+
+    monkeypatch.setattr(SeedDistribution, "derivative_table", counting_table)
+    monkeypatch.setattr(cli, "order_moments", order_moments)
+    assert run(["evaluate", "--hbar", "0.3", *flags, "--out", str(tmp_path / "field")]) == 0
+    one_field = sum(points)
+    assert one_field == evaluate.order_grids(
+        cli.build_series(cli.resolve_potential("goldstone"), 2), SeedDistribution("fd"),
+        evaluate.GridSpec(-3.0, 3.0, 41, -3.0, 3.0, 41), 0.3).values.size
+    for name, hbars in [("long", [0.1 * n for n in range(1, 8)]),
+                        ("most", [0.001 * n for n in range(1, cli.MAX_HBARS + 1)])]:
+        points.clear()
+        fills.clear()
+        out = tmp_path / name
+        assert run(["diagnose", "--hbar-list", ",".join(map(repr, hbars)), *flags,
+                    "--out", str(out)]) == 0
+        assert sum(points) == one_field and len(fills) == 1
+        rows = (out / "qsweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == hbars
+    points.clear()
+    fills.clear()
+    out = tmp_path / "overflow"
+    assert run(["diagnose", "--hbar-list", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,1e200", *flags,
+                "--out", str(out)]) == 2
+    assert points == [] and fills == [] and not out.exists()
 
 
 @pytest.mark.parametrize("potential, order, convention, code", [
@@ -225,16 +244,19 @@ def test_uninvertible_wavenumbers_are_refused_before_the_build(
 ])
 def test_overflowing_seed_is_computation_error(tmp_path, capsys, flags):
     # exp(-H) overflows where -q^4 is deep, and expm1(H - ln z) everywhere
-    # for z = 1e-320: the field is inf or 0, with no numpy warning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run(["evaluate", *flags, "--hbar", "0.1", "--prange=-4,4,21",
-                    "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "is not normalizable" in err
-    assert not (tmp_path / "run").exists()
+    # for z = 1e-320: the field is inf or 0, with no numpy warning, and so
+    # are the order moments of a sweep (inf - inf and inf * 0 among them)
+    sweep = [f for f in flags if f != "--no-normalize"]
+    for argv in (["evaluate", *flags, "--hbar", "0.1"],
+                 ["diagnose", *sweep, "--hbar-list", "0,0.1,0.2"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([*argv, "--prange=-4,4,21", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not normalizable" in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_evaluate_is_deterministic(tmp_path):

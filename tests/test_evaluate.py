@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from qvlasov import evaluate
-from qvlasov.diagnostics import diagnose, q_functional
+from qvlasov.diagnostics import diagnose, q_functional, spikiness
 from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
                               HbarOverflowError, NormalizationError,
                               WignerField, _distinct_bits, cell_values, eval_field,
                               eval_point, eval_points, order_grids,
-                              term_derivatives, write_field_csv)
+                              order_moments, term_derivatives, write_field_csv)
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import PRESETS, resolve_potential
 from qvlasov.ring import RingElem, _terms_float
@@ -183,23 +183,22 @@ def test_field_csv_format(goldstone_l2, tmp_path):
     assert float(f0) == field.values[0, 0]
 
 
-def _gathered(orders, n):
-    # every grid point's value of the field at orders.hbars[n], gathered
-    # from the distinct rows and columns
-    return orders.values[n][orders.rows][:, orders.cols]
+def _gathered(orders):
+    # every grid point's value of the field, gathered from the distinct rows
+    # and columns
+    return orders.values[orders.rows][:, orders.cols]
 
 
 def test_sweep_from_order_grids_is_bit_identical(goldstone_l5):
-    # one fill holds the field at each hbar, 0 included, with the bits of
-    # eval_points and of the field filled for that hbar alone
-    hbars = (0.0, 0.1, 0.3, 0.6, 0.9)
-    orders = order_grids(goldstone_l5, FD, SMALL_GRID, hbars)
-    assert orders.values.shape == (len(hbars), orders.rows.max() + 1,
-                                   orders.cols.max() + 1)
+    # the fill at each hbar, 0 included, holds one field at the distinct
+    # rows and columns, with the bits of eval_points and of eval_field
     qq, pp = np.meshgrid(SMALL_GRID.q_axis(), SMALL_GRID.p_axis(), indexing="ij")
-    for n, hbar in enumerate(hbars):
+    for hbar in (0.0, 0.1, 0.3, 0.6, 0.9):
+        orders = order_grids(goldstone_l5, FD, SMALL_GRID, hbar)
+        assert orders.hbar == hbar
+        assert orders.values.shape == (orders.rows.max() + 1, orders.cols.max() + 1)
         points = eval_points(goldstone_l5, FD, hbar, qq, pp)
-        assert np.array_equal(_gathered(orders, n), points)
+        assert np.array_equal(_gathered(orders), points)
         plain = eval_field(goldstone_l5, FD, hbar, SMALL_GRID)
         shared = eval_field(goldstone_l5, FD, hbar, SMALL_GRID, orders=orders)
         assert np.array_equal(plain.values, shared.values)
@@ -209,12 +208,12 @@ def test_sweep_from_order_grids_is_bit_identical(goldstone_l5):
 
 def test_orders_of_another_grid_are_refused(goldstone_l2):
     # same shape, other bounds: the gathered field would be silently wrong
-    orders = order_grids(goldstone_l2, FD, SMALL_GRID, (0.3,))
+    orders = order_grids(goldstone_l2, FD, SMALL_GRID, 0.3)
     other = GridSpec(-4.0, 4.0, 61, -4.0, 4.0, 61)
     with pytest.raises(ValueError, match=r"q_min=-3\.0.*q_min=-4\.0"):
         eval_field(goldstone_l2, FD, 0.3, other, orders=orders)
-    # and orders of this grid hold no field at another hbar
-    with pytest.raises(ValueError, match="no field at hbar = 0.4"):
+    # and orders of this grid at another hbar
+    with pytest.raises(ValueError, match=r"at hbar = 0\.3, not on .* at hbar = 0\.4"):
         eval_field(goldstone_l2, FD, 0.4, SMALL_GRID, orders=orders)
 
 
@@ -258,12 +257,12 @@ def _assert_grid_fill_matches_points(series, grid):
     # without them, bit for bit
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
     hh = 0.5 * pp ** 2 + series.potential.evaluate(qq)
-    orders = order_grids(series, FD, grid, (0.0, 0.6))
     per_order = term_derivatives(series.terms, FD, qq, hh)[:, 0]
-    assert orders.sizes.tolist() == np.abs(per_order).max(axis=(1, 2)).tolist()
-    for n, hbar in enumerate(orders.hbars):
+    for hbar in (0.0, 0.6):
+        orders = order_grids(series, FD, grid, hbar)
+        assert orders.sizes.tolist() == np.abs(per_order).max(axis=(1, 2)).tolist()
         points = eval_points(series, FD, hbar, qq, pp)
-        assert np.array_equal(_gathered(orders, n), points)
+        assert np.array_equal(_gathered(orders), points)
     assert np.array_equal(eval_field(series, FD, 0.6, grid, normalize=False).values,
                           points)
     assert np.array_equal(eval_field(series, FD, 0.6, grid, normalize=False,
@@ -301,7 +300,6 @@ def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
         "cubic": (cubic_l3, DEFAULT_GRID, (401, 401)),
         "goldstone-asymmetric": (goldstone_l5, GridSpec(-2.5, 3.7, 101, -3.0, 3.3, 87),
                                  (101, 87))}[case]
-    orders = order_grids(series, FD, grid, (0.0, 0.3, 0.6))
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
 
     def integral(values):
@@ -310,6 +308,7 @@ def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
                                   grid.q_axis()))
 
     for hbar in (0.0, 0.3, 0.6):
+        orders = order_grids(series, FD, grid, hbar)
         points = eval_points(series, FD, hbar, qq, pp)
         norm = integral(points)
         raw = eval_field(series, FD, hbar, grid, normalize=False, orders=orders)
@@ -354,7 +353,11 @@ def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
     # 287 of the default axis' 401 p^2 are distinct (linspace is not
     # bit-antisymmetric), and so are 287 of its rows for an even potential
     seed = CountingSeed()
-    assert order_grids(goldstone_l2, seed, DEFAULT_GRID, (0.6,)).values.shape == (1, 287, 287)
+    assert order_grids(goldstone_l2, seed, DEFAULT_GRID, 0.6).values.shape == (287, 287)
+    assert sum(seed.points) == 287 * 287
+    # and so does the fill of the order moments
+    seed = CountingSeed()
+    order_moments(goldstone_l2, seed, DEFAULT_GRID)
     assert sum(seed.points) == 287 * 287
     # a single-hbar field without orders takes the same one fill
     seed = CountingSeed()
@@ -368,8 +371,8 @@ def test_grid_fill_takes_every_row_of_odd_potential():
     series = WignerSeries(CUBIC, 2, "paper",
                           build_series(CUBIC, 1, "paper").terms + (SeriesTerm(),))
     seed = CountingSeed()
-    orders = order_grids(series, seed, DEFAULT_GRID, (0.0, 0.5))
-    assert orders.values.shape == (2, 401, 287)
+    orders = order_grids(series, seed, DEFAULT_GRID, 0.5)
+    assert orders.values.shape == (401, 287)
     assert sum(seed.points) == 401 * 287
     assert 401 * 287 > 14 * BLOCK_POINTS
     qq, pp = np.meshgrid(DEFAULT_GRID.q_axis(), DEFAULT_GRID.p_axis(), indexing="ij")
@@ -379,26 +382,153 @@ def test_grid_fill_takes_every_row_of_odd_potential():
     assert orders.sizes[2] == 0.0
 
 
-def test_grid_fill_memory_is_its_output_and_a_few_block_tables(goldstone_l5):
-    # peak traced memory of a fill is its output plus a fixed multiple of
-    # one block's seed table: 2.55 tables here (144 x 144 distinct points
-    # in three blocks of 56 rows, j_max 15), against 4.4 for a fill whose
-    # pole sums held a complex power per pole.  The bound leaves 10%, so a
-    # block array kept per hbar (3 tables for 48 hbar) fails, and so do two
-    # more complex arrays of the block's points near the poles
-    grid = GridSpec(-4.0, 4.0, 201, -4.0, 4.0, 201)
-    hbars = [0.02 * n for n in range(1, 49)]
-    order_grids(goldstone_l5, FD, grid, hbars)   # the seed's cached polynomials
+def _traced_peak(call):
+    """(call(), the peak traced memory while it ran)."""
     tracemalloc.start()
     try:
-        orders = order_grids(goldstone_l5, FD, grid, hbars)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n_q, n_p = orders.values.shape[1:]
+
+
+def test_sweep_fill_memory_does_not_grow_with_the_hbar_count(goldstone_l5):
+    # peak traced memory of a field's fill is its one output grid plus a
+    # fixed multiple of one block's seed table: 2.59 tables here (144 x 144
+    # distinct points in three blocks of 56 rows, j_max 15), against 4.4
+    # for a fill whose pole sums held a complex power per pole.  A sweep's
+    # fill holds no grid: its moments buffer is 0.375 tables, and it peaks
+    # at 2.60 tables whether it then takes the integrals of 1 hbar or of
+    # 1000, so no array per hbar (a grid is 0.16 tables) comes back.  The
+    # bound leaves 8%, so two more complex arrays of the block's points
+    # near the poles fail it
+    grid = GridSpec(-4.0, 4.0, 201, -4.0, 4.0, 201)
+    order_grids(goldstone_l5, FD, grid, 0.3)   # the seed's cached polynomials
+    orders, peak = _traced_peak(lambda: order_grids(goldstone_l5, FD, grid, 0.3))
+    n_q, n_p = orders.values.shape
     assert (n_q, n_p) == (144, 144) and BLOCK_POINTS // n_p == 56
     table = (goldstone_l5.max_deriv_order() + 1) * 56 * n_p * 8
     assert peak <= orders.values.nbytes + 2.8 * table
+
+    def sweep(count):
+        moments = order_moments(goldstone_l5, FD, grid)
+        for n in range(1, count + 1):
+            moments.integrals(0.6 * n / count)
+
+    peaks = [_traced_peak(lambda: sweep(count))[1] for count in (1, 1000)]
+    assert max(peaks) <= 2.8 * table
+    assert peaks[1] <= peaks[0] + 1024
+
+
+class NanDerivatives(SeedDistribution):
+    """fd seed whose derivatives are NaN from order 1 on, so that every
+    order above F_0 is NaN wherever it reads one."""
+
+    def __init__(self):
+        super().__init__("fd")
+
+    def derivative_table(self, H, j_max):
+        f0, *higher = super().derivative_table(H, j_max)
+        return [f0] + [np.full_like(row, np.nan) for row in higher]
+
+
+@pytest.mark.parametrize("case", ["goldstone", "cubic", "goldstone-asymmetric"])
+def test_order_moments_give_each_fields_integrals(goldstone_l5, cubic_l3, case):
+    # gram and mass, on the distinct points with their summed weights, give
+    # the double trapezoid integrals of the field and of its square at each
+    # hbar, up to roundoff, and Q to roundoff of the field route's; sizes
+    # are those of the field's fill, bit for bit
+    series, grid = {
+        "goldstone": (goldstone_l5, SMALL_GRID),
+        "cubic": (cubic_l3, SMALL_GRID),
+        "goldstone-asymmetric": (goldstone_l5, GridSpec(-2.5, 3.7, 101, -3.0, 3.3, 87))}[case]
+    moments = order_moments(series, FD, grid)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    w_q, w_p = grid.weights()
+    for hbar in (0.0, 0.3, 0.6):
+        orders = order_grids(series, FD, grid, hbar)
+        assert moments.sizes.tolist() == orders.sizes.tolist()
+        points = eval_points(series, FD, hbar, qq, pp)
+        total, second = moments.integrals(hbar)
+        assert total * moments.unit == pytest.approx(w_q @ points @ w_p, rel=1e-13)
+        assert second * moments.unit ** 2 == pytest.approx(w_q @ points ** 2 @ w_p,
+                                                           rel=1e-13)
+        q_value, bound, verdict = spikiness(total, second, hbar)
+        field = eval_field(series, FD, hbar, grid, orders=orders)
+        assert (q_value, bound, verdict) == pytest.approx(q_functional(field), rel=1e-13)
+
+
+def test_sweep_at_hbar_zero_skips_orders_that_are_not_finite(goldstone_l5):
+    # as the field at hbar = 0 is F_0 where a higher order is NaN, the
+    # quadratic form at hbar = 0 reads gram[0, 0] and mass[0] alone, with
+    # no numpy warning; at hbar > 0 the NaN integral is not normalizable
+    seed = NanDerivatives()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments = order_moments(goldstone_l5, seed, SMALL_GRID)
+        assert np.isnan(moments.gram[1:]).all() and np.isnan(moments.mass[1:]).all()
+        total, second = moments.integrals(0.0)
+        assert (total, second) == (moments.mass[0], moments.gram[0, 0])
+        q_value = spikiness(total, second, 0.0)[0]
+        assert math.isfinite(q_value)
+        field = eval_field(goldstone_l5, seed, 0.0, SMALL_GRID)
+        assert q_value == pytest.approx(q_functional(field)[0], rel=1e-14)
+        with pytest.raises(NormalizationError, match="nan is not normalizable"):
+            moments.integrals(0.3)
+
+
+@pytest.mark.parametrize("potential, seed, q_max", [
+    ("0-q^4", SeedDistribution("mb"), 5.0), ("q^2+360", FD, 2.0)])
+def test_order_moments_keep_huge_and_tiny_fields_in_range(potential, seed, q_max):
+    # exp(-H) reaches 1e271 where -q^4 is deep, and the fd seed 1e-156 on
+    # q^2 + 360, so F_l^2 would overflow or fall to subnormals; the moments
+    # are held in units of a power of two near max |F_l|, and the sweep's Q
+    # stays that of the field route, as it is at moderate sizes
+    series = build_series(parse_potential(potential), 2, "paper")
+    grid = GridSpec(-q_max, q_max, 21, -4.0, 4.0, 21)
+    moments = order_moments(series, seed, grid)
+    assert not 1e-150 < moments.sizes.max() < 1e150
+    assert moments.unit == 2.0 ** np.frexp(moments.sizes.max())[1]
+    for hbar in (0.0, 0.3):
+        q_value = spikiness(*moments.integrals(hbar), hbar)[0]
+        field = eval_field(series, seed, hbar, grid)
+        assert q_value == pytest.approx(q_functional(field)[0], rel=1e-13)
+
+
+@pytest.fixture(scope="module")
+def goldstone_l10():
+    return build_series(GOLDSTONE, 10, "paper")
+
+
+@pytest.mark.parametrize("n, hbar", [(20, 0.8), (21, 0.47)])
+def test_sweep_q_is_no_farther_from_mpmath_than_the_field_route(goldstone_l10, n, hbar):
+    # the L = 10 series at hbar = 0.8 is far past its smallest term; on the
+    # 21-point grid, hbar = 0.47 is just below the root of the field's
+    # integral, so Q = 1.4e6 and the integral cancels to 1/2500 of the
+    # integral of |f|.  The reference takes the fill's own F_l and weights
+    # hbar^(2l), and forms the field and Q at 50 digits on the grid's
+    # trapezoid rule on its uniform step (GridSpec.weights, as the
+    # benchmark's check does), so it measures what the two routes do
+    # differently: the sweep's Q from the order moments is at least as
+    # close to it as q_functional of the field, whose np.trapezoid takes
+    # the steps between the rounded axis points, another rule by roundoff
+    grid = GridSpec(-4.0, 4.0, n, -4.0, 4.0, n)
+    seed = SeedDistribution("fd", z=1.0)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    orders = term_derivatives(goldstone_l10.terms, seed, qq,
+                              0.5 * pp ** 2 + GOLDSTONE.evaluate(qq))[:, 0]
+    weights = evaluate.hbar_weights(hbar, range(len(orders)))
+    w_q, w_p = grid.weights()
+    with mpmath.workdps(50):
+        field = [mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(f) for w, f in zip(weights, point))
+                 for point in orders.reshape(len(orders), -1).T.tolist()]
+        cell = [mpmath.mpf(a) * mpmath.mpf(b) for a in w_q.tolist() for b in w_p.tolist()]
+        total = mpmath.fsum(c * f for c, f in zip(cell, field))
+        reference = mpmath.fsum(c * f * f for c, f in zip(cell, field)) / total ** 2
+        moments = order_moments(goldstone_l10, seed, grid)
+        sweep = spikiness(*moments.integrals(hbar), hbar)[0]
+        route = q_functional(eval_field(goldstone_l10, seed, hbar, grid))[0]
+        assert abs(sweep - reference) <= abs(route - reference)
+        assert abs(sweep - reference) <= 2e-13 * reference
 
 
 def test_combined_seed_of_one_gives_same_value(goldstone_l5):

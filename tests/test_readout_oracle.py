@@ -49,7 +49,7 @@ def exact_order(term: SeriesTerm, x: float, h: float) -> float:
 def _argmax_point(series, orders):
     """(F_l, q, p, H) where |F_l| is largest on the grid, from the fill of
     the series of order l alone at hbar = 1, H formed as the fill forms it."""
-    held = orders.values[0]
+    held = orders.values
     row, col = np.unravel_index(np.argmax(np.abs(held)), held.shape)
     i = int(np.flatnonzero(orders.rows == row)[0])
     k = int(np.flatnonzero(orders.cols == col)[0])
@@ -63,7 +63,7 @@ def _argmax_point(series, orders):
 def test_order_readout_matches_exact_sum(quartic, l):
     only_l = WignerSeries(quartic.potential, l, quartic.convention,
                           (SeriesTerm(),) * l + (quartic.terms[l],))
-    orders = order_grids(only_l, MB, GRID, (1.0,))
+    orders = order_grids(only_l, MB, GRID, 1.0)
     value, q, p, h = _argmax_point(only_l, orders)
     assert orders.sizes[l] == abs(value)
     assert eval_points(only_l, MB, 1.0, q, p) == value
