@@ -532,13 +532,25 @@ class RingElem:
         """Exact antiderivative F with ddx(F) = self, anchored so F(0) = 0.
 
         x^n integrates term by term; a trig group P(x) trig(kx) uses
-        int P sin kx = -cos kx sum_i (-1)^i P^(2i)/k^(2i+1)
-                       + sin kx sum_i (-1)^i P^(2i+1)/k^(2i+2)
-        and int P cos kx = sin kx sum_i (-1)^i P^(2i)/k^(2i+1)
-                           + cos kx sum_i (-1)^i P^(2i+1)/k^(2i+2),
-        over the common denominator d * p^(deg P + 1) for k = p/q * pi^e.
+        int P sin kx = -cos kx E(x) + sin kx O(x) + E(0)
+        and int P cos kx = sin kx E(x) + cos kx O(x) - O(0), where
+        E = sum_i (-1)^i P^(2i)/k^(2i+1) and O = sum_i (-1)^i P^(2i+1)/k^(2i+2).
+        At the omega of k = p/q * pi^e every term of E and O lands on one
+        key, so one Horner-type pass forms both in O(deg P) operations: over
+        the common denominator d * p^(deg P + 1), E[n] + i O[n] = q Z[n] with
+        Z[deg P + 1] = 0 and Z[n] = p^(deg P) c[n] + (n + 1) (i q / p) Z[n + 1],
+        each division by p exact.  An element whose wavenumbers have mixed
+        pi powers integrates each power's groups at their own omega.
         """
         w = self._omega
+        # 1/k must stay in Q[pi, 1/pi]
+        powers = {_single_term(k)[0] for t, k, _ in self._groups if t is not None}
+        if len(powers) > 1:     # so omega is 0
+            parts: dict = {}    # pi power of the wavenumbers (None for x^n): its groups
+            for (t, k, s), group in self._groups.items():
+                parts.setdefault(None if t is None else k[0][0], {})[t, k, s] = group
+            return linear_sum([(RingElem._checked(groups, w).integrate(), 1)
+                               for groups in parts.values()])
         acc: dict = {}
         for (t, k, s), (c, d) in self._groups.items():
             if t is None:
@@ -547,30 +559,20 @@ class RingElem:
                             [0] + [v * (den // (n + 1)) for n, v in enumerate(c)],
                             (1,), 1, d * den)
                 continue
-            e, p, q = _single_term(k)     # 1/k must stay in Q[pi, 1/pi]
+            ((e, p, q),) = k
             deg = len(c) - 1
-            den = d * p ** (deg + 1)
-            sums: dict = {}     # this group's share of each output group
-            deriv = list(c)
-            for j in range(deg + 1):
-                # P^(j) / k^(j+1), with (-1)^(j//2) and the trig it multiplies
-                sign = -1 if (j // 2) % 2 else 1
-                if j % 2:
-                    target = t
-                elif t == "sin":
-                    target, sign = "cos", -sign
-                else:
-                    target = "sin"
-                f = sign * q ** (j + 1) * p ** (deg - j)
-                key = s + w * j - e * (j + 1)
-                total = sums.setdefault((target, k, key), [0] * len(deriv))
-                for n, v in enumerate(deriv):
-                    total[n] += f * v
-                if target == "cos":     # anchor F(0) = 0: minus the value at 0
-                    sums.setdefault((None, None, key), [0])[0] -= f * deriv[0]
-                deriv = [m * deriv[m] for m in range(1, len(deriv))]
-            for key, total in sums.items():
-                _accumulate(acc, key, total, (1,), 1, den)
+            top = p ** deg
+            even, odd = [0] * (deg + 1), [0] * (deg + 1)
+            re = im = 0
+            for n in range(deg, -1, -1):
+                re, im = top * c[n] - (n + 1) * q * (im // p), (n + 1) * q * (re // p)
+                even[n], odd[n] = q * re, q * im
+            den, key = d * p * top, s - e
+            for trig, sign, total in ((("cos", -1, even), ("sin", 1, odd)) if t == "sin"
+                                      else (("sin", 1, even), ("cos", 1, odd))):
+                _accumulate(acc, (trig, k, key), total, (1,), sign, den)
+                if trig == "cos":     # anchor F(0) = 0: minus the value at 0
+                    _accumulate(acc, (None, None, key), total[:1], (1,), -sign, den)
         return RingElem._checked(_reduced(acc), w)
 
     def _float_groups(self) -> tuple:
@@ -641,19 +643,22 @@ class RingElem:
         return self._count
 
 
-def sum_of_products(items) -> RingElem:
+def sum_of_products(items, trig_table: dict | None = None) -> RingElem:
     """The sum of factor * a * b over (a, b, factor) items, factor an int or
     Fraction: the ring's one product loop.
 
     Each product of two groups is their integer convolution, added straight
     into one integer accumulator per output (trig, k, s) key (_accumulate).
     Each key is reduced once, at the end.  Each distinct operand is split by
-    wavenumber once per call, and k1 +- k2 is formed once per wavenumber
-    pair."""
+    wavenumber once per call.  trig_table maps a wavenumber pair (k1, k2) to
+    its trig products, k1 +- k2 formed once per pair in the table: calls that
+    share one dict, such as those of one series build, form each pair once;
+    a call without one keeps a table of its own.  Each value is stored
+    whole."""
     items = [(a, b, f) for a, b, f in items if f and a._groups and b._groups]
     w = _sum_omega([e for a, b, _ in items for e in (a, b)])
     split: dict = {}    # id of an operand: [(k, [(trig, s, ints, denominator)])] at w
-    trig: dict = {}     # (k1, k2): their trig products
+    trig = {} if trig_table is None else trig_table     # (k1, k2): their trig products
     acc: dict = {}      # output key: [ints, running denominator]
 
     def by_wavenumber(e):

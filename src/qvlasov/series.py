@@ -28,10 +28,10 @@ from .ring import RingElem, json_int, json_ratio, linear_sum, sum_of_products
 
 CONVENTIONS = ("paper", "uniform")
 
-# Largest truncation order.  Goldstone L=30 builds in about 0.9 s, and the
-# seed derivatives of such a series (order 3L = 90, plus 2 j + 1 more for a
-# residual truncated at j <= L + 1, so at most 153) stay within
-# seeds.MAX_DERIV_ORDER = 159.
+# Largest truncation order.  Goldstone L=30 builds in about 0.85 s of
+# process time on a 2-vCPU VM, and the seed derivatives of such a series
+# (order 3L = 90, plus 2 j + 1 more for a residual truncated at j <= L + 1,
+# so at most 153) stay within seeds.MAX_DERIV_ORDER = 159.
 MAX_ORDER = 30
 
 # Most monomials a built series may hold, the order-l source included.
@@ -123,11 +123,11 @@ def _cell_sum(items) -> SeriesTerm:
     return SeriesTerm({mj: linear_sum(parts) for mj, parts in cells.items()})
 
 
-def _neg_powers(potential: RingElem, power: int) -> list[RingElem]:
+def _neg_powers(potential: RingElem, power: int, trig_table: dict) -> list[RingElem]:
     """[(-V)^0, ..., (-V)^power]."""
     out = [RingElem.one()]
     for _ in range(power):
-        out.append(sum_of_products([(out[-1], potential, -1)]))
+        out.append(sum_of_products([(out[-1], potential, -1)], trig_table))
     return out
 
 
@@ -147,7 +147,8 @@ def potential_derivatives(potential: RingElem, up_to: int) -> list[RingElem]:
 def recursion_rhs(potential: RingElem, terms, l: int,
                   v_derivs: list[RingElem] | None = None,
                   j_cap: int | None = None, chains: dict | None = None,
-                  budget: int | None = None) -> SeriesTerm:
+                  budget: int | None = None,
+                  trig_table: dict | None = None) -> SeriesTerm:
     """Exact x-derivative of the order-l term, from the lower orders in terms.
 
     Implements the source sum over j of
@@ -155,8 +156,10 @@ def recursion_rhs(potential: RingElem, terms, l: int,
     with j from max(1, l - len(terms) + 1) to min(l, j_cap): orders missing
     from terms count as zero, and j_cap (default l) truncates the sum.
     chains maps i to the d/dH chain [f_i, d/dH f_i, ...] of terms[i]; it is
-    extended here, so calls on the same terms may share one dict.  A source
-    that grows past budget monomials raises TermBudgetError.
+    extended here, so calls on the same terms may share one dict.
+    trig_table is the wavenumber pairs' trig products of
+    ring.sum_of_products, which calls of one build may share as well.  A
+    source that grows past budget monomials raises TermBudgetError.
     """
     if l < 1:
         raise ValueError("recursion starts at order 1")
@@ -165,7 +168,9 @@ def recursion_rhs(potential: RingElem, terms, l: int,
         v_derivs = potential_derivatives(potential, 2 * j_top + 1)
     if chains is None:
         chains = {}
-    neg_v_pow = _neg_powers(potential, j_top)
+    if trig_table is None:
+        trig_table = {}
+    neg_v_pow = _neg_powers(potential, j_top, trig_table)
     outer: dict[tuple[int, int], list] = {}     # cell: (part, odd derivative) items
     for j in range(max(1, l - len(terms) + 1), j_top + 1):
         odd_deriv = v_derivs[2 * j + 1]
@@ -184,8 +189,10 @@ def recursion_rhs(potential: RingElem, terms, l: int,
                     inner.setdefault((m + i, jj), []).append(
                         (c, neg_v_pow[j - k - i], factor))
         for mj, items in inner.items():
-            outer.setdefault(mj, []).append((sum_of_products(items), odd_deriv, 1))
-    source = SeriesTerm({mj: sum_of_products(items) for mj, items in outer.items()})
+            outer.setdefault(mj, []).append(
+                (sum_of_products(items, trig_table), odd_deriv, 1))
+    source = SeriesTerm({mj: sum_of_products(items, trig_table)
+                         for mj, items in outer.items()})
     if budget is not None and source.term_count() > budget:
         raise TermBudgetError(f"order-{l} source exceeded the remaining budget "
                               f"of {budget} monomials")
@@ -199,18 +206,20 @@ def integrate_term(t: SeriesTerm) -> SeriesTerm:
     return SeriesTerm({mj: c.integrate() for mj, c in t.cells()})
 
 
-def closed_form_f1(potential: RingElem) -> SeriesTerm:
+def closed_form_f1(potential: RingElem, trig_table: dict | None = None) -> SeriesTerm:
     """First correction in closed form (additive function of H set to zero):
 
     f1 = -(1/2) V'' [ (H - V)/6 * f0^(3) + 1/4 * f0^(2) ] - (1/24) (V')^2 f0^(3)
        = -V''/12 H f0^(3) + (V V''/12 - (V')^2/24) f0^(3) - V''/8 f0^(2)
+
+    trig_table is the wavenumber pairs' trig products, as in recursion_rhs.
     """
     v1 = potential.ddx()
     v2 = v1.ddx()
     return SeriesTerm({
         (1, 3): v2.scale(Fraction(-1, 12)),
         (0, 3): sum_of_products([(potential, v2, Fraction(1, 12)),
-                                 (v1, v1, Fraction(-1, 24))]),
+                                 (v1, v1, Fraction(-1, 24))], trig_table),
         (0, 2): v2.scale(Fraction(-1, 8)),
     })
 
@@ -329,13 +338,14 @@ def build_series(potential: RingElem, order: int,
     v_derivs = potential_derivatives(potential, 2 * order + 1)
     terms = [SeriesTerm.unit()]
     chains: dict[int, list[SeriesTerm]] = {}
+    trig_table: dict = {}   # this build's trig products, dropped with it
     count = terms[0].term_count()
     for l in range(1, order + 1):
         if convention == "paper" and l == 1:
-            f_l = closed_form_f1(potential)
+            f_l = closed_form_f1(potential, trig_table)
         else:
             source = recursion_rhs(potential, terms, l, v_derivs, chains=chains,
-                                   budget=TERM_BUDGET - count)
+                                   budget=TERM_BUDGET - count, trig_table=trig_table)
             f_l = integrate_term(source)
         if f_l.max_deriv_order() > 3 * l:
             raise AssertionError(

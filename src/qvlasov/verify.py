@@ -64,16 +64,18 @@ def residual_powers(series: WignerSeries, j_cap: int) -> dict[int, SeriesTerm]:
 
     R_s is d/dx of f_s (zero above the truncation order) minus the engine's
     source sum of power s, recursion_rhs truncated at j_cap; the powers share
-    one set of d/dH chains.
+    one set of d/dH chains and one table of trig products.
     """
     terms = series.terms
     v_derivs = potential_derivatives(series.potential, 2 * j_cap + 1)
     chains: dict[int, list[SeriesTerm]] = {}
+    trig_table: dict = {}
     residual: dict[int, SeriesTerm] = {}
     for s in range(series.order + j_cap + 1):
         r = terms[s].d_dx() if s <= series.order else SeriesTerm()
         if s > 0:
-            r = r - recursion_rhs(series.potential, terms, s, v_derivs, j_cap, chains)
+            r = r - recursion_rhs(series.potential, terms, s, v_derivs, j_cap, chains,
+                                  trig_table=trig_table)
         if not r.is_zero():
             residual[s] = r
     return residual

@@ -343,14 +343,31 @@ def test_integrate_matches_oracle(rng):
         assert o_at_zero(oracle(f)) == {}
 
 
+def _check_integral(a: RingElem) -> None:
+    f = a.integrate()
+    check(f, o_integrate(oracle(a)))
+    assert f.ddx() == a
+    assert o_at_zero(oracle(f)) == {}
+
+
 def test_high_degree_trig_integral_matches_oracle():
-    # long groups put every sign of the closed form to work
-    for k in (Coefficient.pi_power(1, 2), Coefficient.pi_power(0, Fraction(3, 2)),
-              Coefficient.pi_power(-1, 3)):
+    # long groups put every sign of the recurrence to work; k = p/q pi^e with
+    # p, q > 1 keeps both of its factors in every term, and the sparse groups
+    # set only odd or only top x powers
+    shapes = (range(41), range(1, 41, 2), range(36, 41))
+    for k in (Coefficient.pi_power(1, Fraction(5, 3)), Coefficient.pi_power(0, Fraction(7, 2)),
+              Coefficient.pi_power(-1, Fraction(3, 4))):
         for kind in ("sin", "cos"):
-            a = sum((RingElem.trig(kind, k, xpow=n, coeff=Fraction(n + 1, 3))
-                     for n in range(9)), RingElem())
-            check(a.integrate(), o_integrate(oracle(a)))
+            for powers in shapes:
+                _check_integral(sum((RingElem.trig(kind, k, xpow=n, coeff=Coefficient(
+                    {n % 3 - 1: Fraction(n + 1, 3)})) for n in powers), RingElem()))
+    # wavenumbers of mixed pi powers, at omega 0, with a polynomial part
+    mixed = (RingElem.trig("sin", Coefficient.pi_power(1, Fraction(5, 3)), xpow=40)
+             + RingElem.trig("cos", Fraction(7, 2), xpow=39, coeff=Fraction(-2, 9))
+             + RingElem.trig("cos", Coefficient.pi_power(-1, Fraction(3, 4)), xpow=17)
+             + RingElem.x(5).scale(Coefficient.pi_power(2, 3)))
+    assert mixed._omega == 0
+    _check_integral(mixed)
 
 
 def test_integrate_rejects_multi_term_wavenumber():

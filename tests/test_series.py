@@ -245,6 +245,26 @@ def test_build_reduces_each_source_group_once(monkeypatch):
         assert len(calls) <= bound, potential
 
 
+def test_build_forms_each_trig_product_once(monkeypatch):
+    # one table of wavenumber pairs serves every product of a build: one
+    # table per sum_of_products call formed modulated L=5's 21 pairs 867
+    # times, L=3's 7 pairs 85 times and the 12,288 pairs of the L=2 build
+    # below 65,536 times.  A second build forms them all again, so the
+    # table is dropped with its build.
+    calls = []
+    products = ring_module._trig_products
+    monkeypatch.setattr(ring_module, "_trig_products",
+                        lambda k1, k2: calls.append((k1, k2)) or products(k1, k2))
+    for potential, order, builds, pairs in (("modulated:a=1/2", 5, 2, 21),
+                                            ("modulated:a=1/2", 3, 2, 7),
+                                            ("cos(q)^32*sin(3*q)^32", 2, 1, 12_288)):
+        v = resolve_potential(potential)
+        for _ in range(builds):
+            calls.clear()
+            build_series(v, order)
+            assert len(calls) == len(set(calls)) == pairs, (potential, order)
+
+
 def test_build_series_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_series(GOLDSTONE, -1)
