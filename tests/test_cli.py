@@ -123,6 +123,24 @@ def test_readme_field_outputs_match_golden_digest(tmp_path, key):
     assert digest == DIAGNOSE_GOLDEN[key]
 
 
+EXACT_AXIS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "exact_axis_digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_AXIS_GOLDEN))
+def test_exact_axis_outputs_match_golden_digest(tmp_path, key):
+    # SHA-256 of the evaluate and single-hbar diagnose outputs on a grid
+    # whose axis points (-5 + k/2) are all exact in floats, recorded while
+    # the axes were still made by np.linspace: any exact axis construction
+    # gives these points, so the outputs keep their bytes
+    command, name = key.split()
+    assert run([command, "--potential", "goldstone", "--order", "5",
+                "--seed", "fd:z=1", "--hbar", "0.6", "--qrange=-5,5,21",
+                "--prange=-5,5,21", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == EXACT_AXIS_GOLDEN[key]
+
+
 EXPAND_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "expand_digests.json").read_text())
 
