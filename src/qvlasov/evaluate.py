@@ -61,6 +61,29 @@ class HbarOverflowError(ValueError):
                          f"exceeds the float range")
 
 
+def axis_points(a: float, b: float, n: int) -> np.ndarray:
+    """n points from a to b on the step h = (b - a) / (n - 1), placed
+    symmetrically about the centre of the range: the k-th is
+    (a/2 + b/2) + (k - (n - 1)/2) h, and the ends are a and b.
+
+    On a range symmetric about 0 the axis is bitwise antisymmetric, so V(q)
+    of an even potential, p^2 and every even cell coefficient agree in every
+    bit at mirrored points, and the grid fill merges them.  On the default
+    axis each point is within 1 ulp of the correctly rounded
+    a + k (b - a)/(n - 1), where np.linspace's are up to 133 ulp off."""
+    h = (b - a) / (n - 1)
+    x = (a / 2 + b / 2) + (np.arange(n) - (n - 1) / 2) * h
+    x[[0, -1]] = a, b
+    return x
+
+
+def _unit_trapezoid(n: int) -> np.ndarray:
+    """The trapezoid weights of n points in units of their step."""
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    return w
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular grid on phase space."""
@@ -85,10 +108,15 @@ class GridSpec:
                              f"{MAX_GRID_POINTS} points")
 
     def q_axis(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.n_q)
+        return axis_points(self.q_min, self.q_max, self.n_q)
 
     def p_axis(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
+        return axis_points(self.p_min, self.p_max, self.n_p)
+
+    def steps(self) -> tuple[float, float]:
+        """The uniform steps (max - min) / (n - 1) of the q and p axes."""
+        return ((self.q_max - self.q_min) / (self.n_q - 1),
+                (self.p_max - self.p_min) / (self.n_p - 1))
 
     def p_integrals(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid integral over p of each row of values, a block of rows
@@ -115,12 +143,9 @@ class GridSpec:
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The trapezoid weights of the q and p axes: integral's rule, on the
-        uniform step (max - min) / (n - 1) of each axis."""
-        out = (np.full(self.n_q, (self.q_max - self.q_min) / (self.n_q - 1)),
-               np.full(self.n_p, (self.p_max - self.p_min) / (self.n_p - 1)))
-        for w in out:
-            w[[0, -1]] /= 2
-        return out
+        uniform step of each axis."""
+        return tuple(h * _unit_trapezoid(n)
+                     for n, h in zip((self.n_q, self.n_p), self.steps()))
 
     def integral(self, values: np.ndarray, rows: np.ndarray) -> float:
         """Double trapezoid integral of a field on this grid whose grid row i
@@ -381,16 +406,42 @@ class OrderMoments:
         return total, second
 
 
+def _two_sum(a, b):
+    """(a + b, its rounding error), the error exact: Knuth's TwoSum."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _pairwise_sums(x):
+    """(s, e): the row sums s of x, added pairwise, and the sum e of every
+    addition's TwoSum error, so that s + e is about as accurate as a sum in
+    twice the precision (Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26, 2005)."""
+    err = np.zeros(len(x))
+    while x.shape[1] > 1:
+        half = x.shape[1] // 2
+        s, e = _two_sum(x[:, :half], x[:, half:2 * half])
+        err += e.sum(axis=1)
+        x = np.concatenate([s, x[:, 2 * half:]], axis=1)
+    return x[:, 0], err
+
+
 def order_moments(series: WignerSeries, seed, grid: GridSpec) -> OrderMoments:
     """The moments of the per-order fields on the grid from one fill, which
     give the field's integrals at any number of hbar.  Each distinct row
-    and column carries the summed trapezoid weights of the grid rows and
-    columns that map to it.  A block's orders are scaled in place by 1/unit,
-    which follows the largest |F_l| so far, and weighted into one buffer
-    per fill, whose row sums add to mass and products with them to gram."""
+    and column carries the summed trapezoid weights, in units of its axis'
+    step, of the grid rows and columns that map to it: 1/2, 1 and their
+    sums, powers of two on a symmetric axis, so that each weighted value is
+    exact.  A block's orders are scaled in place by 1/unit, which follows
+    the largest |F_l| so far, and weighted into one buffer per fill, whose
+    products with them add to gram and whose row sums to mass, with the
+    rounding errors of every addition added back; both take the steps'
+    product once, at the end."""
     rows, cols, sizes, blocks = _grid_fill(series, seed, grid)
-    w_q, w_p = (np.bincount(m, w) for m, w in zip((rows, cols), grid.weights()))
-    gram, mass = np.zeros((len(sizes),) * 2), np.zeros(len(sizes))
+    w_q, w_p = (np.bincount(m, _unit_trapezoid(m.size)) for m in (rows, cols))
+    gram = np.zeros((len(sizes),) * 2)
+    mass, low = np.zeros(len(sizes)), np.zeros(len(sizes))
     scale, buffer = -1022, None     # unit = 2^scale and 1/unit stay normal
     for block, filled in blocks:
         orders = filled.reshape(len(sizes), -1)
@@ -401,11 +452,19 @@ def order_moments(series: WignerSeries, seed, grid: GridSpec) -> OrderMoments:
             top = min(max(int(np.frexp(sizes.max())[1]), scale), 1023)
             gram *= 2.0 ** (2 * (scale - top))
             mass *= 2.0 ** (scale - top)
+            low *= 2.0 ** (scale - top)
             scale = top
             np.ldexp(orders, -scale, out=orders)
             np.multiply(orders, (w_q[block, None] * w_p).ravel(), out=weighted)
-            mass += weighted.sum(axis=1)
+            part, err = _pairwise_sums(weighted)
+            mass, e = _two_sum(mass, part)
+            low += e + err
             gram += weighted @ orders.T
+    h_q, h_p = grid.steps()
+    with np.errstate(invalid="ignore", over="ignore"):
+        # an error that is not finite is that of a sum that is not
+        mass = np.where(np.isfinite(low), mass + low, mass) * (h_q * h_p)
+        gram *= h_q * h_p
     return OrderMoments(gram, mass, math.ldexp(1.0, scale), sizes)
 
 

@@ -85,7 +85,8 @@ FIELD_GOLDEN = json.loads(
                                      if not k.startswith("qsweep ")))
 def test_evaluate_csv_matches_golden_digest(tmp_path, key):
     # SHA-256 of field.csv, recorded before the integer group layout of the
-    # exact core, so the float evaluation of its elements keeps its bits
+    # exact core, so the float evaluation of its elements keeps its bits;
+    # recorded again when the grid axes became bitwise antisymmetric
     potential, order = key.split()
     assert run(["evaluate", "--potential", potential, "--order", order,
                 "--seed", "fd:z=1", "--hbar", "0.3", "--qrange=-4,4,41",
@@ -96,7 +97,8 @@ def test_evaluate_csv_matches_golden_digest(tmp_path, key):
 
 def test_diagnose_sweep_csv_matches_golden_digest(tmp_path):
     # SHA-256 of qsweep.csv, recorded before the grid fill took the distinct
-    # p^2 of the p axis; this asymmetric axis repeats no p^2 (test_evaluate
+    # p^2 of the p axis, and again when the axes became bitwise
+    # antisymmetric; this asymmetric p axis repeats no p^2 (test_evaluate
     # covers axes that do)
     assert run(["diagnose", "--potential", "goldstone", "--order", "10",
                 "--seed", "fd:chi=1", "--hbar-list", "0.1,0.2,0.3",
@@ -114,7 +116,8 @@ DIAGNOSE_GOLDEN = json.loads(
 def test_readme_field_outputs_match_golden_digest(tmp_path, key):
     # SHA-256 of the sidecar of the README goldstone L=5 field and of the
     # single-hbar diagnose outputs on the same configuration, recorded while
-    # the field still carried its run labels
+    # the field still carried its run labels, and again when the grid axes
+    # became bitwise antisymmetric
     command, name = key.split()
     assert run([command, "--potential", "goldstone", "--order", "5",
                 "--seed", "fd:z=1", "--hbar", "0.6", "--qrange=-4,4,401",

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -81,11 +82,60 @@ def test_field_matches_pointwise_eval(goldstone_l2, rng):
 
 
 def test_field_symmetric_in_p(goldstone_l5):
-    # linspace is not bit-antisymmetric, so symmetry holds to roundoff only
+    # the p axis is bitwise antisymmetric, so p^2 and the field are even in
+    # every bit
     field = eval_field(goldstone_l5, FD, 0.6, SMALL_GRID)
-    values = field.values
-    scale = np.abs(values).max()
-    assert np.abs(values - values[:, ::-1]).max() <= 1e-11 * scale
+    assert np.array_equal(field.values, field.values[:, ::-1])
+
+
+@pytest.mark.parametrize("potential", ["goldstone", "quartic", "harmonic", "modulated"])
+@pytest.mark.parametrize("n", [61, 60])
+def test_even_potential_field_symmetric_in_q(potential, n):
+    # on a bitwise antisymmetric q axis, V(q) and the cells of an even
+    # potential agree in every bit at mirrored points, so the fill holds
+    # one row of each mirrored pair and the field is even in q bit for bit
+    series = build_series(resolve_potential(potential), 2)
+    grid = GridSpec(-3.0, 3.0, n, -3.0, 3.0, 61)
+    field = eval_field(series, FD, 0.6, grid)
+    assert field.row_values.shape == ((n + 1) // 2, 61)
+    assert np.array_equal(field.values, field.values[::-1])
+
+
+def _ulps_from_exact(axis, a, b, n):
+    """Each point's distance in ulps from the correctly rounded
+    a + k (b - a)/(n - 1), taken exactly."""
+    out = []
+    for k, x in enumerate(axis.tolist()):
+        exact = float(Fraction(a) + k * (Fraction(b) - Fraction(a)) / (n - 1))
+        out.append(abs(Fraction(x) - Fraction(exact)) / Fraction(np.spacing(abs(exact))))
+    return np.array(out, dtype=float)
+
+
+@pytest.mark.parametrize("a, b, n", [(-4.0, 4.0, 401), (-4.0, 4.0, 400), (-3.0, 3.0, 61),
+                                     (-1.0, 1.0, 2), (-2.0, 2.0, 1000), (-1e300, 1e300, 5)])
+def test_symmetric_axis_is_antisymmetric_and_near_exact(a, b, n):
+    # bitwise antisymmetric, ends exactly a and b, 0.0 at the centre of an
+    # odd axis, and every point within 1 ulp of the exact grid point
+    axis = evaluate.axis_points(a, b, n)
+    assert axis.shape == (n,) and axis[0] == a and axis[-1] == b
+    half = n // 2
+    assert _bits(axis[:half]).tolist() == _bits(-axis[::-1][:half]).tolist()
+    if n % 2:
+        assert _bits(axis[half]) == _bits(0.0)
+    assert np.all(np.diff(axis) > 0)
+    assert _ulps_from_exact(axis, a, b, n).max() <= 1
+
+
+@pytest.mark.parametrize("a, b, n, worst", [
+    (-4.0, 4.0, 401, 1), (-2.5, 3.7, 101, 6), (-2.5, 3.7, 133, 48),
+    (-3.0, 3.3, 87, 21), (0.1, 0.7, 7, 1), (-5.0, 5.0, 21, 0)])
+def test_axis_is_no_farther_from_exact_than_linspace(a, b, n, worst):
+    # the farthest point of the axis is at most worst ulps from the exact
+    # grid point, never farther than linspace's farthest (133, 37, 144, 619,
+    # 1 and 0 ulps on these ranges); on (-5, 5, 21) both are exact
+    ulps = _ulps_from_exact(evaluate.axis_points(a, b, n), a, b, n)
+    assert ulps.max() == worst
+    assert ulps.max() <= _ulps_from_exact(np.linspace(a, b, n), a, b, n).max()
 
 
 def test_normalization_residual(goldstone_l5):
@@ -291,12 +341,12 @@ def test_grid_fill_at_distinct_rows_matches_points(goldstone_l5, cubic_l3, case,
 
 @pytest.mark.parametrize("case", ["goldstone", "cubic", "goldstone-asymmetric"])
 def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
-    # a field is held at its grid's distinct rows (287 of 401 for an even
+    # a field is held at its grid's distinct rows (201 of 401 for an even
     # potential on the default grid, all of them for the cubic or off a
     # symmetric axis); normalized or not, its values and norm, and over a
     # sweep its Q, bound and diagnostics, equal those of the full grid
     series, grid, held = {
-        "goldstone": (goldstone_l5, DEFAULT_GRID, (287, 401)),
+        "goldstone": (goldstone_l5, DEFAULT_GRID, (201, 401)),
         "cubic": (cubic_l3, DEFAULT_GRID, (401, 401)),
         "goldstone-asymmetric": (goldstone_l5, GridSpec(-2.5, 3.7, 101, -3.0, 3.3, 87),
                                  (101, 87))}[case]
@@ -350,31 +400,31 @@ class CountingSeed(SeedDistribution):
 
 
 def test_grid_fill_takes_seed_table_at_distinct_p2_only(goldstone_l2):
-    # 287 of the default axis' 401 p^2 are distinct (linspace is not
-    # bit-antisymmetric), and so are 287 of its rows for an even potential
+    # 201 of the default axis' 401 p^2 are distinct (the axis is bitwise
+    # antisymmetric), and so are 201 of its rows for an even potential
     seed = CountingSeed()
-    assert order_grids(goldstone_l2, seed, DEFAULT_GRID, 0.6).values.shape == (287, 287)
-    assert sum(seed.points) == 287 * 287
+    assert order_grids(goldstone_l2, seed, DEFAULT_GRID, 0.6).values.shape == (201, 201)
+    assert sum(seed.points) == 201 * 201
     # and so does the fill of the order moments
     seed = CountingSeed()
     order_moments(goldstone_l2, seed, DEFAULT_GRID)
-    assert sum(seed.points) == 287 * 287
+    assert sum(seed.points) == 201 * 201
     # a single-hbar field without orders takes the same one fill
     seed = CountingSeed()
     eval_field(goldstone_l2, seed, 0.6, DEFAULT_GRID)
-    assert sum(seed.points) == 287 * 287
+    assert sum(seed.points) == 201 * 201
 
 
 def test_grid_fill_takes_every_row_of_odd_potential():
-    # over the fill's 15 blocks, sizes take the largest |F_l| of each order
-    # on the full grid, and 0 for an order that vanishes
+    # over the fill's 11 blocks of 40 rows, sizes take the largest |F_l| of
+    # each order on the full grid, and 0 for an order that vanishes
     series = WignerSeries(CUBIC, 2, "paper",
                           build_series(CUBIC, 1, "paper").terms + (SeriesTerm(),))
     seed = CountingSeed()
     orders = order_grids(series, seed, DEFAULT_GRID, 0.5)
-    assert orders.values.shape == (401, 287)
-    assert sum(seed.points) == 401 * 287
-    assert 401 * 287 > 14 * BLOCK_POINTS
+    assert orders.values.shape == (401, 201)
+    assert sum(seed.points) == 401 * 201
+    assert 401 > 10 * (BLOCK_POINTS // 201)
     qq, pp = np.meshgrid(DEFAULT_GRID.q_axis(), DEFAULT_GRID.p_axis(), indexing="ij")
     per_order = term_derivatives(series.terms, SeedDistribution("fd"), qq,
                                  0.5 * pp ** 2 + CUBIC.evaluate(qq))[:, 0]
@@ -393,20 +443,20 @@ def _traced_peak(call):
 
 def test_sweep_fill_memory_does_not_grow_with_the_hbar_count(goldstone_l5):
     # peak traced memory of a field's fill is its one output grid plus a
-    # fixed multiple of one block's seed table: 2.59 tables here (144 x 144
-    # distinct points in three blocks of 56 rows, j_max 15), against 4.4
+    # fixed multiple of one block's seed table: 2.57 tables here (141 x 141
+    # distinct points in three blocks of 58 rows, j_max 15), against 4.4
     # for a fill whose pole sums held a complex power per pole.  A sweep's
     # fill holds no grid: its moments buffer is 0.375 tables, and it peaks
-    # at 2.60 tables whether it then takes the integrals of 1 hbar or of
-    # 1000, so no array per hbar (a grid is 0.16 tables) comes back.  The
+    # at 2.58 tables whether it then takes the integrals of 1 hbar or of
+    # 1000, so no array per hbar (a grid is 0.15 tables) comes back.  The
     # bound leaves 8%, so two more complex arrays of the block's points
     # near the poles fail it
-    grid = GridSpec(-4.0, 4.0, 201, -4.0, 4.0, 201)
+    grid = GridSpec(-4.0, 4.0, 281, -4.0, 4.0, 281)
     order_grids(goldstone_l5, FD, grid, 0.3)   # the seed's cached polynomials
     orders, peak = _traced_peak(lambda: order_grids(goldstone_l5, FD, grid, 0.3))
     n_q, n_p = orders.values.shape
-    assert (n_q, n_p) == (144, 144) and BLOCK_POINTS // n_p == 56
-    table = (goldstone_l5.max_deriv_order() + 1) * 56 * n_p * 8
+    assert (n_q, n_p) == (141, 141) and BLOCK_POINTS // n_p == 58
+    table = (goldstone_l5.max_deriv_order() + 1) * 58 * n_p * 8
     assert peak <= orders.values.nbytes + 2.8 * table
 
     def sweep(count):
@@ -529,6 +579,25 @@ def test_sweep_q_is_no_farther_from_mpmath_than_the_field_route(goldstone_l10, n
         route = q_functional(eval_field(goldstone_l10, seed, hbar, grid))[0]
         assert abs(sweep - reference) <= abs(route - reference)
         assert abs(sweep - reference) <= 2e-13 * reference
+
+
+def test_order_moments_mass_is_faithfully_rounded(goldstone_l10, monkeypatch):
+    # on a symmetric axis each unit-weighted value is exact, and Sum2 within
+    # and across blocks (six here, of two rows each) leaves mass[l] within
+    # 1 ulp of the exactly rounded sum of those values times the steps,
+    # where a plain sum in the blocks is 18 ulps off and one across them 4
+    monkeypatch.setattr(evaluate, "BLOCK_POINTS", 42)
+    grid = GridSpec(-4.0, 4.0, 21, -4.0, 4.0, 21)
+    seed = SeedDistribution("fd", z=1.0)
+    moments = order_moments(goldstone_l10, seed, grid)
+    qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    orders = term_derivatives(goldstone_l10.terms, seed, qq,
+                              0.5 * pp ** 2 + GOLDSTONE.evaluate(qq))[:, 0]
+    w_q, w_p = (w / h for w, h in zip(grid.weights(), grid.steps()))
+    h_q, h_p = grid.steps()
+    for mass, order in zip(moments.mass, orders):
+        exact = math.fsum((np.outer(w_q, w_p) * order / moments.unit).ravel().tolist())
+        assert abs(mass - exact * (h_q * h_p)) <= np.spacing(abs(exact * (h_q * h_p)))
 
 
 def test_combined_seed_of_one_gives_same_value(goldstone_l5):

@@ -2,7 +2,8 @@
 is used, every defaulted parameter is set by some caller, no positional
 parameter is always passed the same literal, every indented JSON document
 goes through one writer, the exact layer loads no numpy and reaches floats
-through one kernel, and no command loads numpy.random."""
+through one kernel, no command loads numpy.random, and no module makes a
+grid axis but evaluate.axis_points."""
 
 import ast
 import os
@@ -460,6 +461,26 @@ def test_no_module_imports_numpy_random():
         "<source>:1", "<source>:2", "<source>:3", "<source>:5"]
     modules = sorted((ROOT / "src" / "qvlasov").glob("*.py"))
     assert [line for path in modules for line in numpy_random_uses(
+        path.read_text(), str(path.relative_to(ROOT)))] == []
+
+
+def linspace_uses(source: str, name: str = "<source>") -> list:
+    """'name:line' for each read or import of a name linspace in source."""
+    return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Name) and node.id == "linspace")
+            or (isinstance(node, ast.Attribute) and node.attr == "linspace")
+            or (isinstance(node, ast.alias) and node.name == "linspace")]
+
+
+def test_grid_axes_made_in_one_place():
+    # every grid axis is evaluate.axis_points, whose bitwise antisymmetry on
+    # a symmetric range the grid fill relies on; np.linspace's is not
+    assert linspace_uses("import numpy as np\nfrom numpy import linspace\n"
+                         "np.linspace(0, 1, 3)\nlinspace(0, 1, 3)\n"
+                         "'np.linspace'\n") == ["<source>:2", "<source>:3",
+                                                 "<source>:4"]
+    modules = sorted((ROOT / "src" / "qvlasov").glob("*.py"))
+    assert [line for path in modules for line in linspace_uses(
         path.read_text(), str(path.relative_to(ROOT)))] == []
 
 
