@@ -3,8 +3,8 @@
 A physically admissible Wigner function has nonnegative position and
 momentum marginals and cannot be too spiky: the normalized integral of f^2
 times 2*pi*hbar must not exceed one.  These necessary conditions double as
-accuracy tests for a truncated expansion.  All integrals use trapezoid
-quadrature on the field's own grid.
+accuracy tests for a truncated expansion.  All integrals take the grid's
+one trapezoid rule (evaluate.GridSpec), on its uniform steps.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ def _positive(total: float) -> float:
 def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum marginal densities, each integrating to one.
 
-    P_q integrates the held rows over p, and its q integral is the field's.
-    P_p integrates over q down the full grid, gathered from them, whose row
-    order its bits depend on, a block of columns at a time.
+    P_q sums the held rows over p, and its q sum is the field's integral.
+    P_p sums over q down the full grid, gathered from them, in grid order.
     """
-    p_q = field.grid.p_integrals(field.row_values)[field.rows]
-    total = _positive(float(np.trapezoid(p_q, field.q_axis())))
-    p_p = field.grid.q_integrals(field.values) / total
-    return p_q / total, p_p
+    grid = field.grid
+    h_q, h_p = grid.steps()
+    p_q = grid.p_sums(field.row_values)[field.rows]
+    total = _positive(float(grid.q_sums(p_q)) * (h_q * h_p))
+    return p_q * h_p / total, grid.q_sums(field.values) * h_q / total
 
 
 def q_functional(field: WignerField):

@@ -78,7 +78,8 @@ def axis_points(a: float, b: float, n: int) -> np.ndarray:
 
 
 def _unit_trapezoid(n: int) -> np.ndarray:
-    """The trapezoid weights of n points in units of their step."""
+    """The trapezoid weights of n points in units of their step: the one
+    rule of every grid integral, which takes the steps once at the end."""
     w = np.ones(n)
     w[[0, -1]] = 0.5
     return w
@@ -103,6 +104,11 @@ class GridSpec:
             raise ValueError("grid bounds must satisfy min < max")
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError("grids need at least 2 points per axis")
+        for name, a, b, n in (("q", self.q_min, self.q_max, self.n_q),
+                              ("p", self.p_min, self.p_max, self.n_p)):
+            if not math.isfinite((b - a) * ((n - 1) / 2)):
+                raise ValueError(f"the {name} axis' width times (n - 1)/2 "
+                                 f"exceeds the float range")
         if self.n_q * self.n_p > MAX_GRID_POINTS:
             raise ValueError(f"a {self.n_q}x{self.n_p} grid exceeds "
                              f"{MAX_GRID_POINTS} points")
@@ -118,41 +124,28 @@ class GridSpec:
         return ((self.q_max - self.q_min) / (self.n_q - 1),
                 (self.p_max - self.p_min) / (self.n_p - 1))
 
-    def p_integrals(self, values: np.ndarray) -> np.ndarray:
-        """Trapezoid integral over p of each row of values, a block of rows
+    def p_sums(self, values: np.ndarray) -> np.ndarray:
+        """Unit trapezoid sum over p of each row of values, a block of rows
         at a time; each row is summed alone, so its bits do not depend on
         the blocking or on the other rows."""
-        p = self.p_axis()
+        w = _unit_trapezoid(self.n_p)
         step = max(1, BLOCK_POINTS // self.n_p)
-        return np.concatenate([np.trapezoid(values[start:start + step], p, axis=1)
+        return np.concatenate([(values[start:start + step] * w).sum(axis=1)
                                for start in range(0, len(values), step)])
 
-    def q_integrals(self, values: np.ndarray) -> np.ndarray:
-        """Trapezoid integral over q of each column of the full grid values,
-        a block of columns at a time.  A block two or more columns wide sums
-        each column in the full grid's order, while a one-column block is
-        summed pairwise, with other bits: a one-column remainder joins the
-        block before it."""
-        q = self.q_axis()
-        step = max(2, BLOCK_POINTS // self.n_q)
-        starts = list(range(0, self.n_p, step))
-        if self.n_p - starts[-1] == 1 and len(starts) > 1:
-            starts.pop()
-        return np.concatenate([np.trapezoid(values[:, a:b], q, axis=0)
-                               for a, b in zip(starts, starts[1:] + [self.n_p])])
-
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The trapezoid weights of the q and p axes: integral's rule, on the
-        uniform step of each axis."""
-        return tuple(h * _unit_trapezoid(n)
-                     for n, h in zip((self.n_q, self.n_p), self.steps()))
+    def q_sums(self, values: np.ndarray) -> np.ndarray:
+        """Unit trapezoid sum over q of values, whose first axis runs over
+        the grid rows: each column is summed down them in grid order."""
+        w = _unit_trapezoid(self.n_q)
+        return (values * w.reshape((-1,) + (1,) * (values.ndim - 1))).sum(axis=0)
 
     def integral(self, values: np.ndarray, rows: np.ndarray) -> float:
         """Double trapezoid integral of a field on this grid whose grid row i
         is values[rows[i]]; a caller holding the full grid passes the
-        identity map.  Each row is integrated over p once, so the result has
+        identity map.  Each row is summed over p once, so the result has
         the bits of the integral of the gathered grid."""
-        return float(np.trapezoid(self.p_integrals(values)[rows], self.q_axis()))
+        h_q, h_p = self.steps()
+        return float(self.q_sums(self.p_sums(values)[rows])) * (h_q * h_p)
 
     def to_json_dict(self) -> dict:
         return {"q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
@@ -524,8 +517,8 @@ class WignerField:
     the full grid has the identity map.  eval_field holds the rows of its
     order_grids fill.  Normalization, Q, P_q, the minimum and maximum and
     field.csv work on the held rows; ``values`` gathers the full grid once,
-    which diagnostics.diagnose reads for P_p and the negativity scan, whose
-    bits depend on the order of the grid rows.
+    which diagnostics.diagnose reads for P_p, summed down the grid rows in
+    their order, and the negativity scan, whose first minimum depends on it.
     """
 
     grid: GridSpec
@@ -567,7 +560,7 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     elif (orders.grid, orders.hbar) != (grid, hbar):
         raise ValueError(f"orders were built on {orders.grid} at hbar = "
                          f"{orders.hbar!r}, not on {grid} at hbar = {hbar!r}")
-    # np.take, not a slice: a C-ordered copy, whose p integrals have the
+    # np.take, not a slice: a C-ordered copy, whose p sums have the
     # bits of the gathered grid's rows
     values = np.take(orders.values, orders.cols, axis=1)
     norm = grid.integral(values, orders.rows)

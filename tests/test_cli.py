@@ -86,7 +86,8 @@ FIELD_GOLDEN = json.loads(
 def test_evaluate_csv_matches_golden_digest(tmp_path, key):
     # SHA-256 of field.csv, recorded before the integer group layout of the
     # exact core, so the float evaluation of its elements keeps its bits;
-    # recorded again when the grid axes became bitwise antisymmetric
+    # recorded again when the grid axes became bitwise antisymmetric, and
+    # when the field's norm took the uniform-step trapezoid rule
     potential, order = key.split()
     assert run(["evaluate", "--potential", potential, "--order", order,
                 "--seed", "fd:z=1", "--hbar", "0.3", "--qrange=-4,4,41",
@@ -117,7 +118,8 @@ def test_readme_field_outputs_match_golden_digest(tmp_path, key):
     # SHA-256 of the sidecar of the README goldstone L=5 field and of the
     # single-hbar diagnose outputs on the same configuration, recorded while
     # the field still carried its run labels, and again when the grid axes
-    # became bitwise antisymmetric
+    # became bitwise antisymmetric and when every grid integral took the
+    # uniform-step trapezoid rule
     command, name = key.split()
     assert run([command, "--potential", "goldstone", "--order", "5",
                 "--seed", "fd:z=1", "--hbar", "0.6", "--qrange=-4,4,401",
@@ -134,8 +136,9 @@ EXACT_AXIS_GOLDEN = json.loads(
 def test_exact_axis_outputs_match_golden_digest(tmp_path, key):
     # SHA-256 of the evaluate and single-hbar diagnose outputs on a grid
     # whose axis points (-5 + k/2) are all exact in floats, recorded while
-    # the axes were still made by np.linspace: any exact axis construction
-    # gives these points, so the outputs keep their bytes
+    # the axes were still made by np.linspace, and again when every grid
+    # integral took the uniform-step trapezoid rule: any exact axis
+    # construction gives these points, so the outputs keep their bytes
     command, name = key.split()
     assert run([command, "--potential", "goldstone", "--order", "5",
                 "--seed", "fd:z=1", "--hbar", "0.6", "--qrange=-5,5,21",
@@ -540,6 +543,8 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
     (["expand", "--potential", "(q+1)^65"], None, "exponent 65"),
     (["expand", "--potential", "((sin(q)+cos(2*q))^64)^2"], None, "monomial pairs"),
     (EVALUATE + ["--qrange=-3,3,200001"], None, "exceeds 4004001 points"),
+    (EVALUATE + ["--qrange=-1e308,1e308,3"], None, "bad grid: the q axis' width"),
+    (EVALUATE + ["--prange=-1e306,1e306,2001"], None, "bad grid: the p axis' width"),
     (["expand", "--potential", "goldstone", "--order", "31"], None, "--order"),
     (["verify", "--potential", "modulated", "--order", "1", "--j-max", "32"], None,
      "--j-max"),
@@ -557,7 +562,8 @@ EVALUATE = ["evaluate", "--potential", "goldstone", "--hbar", "0.3",
         "infinite-p-bound", "infinite-q-bound",
         "infinite-grid-in-file", "j-max-below-order", "symbolic-trig",
         "series-j-max-below-order", "exponent-over-cap", "product-over-cap",
-        "grid-over-cap", "order-over-cap", "j-max-over-cap",
+        "grid-over-cap", "q-width-overflows", "p-width-overflows", "order-over-cap",
+        "j-max-over-cap",
         "product-degree-over-cap-in-file", "infinite-fugacity",
         "samples-over-cap", "hbar-list-over-cap-in-file"])
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, argv, config, message):

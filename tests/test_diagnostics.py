@@ -7,7 +7,7 @@ from qvlasov import evaluate
 from qvlasov.diagnostics import (DegenerateFieldError, diagnose, marginals,
                                  negativity_report, past_smallest_term,
                                  q_functional)
-from qvlasov.evaluate import GridSpec, WignerField, eval_field
+from qvlasov.evaluate import GridSpec, WignerField, _unit_trapezoid, eval_field
 from qvlasov.parser import parse_potential
 from qvlasov.seeds import SeedDistribution
 from qvlasov.series import build_series
@@ -53,26 +53,34 @@ def test_position_marginal_goes_negative_at_large_hbar(series_l5):
 
 
 @pytest.mark.parametrize("n_q, n_p, block_points", [
-    (401, 41, evaluate.BLOCK_POINTS),   # blocks of 20 columns and one over
-    (201, 401, evaluate.BLOCK_POINTS),  # 40 columns, 401 = 10 * 40 + 1
-    (21, 11, 2 * 21),                   # two columns at a time, 11 odd
-    (21, 7, 1),                         # never one column, whatever the budget
+    (401, 41, evaluate.BLOCK_POINTS),   # blocks of 199 rows, then one of 3
+    (201, 401, evaluate.BLOCK_POINTS),  # 20 rows, 201 = 10 * 20 + 1
+    (21, 11, 42),                       # three rows at a time
+    (21, 7, 1),                         # one row, whatever the budget
     (41, 3, evaluate.BLOCK_POINTS),     # one block
 ])
 def test_momentum_marginal_blocks_keep_full_grid_bits(rng, monkeypatch, n_q, n_p,
                                                       block_points):
-    # a one-column block would sum its column pairwise, with other bits; the
-    # default 401-point axes leave such a remainder
+    # the p sums go a block of rows at a time and sum each row alone, so
+    # P_q and the total have the bits of unblocked sums; P_p sums each
+    # column down the grid rows in grid order, in no blocks at all
     grid = GridSpec(-4.0, 4.0, n_q, -3.0, 3.0, n_p)
     values = rng.random((n_q, n_p)) - 0.25
     monkeypatch.setattr(evaluate, "BLOCK_POINTS", block_points)
-    whole = np.trapezoid(values, grid.q_axis(), axis=0)
-    assert grid.q_integrals(values).view(np.uint64).tolist() == \
-        whole.view(np.uint64).tolist()
+    u_q, u_p = _unit_trapezoid(n_q), _unit_trapezoid(n_p)
+    h_q, h_p = grid.steps()
+    rows = (values * u_p).sum(axis=1)
+    assert grid.p_sums(values).view(np.uint64).tolist() == \
+        rows.view(np.uint64).tolist()
+    columns = u_q[0] * values[0]
+    for weight, row in zip(u_q[1:], values[1:]):
+        columns = columns + weight * row
+    total = float((rows * u_q).sum()) * (h_q * h_p)
     field = WignerField(grid, 0.3, values, np.arange(n_q), 1.0, False)
-    total = float(np.trapezoid(grid.p_integrals(values), grid.q_axis()))
-    assert marginals(field)[1].view(np.uint64).tolist() == \
-        (whole / total).view(np.uint64).tolist()
+    p_q, p_p = marginals(field)
+    assert p_q.view(np.uint64).tolist() == (rows * h_p / total).view(np.uint64).tolist()
+    assert p_p.view(np.uint64).tolist() == \
+        (columns * h_q / total).view(np.uint64).tolist()
 
 
 def test_marginals_work_without_normalization(series_l5):

@@ -17,7 +17,8 @@ from qvlasov import evaluate
 from qvlasov.diagnostics import diagnose, q_functional, spikiness
 from qvlasov.evaluate import (BLOCK_POINTS, DEFAULT_GRID, GridSpec,
                               HbarOverflowError, NormalizationError,
-                              WignerField, _distinct_bits, cell_values, eval_field,
+                              WignerField, _distinct_bits, _unit_trapezoid,
+                              cell_values, eval_field,
                               eval_point, eval_points, order_grids,
                               order_moments, term_derivatives, write_field_csv)
 from qvlasov.parser import parse_potential
@@ -136,6 +137,11 @@ def test_axis_is_no_farther_from_exact_than_linspace(a, b, n, worst):
     ulps = _ulps_from_exact(evaluate.axis_points(a, b, n), a, b, n)
     assert ulps.max() == worst
     assert ulps.max() <= _ulps_from_exact(np.linspace(a, b, n), a, b, n).max()
+
+
+def unit_weights(grid):
+    """The q and p axes' trapezoid weights in units of their steps."""
+    return _unit_trapezoid(grid.n_q), _unit_trapezoid(grid.n_p)
 
 
 def test_normalization_residual(goldstone_l5):
@@ -351,11 +357,13 @@ def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
         "goldstone-asymmetric": (goldstone_l5, GridSpec(-2.5, 3.7, 101, -3.0, 3.3, 87),
                                  (101, 87))}[case]
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
+    u_q, u_p = unit_weights(grid)
+    h_q, h_p = grid.steps()
 
     def integral(values):
-        # the full grid's double trapezoid, one numpy call per axis
-        return float(np.trapezoid(np.trapezoid(values, grid.p_axis(), axis=1),
-                                  grid.q_axis()))
+        # the full grid's double trapezoid on the uniform steps: each row
+        # summed over p, the row sums over q, then the steps' product
+        return float(((values * u_p).sum(axis=1) * u_q).sum()) * (h_q * h_p)
 
     for hbar in (0.0, 0.3, 0.6):
         orders = order_grids(series, FD, grid, hbar)
@@ -493,7 +501,7 @@ def test_order_moments_give_each_fields_integrals(goldstone_l5, cubic_l3, case):
         "goldstone-asymmetric": (goldstone_l5, GridSpec(-2.5, 3.7, 101, -3.0, 3.3, 87))}[case]
     moments = order_moments(series, FD, grid)
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
-    w_q, w_p = grid.weights()
+    w_q, w_p = (u * h for u, h in zip(unit_weights(grid), grid.steps()))
     for hbar in (0.0, 0.3, 0.6):
         orders = order_grids(series, FD, grid, hbar)
         assert moments.sizes.tolist() == orders.sizes.tolist()
@@ -555,19 +563,18 @@ def test_sweep_q_is_no_farther_from_mpmath_than_the_field_route(goldstone_l10, n
     # 21-point grid, hbar = 0.47 is just below the root of the field's
     # integral, so Q = 1.4e6 and the integral cancels to 1/2500 of the
     # integral of |f|.  The reference takes the fill's own F_l and weights
-    # hbar^(2l), and forms the field and Q at 50 digits on the grid's
-    # trapezoid rule on its uniform step (GridSpec.weights, as the
-    # benchmark's check does), so it measures what the two routes do
-    # differently: the sweep's Q from the order moments is at least as
-    # close to it as q_functional of the field, whose np.trapezoid takes
-    # the steps between the rounded axis points, another rule by roundoff
+    # hbar^(2l), and forms the field and Q at 50 digits on the grid's one
+    # trapezoid rule, on its uniform steps (as the benchmark's check does),
+    # so it measures how the two routes sum on that rule: the sweep's Q
+    # from the order moments, summed with TwoSum error terms, is at least as
+    # close to it as q_functional of the field, summed pairwise
     grid = GridSpec(-4.0, 4.0, n, -4.0, 4.0, n)
     seed = SeedDistribution("fd", z=1.0)
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
     orders = term_derivatives(goldstone_l10.terms, seed, qq,
                               0.5 * pp ** 2 + GOLDSTONE.evaluate(qq))[:, 0]
     weights = evaluate.hbar_weights(hbar, range(len(orders)))
-    w_q, w_p = grid.weights()
+    w_q, w_p = (u * h for u, h in zip(unit_weights(grid), grid.steps()))
     with mpmath.workdps(50):
         field = [mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(f) for w, f in zip(weights, point))
                  for point in orders.reshape(len(orders), -1).T.tolist()]
@@ -579,6 +586,20 @@ def test_sweep_q_is_no_farther_from_mpmath_than_the_field_route(goldstone_l10, n
         route = q_functional(eval_field(goldstone_l10, seed, hbar, grid))[0]
         assert abs(sweep - reference) <= abs(route - reference)
         assert abs(sweep - reference) <= 2e-13 * reference
+
+
+@pytest.mark.parametrize("hbar", [0.7, 0.8])
+def test_field_route_and_sweep_agree_on_q(goldstone_l10, hbar):
+    # a single-hbar diagnose and a sweep take one trapezoid rule, so past
+    # the L = 10 series' smallest term (Q = 2e11 and 5e11) their Q differ
+    # by the field's own pointwise roundoff alone, 1.8e-11 and 1.7e-11;
+    # on np.trapezoid's steps between the rounded axis points the field
+    # route was 1.4e-10 and 2.3e-10 off the sweep
+    grid = GridSpec(-4.0, 4.0, 201, -4.0, 4.0, 201)
+    seed = SeedDistribution("fd", z=1.0)
+    route = q_functional(eval_field(goldstone_l10, seed, hbar, grid))[0]
+    sweep = spikiness(*order_moments(goldstone_l10, seed, grid).integrals(hbar), hbar)[0]
+    assert abs(route - sweep) <= 5e-11 * sweep
 
 
 def test_order_moments_mass_is_faithfully_rounded(goldstone_l10, monkeypatch):
@@ -593,7 +614,7 @@ def test_order_moments_mass_is_faithfully_rounded(goldstone_l10, monkeypatch):
     qq, pp = np.meshgrid(grid.q_axis(), grid.p_axis(), indexing="ij")
     orders = term_derivatives(goldstone_l10.terms, seed, qq,
                               0.5 * pp ** 2 + GOLDSTONE.evaluate(qq))[:, 0]
-    w_q, w_p = (w / h for w, h in zip(grid.weights(), grid.steps()))
+    w_q, w_p = unit_weights(grid)
     h_q, h_p = grid.steps()
     for mass, order in zip(moments.mass, orders):
         exact = math.fsum((np.outer(w_q, w_p) * order / moments.unit).ravel().tolist())

@@ -2,8 +2,9 @@
 is used, every defaulted parameter is set by some caller, no positional
 parameter is always passed the same literal, every indented JSON document
 goes through one writer, the exact layer loads no numpy and reaches floats
-through one kernel, no command loads numpy.random, and no module makes a
-grid axis but evaluate.axis_points."""
+through one kernel, no command loads numpy.random, no module makes a
+grid axis but evaluate.axis_points, and no module calls np.trapezoid or
+forms trapezoid weights but evaluate."""
 
 import ast
 import os
@@ -482,6 +483,39 @@ def test_grid_axes_made_in_one_place():
     modules = sorted((ROOT / "src" / "qvlasov").glob("*.py"))
     assert [line for path in modules for line in linspace_uses(
         path.read_text(), str(path.relative_to(ROOT)))] == []
+
+
+def trapezoid_names(source: str, name: str = "<source>") -> list:
+    """'name:line: id' for each read, import or definition in source of a
+    name with trapezoid or trapz in it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            ident = node.name
+        else:
+            continue
+        if "trapezoid" in ident or "trapz" in ident:
+            found.append((node.lineno, ident))
+    return [f"{name}:{line}: {ident}" for line, ident in sorted(found)]
+
+
+def test_grid_integrals_take_one_trapezoid_rule():
+    # every grid integral takes evaluate's unit trapezoid weights on the
+    # uniform steps; np.trapezoid takes the steps between the rounded axis
+    # points, a second rule that differs by roundoff, which a cancelling
+    # integral amplifies
+    assert trapezoid_names("import numpy as np\nfrom numpy import trapz\n"
+                           "np.trapezoid(y, x)\ndef _trapezoid_weights(n):\n"
+                           "    return 'trapezoid'\n") == [
+        "<source>:2: trapz", "<source>:3: trapezoid", "<source>:4: _trapezoid_weights"]
+    found = [line for path in sorted((ROOT / "src" / "qvlasov").glob("*.py"))
+             for line in trapezoid_names(path.read_text(), path.name)]
+    assert found and {line.split(":")[0] for line in found} == {"evaluate.py"}
+    assert {line.split(": ")[1] for line in found} == {"_unit_trapezoid"}
 
 
 # One small run of each command, numeric and symbolic verify both; none may
