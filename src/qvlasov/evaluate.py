@@ -62,17 +62,17 @@ class HbarOverflowError(ValueError):
 
 
 def axis_points(a: float, b: float, n: int) -> np.ndarray:
-    """n points from a to b on the step h = (b - a) / (n - 1), placed
+    """n points from a to b on the step (b - a) / (n - 1), placed
     symmetrically about the centre of the range: the k-th is
-    (a/2 + b/2) + (k - (n - 1)/2) h, and the ends are a and b.
+    (a/2 + b/2) + (k - (n - 1)/2) (b - a) / (n - 1), divided last, and the
+    ends are a and b.  GridSpec keeps (n - 1)/2 (b - a) finite.
 
     On a range symmetric about 0 the axis is bitwise antisymmetric, so V(q)
     of an even potential, p^2 and every even cell coefficient agree in every
     bit at mirrored points, and the grid fill merges them.  On the default
-    axis each point is within 1 ulp of the correctly rounded
-    a + k (b - a)/(n - 1), where np.linspace's are up to 133 ulp off."""
-    h = (b - a) / (n - 1)
-    x = (a / 2 + b / 2) + (np.arange(n) - (n - 1) / 2) * h
+    axis every point is the correctly rounded a + k (b - a)/(n - 1), where
+    np.linspace's are up to 133 ulp off."""
+    x = (a / 2 + b / 2) + (np.arange(n) - (n - 1) / 2) * (b - a) / (n - 1)
     x[[0, -1]] = a, b
     return x
 

@@ -86,8 +86,9 @@ FIELD_GOLDEN = json.loads(
 def test_evaluate_csv_matches_golden_digest(tmp_path, key):
     # SHA-256 of field.csv, recorded before the integer group layout of the
     # exact core, so the float evaluation of its elements keeps its bits;
-    # recorded again when the grid axes became bitwise antisymmetric, and
-    # when the field's norm took the uniform-step trapezoid rule
+    # recorded again when the grid axes became bitwise antisymmetric, when
+    # the field's norm took the uniform-step trapezoid rule, and when every
+    # symmetric axis point became the exactly rounded one
     potential, order = key.split()
     assert run(["evaluate", "--potential", potential, "--order", order,
                 "--seed", "fd:z=1", "--hbar", "0.3", "--qrange=-4,4,41",
@@ -118,8 +119,9 @@ def test_readme_field_outputs_match_golden_digest(tmp_path, key):
     # SHA-256 of the sidecar of the README goldstone L=5 field and of the
     # single-hbar diagnose outputs on the same configuration, recorded while
     # the field still carried its run labels, and again when the grid axes
-    # became bitwise antisymmetric and when every grid integral took the
-    # uniform-step trapezoid rule
+    # became bitwise antisymmetric, when every grid integral took the
+    # uniform-step trapezoid rule, and when every default axis point became
+    # the exactly rounded one
     command, name = key.split()
     assert run([command, "--potential", "goldstone", "--order", "5",
                 "--seed", "fd:z=1", "--hbar", "0.6", "--qrange=-4,4,401",

@@ -49,6 +49,13 @@ def test_grid_spec_validation():
         GridSpec(1.0, -1.0, 10, -1.0, 1.0, 10)
     with pytest.raises(ValueError):
         GridSpec(-1.0, 1.0, 1, -1.0, 1.0, 10)
+    # an axis is formed as (k - (n - 1)/2) (b - a) / (n - 1), so its width
+    # times (n - 1)/2 must stay finite, even where the width itself is
+    with pytest.raises(ValueError, match="q axis' width"):
+        GridSpec(-1e308, 1e308, 3, -1.0, 1.0, 10)
+    with pytest.raises(ValueError, match="p axis' width"):
+        GridSpec(-1.0, 1.0, 10, -1e306, 1e306, 2001)
+    assert np.isfinite(GridSpec(-1e306, 1e306, 179, -1.0, 1.0, 10).q_axis()).all()
 
 
 def test_classical_limit_is_plain_seed(goldstone_l5, rng):
@@ -113,10 +120,11 @@ def _ulps_from_exact(axis, a, b, n):
 
 
 @pytest.mark.parametrize("a, b, n", [(-4.0, 4.0, 401), (-4.0, 4.0, 400), (-3.0, 3.0, 61),
-                                     (-1.0, 1.0, 2), (-2.0, 2.0, 1000), (-1e300, 1e300, 5)])
+                                     (-1.0, 1.0, 2), (-2.0, 2.0, 1000), (-1e300, 1e300, 5),
+                                     (-4.0, 4.0, 1001), (-4.0, 4.0, 2001)])
 def test_symmetric_axis_is_antisymmetric_and_near_exact(a, b, n):
     # bitwise antisymmetric, ends exactly a and b, 0.0 at the centre of an
-    # odd axis, and every point within 1 ulp of the exact grid point
+    # odd axis, and every point the exactly rounded grid point
     axis = evaluate.axis_points(a, b, n)
     assert axis.shape == (n,) and axis[0] == a and axis[-1] == b
     half = n // 2
@@ -124,16 +132,17 @@ def test_symmetric_axis_is_antisymmetric_and_near_exact(a, b, n):
     if n % 2:
         assert _bits(axis[half]) == _bits(0.0)
     assert np.all(np.diff(axis) > 0)
-    assert _ulps_from_exact(axis, a, b, n).max() <= 1
+    assert _ulps_from_exact(axis, a, b, n).max() == 0
 
 
 @pytest.mark.parametrize("a, b, n, worst", [
-    (-4.0, 4.0, 401, 1), (-2.5, 3.7, 101, 6), (-2.5, 3.7, 133, 48),
+    (-4.0, 4.0, 401, 0), (-2.5, 3.7, 101, 6), (-2.5, 3.7, 133, 48),
     (-3.0, 3.3, 87, 21), (0.1, 0.7, 7, 1), (-5.0, 5.0, 21, 0)])
 def test_axis_is_no_farther_from_exact_than_linspace(a, b, n, worst):
     # the farthest point of the axis is at most worst ulps from the exact
     # grid point, never farther than linspace's farthest (133, 37, 144, 619,
-    # 1 and 0 ulps on these ranges); on (-5, 5, 21) both are exact
+    # 1 and 0 ulps on these ranges); on the default axis and (-5, 5, 21)
+    # every point is exact
     ulps = _ulps_from_exact(evaluate.axis_points(a, b, n), a, b, n)
     assert ulps.max() == worst
     assert ulps.max() <= _ulps_from_exact(np.linspace(a, b, n), a, b, n).max()
@@ -592,7 +601,7 @@ def test_sweep_q_is_no_farther_from_mpmath_than_the_field_route(goldstone_l10, n
 def test_field_route_and_sweep_agree_on_q(goldstone_l10, hbar):
     # a single-hbar diagnose and a sweep take one trapezoid rule, so past
     # the L = 10 series' smallest term (Q = 2e11 and 5e11) their Q differ
-    # by the field's own pointwise roundoff alone, 1.8e-11 and 1.7e-11;
+    # by the field's own pointwise roundoff alone, 1.9e-11 and 1.1e-11;
     # on np.trapezoid's steps between the rounded axis points the field
     # route was 1.4e-10 and 2.3e-10 off the sweep
     grid = GridSpec(-4.0, 4.0, 201, -4.0, 4.0, 201)
