@@ -40,10 +40,10 @@ def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
     P_p sums over q down the full grid, gathered from them, in grid order.
     """
     grid = field.grid
+    total = _positive(grid.integral(field.row_values, field.rows))
     h_q, h_p = grid.steps()
-    p_q = grid.p_sums(field.row_values)[field.rows]
-    total = _positive(float(grid.q_sums(p_q)) * (h_q * h_p))
-    return p_q * h_p / total, grid.q_sums(field.values) * h_q / total
+    p_q = grid.p_sums(field.row_values)[field.rows] * h_p / total
+    return p_q, grid.q_sums(field.values) * h_q / total
 
 
 def q_functional(field: WignerField):

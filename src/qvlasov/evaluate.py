@@ -134,8 +134,9 @@ class GridSpec:
                                for start in range(0, len(values), step)])
 
     def q_sums(self, values: np.ndarray) -> np.ndarray:
-        """Unit trapezoid sum over q of values, whose first axis runs over
-        the grid rows: each column is summed down them in grid order."""
+        """Unit trapezoid sum over q along values' first axis, the grid
+        rows: numpy adds a grid's columns down the rows in grid order, each
+        column alone, and a 1-D array pairwise."""
         w = _unit_trapezoid(self.n_q)
         return (values * w.reshape((-1,) + (1,) * (values.ndim - 1))).sum(axis=0)
 
