@@ -30,7 +30,8 @@ from .potentials import resolve_potential
 from .ring import RingElem, RingError
 from .seeds import BracketError, QuadratureError, parse_seed_spec
 from .series import (CONVENTIONS, MAX_ORDER, OrderError, TermBudgetError,
-                     WignerSeries, build_series, write_json as _write_json)
+                     WignerSeries, build_series, write_json as _write_json,
+                     write_series_json)
 from .verify import MAX_SAMPLES, residual_numeric, residual_symbolic
 
 
@@ -230,9 +231,7 @@ def _series_listing(series: WignerSeries) -> str:
 def cmd_expand(cfg: argparse.Namespace) -> int:
     series = build_series(cfg.potential_elem, cfg.order, cfg.convention)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    doc = series.to_json_dict()
-    doc["config"] = _provenance(cfg)
-    _write_json(cfg.out / "series.json", doc)
+    write_series_json(cfg.out / "series.json", series, _provenance(cfg))
     listing = _series_listing(series)
     (cfg.out / "series.txt").write_text(listing)
     sys.stdout.write(listing)

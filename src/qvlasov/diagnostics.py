@@ -33,27 +33,34 @@ def _positive(total: float) -> float:
     return total
 
 
-def marginals(field: WignerField) -> tuple[np.ndarray, np.ndarray]:
+def marginals(field: WignerField,
+              sums: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum marginal densities, each integrating to one.
 
     P_q sums the held rows over p, and its q sum is the field's integral.
     P_p sums over q down the full grid, gathered from them, in grid order.
+    sums takes the held rows' p sums, GridSpec.p_sums(field.row_values),
+    when the caller already has them.
     """
     grid = field.grid
-    total = _positive(grid.integral(field.row_values, field.rows))
+    if sums is None:
+        sums = grid.p_sums(field.row_values)
+    total = _positive(grid.row_integral(sums, field.rows))
     h_q, h_p = grid.steps()
-    p_q = grid.p_sums(field.row_values)[field.rows] * h_p / total
-    return p_q, grid.q_sums(field.values) * h_q / total
+    return sums[field.rows] * h_p / total, grid.q_sums(field.values) * h_q / total
 
 
-def q_functional(field: WignerField):
+def q_functional(field: WignerField, sums: np.ndarray | None = None):
     """Spikiness functional Q, the bound product 2*pi*hbar*Q, and the verdict.
 
     Q is invariant under rescaling of the field, so it applies to
     unnormalized fields as well.  The verdict is None when hbar = 0.  Both
-    integrals run over the field's held rows, through its row map.
+    integrals run over the field's held rows, through its row map; sums
+    takes the held rows' p sums as marginals does.
     """
-    total = _positive(field.grid.integral(field.row_values, field.rows))
+    if sums is None:
+        sums = field.grid.p_sums(field.row_values)
+    total = _positive(field.grid.row_integral(sums, field.rows))
     second = field.grid.integral(field.row_values**2, field.rows)
     return spikiness(total, second, field.hbar)
 
@@ -61,7 +68,10 @@ def q_functional(field: WignerField):
 def spikiness(total: float, second: float, hbar: float):
     """Q = second / total^2 from the integrals of a field and of its square
     (or c and c^2 times them), 2*pi*hbar*Q and the verdict (None at 0)."""
-    q_value = second / total**2
+    try:
+        q_value = second / total**2
+    except OverflowError:   # total^2 is past the float range, Q need not be
+        q_value = second / total / total
     bound = 2.0 * np.pi * hbar * q_value
     verdict = bool(bound <= 1.0) if hbar > 0 else None
     return q_value, bound, verdict
@@ -146,11 +156,13 @@ class DiagnosticsReport:
 
 def diagnose(field: WignerField) -> DiagnosticsReport:
     """Full diagnostics bundle for one field; P_p and the negativity scan
-    read the full grid, which the field gathers once for both."""
-    p_q, p_p = marginals(field)
-    q_value, bound, verdict = q_functional(field)
+    read the full grid, which the field gathers once for both.  The held
+    rows are summed over p once, for P_q, Q and the norm residual."""
+    sums = field.grid.p_sums(field.row_values)
+    p_q, p_p = marginals(field, sums)
+    q_value, bound, verdict = q_functional(field, sums)
     neg = negativity_report(field.values, (field.q_axis(), field.p_axis()))
-    norm_residual = (field.grid.integral(field.row_values, field.rows) - 1.0
+    norm_residual = (field.grid.row_integral(sums, field.rows) - 1.0
                      if field.normalized else 0.0)
     return DiagnosticsReport(
         q=field.q_axis(), p=field.p_axis(), p_q=p_q, p_p=p_p,

@@ -145,8 +145,13 @@ class GridSpec:
         is values[rows[i]]; a caller holding the full grid passes the
         identity map.  Each row is summed over p once, so the result has
         the bits of the integral of the gathered grid."""
+        return self.row_integral(self.p_sums(values), rows)
+
+    def row_integral(self, sums: np.ndarray, rows: np.ndarray) -> float:
+        """The integral of that field from sums = p_sums(values), its held
+        rows' sums over p."""
         h_q, h_p = self.steps()
-        return float(self.q_sums(self.p_sums(values)[rows])) * (h_q * h_p)
+        return float(self.q_sums(sums[rows])) * (h_q * h_p)
 
     def to_json_dict(self) -> dict:
         return {"q_min": self.q_min, "q_max": self.q_max, "n_q": self.n_q,
@@ -319,14 +324,17 @@ def _grid_fill(series: WignerSeries, seed, grid: GridSpec):
     q = grid.q_axis()
     p2 = grid.p_axis() ** 2
     p_first, cols = _distinct_bits(p2)
-    v = series.potential.evaluate(q)
-    by_j = _cells_by_j(series.terms, q)
-    q_first, rows = _distinct_bits(v, *(c for cells in by_j.values()
-                                         for _, coeffs in cells
-                                         for c in coeffs if c is not None))
-    by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
-                for l, coeffs in cells] for j, cells in by_j.items()}
-    h = 0.5 * p2[p_first] + v[q_first, None]
+    # past the float range the read-out and the fill make inf and nan,
+    # which the field's integral or the moments report as one error
+    with np.errstate(invalid="ignore", over="ignore"):
+        v = series.potential.evaluate(q)
+        by_j = _cells_by_j(series.terms, q)
+        q_first, rows = _distinct_bits(v, *(c for cells in by_j.values()
+                                             for _, coeffs in cells
+                                             for c in coeffs if c is not None))
+        by_j = {j: [(l, [None if c is None else c[q_first, None] for c in coeffs])
+                    for l, coeffs in cells] for j, cells in by_j.items()}
+        h = 0.5 * p2[p_first] + v[q_first, None]
     sizes = np.zeros(len(series.terms))
 
     def blocks():
@@ -338,10 +346,12 @@ def _grid_fill(series: WignerSeries, seed, grid: GridSpec):
         for start in range(0, q_first.size, step):
             block = slice(start, start + step)
             n = min(step, q_first.size - start)
-            _block_orders(orders[:, :, :n], work[:, :n], by_j, block, seed, h[block])
             filled = orders[:, 0, :n]
-            np.maximum(sizes, np.maximum(filled.max(axis=(1, 2)),
-                                         -filled.min(axis=(1, 2))), out=sizes)
+            with np.errstate(invalid="ignore", over="ignore"):
+                _block_orders(orders[:, :, :n], work[:, :n], by_j, block, seed,
+                              h[block])
+                np.maximum(sizes, np.maximum(filled.max(axis=(1, 2)),
+                                             -filled.min(axis=(1, 2))), out=sizes)
             yield block, filled
 
     return rows, cols, sizes, blocks()

@@ -616,7 +616,8 @@ class RingElem:
         return cell_values([self], x)[0]
 
     def __str__(self):
-        return _signed_sum(_monomial_text(*row) for row in self._monomials())
+        args: dict = {}     # k: the text of trig(k*q)'s argument
+        return _signed_sum(_monomial_text(*row, args) for row in self._monomials())
 
     def __repr__(self):
         return f"RingElem({self})"
@@ -750,9 +751,10 @@ def _from_entries(entries) -> RingElem:
     return RingElem._checked(groups, omega)
 
 
-def _monomial_text(t, k, n: int, terms: tuple) -> tuple:
+def _monomial_text(t, k, n: int, terms: tuple, args: dict) -> tuple:
     """(negative, |coefficient| * q^n * trig(k*q)) of one row; the sign is
-    that of the highest pi power."""
+    that of the highest pi power.  args keeps each k's argument text, formed
+    once for every row of one element."""
     negative = terms[-1][1] < 0
     if negative:
         terms = tuple((e, -v, d) for e, v, d in terms)
@@ -760,6 +762,8 @@ def _monomial_text(t, k, n: int, terms: tuple) -> tuple:
     if n:
         parts.append("q" if n == 1 else f"q^{n}")
     if t is not None:
-        arg = "q" if k == _ONE else f"{_terms_text(k, parenthesize=True)}*q"
+        arg = args.get(k)
+        if arg is None:
+            arg = args[k] = "q" if k == _ONE else f"{_terms_text(k, parenthesize=True)}*q"
         parts.append(f"{t}({arg})")
     return negative, "*".join(parts) or "1"

@@ -359,6 +359,70 @@ def build_series(potential: RingElem, order: int,
                         terms=tuple(terms))
 
 
+# series.json as json.dumps(doc, indent=2) lays it out, _NL[n] starting a
+# line of depth n: a term at 4, a cell at 6 and its keys at 8, a monomial at
+# 10 and its keys at 12, a pi power's pair at 14 and its entries at 16.
+_NL = ["\n" + " " * n for n in range(17)]
+_SERIES_HEAD = ("{" + _NL[2] + '"potential": %s,' + _NL[2] + '"order": %d,'
+                + _NL[2] + '"convention": %s,' + _NL[2] + '"x_ref": "0",'
+                + _NL[2] + '"terms": ')
+_CELL = ("{" + _NL[8] + '"m": %d,' + _NL[8] + '"j": %d,' + _NL[8] + '"ring": ['
+         + _NL[10] + "%s" + _NL[8] + "]" + _NL[6] + "}")
+_MONOMIAL = ("{" + _NL[12] + '"xpow": %d,' + _NL[12] + '"trig": %s,' + _NL[12]
+             + '"wavenumber": %s,' + _NL[12] + '"coefficient": %s' + _NL[10] + "}")
+_PAIR = "[" + _NL[16] + "%d," + _NL[16] + '"%d"' + _NL[14] + "]"
+_RATIO_PAIR = "[" + _NL[16] + "%d," + _NL[16] + '"%d/%d"' + _NL[14] + "]"
+_TRIG_JSON = {None: "null", "sin": '"sin"', "cos": '"cos"'}
+
+
+def _pairs_text(terms: tuple) -> str:
+    """The text of a term tuple's [[e, "n/d"], ...] list, the value of a
+    monomial's key."""
+    return ("[" + _NL[14] + ("," + _NL[14]).join(
+        [_PAIR % (e, n) if d == 1 else _RATIO_PAIR % (e, n, d) for e, n, d in terms])
+        + _NL[12] + "]")
+
+
+def write_series_json(path, series: WignerSeries, config: dict) -> None:
+    """Write series.json: the bytes json.dumps(doc, indent=2) + "\\n" writes
+    for doc = series.to_json_dict() with "config": config appended.
+
+    The text of each cell comes straight from its monomial rows, one write
+    per cell, so no more than one cell's text is held; each wavenumber's
+    text is formed once per document.  The config block takes write_json's
+    encoder.
+    """
+    waves = {None: "null"}
+    with open(path, "w") as fh:
+        text = _SERIES_HEAD % (encode_basestring_ascii(str(series.potential)),
+                               series.order,
+                               encode_basestring_ascii(series.convention))
+        term_sep = "[" + _NL[4]
+        for term in series.terms:
+            text += term_sep
+            term_sep = "," + _NL[4]
+            cells = term.cells()
+            if not cells:
+                text += "[]"
+                continue
+            cell_sep = "[" + _NL[6]
+            for (m, j), c in cells:
+                rows = []
+                for t, k, n, terms in c._monomials():
+                    wave = waves.get(k)
+                    if wave is None:
+                        wave = waves[k] = _pairs_text(k)
+                    rows.append(_MONOMIAL % (n, _TRIG_JSON[t], wave, _pairs_text(terms)))
+                fh.write(text + cell_sep + _CELL % (m, j, ("," + _NL[10]).join(rows)))
+                text, cell_sep = "", "," + _NL[6]
+            text = _NL[4] + "]"
+        out = [text + (_NL[2] + "]" if series.terms else "[]") + ","
+               + _NL[2] + '"config": ']
+        _write_value(config, _NL[2], out, fh)
+        out.append("\n}\n")
+        fh.write("".join(out))
+
+
 # Chunks the JSON writer joins into one write: a small batch, so a document
 # is never held whole.
 JSON_BATCH = 256

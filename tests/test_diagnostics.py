@@ -6,7 +6,7 @@ import pytest
 from qvlasov import evaluate
 from qvlasov.diagnostics import (DegenerateFieldError, diagnose, marginals,
                                  negativity_report, past_smallest_term,
-                                 q_functional)
+                                 q_functional, spikiness)
 from qvlasov.evaluate import GridSpec, WignerField, _unit_trapezoid, eval_field
 from qvlasov.parser import parse_potential
 from qvlasov.seeds import SeedDistribution
@@ -89,6 +89,14 @@ def test_marginals_work_without_normalization(series_l5):
     p_q_raw, _ = marginals(raw)
     p_q, _ = marginals(cooked)
     assert np.abs(p_q_raw - p_q).max() <= 1e-12 * p_q.max()
+
+
+def test_spikiness_of_a_total_whose_square_overflows():
+    # diagnose --hbar-list 0 --potential goldstone --qrange=-1e200,1e200,5
+    # reaches it: total^2 raised an OverflowError traceback
+    q_value, bound, verdict = spikiness(1e200, 1e200, 0.0)
+    assert q_value == pytest.approx(1e-200, rel=1e-15)
+    assert (bound, verdict) == (0.0, None)
 
 
 def test_q_functional_scale_invariant(series_l5):

@@ -9,6 +9,7 @@ import io
 import json
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,20 @@ def test_field_commands_with_odd_flags_keep_the_exit_contract(data):
         argv.append("--no-normalize")
     with tempfile.TemporaryDirectory() as tmp:
         _contract(argv + ["--out", str(Path(tmp) / "out")])
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--hbar", "0.3"],
+                                     ["diagnose", "--hbar", "0.3"],
+                                     ["diagnose", "--hbar-list", "0.3"]])
+def test_a_fill_past_the_float_range_prints_one_error_line(tmp_path, command):
+    # V(q) overflows at q = +-1e300; numpy's float warnings used to come first
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(command + ["--potential", "goldstone", "--qrange=-1e300,1e300,3",
+                               "--prange=-3,3,3", "--out", str(tmp_path)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

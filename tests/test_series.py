@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qvlasov.cli import _series_listing
+from qvlasov.cli import _provenance, _series_listing, build_config
 from qvlasov.parser import parse_potential
 from qvlasov.potentials import resolve_potential
 import qvlasov.ring as ring_module
@@ -17,7 +18,7 @@ from qvlasov.ring import RingElem
 from qvlasov.series import (JSON_BATCH, MAX_ORDER, OrderError, SeriesTerm,
                             TermBudgetError, WignerSeries, build_series,
                             closed_form_f1, integrate_term, recursion_rhs,
-                            write_json)
+                            write_json, write_series_json)
 
 from conftest import is_even, random_ring_elem, value_at_zero
 
@@ -416,10 +417,61 @@ def test_write_json_matches_stdlib_indented(tmp_path, name):
     assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
 
 
+def series_text(series, config) -> str:
+    """series.json as json.dumps writes it, config appended last."""
+    doc = series.to_json_dict()
+    doc["config"] = config
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# a config block with every kind of value expand's holds, and some it does not
+SERIES_CONFIG = {"command": "expand", "potential": "q^2/2 \u2207", "order": 3,
+                 "convention": "paper", "seed": "fd:z=1", "hbar": None,
+                 "hbar_list": (0.5, float("inf")), "grid": {"q_min": -4.0, "n_q": 401},
+                 "empty": {}}
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("convention", ["paper", "uniform"])
+@pytest.mark.parametrize("potential", [
+    "goldstone", "quartic", "harmonic", "modulated:a=1/2",
+    "(pi + 1)*q^2/2 + cos(2*pi*q)/pi^2"])
+def test_write_series_json_matches_stdlib(tmp_path, potential, convention, order):
+    # harmonic's corrections are all zero: empty terms
+    series = build_series(resolve_potential(potential), order, convention)
+    write_series_json(tmp_path / "series.json", series, SERIES_CONFIG)
+    assert (tmp_path / "series.json").read_text() == series_text(series, SERIES_CONFIG)
+
+
+def test_write_series_json_of_no_terms_matches_stdlib(tmp_path):
+    series = WignerSeries(GOLDSTONE, -1, "paper", ())
+    write_series_json(tmp_path / "series.json", series, SERIES_CONFIG)
+    assert (tmp_path / "series.json").read_text() == series_text(series, SERIES_CONFIG)
+
+
 def test_write_json_matches_stdlib_on_a_series_document(tmp_path):
-    doc = build_series(resolve_potential("modulated:a=1/2"), 3).to_json_dict()
-    write_json(tmp_path / "series.json", doc)
-    assert (tmp_path / "series.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    # the benchmark's expand: order 5, with the config block expand writes
+    cfg = build_config(["expand", "--potential", "modulated:a=1/2", "--order", "5"])
+    series = build_series(cfg.potential_elem, cfg.order)
+    write_series_json(tmp_path / "series.json", series, _provenance(cfg))
+    assert (tmp_path / "series.json").read_text() == series_text(series, _provenance(cfg))
+
+
+def test_write_series_json_holds_one_cell_at_a_time(tmp_path):
+    # goldstone L=12: a 577 KB file of 455 cells, the largest of 13
+    # monomials.  The second write finds every cell's monomial rows formed;
+    # it peaked at 29 KB, and a writer that joins the document holds all of it.
+    series = build_series(GOLDSTONE, 12)
+    path = tmp_path / "series.json"
+    write_series_json(path, series, SERIES_CONFIG)
+    tracemalloc.start()
+    try:
+        write_series_json(path, series, SERIES_CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 500_000
+    assert peak < path.stat().st_size / 10
 
 
 @pytest.mark.parametrize("doc", [{1, 2}, {"cells": [1, {2}]}, {(1, 2): 3}, b"x"])
