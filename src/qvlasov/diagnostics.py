@@ -57,11 +57,22 @@ def q_functional(field: WignerField, sums: np.ndarray | None = None):
     unnormalized fields as well.  The verdict is None when hbar = 0.  Both
     integrals run over the field's held rows, through its row map; sums
     takes the held rows' p sums as marginals does.
+
+    Both are taken in units of the power of two 2^e just above the largest
+    |f|, as order_moments does, so that f^2 neither underflows nor
+    overflows where Q does not.  A power of two scales every sum exactly,
+    so Q keeps the bits of the unscaled quotient wherever its sums stay
+    in the normal range.
     """
     if sums is None:
         sums = field.grid.p_sums(field.row_values)
     total = _positive(field.grid.row_integral(sums, field.rows))
-    second = field.grid.integral(field.row_values**2, field.rows)
+    values = field.row_values
+    e = int(np.frexp(max(values.max(), -values.min()))[1])
+    scaled = np.ldexp(values, -e)
+    scaled *= scaled
+    second = field.grid.integral(scaled, field.rows)
+    total = float(np.ldexp(total, -e))
     return spikiness(total, second, field.hbar)
 
 

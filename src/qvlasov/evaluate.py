@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import itemgetter
 
 import numpy as np
 
@@ -530,12 +530,18 @@ class WignerField:
     field.csv work on the held rows; ``values`` gathers the full grid once,
     which diagnostics.diagnose reads for P_p, summed down the grid rows in
     their order, and the negativity scan, whose first minimum depends on it.
+
+    row_values holds every grid column, and cols maps them to the fill's
+    distinct p^2 (the identity map for a field built column by column):
+    grid columns with equal cols hold equal bits in every held row, as the
+    fill computes them once.  write_field_csv formats one of each.
     """
 
     grid: GridSpec
     hbar: float
     row_values: np.ndarray
     rows: np.ndarray
+    cols: np.ndarray
     norm_constant: float
     normalized: bool
 
@@ -561,10 +567,10 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
     normalized, not positive.
 
     The field is that of order_grids(series, seed, grid, hbar), gathered to
-    every column and held at the distinct rows of the fill, with their row
-    map.  ``orders`` takes that fill when the caller already has it; orders
-    of another grid or hbar are a ValueError.  The field holds no labels of
-    the run; write_field_sidecar takes them.
+    every column and held at the distinct rows of the fill, with its row
+    and column maps.  ``orders`` takes that fill when the caller already
+    has it; orders of another grid or hbar are a ValueError.  The field
+    holds no labels of the run; write_field_sidecar takes them.
     """
     if orders is None:
         orders = order_grids(series, seed, grid, hbar)
@@ -579,35 +585,37 @@ def eval_field(series: WignerSeries, seed, hbar: float, grid: GridSpec,
         raise NormalizationError(f"field integral {norm!r} is not normalizable")
     if normalize:
         values /= norm
-    return WignerField(grid, hbar, values, orders.rows, norm, normalize)
+    return WignerField(grid, hbar, values, orders.rows, orders.cols, norm,
+                       normalize)
 
 
 def write_field_csv(field: WignerField, path) -> None:
     """Row-major q,p,f rows with round-trip float formatting.
 
-    Each held row of the field is formatted once, at its distinct values,
-    and its text is kept until the last grid row that maps to it.  Values
-    are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    Each held row of the field is formatted once, at its distinct columns:
+    the text of the first grid column of each group of field.cols fills
+    every column of the group, through one template of the p texts.  A held
+    row's text is kept until the last grid row that maps to it.  Values are
+    told apart by their bits, so 0.0 and -0.0 keep their own text.
     """
-    p_cols = [f",{v!r}," for v in field.p_axis().tolist()]
+    _, first, group = np.unique(field.cols, return_index=True,
+                                return_inverse=True)
+    template = "".join(f"\n,{p!r},%s" for p in field.p_axis().tolist())
+    spread = itemgetter(*group.tolist())    # a tuple, as n_p >= 2
     rows = field.rows.tolist()
     last = {g: i for i, g in enumerate(rows)}
     held = {}
     with open(path, "w") as fh:
-        fh.write("q,p,f\n")
-        for i, (qi, g) in enumerate(zip(map(repr, field.q_axis().tolist()), rows)):
+        fh.write("q,p,f")
+        for i, (q, g) in enumerate(zip(field.q_axis().tolist(), rows)):
             body = held.pop(g, None)
             if body is None:
-                keys, inverse = np.unique(field.row_values[g].view(np.uint64),
-                                          return_inverse=True)
-                texts = list(map(repr, keys.view(np.float64).tolist()))
-                # the row's lines without their q, one string: a third of
-                # the memory of a list of line strings while it is held
-                body = "\n".join(map(add, p_cols,
-                                     map(texts.__getitem__, inverse.tolist())))
+                texts = list(map(repr, field.row_values[g, first].tolist()))
+                body = template % spread(texts)
             if last[g] > i:
                 held[g] = body
-            fh.write(qi + body.replace("\n", "\n" + qi) + "\n")
+            fh.write(body.replace("\n", "\n" + repr(q)))
+        fh.write("\n")
 
 
 def write_field_sidecar(field: WignerField, path, seed_spec: str,

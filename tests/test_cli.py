@@ -356,6 +356,21 @@ def test_diagnose_hbar_zero_verdict_not_applicable(tmp_path):
     assert report["uncertainty_ok"] is None
 
 
+def test_single_hbar_q_of_a_tiny_field_matches_the_sweep(tmp_path):
+    # normalised over q in (-1e200, 1e200), f is about 1e-199 and f^2
+    # underflows: the single-hbar route read Q = 0.0 until it took f in
+    # units of a power of two, as the sweep's moments do
+    flags = ["--potential", "goldstone", "--order", "3", "--hbar-list", "0",
+             "--qrange=-1e200,1e200,5", "--prange=-3,3,3"]
+    assert run(["diagnose", *flags, "--out", str(tmp_path / "sweep")]) == 0
+    flags[4] = "--hbar"
+    assert run(["diagnose", *flags, "--out", str(tmp_path / "one")]) == 0
+    swept = json.loads((tmp_path / "sweep" / "qsweep.json").read_text())["rows"][0]["Q"]
+    single = json.loads((tmp_path / "one" / "diagnostics.json").read_text())["Q"]
+    assert 6e-201 < swept < 7e-201
+    assert single == pytest.approx(swept, rel=1e-9, abs=0.0)
+
+
 def test_verify_symbolic_exit_zero(tmp_path):
     out = tmp_path / "run"
     code = run(["verify", "--potential", "goldstone", "--order", "3",

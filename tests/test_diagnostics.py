@@ -76,7 +76,8 @@ def test_momentum_marginal_blocks_keep_full_grid_bits(rng, monkeypatch, n_q, n_p
     for weight, row in zip(u_q[1:], values[1:]):
         columns = columns + weight * row
     total = float((rows * u_q).sum()) * (h_q * h_p)
-    field = WignerField(grid, 0.3, values, np.arange(n_q), 1.0, False)
+    field = WignerField(grid, 0.3, values, np.arange(n_q), np.arange(n_p), 1.0,
+                        False)
     p_q, p_p = marginals(field)
     assert p_q.view(np.uint64).tolist() == (rows * h_p / total).view(np.uint64).tolist()
     assert p_p.view(np.uint64).tolist() == \
@@ -104,7 +105,8 @@ def test_q_functional_scale_invariant(series_l5):
     q1, b1, v1 = q_functional(field)
     scaled = WignerField(grid=field.grid, hbar=field.hbar,
                          row_values=7.0 * field.values,
-                         rows=np.arange(field.grid.n_q), norm_constant=1.0,
+                         rows=np.arange(field.grid.n_q),
+                         cols=np.arange(field.grid.n_p), norm_constant=1.0,
                          normalized=False)
     q2, b2, v2 = q_functional(scaled)
     assert q2 == pytest.approx(q1, rel=1e-12)
@@ -179,7 +181,7 @@ def test_diagnose_bundle(series_l5):
 def test_degenerate_field_rejected():
     grid = GridSpec(-1, 1, 5, -1, 1, 5)
     field = WignerField(grid=grid, hbar=0.2, row_values=np.zeros((5, 5)),
-                        rows=np.arange(5), norm_constant=1.0,
+                        rows=np.arange(5), cols=np.arange(5), norm_constant=1.0,
                         normalized=False)
     with pytest.raises(DegenerateFieldError):
         marginals(field)

@@ -285,7 +285,8 @@ def test_orders_of_another_grid_are_refused(goldstone_l2):
 def test_field_is_a_record_of_its_numbers(goldstone_l2):
     field = eval_field(goldstone_l2, FD, 0.3, SMALL_GRID)
     assert [f.name for f in dataclasses.fields(field)] == [
-        "grid", "hbar", "row_values", "rows", "norm_constant", "normalized"]
+        "grid", "hbar", "row_values", "rows", "cols", "norm_constant",
+        "normalized"]
     # the full grid is gathered once, on the first read, and stays read-only
     assert field.values is field.values
     assert not field.values.flags.writeable
@@ -387,9 +388,29 @@ def test_field_at_held_rows_matches_full_grid(goldstone_l5, cubic_l3, case):
         assert np.array_equal(field.values, values)
         q_value = integral(values ** 2) / integral(values) ** 2
         assert q_functional(field)[:2] == (q_value, 2.0 * np.pi * hbar * q_value)
-        full = WignerField(grid, hbar, values, np.arange(grid.n_q), norm, True)
+        full = WignerField(grid, hbar, values, np.arange(grid.n_q),
+                           np.arange(grid.n_p), norm, True)
         assert q_functional(field) == q_functional(full)
         assert diagnose(field).to_json_dict() == diagnose(full).to_json_dict()
+
+
+ASYMMETRIC_P = GridSpec(-4.0, 4.0, 81, -2.0, 4.0, 61)   # 49 distinct p^2
+
+
+@pytest.mark.parametrize("case", ["goldstone", "asymmetric-p", "cubic"])
+def test_field_columns_of_one_p2_hold_equal_bits(goldstone_l5, cubic_l3, case):
+    # the field carries the fill's column map: grid columns that share the
+    # bits of p^2 share a group, and hold the same bits in every held row
+    series, grid, distinct = {"goldstone": (goldstone_l5, DEFAULT_GRID, 201),
+                              "asymmetric-p": (goldstone_l5, ASYMMETRIC_P, 49),
+                              "cubic": (cubic_l3, DEFAULT_GRID, 201)}[case]
+    field = eval_field(series, FD, 0.6, grid)
+    _, first, group = np.unique(field.cols, return_index=True, return_inverse=True)
+    assert first.size == distinct == _distinct_bits(grid.p_axis() ** 2)[0].size
+    p2 = (grid.p_axis() ** 2).view(np.uint64)
+    assert np.array_equal(p2[first][group], p2)
+    bits = field.row_values.view(np.uint64)
+    assert np.array_equal(bits[:, first][:, group], bits)
 
 
 def test_distinct_bits_keeps_cells_and_signed_zeros_apart():
@@ -715,7 +736,8 @@ def test_csv_bytes_match_per_row_writer(goldstone_l5, tmp_path):
     values[[12, 14]] = values[6]
     values[12, 200], values[14, 200] = _nan(1), _nan(2)
     held, rows = np.unique(rows, return_inverse=True)
-    field = WignerField(field.grid, field.hbar, values[held], rows, field.norm_constant,
+    field = WignerField(field.grid, field.hbar, values[held], rows,
+                        np.arange(field.grid.n_p), field.norm_constant,
                         field.normalized)
     assert field.row_values.shape == (37, 401)
     _assert_csv_matches_per_row_writer(field, tmp_path)
@@ -725,6 +747,35 @@ def test_default_grid_csv_bytes_match_per_row_writer(goldstone_l2, tmp_path):
     # mirrored rows of the default grid are often equal, and far apart
     _assert_csv_matches_per_row_writer(eval_field(goldstone_l2, FD, 0.3, DEFAULT_GRID),
                                        tmp_path)
+
+
+@pytest.mark.parametrize("case", ["asymmetric-p", "unnormalized-cubic"])
+def test_csv_bytes_at_a_partial_column_map(goldstone_l5, cubic_l3, tmp_path, case):
+    # only some of the p^2 pair up, 12 pairs among 61 columns, and not as
+    # mirror images about the middle column
+    if case == "asymmetric-p":
+        field = eval_field(goldstone_l5, FD, 0.6, ASYMMETRIC_P)
+    else:
+        field = eval_field(cubic_l3, parse_seed_spec("be:z=0.5"), 0.6,
+                           GridSpec(-3.0, 3.0, 200, -2.0, 4.0, 61), normalize=False)
+    assert np.unique(field.cols).size == 49
+    _assert_csv_matches_per_row_writer(field, tmp_path)
+    # so does the same field built column by column
+    field = WignerField(field.grid, field.hbar, field.row_values, field.rows,
+                        np.arange(field.grid.n_p), field.norm_constant,
+                        field.normalized)
+    _assert_csv_matches_per_row_writer(field, tmp_path)
+
+
+def test_csv_writer_memory_stays_at_its_held_rows(goldstone_l2, tmp_path):
+    # the writer holds each held row's text, one string, until the last grid
+    # row that maps to it: up to 400 of the 401 held rows of (-4, 4, 801)^2,
+    # a 9.2 MB traced peak.  A writer that held lists of line strings
+    # (27.8 MB), or joined the whole file (94 MB), fails the bound
+    field = eval_field(goldstone_l2, FD, 0.3, GridSpec(-4.0, 4.0, 801, -4.0, 4.0, 801))
+    assert field.row_values.shape == (401, 801)
+    _, peak = _traced_peak(lambda: write_field_csv(field, tmp_path / "field.csv"))
+    assert peak <= 12e6
 
 
 def _assert_csv_matches_per_row_writer(field, tmp_path):
