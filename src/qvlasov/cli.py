@@ -156,13 +156,14 @@ def _file_flags(path: str) -> list[str]:
 def build_config(argv: list[str]) -> argparse.Namespace:
     """Parse the command line and its --config file into checked settings.
 
+    The parser holds only the sub-parser of the command argv names first.
     The file's settings go before the command line's own flags and are
     parsed with them, so flags win.  Malformed flags stop at the first one;
     the remaining problems are reported together.  The namespace also holds
     the checked grid, the resolved potential_elem and the parsed seed_dist
     (None where the command takes no seed).
     """
-    parser = make_parser()
+    parser = make_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.config:
         args = parser.parse_args(argv[:1] + _file_flags(args.config) + argv[1:])
@@ -361,13 +362,19 @@ _COMMANDS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qvlasov parser.  Given the name of a command, it holds only that
+    command's sub-parser, which parses that command's arguments as the full
+    parser does; given anything else (None, --help, an unknown name) it
+    holds all four, so top-level help and errors list every command."""
     parser = _Parser(
         prog="qvlasov",
         description="Semiclassical expansion of the stationary quantum "
                     "Vlasov equation: build, evaluate, diagnose, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(**{key: default for key, (default, _, _) in _SETTINGS.items()})
         for key, (_, only, flag) in _SETTINGS.items():

@@ -246,18 +246,27 @@ def _cells_by_j(terms, x):
 def _block_orders(out, work, by_j, rows, seed, h) -> None:
     """out[l, r] = d^r F_l/dH^r over out's first two axes, with
     F_l = sum_(m,j) c_{l,m,j} H^m f0^(j)(H), at the energies h of one block;
-    rows selects the block from by_j's coefficients, and work holds two
-    scratch arrays of h's shape.
+    rows selects the block from by_j's coefficients, and work holds
+    r_max + 2 scratch arrays of h's shape.
 
     One seed-derivative table serves the block.  By the Leibniz rule
     d^r/dH^r [P f0^(j)] = sum_i C(r,i) P^(i) f0^(j+r-i), so each derivative
     goes into every order that uses it; each P^(i) is summed by Horner's
-    rule in work[0], and each product is formed in work[1].
+    rule in work[0], and its terms for all r >= i are formed at once in
+    work[1:], each as (C(r,i) P^(i)) f0^(j+r-i) as a term on its own would
+    be, and added to out[l, i:].  The last order, i = r_max, is one term of
+    weight 1 and one product, as in the grid fill (r_max = 0).
     """
     r_max = out.shape[1] - 1
     out.fill(0.0)
-    horner, product = work
+    horner, products = work[0], work[1:]
     table = seed.derivative_table(h, max(by_j, default=0) + r_max)
+    # rows j..j + r_max - i are read at once, from one array; the fill's one
+    # order reads single rows, so it copies no table
+    if r_max:
+        table = np.stack(table)
+    binomials = [np.array([math.comb(r, i) for r in range(i, r_max + 1)], dtype=float)
+                 .reshape((-1,) + (1,) * h.ndim) for i in range(r_max)]
     for j in sorted(by_j):
         for l, coeffs in by_j[j]:
             coeffs = [None if c is None else c[rows] for c in coeffs]
@@ -273,14 +282,13 @@ def _block_orders(out, work, by_j, rows, seed, h) -> None:
                             val *= h
                         if c is not None:
                             val += c
-                for r in range(i, r_max + 1):
-                    w = math.comb(r, i)
-                    if w == 1:
-                        np.multiply(val, table[j + r - i], out=product)
-                    else:
-                        np.multiply(w, val, out=product)
-                        product *= table[j + r - i]
-                    out[l, r] += product
+                product = products[:r_max + 1 - i]
+                if i == r_max:  # one term, of weight C(r_max, r_max) = 1
+                    np.multiply(val, table[j], out=product[0])
+                else:
+                    np.multiply(binomials[i], val, out=product)
+                    product *= table[j:j + r_max + 1 - i]
+                out[l, i:] += product
 
 
 def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
@@ -289,7 +297,7 @@ def term_derivatives(terms, seed, x, h, r_max: int = 0) -> np.ndarray:
     by_j = _cells_by_j(terms, x)
     h = np.asarray(h, dtype=float)
     out = np.empty((len(terms), r_max + 1) + h.shape)
-    _block_orders(out, np.empty((2,) + h.shape), by_j, ..., seed, h)
+    _block_orders(out, np.empty((r_max + 2,) + h.shape), by_j, ..., seed, h)
     return out
 
 

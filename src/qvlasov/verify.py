@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .evaluate import _weighted_sum, cell_values, hbar_weights, term_derivatives
-from .series import (SeriesTerm, WignerSeries, potential_derivatives,
-                     recursion_rhs, recursion_weight)
+from .series import (SeriesTerm, WignerSeries, _neg_powers,
+                     potential_derivatives, recursion_rhs, recursion_weight)
 
 
 # Most sample points of a numeric residual.  All are read out at once, so its
@@ -64,18 +64,20 @@ def residual_powers(series: WignerSeries, j_cap: int) -> dict[int, SeriesTerm]:
 
     R_s is d/dx of f_s (zero above the truncation order) minus the engine's
     source sum of power s, recursion_rhs truncated at j_cap; the powers share
-    one set of d/dH chains and one table of trig products.
+    one set of d/dH chains, one table of trig products and one list of the
+    powers of -V.
     """
     terms = series.terms
     v_derivs = potential_derivatives(series.potential, 2 * j_cap + 1)
     chains: dict[int, list[SeriesTerm]] = {}
     trig_table: dict = {}
+    neg_v_pow = _neg_powers(v_derivs, j_cap, trig_table)
     residual: dict[int, SeriesTerm] = {}
     for s in range(series.order + j_cap + 1):
         r = terms[s].d_dx() if s <= series.order else SeriesTerm()
         if s > 0:
             r = r - recursion_rhs(series.potential, terms, s, v_derivs, j_cap, chains,
-                                  trig_table=trig_table)
+                                  trig_table=trig_table, neg_v_pow=neg_v_pow)
         if not r.is_zero():
             residual[s] = r
     return residual
@@ -138,9 +140,10 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
     x-derivatives, V and its odd derivatives from one cell_values pass; the
     source of power s is
     sum_j (-1/2)^j V^(2j+1) sum_k w(j,k) (H-V)^(j-k) d^(2j-k+1)f_{s-j}/dH^(2j-k+1)
-    with H - V a float.  The census maps 2s to the number of exact cells
-    sampled at that power: those of d/dx f_s and those of each lower order
-    entering its source.
+    with H - V a float.  Each w(j,k) (H-V)^(j-k) is formed once, from one
+    list of the powers of H - V, and serves every power s.  The census maps
+    2s to the number of exact cells sampled at that power: those of d/dx
+    f_s and those of each lower order entering its source.
     """
     xs = np.asarray(xs, dtype=float)
     hs = np.asarray(hs, dtype=float)
@@ -151,6 +154,9 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
     factors = {j: (-0.5) ** j * d for j, d in zip(odd, derivs)}
     r_max = 2 * max(factors, default=0) + 1
     h_minus_v = hs - v
+    powers = [h_minus_v ** n for n in range(max(factors, default=0) + 1)]
+    weighted = {j: [float(recursion_weight(j, k)) * powers[j - k] for k in range(j + 1)]
+                for j in factors}
     slopes = [t.d_dx() for t in terms]
     values = term_derivatives(list(terms) + slopes, seed, xs, hs, r_max)
     samples, census = {}, {}
@@ -161,8 +167,7 @@ def residual_samples(series: WignerSeries, seed, xs, hs,
             if not 0 <= s - j <= order:
                 continue
             lower = values[s - j]   # lower[r] = d^r f_{s-j}/dH^r
-            source = sum(float(recursion_weight(j, k)) * h_minus_v ** (j - k)
-                         * lower[2 * j - k + 1] for k in range(j + 1))
+            source = sum(w * lower[2 * j - k + 1] for k, w in enumerate(weighted[j]))
             total = total - factor * source
             count += len(terms[s - j].cells())
         if count:

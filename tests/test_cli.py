@@ -738,6 +738,82 @@ def test_help_text_and_defaults_match_golden(monkeypatch, capsys, command):
         HELP_GOLDEN[command]["defaults"]
 
 
+# Per command: flags of its own and a --config file, parsed alike by its
+# single sub-parser and by the full parser.
+PARSE_CASES = {
+    "expand": (["--convention", "uniform"], {"seed": "mb"}),
+    "evaluate": (["--no-normalize", "--hbar", "0.4"], {"hbar": 0.3}),
+    "diagnose": (["--seed", "be:z=0.5"], {"hbar_list": [0.1, 0.2]}),
+    "verify": (["--mode", "numeric", "--samples", "12", "--series", "s.json"],
+               {"j_max": 5, "samples": 20, "mode": "symbolic"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSE_CASES))
+def test_single_command_parser_matches_full_parser(monkeypatch, capsys, tmp_path,
+                                                   command):
+    # make_parser(command) holds one sub-parser, which prints the golden
+    # --help and gives the full parser's namespace, with and without a
+    # --config file
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exit_:
+        cli.make_parser(command).parse_args([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == HELP_GOLDEN[command]["help"]
+    flags, config = PARSE_CASES[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"potential": "goldstone", "order": 3,
+                                "grid": {"n_q": 21}, **config}))
+    argv = [command, "--order", "4", "--qrange=-2,2,11", *flags,
+            "--config", str(path)]
+    for args in (argv, argv[:1] + cli._file_flags(str(path)) + argv[1:]):
+        single, full = (vars(parser.parse_args(args)) for parser in
+                        (cli.make_parser(command), cli.make_parser()))
+        assert {k: repr(v) for k, v in single.items()} == \
+            {k: repr(v) for k, v in full.items()}
+        assert single["command"] == command
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["frobnicate", "--order", "2"], []],
+                         ids=["help", "unknown-command", "no-command"])
+def test_top_level_help_and_errors_list_every_command(monkeypatch, capsys, argv):
+    # without a command first, main parses with the full parser: the same
+    # text and exit code as make_parser() gives, naming all four commands
+    monkeypatch.setenv("COLUMNS", "100")
+    try:
+        cli.make_parser().parse_args(argv)
+    except SystemExit as exc:
+        expected = (exc.code, capsys.readouterr().out)
+    except cli.ConfigError as exc:
+        expected = (1, f"error: {exc}\n")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out or captured.err) == expected
+    if argv:
+        assert all(name in expected[1] for name in cli._COMMANDS)
+
+
+def test_verify_config_builds_one_sub_parser(monkeypatch):
+    # build_config adds only the sub-parser of the command it runs
+    added = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cfg = cli.build_config(["verify", "--potential", "modulated:a=3/7",
+                            "--order", "3", "--j-max", "6"])
+    assert (cfg.command, added) == ("verify", ["verify"])
+    added.clear()
+    cli.make_parser()
+    assert added == list(cli._COMMANDS)
+
+
 def test_readme_command_line_names_every_flag():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]

@@ -826,6 +826,19 @@ def test_term_derivative_bits_are_pinned(spec, order, seed_spec):
     assert term_derivative_digest(spec, order, seed_spec) == DERIVATIVE_DIGESTS[key]
 
 
+def test_term_derivative_bits_at_verify_depth_are_pinned():
+    # verify-modulated's read-out: the terms and their x-derivatives to
+    # r_max = 13 (--j-max 6) at verify's 48 sample points, recorded before
+    # the Leibniz orders were added in one broadcast
+    series = build_series(resolve_potential("modulated:a=3/7"), 3, "paper")
+    terms = list(series.terms) + [t.d_dx() for t in series.terms]
+    xs, hs = _sample_points(48)
+    derivs = term_derivatives(terms, parse_seed_spec("fd:z=1"), xs, hs, 13)
+    assert derivs.shape == (len(terms), 14, 48)
+    assert hashlib.sha256(derivs.tobytes()).hexdigest() == \
+        DERIVATIVE_DIGESTS["modulated:a=3/7 3 fd:z=1 r_max=13"]
+
+
 def test_modulated_potential_field(rng):
     series = build_series(resolve_potential("modulated:a=1/2"), 2, "paper")
     field = eval_field(series, FD, 0.3, GridSpec(-3, 3, 121, -3, 3, 121))
