@@ -261,10 +261,11 @@ def _block_orders(out, work, by_j, rows, seed, h) -> None:
     out.fill(0.0)
     horner, products = work[0], work[1:]
     table = seed.derivative_table(h, max(by_j, default=0) + r_max)
-    # rows j..j + r_max - i are read at once, from one array; the fill's one
-    # order reads single rows, so it copies no table
+    # rows j..j + r_max - i are read at once, from one array of rows of h's
+    # shape (a seed may give a scalar row); the fill's one order reads
+    # single rows, so it copies no table
     if r_max:
-        table = np.stack(table)
+        table = np.stack([np.broadcast_to(row, h.shape) for row in table])
     binomials = [np.array([math.comb(r, i) for r in range(i, r_max + 1)], dtype=float)
                  .reshape((-1,) + (1,) * h.ndim) for i in range(r_max)]
     for j in sorted(by_j):

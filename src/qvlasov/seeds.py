@@ -1,10 +1,11 @@
 """Seed (classical-limit) energy distributions and degeneracy calibration.
 
 A seed is any object whose derivative_table(H, j_max) gives
-[f0, f0', ..., f0^(j_max)] at H; the built-in ones are exact up to
-MAX_DERIV_ORDER.  All three built-in families satisfy a one-step closure
-g' = G(g) with polynomial G, so the j-th derivative is a polynomial P_j(f0)
-with integer coefficients:
+[f0, f0', ..., f0^(j_max)] at H, each row of H's shape or broadcastable
+to it (a derivative constant in H may be one scalar); the built-in ones
+are exact up to MAX_DERIV_ORDER.  All three built-in families satisfy a
+one-step closure g' = G(g) with polynomial G, so the j-th derivative is a
+polynomial P_j(f0) with integer coefficients:
 
     Maxwell-Boltzmann:  g' = -g
     Fermi-Dirac:        g' = -g(1 - g)

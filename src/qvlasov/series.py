@@ -154,8 +154,7 @@ def recursion_rhs(potential: RingElem, terms, l: int,
                   v_derivs: list[RingElem] | None = None,
                   j_cap: int | None = None, chains: dict | None = None,
                   budget: int | None = None,
-                  trig_table: dict | None = None,
-                  neg_v_pow: list[RingElem] | None = None) -> SeriesTerm:
+                  trig_table: dict | None = None) -> SeriesTerm:
     """Exact x-derivative of the order-l term, from the lower orders in terms.
 
     Implements the source sum over j of
@@ -165,9 +164,7 @@ def recursion_rhs(potential: RingElem, terms, l: int,
     chains maps i to the d/dH chain [f_i, d/dH f_i, ...] of terms[i]; it is
     extended here, so calls on the same terms may share one dict.
     trig_table is the wavenumber pairs' trig products of
-    ring.sum_of_products, which calls of one build may share as well, and
-    so may neg_v_pow, the powers of -V of _neg_powers at a depth of at
-    least the top j of this sum; a call without them forms its own.  A
+    ring.sum_of_products, which calls of one build may share as well.  A
     source that grows past budget monomials raises TermBudgetError.
     """
     if l < 1:
@@ -179,8 +176,7 @@ def recursion_rhs(potential: RingElem, terms, l: int,
         chains = {}
     if trig_table is None:
         trig_table = {}
-    if neg_v_pow is None:
-        neg_v_pow = _neg_powers(v_derivs, j_top, trig_table)
+    neg_v_pow = _neg_powers(v_derivs, j_top, trig_table)
     outer: dict[tuple[int, int], list] = {}     # cell: (part, odd derivative) items
     for j in range(max(1, l - len(terms) + 1), j_top + 1):
         odd_deriv = v_derivs[2 * j + 1]
@@ -349,15 +345,13 @@ def build_series(potential: RingElem, order: int,
     terms = [SeriesTerm.unit()]
     chains: dict[int, list[SeriesTerm]] = {}
     trig_table: dict = {}   # this build's trig products, dropped with it
-    neg_v_pow = _neg_powers(v_derivs, order, trig_table)
     count = terms[0].term_count()
     for l in range(1, order + 1):
         if convention == "paper" and l == 1:
             f_l = closed_form_f1(potential, trig_table)
         else:
             source = recursion_rhs(potential, terms, l, v_derivs, chains=chains,
-                                   budget=TERM_BUDGET - count, trig_table=trig_table,
-                                   neg_v_pow=neg_v_pow)
+                                   budget=TERM_BUDGET - count, trig_table=trig_table)
             f_l = integrate_term(source)
         if f_l.max_deriv_order() > 3 * l:
             raise AssertionError(

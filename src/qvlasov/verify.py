@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .evaluate import _weighted_sum, cell_values, hbar_weights, term_derivatives
-from .series import (SeriesTerm, WignerSeries, _neg_powers,
-                     potential_derivatives, recursion_rhs, recursion_weight)
+from .series import (SeriesTerm, WignerSeries, potential_derivatives,
+                     recursion_rhs, recursion_weight)
 
 
 # Most sample points of a numeric residual.  All are read out at once, so its
@@ -64,20 +64,18 @@ def residual_powers(series: WignerSeries, j_cap: int) -> dict[int, SeriesTerm]:
 
     R_s is d/dx of f_s (zero above the truncation order) minus the engine's
     source sum of power s, recursion_rhs truncated at j_cap; the powers share
-    one set of d/dH chains, one table of trig products and one list of the
-    powers of -V.
+    one set of d/dH chains and one table of trig products.
     """
     terms = series.terms
     v_derivs = potential_derivatives(series.potential, 2 * j_cap + 1)
     chains: dict[int, list[SeriesTerm]] = {}
     trig_table: dict = {}
-    neg_v_pow = _neg_powers(v_derivs, j_cap, trig_table)
     residual: dict[int, SeriesTerm] = {}
     for s in range(series.order + j_cap + 1):
         r = terms[s].d_dx() if s <= series.order else SeriesTerm()
         if s > 0:
             r = r - recursion_rhs(series.potential, terms, s, v_derivs, j_cap, chains,
-                                  trig_table=trig_table, neg_v_pow=neg_v_pow)
+                                  trig_table=trig_table)
         if not r.is_zero():
             residual[s] = r
     return residual

@@ -839,6 +839,35 @@ def test_term_derivative_bits_at_verify_depth_are_pinned():
         DERIVATIVE_DIGESTS["modulated:a=3/7 3 fd:z=1 r_max=13"]
 
 
+class QuadraticSeed:
+    # f0 = H^2, whose constant and vanishing derivatives are scalar rows when
+    # full is False, and rows of H's shape when it is True
+    def __init__(self, full: bool):
+        self.full = full
+
+    def derivative_table(self, H, j_max):
+        H = np.asarray(H, dtype=float)
+        rows = [H * H, 2.0 * H, 2.0] + [0.0] * (j_max - 2)
+        if self.full:
+            rows = [np.broadcast_to(row, H.shape).copy() for row in rows]
+        return rows[:j_max + 1]
+
+
+@pytest.mark.parametrize("r_max", [0, 1, 7])
+def test_term_derivatives_take_scalar_seed_rows(r_max, rng):
+    # a seed may give a derivative that is constant in H as one scalar; the
+    # read-out broadcasts it as it does a row of H's shape, bit for bit
+    series = build_series(resolve_potential("goldstone"), 3, "paper")
+    terms = list(series.terms) + [t.d_dx() for t in series.terms]
+    xs = rng.uniform(-2.0, 2.0, 24)
+    hs = rng.uniform(-1.0, 3.0, 24)
+    scalar = term_derivatives(terms, QuadraticSeed(False), xs, hs, r_max)
+    full = term_derivatives(terms, QuadraticSeed(True), xs, hs, r_max)
+    assert scalar.shape == (len(terms), r_max + 1, 24)
+    assert np.isfinite(full).all() and np.abs(full).max() > 0
+    assert np.array_equal(scalar, full)
+
+
 def test_modulated_potential_field(rng):
     series = build_series(resolve_potential("modulated:a=1/2"), 2, "paper")
     field = eval_field(series, FD, 0.3, GridSpec(-3, 3, 121, -3, 3, 121))
